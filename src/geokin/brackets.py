@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Iterable
 
-from .chart import Chart, ChartKind, differential, pairing, reeb_eta
+from .chart import Chart, ChartKind, differential, pairing
 from .musical import SharpVariant, sharp
 from .poly import Poly
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .poly import Poly, Rational, parse
 
@@ -195,10 +194,6 @@ class VectorFieldExpr:
 
 def zero_one_form(chart: Chart) -> OneFormExpr:
     return OneFormExpr(chart, tuple(chart.zero() for _ in range(chart.dim)))
-
-
-def zero_vector_field(chart: Chart) -> VectorFieldExpr:
-    return VectorFieldExpr(chart, tuple(chart.zero() for _ in range(chart.dim)))
 
 
 def basis_one_form(chart: Chart, slot: int) -> OneFormExpr:

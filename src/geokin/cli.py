@@ -178,6 +178,8 @@ class Scenario:
         if self.trials < 1:
             raise ConfigError("$.trials", "must be positive")
         self.threads = _get(raw, "threads", "$", int, default=None)
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError("$.threads", "must be positive")
 
         self.hamiltonian: Poly | None = None
         if "hamiltonian" in raw:

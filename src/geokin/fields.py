@@ -33,7 +33,6 @@ from .chart import (
     OneFormExpr,
     VectorFieldExpr,
     differential,
-    pairing,
     reeb_eta,
     reeb_tau,
 )

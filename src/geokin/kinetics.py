@@ -26,14 +26,17 @@ and the plain bracket equation elsewhere.
 Solvers.  The particle solver pushes a jittered-lattice ensemble along
 the Hamiltonian/gauge-zero flow with per-particle weights obeying
 dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
-contraction n+1), then deposits cloud-in-cell.  The grid solver is the
-independent oracle: method of lines with first-order upwind transport
-per advecting axis, the pointwise source (n+2) R_eta(H) f, and SSP-RK3
-in time under an explicit CFL guard.
+contraction n+1), then deposits cloud-in-cell.  The push state is
+(N, dim+1), weight last, stepped by `flow`'s RK4 step along one path:
+one chunk per worker, mapped in the calling thread or a thread pool.
+The grid solver is the independent oracle: method of lines with
+first-order upwind transport per advecting axis, the pointwise source
+(n+2) R_eta(H) f, and SSP-RK3 in time under an explicit CFL guard.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -46,6 +49,7 @@ from .brackets import bracket, canonical_bracket_kind
 from .chart import Chart, ChartKind, OneFormExpr, VectorFieldExpr, pairing
 from .corpus import random_hamiltonian, random_one_form
 from .fields import Family, FieldSpec, Gauge, divergence, lie_derivative_oneform, make_field
+from .flow import _rk4_step
 from .musical import SharpVariant, sharp
 from .poly import Poly
 
@@ -181,7 +185,7 @@ def _solve_exact(rows: list[list[Fraction]], unknowns: int) -> list[Fraction] | 
 
 
 def adjudicate_density_coefficients(
-    chart: Chart, seed: int = 71, max_samples: int = 24
+    chart: Chart, seed: int = 71, max_samples: int = 64
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Re-derive (a, b, c) from scratch by exact linear solve.
 
@@ -258,6 +262,30 @@ class GridAxis:
         return self.lo + (np.arange(self.size) + 0.5) * self.dx
 
 
+def _cic_corners(axes: Sequence[GridAxis], pts: np.ndarray, weight: np.ndarray):
+    """The cloud-in-cell stencil: per cell-center corner around the points,
+    yield (flat cell index, weight times corner weight, in-grid mask)."""
+    shape = tuple(a.size for a in axes)
+    for corner in range(1 << len(axes)):
+        idx = []
+        w = weight
+        valid = np.ones(pts.shape[0], dtype=bool)
+        for k, axis in enumerate(axes):
+            u = (pts[:, k] - axis.lo) / axis.dx - 0.5
+            i0 = np.floor(u).astype(int)
+            frac = u - i0
+            hi = (corner >> k) & 1
+            i = i0 + hi
+            w = w * (frac if hi else 1.0 - frac)
+            if axis.boundary == "periodic":
+                i = np.mod(i, axis.size)
+            else:
+                valid &= (i >= 0) & (i < axis.size)
+                i = np.clip(i, 0, axis.size - 1)
+            idx.append(i)
+        yield np.ravel_multi_index(idx, shape, mode="clip"), w, valid
+
+
 @dataclass
 class GridDensity:
     """A density sampled at cell centers of a tensor-product grid.
@@ -312,26 +340,9 @@ class GridDensity:
         """Multilinear interpolation; zero outside zero-boundary axes."""
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[0])
-        for corner in range(1 << len(self.axes)):
-            idx = []
-            weight = np.ones(pts.shape[0])
-            valid = np.ones(pts.shape[0], dtype=bool)
-            for k, axis in enumerate(self.axes):
-                u = (pts[:, k] - axis.lo) / axis.dx - 0.5
-                i0 = np.floor(u).astype(int)
-                frac = u - i0
-                hi = (corner >> k) & 1
-                i = i0 + hi
-                w = np.where(hi, frac, 1.0 - frac)
-                if axis.boundary == "periodic":
-                    i = np.mod(i, axis.size)
-                else:
-                    valid &= (i >= 0) & (i < axis.size)
-                    i = np.clip(i, 0, axis.size - 1)
-                idx.append(i)
-                weight = weight * w
-            flat = np.ravel_multi_index(idx, self.values.shape, mode="clip")
-            out += np.where(valid, weight * self.values.ravel()[flat], 0.0)
+        values = self.values.ravel()
+        for flat, weight, valid in _cic_corners(self.axes, pts, np.ones(pts.shape[0])):
+            out += np.where(valid, weight * values[flat], 0.0)
         return out
 
     def l1_distance(self, other: "GridDensity") -> float:
@@ -534,28 +545,8 @@ def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity
     axes = tuple(axes)
     grid = GridDensity(ensemble.chart, axes, np.zeros(tuple(a.size for a in axes)))
     acc = np.zeros(grid.values.shape)
-    pts = ensemble.positions
-    for corner in range(1 << len(axes)):
-        idx = []
-        weight = ensemble.weights.copy()
-        valid = np.ones(pts.shape[0], dtype=bool)
-        for k, axis in enumerate(axes):
-            u = (pts[:, k] - axis.lo) / axis.dx - 0.5
-            i0 = np.floor(u).astype(int)
-            frac = u - i0
-            hi = (corner >> k) & 1
-            i = i0 + hi
-            w = frac if hi else 1.0 - frac
-            if axis.boundary == "periodic":
-                i = np.mod(i, axis.size)
-            else:
-                valid &= (i >= 0) & (i < axis.size)
-                i = np.clip(i, 0, axis.size - 1)
-            idx.append(i)
-            weight = weight * w
-        flat = np.ravel_multi_index(idx, acc.shape, mode="clip")
-        contrib = np.where(valid, weight, 0.0)
-        np.add.at(acc.ravel(), flat, contrib)
+    for flat, weight, valid in _cic_corners(axes, ensemble.positions, ensemble.weights):
+        np.add.at(acc.ravel(), flat, np.where(valid, weight, 0.0))
     grid.values = acc / grid.cell_volume
     return grid
 
@@ -571,46 +562,43 @@ def _thread_count(threads: int | None) -> int:
 
 
 def _push_chunk(
-    pts: np.ndarray,
-    wts: np.ndarray,
-    comp_evals: list,
-    active_move: list[int],
-    src_eval,
+    state: np.ndarray,
+    X: VectorFieldExpr,
+    source: Poly | None,
     h: float,
     n_steps: int,
     axes: tuple[GridAxis, ...],
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """RK4 on the augmented (state, weight) system for one chunk."""
+) -> tuple[np.ndarray, float, int]:
+    """RK4 on one (N, dim+1) chunk: X moves the positions, dw/ds = source * w;
+    rows leaving a zero-boundary axis are dropped and tallied."""
+    dim = len(axes)
+    moving = [(k, c.eval_array) for k, c in enumerate(X.components) if not c.is_zero()]
+    src_eval = None if source is None or source.is_zero() else source.eval_array
 
-    def rhs(x: np.ndarray, w: np.ndarray):
-        dx = np.zeros_like(x)
-        for k in active_move:
-            dx[:, k] = comp_evals[k](x)
-        dw = src_eval(x) * w if src_eval is not None else np.zeros_like(w)
-        return dx, dw
+    def rhs(y: np.ndarray) -> np.ndarray:
+        x = y[:, :dim]
+        dy = np.zeros_like(y)
+        for k, eval_array in moving:
+            dy[:, k] = eval_array(x)
+        if src_eval is not None:
+            dy[:, dim] = src_eval(x) * y[:, dim]
+        return dy
 
     escaped_mass = 0.0
     escaped_count = 0
     for _ in range(n_steps):
-        k1x, k1w = rhs(pts, wts)
-        k2x, k2w = rhs(pts + 0.5 * h * k1x, wts + 0.5 * h * k1w)
-        k3x, k3w = rhs(pts + 0.5 * h * k2x, wts + 0.5 * h * k2w)
-        k4x, k4w = rhs(pts + h * k3x, wts + h * k3w)
-        pts = pts + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        wts = wts + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        alive = np.ones(pts.shape[0], dtype=bool)
+        state = _rk4_step(rhs, state, h)
+        alive = np.ones(state.shape[0], dtype=bool)
         for k, axis in enumerate(axes):
-            span = axis.hi - axis.lo
             if axis.boundary == "periodic":
-                pts[:, k] = axis.lo + np.mod(pts[:, k] - axis.lo, span)
+                state[:, k] = axis.lo + np.mod(state[:, k] - axis.lo, axis.hi - axis.lo)
             else:
-                alive &= (pts[:, k] >= axis.lo) & (pts[:, k] <= axis.hi)
+                alive &= (state[:, k] >= axis.lo) & (state[:, k] <= axis.hi)
         if not alive.all():
-            escaped_mass += float(wts[~alive].sum())
+            escaped_mass += float(state[~alive, dim].sum())
             escaped_count += int((~alive).sum())
-            pts = pts[alive]
-            wts = wts[alive]
-    return pts, wts, escaped_mass, escaped_count
+            state = state[alive]
+    return state, escaped_mass, escaped_count
 
 
 def solve_density_particle(
@@ -630,8 +618,9 @@ def solve_density_particle(
     along the Hamiltonian/gauge-zero field with the weight ODE
     dw/ds = R_eta(H) w, drops and reports particles that leave
     zero-boundary axes, and deposits the survivors back onto the seed
-    grid.  GEOKIN_THREADS (or `threads`) splits the ensemble into
-    independently pushed chunks.
+    grid.  GEOKIN_THREADS (or `threads`), capped at the CPU count,
+    splits the ensemble into independently pushed chunks; the answer
+    does not depend on the split.
     """
     density = None
     if not isinstance(f0, GridDensity):
@@ -650,56 +639,32 @@ def solve_density_particle(
     # particles tolerate larger steps than the grid; guard at 4x CFL
     if dt > 4.0 * limit:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {4.0 * limit!r}")
-    ensemble = seed_particles(f0, particle_count, seed=seed, density=density)
-    mass_initial = ensemble.total_weight()
+    seeded = seed_particles(f0, particle_count, seed=seed, density=density)
+    mass_initial = seeded.total_weight()
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12))) if t_final > 0 else 0
     h = t_final / n_steps if n_steps else 0.0
-    active_move = [k for k in range(chart.dim) if not X.components[k].is_zero()]
-    comp_evals = [c.eval_array for c in X.components]
-    src_eval = None
-    if source is not None and not source.is_zero():
-        src_eval = source.eval_array
-
-    workers = _thread_count(threads)
-    if n_steps == 0:
-        pts, wts = ensemble.positions, ensemble.weights
-        escaped_mass, escaped_count = 0.0, 0
-    elif workers == 1:
-        pts, wts, escaped_mass, escaped_count = _push_chunk(
-            ensemble.positions, ensemble.weights, comp_evals, active_move, src_eval, h,
-            n_steps, f0.axes,
-        )
+    workers = min(_thread_count(threads), os.cpu_count() or 1)
+    bounds = [(len(seeded.weights) * i) // workers for i in range(workers + 1)]
+    chunks = [np.column_stack((seeded.positions[lo:hi], seeded.weights[lo:hi]))
+              for lo, hi in zip(bounds, bounds[1:])]
+    del seeded  # the chunks now hold the ensemble
+    push = functools.partial(_push_chunk, X=X, source=source, h=h, n_steps=n_steps, axes=f0.axes)
+    if workers == 1:
+        parts = list(map(push, chunks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        n = ensemble.positions.shape[0]
-        bounds = [(n * i) // workers for i in range(workers + 1)]
-        jobs = []
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, hi in zip(bounds, bounds[1:]):
-                if hi > lo:
-                    jobs.append(
-                        pool.submit(
-                            _push_chunk,
-                            ensemble.positions[lo:hi].copy(),
-                            ensemble.weights[lo:hi].copy(),
-                            comp_evals, active_move, src_eval, h, n_steps, f0.axes,
-                        )
-                    )
-            parts = [j.result() for j in jobs]
-        pts = np.concatenate([p[0] for p in parts])
-        wts = np.concatenate([p[1] for p in parts])
-        escaped_mass = sum(p[2] for p in parts)
-        escaped_count = sum(p[3] for p in parts)
-
-    final = ParticleEnsemble(chart, pts, wts)
+            parts = list(pool.map(push, chunks))
+    state = np.concatenate([p[0] for p in parts])
+    final = ParticleEnsemble(chart, state[:, :-1], state[:, -1])
     return ParticleKineticResult(
         ensemble=final,
         deposited=deposit(final, f0.axes),
         mass_initial=mass_initial,
         mass_final=final.total_weight(),
-        escaped_mass=escaped_mass,
-        escaped_count=escaped_count,
+        escaped_mass=sum(p[1] for p in parts),
+        escaped_count=sum(p[2] for p in parts),
     )
 
 

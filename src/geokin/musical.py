@@ -29,8 +29,6 @@ from __future__ import annotations
 from enum import Enum
 
 from .chart import (
-    Chart,
-    ChartKind,
     OneFormExpr,
     VectorFieldExpr,
     canonical_eta,
@@ -39,7 +37,6 @@ from .chart import (
     reeb_eta,
     reeb_tau,
 )
-from .poly import Poly
 
 
 class SharpVariant(Enum):

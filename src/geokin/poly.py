@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -147,9 +147,6 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.sorted_terms())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -318,7 +315,20 @@ class Poly:
         xs = [float(x) for x in point]
         if not all(math.isfinite(x) for x in xs):
             raise ValueError("non-finite coordinate in evaluation point")
-        powers: list[list[float]] = [[1.0] for _ in range(self.dim)]
+        return self._walk(xs)
+
+    def eval_array(self, points: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation on an (N, dim) array; bit-identical to `eval`."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (N, {self.dim})")
+        total = self._walk([pts[:, i] for i in range(self.dim)])
+        return total if isinstance(total, np.ndarray) else np.full(len(pts), total)
+
+    def _walk(self, xs: Sequence) -> float | np.ndarray:
+        """Sum the terms in graded-lex order at `xs`: one float, or one
+        numpy column, per coordinate; the same arithmetic either way."""
+        powers = [[1.0] for _ in xs]
         total = 0.0
         for exps, coeff in self.sorted_terms():
             term = float(coeff)
@@ -328,24 +338,6 @@ class Poly:
                     while len(cache) <= e:
                         cache.append(cache[-1] * xs[i])
                     term *= cache[e]
-            total += term
-        return total
-
-    def eval_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (N, dim) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have shape (N, {self.dim})")
-        powers: list[list[np.ndarray]] = [[np.ones(pts.shape[0])] for _ in range(self.dim)]
-        total = np.zeros(pts.shape[0])
-        for exps, coeff in self.sorted_terms():
-            term = np.full(pts.shape[0], float(coeff))
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * pts[:, i])
-                    term = term * cache[e]
             total += term
         return total
 

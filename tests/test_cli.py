@@ -102,6 +102,13 @@ def test_strict_family_with_z_hamiltonian_is_config_error(tmp_path, capsys):
     assert "$.hamiltonian" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_nonpositive_threads_are_config_errors(tmp_path, capsys, threads):
+    cfg = simulate_config(tmp_path, threads=threads)
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert "config error at $.threads:" in capsys.readouterr().err
+
+
 def test_run_simulate_matches_exponential_decay(tmp_path):
     path = write_config(tmp_path, simulate_config(tmp_path))
     assert cli.main(["run", path]) == 0

@@ -241,6 +241,20 @@ def test_density_coefficients_regression():
         assert b == (chart.n + 3 if chart.has_z else 0)
 
 
+@pytest.mark.parametrize("kind, n, seed", [
+    ("cosymplectic", 1, 21),
+    ("cosymplectic", 1, 67),
+    ("cosymplectic", 2, 18),
+    ("cocontact", 2, 968),
+])
+def test_adjudication_pins_c_when_few_draws_depend_on_t(kind, n, seed):
+    # `geokin identity --seed S` adjudicates at seed S + 17; these seeds
+    # draw too few t-dependent Hamiltonians in their first 24 samples to
+    # pin the coefficient of f R_tau(H)
+    chart = Chart(ChartKind(kind), n)
+    assert adjudicate_density_coefficients(chart, seed=seed + 17) == density_coefficients(chart)
+
+
 def test_intertwine_residual_vanishes_on_corpus():
     rng = random.Random(16)
     for chart in ALL_CHARTS:
@@ -352,6 +366,25 @@ def test_deposit_conserves_mass_for_interior_particles():
     wts = rng.uniform(0.5, 2.0, size=500)
     g = deposit(ParticleEnsemble(s, pts, wts), axes)
     assert g.total_mass() == pytest.approx(float(wts.sum()), rel=1e-12)
+
+
+def test_deposit_is_the_adjoint_of_interpolate():
+    # one stencil: sum(deposit * g) * cell volume == sum(w * g(x)) for any grid g
+    c = Chart(ChartKind.CONTACT, 1)
+    axes = (
+        GridAxis("q1", -1.0, 1.0, 8, boundary="periodic"),
+        GridAxis("p1", -2.0, 2.0, 6),
+        GridAxis("z", 0.0, 1.0, 5),
+    )
+    rng = np.random.default_rng(12)
+    pts = rng.uniform([-3.0, -2.5, -0.3], [3.0, 2.5, 1.3], size=(400, 3))
+    assert np.any((np.abs(pts[:, 1]) > 2.0) | (pts[:, 2] < 0.0) | (pts[:, 2] > 1.0))
+    wts = rng.uniform(0.5, 2.0, size=400)
+    g = GridDensity(c, axes, rng.uniform(-1.0, 1.0, size=(8, 6, 5)))
+    dep = deposit(ParticleEnsemble(c, pts, wts), axes)
+    lhs = float(np.sum(dep.values * g.values)) * g.cell_volume
+    rhs = float(np.sum(wts * g.interpolate(pts)))
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_seed_then_deposit_reproduces_density():
@@ -640,6 +673,49 @@ def test_particle_threads_do_not_change_the_answer():
     three = solve_density_particle(c, H, f0, threads=3, **kw)
     assert np.array_equal(one.deposited.values, three.deposited.values)
     assert one.mass_final == three.mass_final
+
+
+@pytest.mark.parametrize("threads, env", [(1_000_000, None), (None, "1000000")])
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, env):
+    import concurrent.futures
+
+    requested = []
+
+    class InlineExecutor:
+        """Runs every job on the calling thread; records the pool size asked for."""
+
+        def __init__(self, max_workers=None):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("GEOKIN_THREADS", raising=False)
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+    kw = dict(t_final=0.04, dt=0.02, particle_count=1_000, seed=3, axes=axes)
+    f0 = _gauss((0.0, 0.0), (0.5, 0.5))
+    H = s.parse("p1^2/2 + q1^2/2")
+    one = solve_density_particle(s, H, f0, threads=1, **kw)
+    assert requested == []
+    if env is not None:
+        monkeypatch.setenv("GEOKIN_THREADS", env)
+    capped = solve_density_particle(s, H, f0, threads=threads, **kw)
+    assert requested == [3]
+    assert np.array_equal(one.deposited.values, capped.deposited.values)
 
 
 def test_thread_count_env_override(monkeypatch):

@@ -146,11 +146,21 @@ def test_eval_deterministic():
 
 def test_eval_array_matches_scalar():
     rng = random.Random(10)
-    p = random_poly(rng, 3, degree=4, terms=8)
-    pts = np.array([[0.1, -0.4, 2.0], [1.5, 0.0, -1.0], [0.0, 0.0, 0.0]])
-    vec = p.eval_array(pts)
-    for k in range(pts.shape[0]):
-        assert vec[k] == pytest.approx(p.eval(pts[k]), abs=1e-14)
+    pts = np.array([
+        [0.1, -0.4, 2.0, 0.3],
+        [1.5, 0.0, -1.0, -2.5],
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.0, 1e-3, 7.25, 1 / 3],
+    ])
+    # one coordinate layout per chart kind
+    for names in (("q1", "p1"), ("t", "q1", "p1"), ("q1", "p1", "z"), ("t", "q1", "p1", "z")):
+        dim = len(names)
+        rows = pts[:, :dim]
+        for p in (random_poly(rng, dim, degree=4, terms=8), parse("3/7", names), Poly.zero(dim)):
+            vec = p.eval_array(rows)
+            assert vec.shape == (len(rows),) and vec.dtype == np.float64
+            # the same term walk: bit-identical, not merely close
+            assert np.array_equal(vec, [p.eval(row) for row in rows])
 
 
 def test_remap_between_dimensions():
