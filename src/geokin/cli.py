@@ -9,6 +9,9 @@ One scenario per invocation, driven by a single JSON config:
 Every random draw flows from the config seed and outputs are byte
 identical for identical (config, seed) pairs.  Exit status: 0 on
 success, 1 when a check fails or a solver aborts, 2 on config errors.
+
+The config is declared once: `SCHEMA` types every key, and `TASK_TABLE`
+gives each task's required paths and its runner.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import json
 import os
 import random
 import sys
+from functools import reduce
 
 from .chart import Chart, ChartKind, OneFormExpr
 from .fields import Family, FieldSpec, Gauge, StrictnessError, make_field
-from .flow import IntegrationError, IntegratorConfig, integrate, write_trajectory_csv
+from .flow import METHODS, IntegrationError, IntegratorConfig, integrate, write_trajectory_csv
 from .identities import run_identity_suite, suite_passed
 from .kinetics import (
     GridAxis,
@@ -34,9 +38,7 @@ from .kinetics import (
     write_particles,
 )
 from .corpus import random_hamiltonian, random_one_form
-from .poly import ParseError, Poly
-
-TASKS = ("simulate", "identity-check", "kinetic-particle", "kinetic-grid", "momentum-check")
+from .poly import DegreeOverflowError, ParseError, Poly
 
 
 class ConfigError(Exception):
@@ -47,286 +49,106 @@ class ConfigError(Exception):
         self.path = path
 
 
-def _require_mapping(obj, path: str, allowed: tuple[str, ...]) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected a JSON object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", f"unknown key; allowed: {', '.join(allowed)}")
-    return obj
-
-
-def _get(obj: dict, key: str, path: str, kinds, required: bool = False, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required field is missing")
-        return default
-    value = obj[key]
-    if kinds is not None and not isinstance(value, kinds):
-        want = kinds[0].__name__ if isinstance(kinds, tuple) else kinds.__name__
-        raise ConfigError(f"{path}.{key}", f"expected {want}, got {type(value).__name__}")
-    if kinds is not None and isinstance(value, bool) and bool not in (
-        kinds if isinstance(kinds, tuple) else (kinds,)
-    ):
-        raise ConfigError(f"{path}.{key}", "expected a number, got a boolean")
-    return value
-
-
-def _parse_chart(raw: dict) -> Chart:
-    section = _require_mapping(
-        _get(raw, "chart", "$", dict, required=True), "$.chart", ("kind", "n")
-    )
-    kind_text = _get(section, "kind", "$.chart", str, required=True)
+def _parse_expr(chart: Chart, text: str | None, path: str) -> Poly | None:
+    """Parse an expression field; every way it can fail names `path`."""
+    if text is None:
+        return None
     try:
-        kind = ChartKind(kind_text)
-    except ValueError:
-        raise ConfigError(
-            "$.chart.kind", f"unknown chart kind {kind_text!r}; "
-            f"choose from {', '.join(k.value for k in ChartKind)}"
-        ) from None
-    n = _get(section, "n", "$.chart", int, required=True)
-    try:
-        return Chart(kind, n)
-    except ValueError as exc:
-        raise ConfigError("$.chart.n", str(exc)) from None
-
-
-def _parse_expr(chart: Chart, text: str, path: str) -> Poly:
-    try:
-        return chart.parse(text)
-    except ParseError as exc:
+        poly = chart.parse(text)
+        for c in poly.terms.values():
+            float(c)
+    except (ParseError, DegreeOverflowError) as exc:
         raise ConfigError(path, f"{exc} on the {chart.kind.value} chart") from None
+    except OverflowError:
+        raise ConfigError(path, "a coefficient lies outside float range") from None
+    return poly
 
 
-def _parse_field(chart: Chart, raw: dict) -> FieldSpec:
-    section = _require_mapping(
-        raw.get("field", {}), "$.field", ("family", "gauge")
-    )
-    family_text = _get(section, "family", "$.field", str, default="hamiltonian")
-    try:
-        family = Family(family_text)
-    except ValueError:
-        raise ConfigError(
-            "$.field.family",
-            f"unknown family {family_text!r}; choose from {', '.join(f.value for f in Family)}",
-        ) from None
-    gauge = None
-    if chart.has_time:
-        gauge_text = _get(section, "gauge", "$.field", str, default="zero")
-        try:
-            gauge = Gauge(gauge_text)
-        except ValueError:
-            raise ConfigError(
-                "$.field.gauge",
-                f"unknown gauge {gauge_text!r}; choose from {', '.join(g.value for g in Gauge)}",
-            ) from None
-    elif "gauge" in section:
-        raise ConfigError(
-            "$.field.gauge", f"{chart.kind.value} charts carry no time gauge"
-        )
-    try:
-        return FieldSpec(chart, family, gauge)
-    except ValueError as exc:
-        raise ConfigError("$.field", str(exc)) from None
-
-
-def _parse_axes(chart: Chart, raw, path: str) -> tuple[GridAxis, ...]:
-    if not isinstance(raw, list):
-        raise ConfigError(path, "expected a list of axis objects")
-    names = chart.coord_names
-    if len(raw) != len(names):
-        raise ConfigError(
-            path,
-            f"need one axis per chart coordinate ({', '.join(names)}); got {len(raw)}",
-        )
-    axes = []
-    for i, entry in enumerate(raw):
-        apath = f"{path}[{i}]"
-        section = _require_mapping(entry, apath, ("name", "lo", "hi", "size", "boundary"))
-        name = _get(section, "name", apath, str, default=names[i])
-        if name != names[i]:
-            raise ConfigError(
-                f"{apath}.name", f"expected coordinate {names[i]!r} at this position"
-            )
-        lo = _get(section, "lo", apath, (int, float), required=True)
-        hi = _get(section, "hi", apath, (int, float), required=True)
-        size = _get(section, "size", apath, int, required=True)
-        boundary = _get(section, "boundary", apath, str, default="zero")
-        try:
-            axes.append(GridAxis(name, float(lo), float(hi), size, boundary))
-        except ValueError as exc:
-            raise ConfigError(apath, str(exc)) from None
-    return tuple(axes)
+def _at(cfg: dict, path: str):
+    """The checked value at `path`; None when it or its section is absent."""
+    return reduce(lambda value, key: value and value[key], path.split(".")[1:], cfg)
 
 
 class Scenario:
     """A validated config, with everything parsed onto the chart."""
 
     def __init__(self, raw: dict, task_override: str | None = None):
-        _require_mapping(
-            raw, "$",
-            ("chart", "task", "hamiltonian", "field", "initial", "time",
-             "particles", "threads", "trials", "output", "seed"),
-        )
-        self.chart = _parse_chart(raw)
-        task = task_override or _get(raw, "task", "$", str, required=True)
-        if task not in TASKS:
-            raise ConfigError("$.task", f"unknown task {task!r}; choose from {', '.join(TASKS)}")
-        self.task = task
-        self.seed = _get(raw, "seed", "$", int, default=0)
-        self.trials = _get(raw, "trials", "$", int, default=20 if task == "identity-check" else 25)
-        if self.trials < 1:
-            raise ConfigError("$.trials", "must be positive")
-        self.threads = _get(raw, "threads", "$", int, default=None)
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("$.threads", "must be positive")
+        if task_override is not None and isinstance(raw, dict):
+            raw = {**raw, "task": task_override}
+        cfg = _check(raw, "$", "$")
+        self.task = task = cfg["task"]
+        self.chart = chart = Chart(ChartKind(cfg["chart"]["kind"]), cfg["chart"]["n"])
+        self.seed = cfg["seed"]
+        self.trials = cfg["trials"] or (20 if task == "identity-check" else 25)
+        self.threads = cfg["threads"]
+        self.particle_count = cfg["particles"]
+        self.output = cfg["output"]
 
-        self.hamiltonian: Poly | None = None
-        if "hamiltonian" in raw:
-            text = _get(raw, "hamiltonian", "$", str)
-            self.hamiltonian = _parse_expr(self.chart, text, "$.hamiltonian")
-        self.field = _parse_field(self.chart, raw)
+        time = cfg["time"]
+        snapshots = time["snapshots"]
+        if snapshots is not None:
+            if snapshots[0] <= 0 or any(b <= a for a, b in zip(snapshots, snapshots[1:])):
+                raise ConfigError("$.time.snapshots", "must be positive and strictly increasing")
+            if time["t_final"] is not None and snapshots[-1] != time["t_final"]:
+                raise ConfigError("$.time.snapshots", "last snapshot must equal t_final")
+            time["t_final"] = float(snapshots[-1])
+            time["snapshots"] = [float(s) for s in snapshots]
+        vars(self).update(time)  # t_final, dt, cfl, method, rel_tol, abs_tol, snapshots
+
+        for path in TASK_TABLE[task][0]:
+            if _at(cfg, path) is None:
+                raise ConfigError(path, f"required for task {task}")
+        for path in ("$.initial.point", "$.initial.one_form", "$.initial.grid.axes"):
+            entries = _at(cfg, path)
+            if entries is not None and len(entries) != chart.dim:
+                raise ConfigError(path, f"need one entry per chart coordinate "
+                                        f"({', '.join(chart.coord_names)}); got {len(entries)}")
+
+        self.hamiltonian = _parse_expr(chart, cfg["hamiltonian"], "$.hamiltonian")
+        gauge = cfg["field"]["gauge"]
+        if gauge is not None and not chart.has_time:
+            raise ConfigError("$.field.gauge", f"{chart.kind.value} charts carry no time gauge")
+        try:
+            self.field = FieldSpec(chart, Family(cfg["field"]["family"]),
+                                   Gauge(gauge or "zero") if chart.has_time else None)
+        except ValueError as exc:
+            raise ConfigError("$.field", str(exc)) from None
         if self.hamiltonian is not None:
             try:  # surface strictness violations before any solver runs
                 make_field(self.field, self.hamiltonian)
             except StrictnessError as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
 
-        time_cfg = _require_mapping(
-            raw.get("time", {}), "$.time",
-            ("t_final", "dt", "cfl", "method", "rel_tol", "abs_tol", "snapshots"),
-        )
-        self.t_final = _get(time_cfg, "t_final", "$.time", (int, float), default=None)
-        if self.t_final is not None and not self.t_final > 0:
-            raise ConfigError("$.time.t_final", "must be positive")
-        self.dt = _get(time_cfg, "dt", "$.time", (int, float), default=None)
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError("$.time.dt", "must be positive")
-        self.cfl = _get(time_cfg, "cfl", "$.time", (int, float), default=0.9)
-        self.method = _get(time_cfg, "method", "$.time", str, default="rk4")
-        if self.method not in ("rk4", "rk45"):
-            raise ConfigError("$.time.method", "must be rk4 or rk45")
-        self.rel_tol = _get(time_cfg, "rel_tol", "$.time", (int, float), default=1e-8)
-        self.abs_tol = _get(time_cfg, "abs_tol", "$.time", (int, float), default=1e-10)
-        snapshots = _get(time_cfg, "snapshots", "$.time", list, default=None)
-        if snapshots is not None:
-            if not snapshots or any(not isinstance(s, (int, float)) for s in snapshots):
-                raise ConfigError("$.time.snapshots", "expected a nonempty list of numbers")
-            if any(b <= a for a, b in zip(snapshots, snapshots[1:])) or snapshots[0] <= 0:
-                raise ConfigError("$.time.snapshots", "must be positive and strictly increasing")
-            if self.t_final is not None and snapshots[-1] != self.t_final:
-                raise ConfigError("$.time.snapshots", "last snapshot must equal t_final")
-            self.t_final = float(snapshots[-1])
-        self.snapshots = [float(s) for s in snapshots] if snapshots else None
+        initial = cfg["initial"]
+        self.point = [float(v) for v in initial["point"]] if initial["point"] else None
+        self.density = _parse_expr(chart, initial["density"], "$.initial.density")
+        self.one_form = None if initial["one_form"] is None else OneFormExpr(chart, tuple(
+            _parse_expr(chart, text, f"$.initial.one_form[{i}]")
+            for i, text in enumerate(initial["one_form"])))
+        self.axes = None if initial["grid"] is None else tuple(
+            self._axis(i, name, entry)
+            for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
 
-        initial = _require_mapping(
-            raw.get("initial", {}), "$.initial", ("point", "grid", "density", "one_form")
-        )
-        self.point: list[float] | None = None
-        if "point" in initial:
-            pt = initial["point"]
-            if not isinstance(pt, list) or any(not isinstance(v, (int, float)) for v in pt):
-                raise ConfigError("$.initial.point", "expected a list of numbers")
-            if len(pt) != self.chart.dim:
-                raise ConfigError(
-                    "$.initial.point",
-                    f"chart state is ({', '.join(self.chart.coord_names)}); got {len(pt)} values",
-                )
-            self.point = [float(v) for v in pt]
-        self.axes: tuple[GridAxis, ...] | None = None
-        if "grid" in initial:
-            grid_cfg = _require_mapping(initial["grid"], "$.initial.grid", ("axes",))
-            self.axes = _parse_axes(
-                self.chart, _get(grid_cfg, "axes", "$.initial.grid", list, required=True),
-                "$.initial.grid.axes",
-            )
-        self.density: Poly | None = None
-        if "density" in initial:
-            self.density = _parse_expr(
-                self.chart, _get(initial, "density", "$.initial", str), "$.initial.density"
-            )
-        self.one_form: OneFormExpr | None = None
-        if "one_form" in initial:
-            comps = initial["one_form"]
-            if not isinstance(comps, list) or len(comps) != self.chart.dim:
-                raise ConfigError(
-                    "$.initial.one_form",
-                    f"expected {self.chart.dim} component expressions "
-                    f"(d{', d'.join(self.chart.coord_names)})",
-                )
-            parsed = tuple(
-                self._parse_component(c, i) for i, c in enumerate(comps)
-            )
-            self.one_form = OneFormExpr(self.chart, parsed)
+        if isinstance(self.output["grid"], str):
+            self.output["grid"] = [self.output["grid"]]
+        count = len(self.snapshots) if self.snapshots else 1
+        if task in ("kinetic-grid", "kinetic-particle") and len(self.output["grid"]) != count:
+            raise ConfigError("$.output.grid", f"expected {count} paths, one per snapshot")
+        if task == "kinetic-particle" and count > 1:
+            raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
+        if task == "momentum-check" and self.one_form is not None and self.hamiltonian is None:
+            raise ConfigError("$.hamiltonian", "required when initial.one_form is given")
 
-        self.particle_count = _get(raw, "particles", "$", int, default=100_000)
-        self.output = _require_mapping(
-            raw.get("output", {}), "$.output", ("trajectory", "report", "grid", "particles")
-        )
-        self._check_task_shape()
-
-    def _parse_component(self, text, index: int) -> Poly:
-        path = f"$.initial.one_form[{index}]"
-        if not isinstance(text, str):
-            raise ConfigError(path, "expected an expression string")
-        return _parse_expr(self.chart, text, path)
-
-    def _out(self, key: str, required: bool):
-        value = self.output.get(key)
-        if value is None and required:
-            raise ConfigError(f"$.output.{key}", f"required for task {self.task}")
-        return value
-
-    def _check_task_shape(self) -> None:
-        task = self.task
-        if task == "simulate":
-            if self.hamiltonian is None:
-                raise ConfigError("$.hamiltonian", "required for task simulate")
-            if self.point is None:
-                raise ConfigError("$.initial.point", "required for task simulate")
-            if self.t_final is None:
-                raise ConfigError("$.time.t_final", "required for task simulate")
-            self._out("trajectory", required=True)
-        elif task == "identity-check":
-            self._out("report", required=True)
-        elif task in ("kinetic-grid", "kinetic-particle"):
-            if self.hamiltonian is None:
-                raise ConfigError("$.hamiltonian", f"required for task {task}")
-            if self.axes is None:
-                raise ConfigError("$.initial.grid", f"required for task {task}")
-            if self.density is None:
-                raise ConfigError("$.initial.density", f"required for task {task}")
-            if self.t_final is None:
-                raise ConfigError("$.time.t_final", f"required for task {task}")
-            grid_out = self._out("grid", required=True)
-            count = len(self.snapshots) if self.snapshots else 1
-            if isinstance(grid_out, list):
-                if len(grid_out) != count or any(not isinstance(p, str) for p in grid_out):
-                    raise ConfigError(
-                        "$.output.grid", f"expected {count} paths, one per snapshot"
-                    )
-            elif not isinstance(grid_out, str):
-                raise ConfigError("$.output.grid", "expected a path or list of paths")
-            elif count != 1:
-                raise ConfigError("$.output.grid", f"expected {count} paths, one per snapshot")
-            if task == "kinetic-particle":
-                if self.dt is None:
-                    raise ConfigError("$.time.dt", "required for task kinetic-particle")
-                if self.snapshots and len(self.snapshots) > 1:
-                    raise ConfigError(
-                        "$.time.snapshots",
-                        "the particle solver deposits once, at t_final",
-                    )
-        elif task == "momentum-check":
-            self._out("report", required=True)
-            if self.one_form is not None and self.hamiltonian is None:
-                raise ConfigError(
-                    "$.hamiltonian", "required when initial.one_form is given"
-                )
-
-    def grid_outputs(self) -> list[str]:
-        out = self.output["grid"]
-        return list(out) if isinstance(out, list) else [out]
+    @staticmethod
+    def _axis(i: int, name: str, entry: dict) -> GridAxis:
+        path = f"$.initial.grid.axes[{i}]"
+        if entry["name"] not in (None, name):
+            raise ConfigError(f"{path}.name", f"expected coordinate {name!r} at this position")
+        try:
+            return GridAxis(name, float(entry["lo"]), float(entry["hi"]), entry["size"],
+                            entry["boundary"])
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -363,7 +185,7 @@ def _prepare(path: str) -> str:
 # -- task runners ------------------------------------------------------
 
 
-def _run_simulate(s: Scenario, verbose: bool) -> int:
+def _run_simulate(s: Scenario) -> int:
     cfg = IntegratorConfig(
         method=s.method, step=s.dt if s.dt is not None else 1e-3,
         rel_tol=float(s.rel_tol), abs_tol=float(s.abs_tol),
@@ -443,7 +265,7 @@ def _run_momentum(s: Scenario) -> int:
 def _run_kinetic_grid(s: Scenario) -> int:
     f0 = GridDensity.sample(s.chart, s.axes, s.density)
     snapshots = s.snapshots or [float(s.t_final)]
-    outputs = s.grid_outputs()
+    outputs = s.output["grid"]
     current, reached = f0, 0.0
     for target, path in zip(snapshots, outputs):
         current = solve_density_grid(
@@ -461,7 +283,7 @@ def _run_kinetic_particle(s: Scenario) -> int:
         s.chart, s.hamiltonian, s.density, float(s.t_final), float(s.dt),
         s.particle_count, seed=s.seed, threads=s.threads, axes=s.axes,
     )
-    out = _prepare(s.grid_outputs()[0])
+    out = _prepare(s.output["grid"][0])
     write_grid(result.deposited, out)
     print(
         f"kinetic-particle: {s.particle_count} particles to s={s.t_final:g}; "
@@ -469,11 +291,134 @@ def _run_kinetic_particle(s: Scenario) -> int:
         f"escaped {result.escaped_count} ({result.escaped_mass:.3g})"
     )
     print(f"wrote {out}")
-    if s.output.get("particles"):
+    if s.output["particles"]:
         ppath = _prepare(s.output["particles"])
         write_particles(result.ensemble, ppath)
         print(f"wrote {ppath}")
     return 0
+
+
+# -- the two tables ----------------------------------------------------
+
+_KINETIC = ("$.hamiltonian", "$.initial.grid", "$.initial.density", "$.time.t_final",
+            "$.output.grid")
+
+# task -> (config paths the task requires, runner)
+TASK_TABLE = {
+    "simulate": (
+        ("$.hamiltonian", "$.initial.point", "$.time.t_final", "$.output.trajectory"),
+        _run_simulate,
+    ),
+    "identity-check": (
+        ("$.output.report",),
+        lambda s: _run_identity(s.chart, s.seed, s.trials, s.output["report"]),
+    ),
+    "kinetic-particle": (_KINETIC + ("$.time.dt",), _run_kinetic_particle),
+    "kinetic-grid": (_KINETIC, _run_kinetic_grid),
+    "momentum-check": (("$.output.report",), _run_momentum),
+}
+TASKS = tuple(TASK_TABLE)
+
+REQUIRED = object()  # a default: the key must be present
+POSITIVE = "positive"  # a rule: the number must be > 0
+
+
+# JSON type -> (test, what an error says is expected).  A number lies in
+# float range and is never a bool.  `numbers` and `paths` are single
+# values: an error in one entry names the whole list.
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "number": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+               "a finite number"),
+    "numbers": (lambda v: isinstance(v, list) and v != [] and all(map(_TYPES["number"][0], v)),
+                "a nonempty list of finite numbers"),
+    "paths": (lambda v: isinstance(v, str) or isinstance(v, list)
+              and all(isinstance(p, str) for p in v), "a path or a list of paths"),
+}
+
+# config path -> (JSON type, default, rule).  A rule is POSITIVE, an
+# integer minimum or a tuple of choices.  `.*` is each entry of a list.
+SCHEMA = {
+    "$": ("object", REQUIRED, None),
+    "$.chart": ("object", REQUIRED, None),
+    "$.chart.kind": ("string", REQUIRED, tuple(k.value for k in ChartKind)),
+    "$.chart.n": ("integer", REQUIRED, POSITIVE),
+    "$.task": ("string", REQUIRED, TASKS),
+    "$.hamiltonian": ("string", None, None),
+    "$.field": ("object", {}, None),
+    "$.field.family": ("string", "hamiltonian", tuple(f.value for f in Family)),
+    "$.field.gauge": ("string", None, tuple(g.value for g in Gauge)),  # zero if the chart has t
+    "$.initial": ("object", {}, None),
+    "$.initial.point": ("numbers", None, None),
+    "$.initial.grid": ("object", None, None),
+    "$.initial.grid.axes": ("list", REQUIRED, None),
+    "$.initial.grid.axes.*": ("object", REQUIRED, None),
+    "$.initial.grid.axes.*.name": ("string", None, None),  # the coordinate at this position
+    "$.initial.grid.axes.*.lo": ("number", REQUIRED, None),
+    "$.initial.grid.axes.*.hi": ("number", REQUIRED, None),
+    "$.initial.grid.axes.*.size": ("integer", REQUIRED, None),
+    "$.initial.grid.axes.*.boundary": ("string", "zero", None),
+    "$.initial.density": ("string", None, None),
+    "$.initial.one_form": ("list", None, None),
+    "$.initial.one_form.*": ("string", REQUIRED, None),
+    "$.time": ("object", {}, None),
+    "$.time.t_final": ("number", None, POSITIVE),
+    "$.time.dt": ("number", None, POSITIVE),
+    "$.time.cfl": ("number", 0.9, POSITIVE),
+    "$.time.method": ("string", "rk4", METHODS),
+    "$.time.rel_tol": ("number", 1e-8, POSITIVE),
+    "$.time.abs_tol": ("number", 1e-10, POSITIVE),
+    "$.time.snapshots": ("numbers", None, None),
+    "$.particles": ("integer", 100_000, 1_000),
+    "$.threads": ("integer", None, POSITIVE),
+    "$.trials": ("integer", None, POSITIVE),  # 20 for identity-check, else 25
+    "$.output": ("object", {}, None),
+    "$.output.trajectory": ("string", None, None),
+    "$.output.report": ("string", None, None),
+    "$.output.grid": ("paths", None, None),
+    "$.output.particles": ("string", None, None),
+    "$.seed": ("integer", 0, None),
+}
+
+# object path -> {key: its path}, in declaration order
+_SECTIONS = {section: {path.rpartition(".")[2]: path for path in SCHEMA
+                       if path.rpartition(".")[0] == section} for section in SCHEMA}
+
+
+def _check(value, path: str, key: str):
+    """`value` checked against the schema row `key`, with errors at `path`;
+    an object comes back with every key of its section, defaults filled in."""
+    kind, _, rule = SCHEMA[key]
+    test, want = _TYPES[kind]
+    if not test(value):
+        raise ConfigError(path, f"expected {want}, got {value!r:.60}")
+    if isinstance(rule, tuple) and value not in rule:
+        raise ConfigError(path, f"unknown value {value!r}; choose from {', '.join(rule)}")
+    if rule is POSITIVE and not value > 0:
+        raise ConfigError(path, "must be positive")
+    if isinstance(rule, int) and value < rule:
+        raise ConfigError(path, f"must be at least {rule}")
+    if kind == "list":
+        return [_check(v, f"{path}[{i}]", f"{key}.*") for i, v in enumerate(value)]
+    if kind != "object":
+        return value
+    section = _SECTIONS[key]
+    for name in value:
+        if name not in section:
+            raise ConfigError(f"{path}.{name}", f"unknown key; allowed: {', '.join(section)}")
+    out = {}
+    for name, sub_key in section.items():
+        default = SCHEMA[sub_key][1]
+        if name in value:
+            out[name] = _check(value[name], f"{path}.{name}", sub_key)
+        elif default is REQUIRED:
+            raise ConfigError(f"{path}.{name}", "required field is missing")
+        else:
+            out[name] = _check(default, f"{path}.{name}", sub_key) if default == {} else default
+    return out
 
 
 def run_scenario(s: Scenario, verbose: bool = False) -> int:
@@ -481,15 +426,8 @@ def run_scenario(s: Scenario, verbose: bool = False) -> int:
         for line in s.summary_lines():
             print(line)
         print(f"seed: {s.seed}")
-    if s.task == "simulate":
-        return _run_simulate(s, verbose)
-    if s.task == "identity-check":
-        return _run_identity(s.chart, s.seed, s.trials, s.output["report"])
-    if s.task == "momentum-check":
-        return _run_momentum(s)
-    if s.task == "kinetic-grid":
-        return _run_kinetic_grid(s)
-    return _run_kinetic_particle(s)
+    _, runner = TASK_TABLE[s.task]
+    return runner(s)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -31,18 +31,19 @@ from .chart import Chart
 from .fields import Family, FieldSpec, Gauge, diagnostics, make_field
 from .poly import Poly
 
+METHODS = ("rk4", "rk45")
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"  # "rk4" or "rk45"
+    method: str = "rk4"  # one of METHODS
     step: float = 1e-3  # rk4 step; initial step for rk45
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_steps: int = 2_000_000
-    fd_step: float = 1e-4  # finite-difference h for numeric cross-checks
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk4", "rk45"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")

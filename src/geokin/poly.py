@@ -21,6 +21,7 @@ an explicit `DegreeOverflowError` instead of a hang.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -500,7 +501,15 @@ class _Parser:
             ekind, etok, eoffset = self.toks.take()
             if ekind != "num" or "." in etok:
                 raise ParseError("exponent must be a nonnegative integer", eoffset)
-            value = value ** int(etok)
+            exponent = int(etok)
+            if value.is_constant():
+                # Refuse before computing: the exact power of a constant
+                # grows without bound in memory, long before any float use.
+                c = value.constant_value()
+                bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
+                if bits * exponent >= sys.float_info.max_exp:
+                    raise ParseError("constant power lies outside float range", eoffset)
+            value = value ** exponent
         return value if sign == 1 else -value
 
     def atom(self) -> Poly:
@@ -531,6 +540,7 @@ def parse(text: str, names: Sequence[str]) -> Poly:
     Supports + - * / ^ and parentheses; ^ takes nonnegative integer
     exponents, / only numeric divisors.  Decimal literals are converted
     exactly (0.5 becomes 1/2).  Raises ParseError with a byte offset on
-    any syntax or name problem.
+    any syntax or name problem, and on a power of a constant whose
+    numerator or denominator would lie outside float range.
     """
     return _Parser(text, names).parse()

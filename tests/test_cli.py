@@ -109,6 +109,34 @@ def test_nonpositive_threads_are_config_errors(tmp_path, capsys, threads):
     assert "config error at $.threads:" in capsys.readouterr().err
 
 
+def _set(section, key, value):
+    return lambda cfg: cfg[section].update({key: value})
+
+
+@pytest.mark.parametrize("path, mutate", [
+    ("$.output.trajectory", _set("output", "trajectory", 5)),
+    ("$.time.t_final", _set("time", "t_final", float("inf"))),
+    ("$.time.dt", _set("time", "dt", 10 ** 400)),
+    ("$.initial.point", _set("initial", "point", [0.0, float("inf"), 1.0])),
+    ("$.initial.point", _set("initial", "point", [0.0, True, 1.0])),
+    ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^30")),
+    ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="2^2000*q1")),
+    ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="2^5000*q1")),
+    ("$.particles", lambda cfg: cfg.update(particles=5)),
+    ("$.time.cfl", _set("time", "cfl", -0.5)),
+    ("$.time.rel_tol", _set("time", "rel_tol", -1e-8)),
+    ("$.time.abs_tol", _set("time", "abs_tol", -1e-10)),
+], ids=["trajectory-int", "t-final-inf", "dt-huge-int", "point-inf", "point-bool",
+        "degree-overflow", "coefficient-overflow", "constant-power", "particles-few",
+        "cfl-negative", "rel-tol-negative", "abs-tol-negative"])
+def test_boundary_faults_are_config_errors(tmp_path, capsys, path, mutate):
+    cfg = simulate_config(tmp_path)
+    mutate(cfg)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_run_simulate_matches_exponential_decay(tmp_path):
     path = write_config(tmp_path, simulate_config(tmp_path))
     assert cli.main(["run", path]) == 0

@@ -208,6 +208,16 @@ def test_parse_error_offsets():
         P("")
 
 
+def test_constant_powers_outside_float_range_are_parse_errors():
+    # refused before the exact power is built
+    for text in ("2^5000", "(1/2)^5000", "3^5000", "1.5^5000"):
+        with pytest.raises(ParseError, match="outside float range"):
+            P(text)
+    assert P("2^1023").constant_value() == 2 ** 1023
+    assert P("1^10000000000") == 1
+    assert P("0^10000000000") == 0
+
+
 def test_parse_gates_variables_by_name_set():
     assert parse("t*z", ("t", "q1", "p1", "z")) == Poly(4, {(1, 0, 0, 1): 1})
     with pytest.raises(ParseError):
