@@ -49,7 +49,6 @@ from .flow import (
     BlowUpError,
     IntegrationError,
     IntegratorConfig,
-    NumericHamiltonian,
     StepBudgetError,
     Trajectory,
     flow_map_logdet,

@@ -24,7 +24,7 @@ import sys
 from functools import reduce
 
 from .chart import Chart, ChartKind, OneFormExpr
-from .fields import Family, FieldSpec, Gauge, StrictnessError, make_field
+from .fields import Family, FieldSpec, Gauge, StrictnessError, diagnostics, make_field
 from .flow import METHODS, IntegrationError, IntegratorConfig, integrate, write_trajectory_csv
 from .identities import run_identity_suite, suite_passed
 from .kinetics import (
@@ -114,9 +114,11 @@ class Scenario:
         except ValueError as exc:
             raise ConfigError("$.field", str(exc)) from None
         if self.hamiltonian is not None:
-            try:  # surface strictness violations before any solver runs
+            try:  # surface strictness and, for a flow, degree overflow before any solver runs
                 make_field(self.field, self.hamiltonian)
-            except StrictnessError as exc:
+                if task == "simulate":
+                    diagnostics(self.field, self.hamiltonian)
+            except (StrictnessError, DegreeOverflowError) as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
 
         initial = cfg["initial"]
@@ -227,9 +229,6 @@ def _run_identity(chart: Chart, seed: int, trials: int, out_path: str | None) ->
 
 def _run_momentum(s: Scenario) -> int:
     chart = s.chart
-    spec = FieldSpec(
-        chart, Family.HAMILTONIAN, Gauge.ZERO if chart.has_time else None
-    )
     pairs: list[tuple[Poly, OneFormExpr]] = []
     if s.one_form is not None:
         pairs.append((s.hamiltonian, s.one_form))
@@ -242,7 +241,7 @@ def _run_momentum(s: Scenario) -> int:
             ))
     worst = chart.zero()
     for H, Pi in pairs:
-        residual = intertwine_residual(spec, H, Pi)
+        residual = intertwine_residual(H, Pi)
         if not residual.is_zero() and worst.is_zero():
             worst = residual
     passed = worst.is_zero()
@@ -321,6 +320,7 @@ TASKS = tuple(TASK_TABLE)
 
 REQUIRED = object()  # a default: the key must be present
 POSITIVE = "positive"  # a rule: the number must be > 0
+MAX_CHART_N = 16  # the most (q, p) pairs a config or `identity --n` may ask for
 
 
 # JSON type -> (test, what an error says is expected).  A number lies in
@@ -340,12 +340,13 @@ _TYPES = {
 }
 
 # config path -> (JSON type, default, rule).  A rule is POSITIVE, an
-# integer minimum or a tuple of choices.  `.*` is each entry of a list.
+# integer minimum, a range or a tuple of choices.  `.*` is each entry
+# of a list.
 SCHEMA = {
     "$": ("object", REQUIRED, None),
     "$.chart": ("object", REQUIRED, None),
     "$.chart.kind": ("string", REQUIRED, tuple(k.value for k in ChartKind)),
-    "$.chart.n": ("integer", REQUIRED, POSITIVE),
+    "$.chart.n": ("integer", REQUIRED, range(1, MAX_CHART_N + 1)),
     "$.task": ("string", REQUIRED, TASKS),
     "$.hamiltonian": ("string", None, None),
     "$.field": ("object", {}, None),
@@ -401,6 +402,8 @@ def _check(value, path: str, key: str):
         raise ConfigError(path, "must be positive")
     if isinstance(rule, int) and value < rule:
         raise ConfigError(path, f"must be at least {rule}")
+    if isinstance(rule, range) and value not in rule:
+        raise ConfigError(path, f"must be between {rule.start} and {rule[-1]}")
     if kind == "list":
         return [_check(v, f"{path}[{i}]", f"{key}.*") for i, v in enumerate(value)]
     if kind != "object":
@@ -457,13 +460,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "identity":
-            try:
-                chart = Chart(ChartKind(args.chart), args.n)
-            except ValueError as exc:
-                raise ConfigError("--n", str(exc)) from None
-            if args.trials < 1:
-                raise ConfigError("--trials", "must be positive")
-            return _run_identity(chart, args.seed, args.trials, args.output)
+            chart = Chart(ChartKind(args.chart), _check(args.n, "--n", "$.chart.n"))
+            trials = _check(args.trials, "--trials", "$.trials")
+            return _run_identity(chart, args.seed, trials, args.output)
         if args.command == "validate":
             scenario = load_scenario(args.config)
             print("ok")
@@ -475,7 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2
-    except (StrictnessError, StabilityError, IntegrationError, ValueError) as exc:
+    except (StrictnessError, StabilityError, IntegrationError, DegreeOverflowError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,17 +2,13 @@
 
 Two integrators: classic fixed-step RK4 and adaptive RKF45 (Fehlberg
 pair, fifth-order propagation, step control on the embedded error).
-Both record, at every accepted node, the Hamiltonian value and, for
-polynomial Hamiltonians, the exact predicted energy rate X(H) and the
-exact local divergence.  After the run two derived channels are filled:
-the measured energy rate (central differences of the H channel) and a
-log-volume estimate (trapezoidal time integral of the divergence).
-
-Polynomial Hamiltonians drive the field through the exact catalog
-construction.  A `NumericHamiltonian` (value plus gradient callables)
-bypasses the exact layer: the field components are assembled from the
-same coordinate formulas with gradient values, and the exact-only
-channels hold NaN.
+The polynomial Hamiltonian drives the field through the exact catalog
+construction in `fields`.  Both integrators record, at every accepted
+node, the Hamiltonian value, the exact predicted energy rate X(H) and
+the exact local divergence.  After the run two derived channels are
+filled: the measured energy rate (central differences of the H
+channel) and a log-volume estimate (trapezoidal time integral of the
+divergence).
 
 A non-finite state aborts the run with the last good time and the
 partial trajectory attached to the error; so does exhausting the step
@@ -23,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chart import Chart
-from .fields import Family, FieldSpec, Gauge, diagnostics, make_field
+from .fields import FieldSpec, diagnostics, make_field
 from .poly import Poly
 
 METHODS = ("rk4", "rk45")
@@ -47,19 +43,6 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")
-
-
-@dataclass(frozen=True)
-class NumericHamiltonian:
-    """Escape hatch for non-polynomial Hamiltonians.
-
-    `value` maps a state array to a float, `gradient` to the array of
-    partials in chart coordinate order.  Strictness of strict rows is
-    the caller's responsibility here; it cannot be checked symbolically.
-    """
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -100,47 +83,6 @@ def _poly_channels(spec: FieldSpec, H: Poly):
         return np.array([c.eval(x) for c in comps])
 
     return rhs, H.eval, diag.dH_along_flow.eval, diag.divergence.eval
-
-
-def _numeric_channels(spec: FieldSpec, H: NumericHamiltonian):
-    chart = spec.chart
-    dim = chart.dim
-    q_slots = [chart.q_slot(i) for i in range(1, chart.n + 1)]
-    p_slots = [chart.p_slot(i) for i in range(1, chart.n + 1)]
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        g = np.asarray(H.gradient(x), dtype=float)
-        if g.shape != (dim,):
-            raise ValueError(f"gradient must return shape ({dim},)")
-        out = np.zeros(dim)
-        Hz = g[chart.z_slot] if chart.has_z else 0.0
-        p_dot_Hp = 0.0
-        for qs, ps in zip(q_slots, p_slots):
-            out[qs] = g[ps]
-            drag = g[qs]
-            if chart.has_z and spec.family is not Family.STRICT:
-                drag += x[ps] * Hz
-            out[ps] = -drag
-            p_dot_Hp += x[ps] * g[ps]
-        if chart.has_z:
-            out[chart.z_slot] = p_dot_Hp
-            if spec.family is not Family.ENERGY:
-                out[chart.z_slot] -= H.value(x)
-        if chart.has_time:
-            if spec.gauge is Gauge.ONE:
-                out[chart.t_slot] = 1.0
-            elif spec.gauge is Gauge.GRAD_H:
-                out[chart.t_slot] = g[chart.t_slot]
-        return out
-
-    nan = lambda x: math.nan
-    return rhs, (lambda x: float(H.value(x))), nan, nan
-
-
-def _channels(spec: FieldSpec, H: Poly | NumericHamiltonian):
-    if isinstance(H, Poly):
-        return _poly_channels(spec, H)
-    return _numeric_channels(spec, H)
 
 
 def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
@@ -184,7 +126,7 @@ def _rkf45_step(rhs, x: np.ndarray, h: float):
 
 def integrate(
     spec: FieldSpec,
-    H: Poly | NumericHamiltonian,
+    H: Poly,
     x0: Sequence[float],
     t_span: tuple[float, float],
     config: IntegratorConfig = IntegratorConfig(),
@@ -204,7 +146,7 @@ def integrate(
     s0, s1 = float(t_span[0]), float(t_span[1])
     if s1 < s0:
         raise ValueError("backward integration is not supported; swap the span")
-    rhs, h_eval, rate_eval, div_eval = _channels(spec, H)
+    rhs, h_eval, rate_eval, div_eval = _poly_channels(spec, H)
 
     times = [s0]
     states = [x.copy()]
@@ -318,10 +260,10 @@ def monitored_energy_rate(traj: Trajectory) -> float:
 
 
 def numeric_divergence(
-    spec: FieldSpec, H: Poly | NumericHamiltonian, x: Sequence[float], h: float = 1e-4
+    spec: FieldSpec, H: Poly, x: Sequence[float], h: float = 1e-4
 ) -> float:
     """Central-difference divergence of the catalog field at x."""
-    rhs, *_ = _channels(spec, H)
+    rhs, *_ = _poly_channels(spec, H)
     x = np.asarray(x, dtype=float)
     total = 0.0
     for i in range(spec.chart.dim):
@@ -333,7 +275,7 @@ def numeric_divergence(
 
 def flow_map_logdet(
     spec: FieldSpec,
-    H: Poly | NumericHamiltonian,
+    H: Poly,
     x0: Sequence[float],
     t_span: tuple[float, float],
     config: IntegratorConfig = IntegratorConfig(),

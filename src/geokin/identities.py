@@ -86,10 +86,6 @@ def suite_passed(reports: list[LawReport]) -> bool:
     return all(r.passed for r in reports)
 
 
-def _ham(chart: Chart, rng: random.Random, z_free: bool = False) -> Poly:
-    return random_hamiltonian(rng, chart, z_free=z_free)
-
-
 def _fmt(chart: Chart, poly: Poly) -> str:
     return poly.to_text(chart.coord_names)
 
@@ -101,19 +97,29 @@ class _Runner:
         self.trials = trials
         self.reports: list[LawReport] = []
 
-    def check(self, name: str, fn) -> None:
-        """fn returns None on success or a witness string on failure."""
+    def check(self, name: str, fn, salt: int | None = None) -> None:
+        """Record one law; fn returns None on success or a witness on failure.
+
+        Without a salt fn() runs once.  With a salt fn(rng) runs once per
+        trial, every draw from one stream seeded by (seed, chart, salt),
+        and the first witness ends the draws.
+        """
         try:
-            witness = fn()
+            if salt is None:
+                witness = fn()
+            else:
+                rng = random.Random(f"{self.seed}/{self.chart.kind.value}/{self.chart.n}/{salt}")
+                witness = None
+                for _ in range(self.trials):
+                    witness = fn(rng)
+                    if witness is not None:
+                        break
         except Exception as exc:  # a crash is a failure with provenance
             witness = f"raised {type(exc).__name__}: {exc}"
         if witness is None:
             self.reports.append(LawReport(name, "pass"))
         else:
             self.reports.append(LawReport(name, "fail", witness))
-
-    def rng(self, salt: int) -> random.Random:
-        return random.Random(f"{self.seed}/{self.chart.kind.value}/{self.chart.n}/{salt}")
 
 
 # -- law bodies --------------------------------------------------------
@@ -122,20 +128,18 @@ class _Runner:
 def _musical_laws(run: _Runner) -> None:
     chart = run.chart
 
-    def roundtrips():
-        rng = run.rng(1)
-        for _ in range(run.trials):
-            alpha = random_one_form(rng, chart, degree=2, terms=3)
-            r1 = flat_sharp_residual(alpha)
-            if not r1.is_zero():
-                return f"flat(sharp(alpha)) != alpha for alpha with q1 part {_fmt(chart, alpha.components[chart.q_slot(1)])}"
-            X = sharp(random_one_form(rng, chart, degree=2, terms=3))
-            r2 = sharp_flat_residual(X)
-            if not r2.is_zero():
-                return "sharp(flat(X)) != X"
+    def roundtrips(rng):
+        alpha = random_one_form(rng, chart, degree=2, terms=3)
+        r1 = flat_sharp_residual(alpha)
+        if not r1.is_zero():
+            return f"flat(sharp(alpha)) != alpha for alpha with q1 part {_fmt(chart, alpha.components[chart.q_slot(1)])}"
+        X = sharp(random_one_form(rng, chart, degree=2, terms=3))
+        r2 = sharp_flat_residual(X)
+        if not r2.is_zero():
+            return "sharp(flat(X)) != X"
         return None
 
-    run.check("musical/roundtrips", roundtrips)
+    run.check("musical/roundtrips", roundtrips, salt=1)
 
     def reeb_images():
         if chart.has_time:
@@ -180,71 +184,61 @@ def _bracket_laws(run: _Runner) -> None:
     for kind in kinds_for_chart(chart.kind):
         tag = f"bracket/{kind.value}"
 
-        def antisymmetry(kind=kind):
-            rng = run.rng(10)
-            for _ in range(run.trials):
-                F = random_poly(rng, chart.dim, degree=3, terms=3)
-                H = random_poly(rng, chart.dim, degree=3, terms=3)
-                if not (bracket(chart, kind, F, H) + bracket(chart, kind, H, F)).is_zero():
-                    return f"{{F,H}} + {{H,F}} != 0 at F = {_fmt(chart, F)}"
+        def antisymmetry(rng):
+            F = random_poly(rng, chart.dim, degree=3, terms=3)
+            H = random_poly(rng, chart.dim, degree=3, terms=3)
+            if not (bracket(chart, kind, F, H) + bracket(chart, kind, H, F)).is_zero():
+                return f"{{F,H}} + {{H,F}} != 0 at F = {_fmt(chart, F)}"
             return None
 
-        run.check(f"{tag}/antisymmetry", antisymmetry)
+        run.check(f"{tag}/antisymmetry", antisymmetry, salt=10)
 
-        def bivector_route(kind=kind):
-            rng = run.rng(11)
-            for _ in range(run.trials):
-                F = random_poly(rng, chart.dim, degree=3, terms=3)
-                H = random_poly(rng, chart.dim, degree=3, terms=3)
-                if bracket(chart, kind, F, H) != bracket_via_bivector(chart, kind, F, H):
-                    return f"partial-derivative and bivector routes differ at F = {_fmt(chart, F)}"
+        def bivector_route(rng):
+            F = random_poly(rng, chart.dim, degree=3, terms=3)
+            H = random_poly(rng, chart.dim, degree=3, terms=3)
+            if bracket(chart, kind, F, H) != bracket_via_bivector(chart, kind, F, H):
+                return f"partial-derivative and bivector routes differ at F = {_fmt(chart, F)}"
             return None
 
-        run.check(f"{tag}/bivector-route", bivector_route)
+        run.check(f"{tag}/bivector-route", bivector_route, salt=11)
 
         if kind.is_jacobi or kind in (
             BracketKind.POISSON_SYMPLECTIC,
             BracketKind.POISSON_COSYMPLECTIC,
         ):
 
-            def jacobi(kind=kind):
-                rng = run.rng(12)
-                for _ in range(run.trials):
-                    F, G, H = (random_poly(rng, chart.dim, degree=2, terms=3) for _ in range(3))
-                    if not jacobiator(chart, kind, F, G, H).is_zero():
-                        return f"jacobiator != 0 at F = {_fmt(chart, F)}, G = {_fmt(chart, G)}"
+            def jacobi(rng):
+                F, G, H = (random_poly(rng, chart.dim, degree=2, terms=3) for _ in range(3))
+                if not jacobiator(chart, kind, F, G, H).is_zero():
+                    return f"jacobiator != 0 at F = {_fmt(chart, F)}, G = {_fmt(chart, G)}"
                 return None
 
-            run.check(f"{tag}/jacobi", jacobi)
+            run.check(f"{tag}/jacobi", jacobi, salt=12)
 
         if not kind.is_jacobi:
 
-            def leibniz(kind=kind):
-                rng = run.rng(13)
-                for _ in range(run.trials):
-                    F, K, H = (random_poly(rng, chart.dim, degree=2, terms=3) for _ in range(3))
-                    if not leibniz_defect(chart, kind, F, K, H).is_zero():
-                        return f"Leibniz defect != 0 at F = {_fmt(chart, F)}"
+            def leibniz(rng):
+                F, K, H = (random_poly(rng, chart.dim, degree=2, terms=3) for _ in range(3))
+                if not leibniz_defect(chart, kind, F, K, H).is_zero():
+                    return f"Leibniz defect != 0 at F = {_fmt(chart, F)}"
                 return None
 
-            run.check(f"{tag}/leibniz", leibniz)
+            run.check(f"{tag}/leibniz", leibniz, salt=13)
         else:
 
-            def weak_leibniz(kind=kind):
-                rng = run.rng(14)
-                for _ in range(run.trials):
-                    F, K, H = (random_poly(rng, chart.dim, degree=2, terms=3) for _ in range(3))
-                    defect = leibniz_defect(chart, kind, F, K, H)
-                    expect = K * H * F.partial(chart.z_slot)
-                    if defect != expect:
-                        return f"weak-Leibniz defect is not K*H*dF/dz at F = {_fmt(chart, F)}"
+            def weak_leibniz(rng):
+                F, K, H = (random_poly(rng, chart.dim, degree=2, terms=3) for _ in range(3))
+                defect = leibniz_defect(chart, kind, F, K, H)
+                expect = K * H * F.partial(chart.z_slot)
+                if defect != expect:
+                    return f"weak-Leibniz defect is not K*H*dF/dz at F = {_fmt(chart, F)}"
                 return None
 
-            run.check(f"{tag}/weak-leibniz-defect", weak_leibniz)
+            run.check(f"{tag}/weak-leibniz-defect", weak_leibniz, salt=14)
 
         if kind.is_almost_poisson:
 
-            def witness_nonzero(kind=kind):
+            def witness_nonzero():
                 F, G, H = jacobiator_witness(chart, kind)
                 if jacobiator(chart, kind, F, G, H).is_zero():
                     return f"pinned witness {JACOBIATOR_WITNESS_NAMES} has zero jacobiator"
@@ -254,19 +248,16 @@ def _bracket_laws(run: _Runner) -> None:
 
         if kind in (BracketKind.POISSON_COSYMPLECTIC, BracketKind.ALMOST_POISSON_COCONTACT):
 
-            def time_casimir(kind=kind):
-                rng = run.rng(15)
-                t_slot = chart.t_slot
-                for _ in range(run.trials):
-                    c = random_poly(rng, chart.dim, degree=3, terms=3, frozen_slots=tuple(
-                        i for i in range(chart.dim) if i != t_slot
-                    ))
-                    H = random_poly(rng, chart.dim, degree=3, terms=3)
-                    if not bracket(chart, kind, c, H).is_zero():
-                        return f"time-only function {_fmt(chart, c)} is not a Casimir"
+            def time_casimir(rng):
+                c = random_poly(rng, chart.dim, degree=3, terms=3, frozen_slots=tuple(
+                    i for i in range(chart.dim) if i != chart.t_slot
+                ))
+                H = random_poly(rng, chart.dim, degree=3, terms=3)
+                if not bracket(chart, kind, c, H).is_zero():
+                    return f"time-only function {_fmt(chart, c)} is not a Casimir"
                 return None
 
-            run.check(f"{tag}/time-casimir", time_casimir)
+            run.check(f"{tag}/time-casimir", time_casimir, salt=15)
 
 
 def _field_laws(run: _Runner) -> None:
@@ -280,165 +271,147 @@ def _field_laws(run: _Runner) -> None:
         tag = f"field/{spec.row_name}"
         z_free = spec.family is Family.STRICT
 
-        def contractions(spec=spec, z_free=z_free):
-            rng = run.rng(20)
-            for _ in range(run.trials):
-                H = _ham(chart, rng, z_free)
-                X = make_field(spec, H)
-                dH = differential(H, chart)
-                expected = dH
-                if chart.has_z:
-                    expected = expected - eta.scaled(pairing(dH, reeb_eta(chart)))
-                if chart.has_time:
-                    expected = expected - tau.scaled(pairing(dH, reeb_tau(chart)))
-                if contract_twoform(X, omega) != expected:
-                    return f"i_X d(eta) wrong at H = {_fmt(chart, H)}"
-                if chart.has_z:
-                    want = chart.zero() if spec.family is Family.ENERGY else -H
-                    if pairing(eta, X) != want:
-                        return f"<eta, X> wrong at H = {_fmt(chart, H)}"
-                if chart.has_time:
-                    gauge_value = {
-                        Gauge.ZERO: chart.zero(),
-                        Gauge.ONE: chart.const(1),
-                        Gauge.GRAD_H: H.partial(chart.t_slot),
-                    }[spec.gauge]
-                    if pairing(tau, X) != gauge_value:
-                        return f"<tau, X> wrong at H = {_fmt(chart, H)}"
+        def contractions(rng):
+            H = random_hamiltonian(rng, chart, z_free=z_free)
+            X = make_field(spec, H)
+            dH = differential(H, chart)
+            expected = dH
+            if chart.has_z:
+                expected = expected - eta.scaled(pairing(dH, reeb_eta(chart)))
+            if chart.has_time:
+                expected = expected - tau.scaled(pairing(dH, reeb_tau(chart)))
+            if contract_twoform(X, omega) != expected:
+                return f"i_X d(eta) wrong at H = {_fmt(chart, H)}"
+            if chart.has_z:
+                want = chart.zero() if spec.family is Family.ENERGY else -H
+                if pairing(eta, X) != want:
+                    return f"<eta, X> wrong at H = {_fmt(chart, H)}"
+            if chart.has_time:
+                gauge_value = {
+                    Gauge.ZERO: chart.zero(),
+                    Gauge.ONE: chart.const(1),
+                    Gauge.GRAD_H: H.partial(chart.t_slot),
+                }[spec.gauge]
+                if pairing(tau, X) != gauge_value:
+                    return f"<tau, X> wrong at H = {_fmt(chart, H)}"
             return None
 
-        run.check(f"{tag}/contractions", contractions)
+        run.check(f"{tag}/contractions", contractions, salt=20)
 
-        def divergence_law(spec=spec, z_free=z_free):
-            rng = run.rng(21)
-            for _ in range(run.trials):
-                H = _ham(chart, rng, z_free)
-                if divergence(make_field(spec, H)) != diagnostics(spec, H).divergence:
-                    return f"divergence drifts from closed form at H = {_fmt(chart, H)}"
+        def divergence_law(rng):
+            H = random_hamiltonian(rng, chart, z_free=z_free)
+            if divergence(make_field(spec, H)) != diagnostics(spec, H).divergence:
+                return f"divergence drifts from closed form at H = {_fmt(chart, H)}"
             return None
 
-        run.check(f"{tag}/divergence", divergence_law)
+        run.check(f"{tag}/divergence", divergence_law, salt=21)
 
-        def energy_rate(spec=spec, z_free=z_free):
-            rng = run.rng(23)
-            for _ in range(run.trials):
-                H = _ham(chart, rng, z_free)
-                if make_field(spec, H).apply_to(H) != diagnostics(spec, H).dH_along_flow:
-                    return f"X(H) drifts from closed form at H = {_fmt(chart, H)}"
+        def energy_rate(rng):
+            H = random_hamiltonian(rng, chart, z_free=z_free)
+            if make_field(spec, H).apply_to(H) != diagnostics(spec, H).dH_along_flow:
+                return f"X(H) drifts from closed form at H = {_fmt(chart, H)}"
             return None
 
-        run.check(f"{tag}/energy-rate", energy_rate)
+        run.check(f"{tag}/energy-rate", energy_rate, salt=23)
 
         if chart.has_z:
 
-            def conformal(spec=spec, z_free=z_free):
-                rng = run.rng(24)
-                for _ in range(run.trials):
-                    H = _ham(chart, rng, z_free)
-                    d = diagnostics(spec, H)
-                    if d.conformal_eta != -H.partial(chart.z_slot):
-                        return f"conformal eta coefficient wrong at H = {_fmt(chart, H)}"
-                    if chart.has_time and d.conformal_tau != -H.partial(chart.t_slot):
-                        return f"conformal tau coefficient wrong at H = {_fmt(chart, H)}"
+            def conformal(rng):
+                H = random_hamiltonian(rng, chart, z_free=z_free)
+                d = diagnostics(spec, H)
+                if d.conformal_eta != -H.partial(chart.z_slot):
+                    return f"conformal eta coefficient wrong at H = {_fmt(chart, H)}"
+                if chart.has_time and d.conformal_tau != -H.partial(chart.t_slot):
+                    return f"conformal tau coefficient wrong at H = {_fmt(chart, H)}"
                 return None
 
-            run.check(f"{tag}/conformal", conformal)
+            run.check(f"{tag}/conformal", conformal, salt=24)
 
-        def lie_laws(spec=spec, z_free=z_free):
-            rng = run.rng(22)
-            for _ in range(run.trials):
-                H = _ham(chart, rng, z_free)
-                X = make_field(spec, H)
-                if chart.has_z:
-                    expected = eta.scaled(-H.partial(chart.z_slot))
-                    if chart.has_time:
-                        expected = expected + tau.scaled(-H.partial(chart.t_slot))
-                    if spec.family is Family.ENERGY:
-                        expected = expected + differential(H, chart)
-                    if lie_derivative_oneform(X, eta) != expected:
-                        return f"L_X eta law fails at H = {_fmt(chart, H)}"
-                    got2 = lie_derivative_twoform(X, d_eta)
-                    h = H.partial(chart.z_slot)
-                    exp2 = wedge(differential(-h, chart), eta) + d_eta.scaled(-h)
-                    if chart.has_time:
-                        g = H.partial(chart.t_slot)
-                        exp2 = exp2 + wedge(differential(-g, chart), tau)
-                    if got2 != exp2:
-                        return f"L_X d(eta) law fails at H = {_fmt(chart, H)}"
-                    if got2 != exterior_derivative_oneform(lie_derivative_oneform(X, eta)):
-                        return "L_X d(eta) != d(L_X eta)"
+        def lie_laws(rng):
+            H = random_hamiltonian(rng, chart, z_free=z_free)
+            X = make_field(spec, H)
+            if chart.has_z:
+                expected = eta.scaled(-H.partial(chart.z_slot))
                 if chart.has_time:
-                    got_tau = lie_derivative_oneform(X, tau)
-                    if spec.gauge is Gauge.GRAD_H:
-                        if got_tau != differential(H.partial(chart.t_slot), chart):
-                            return f"L_X tau law fails at H = {_fmt(chart, H)}"
-                    elif not got_tau.is_zero():
-                        return f"L_X tau != 0 at H = {_fmt(chart, H)}"
-                if not chart.has_z:
-                    got_omega = lie_derivative_twoform(X, omega)
-                    if chart.has_time:
-                        expected_omega = wedge(differential(-H.partial(chart.t_slot), chart), tau)
-                        if got_omega != expected_omega:
-                            return f"L_X Omega law fails at H = {_fmt(chart, H)}"
-                    elif not got_omega.is_zero():
-                        return f"symplectic flow fails to preserve Omega at H = {_fmt(chart, H)}"
+                    expected = expected + tau.scaled(-H.partial(chart.t_slot))
+                if spec.family is Family.ENERGY:
+                    expected = expected + differential(H, chart)
+                if lie_derivative_oneform(X, eta) != expected:
+                    return f"L_X eta law fails at H = {_fmt(chart, H)}"
+                got2 = lie_derivative_twoform(X, d_eta)
+                h = H.partial(chart.z_slot)
+                exp2 = wedge(differential(-h, chart), eta) + d_eta.scaled(-h)
+                if chart.has_time:
+                    g = H.partial(chart.t_slot)
+                    exp2 = exp2 + wedge(differential(-g, chart), tau)
+                if got2 != exp2:
+                    return f"L_X d(eta) law fails at H = {_fmt(chart, H)}"
+                if got2 != exterior_derivative_oneform(lie_derivative_oneform(X, eta)):
+                    return "L_X d(eta) != d(L_X eta)"
+            if chart.has_time:
+                got_tau = lie_derivative_oneform(X, tau)
+                if spec.gauge is Gauge.GRAD_H:
+                    if got_tau != differential(H.partial(chart.t_slot), chart):
+                        return f"L_X tau law fails at H = {_fmt(chart, H)}"
+                elif not got_tau.is_zero():
+                    return f"L_X tau != 0 at H = {_fmt(chart, H)}"
+            if not chart.has_z:
+                got_omega = lie_derivative_twoform(X, omega)
+                if chart.has_time:
+                    expected_omega = wedge(differential(-H.partial(chart.t_slot), chart), tau)
+                    if got_omega != expected_omega:
+                        return f"L_X Omega law fails at H = {_fmt(chart, H)}"
+                elif not got_omega.is_zero():
+                    return f"symplectic flow fails to preserve Omega at H = {_fmt(chart, H)}"
             return None
 
-        run.check(f"{tag}/lie-laws", lie_laws)
+        run.check(f"{tag}/lie-laws", lie_laws, salt=22)
 
 
 def _homomorphism_laws(run: _Runner) -> None:
     chart = run.chart
     gauge = Gauge.ZERO if chart.has_time else None
     kind = canonical_bracket_kind(chart.kind)
+    spec = FieldSpec(chart, Family.HAMILTONIAN, gauge)
 
-    def hamiltonian_row():
-        spec = FieldSpec(chart, Family.HAMILTONIAN, gauge)
-        rng = run.rng(30)
-        for _ in range(run.trials):
-            F = _ham(chart, rng)
-            H = _ham(chart, rng)
-            lhs = jacobi_lie_bracket(make_field(spec, F), make_field(spec, H))
-            rhs = -make_field(spec, bracket(chart, kind, F, H))
-            if lhs != rhs:
-                return f"[X_F, X_H] != -X_{{F,H}} at F = {_fmt(chart, F)}, H = {_fmt(chart, H)}"
+    def hamiltonian_row(rng):
+        F = random_hamiltonian(rng, chart)
+        H = random_hamiltonian(rng, chart)
+        lhs = jacobi_lie_bracket(make_field(spec, F), make_field(spec, H))
+        rhs = -make_field(spec, bracket(chart, kind, F, H))
+        if lhs != rhs:
+            return f"[X_F, X_H] != -X_{{F,H}} at F = {_fmt(chart, F)}, H = {_fmt(chart, H)}"
         return None
 
-    run.check("homomorphism/hamiltonian", hamiltonian_row)
+    run.check("homomorphism/hamiltonian", hamiltonian_row, salt=30)
 
     if chart.has_z:
+        strict = FieldSpec(chart, Family.STRICT, gauge)
 
-        def strict_row():
-            spec = FieldSpec(chart, Family.STRICT, gauge)
-            rng = run.rng(31)
-            for _ in range(run.trials):
-                F = _ham(chart, rng, z_free=True)
-                H = _ham(chart, rng, z_free=True)
-                lhs = jacobi_lie_bracket(make_field(spec, F), make_field(spec, H))
-                rhs = -make_field(spec, bracket(chart, kind, F, H))
-                if lhs != rhs:
-                    return f"strict rows fail to close at F = {_fmt(chart, F)}"
+        def strict_row(rng):
+            F = random_hamiltonian(rng, chart, z_free=True)
+            H = random_hamiltonian(rng, chart, z_free=True)
+            lhs = jacobi_lie_bracket(make_field(strict, F), make_field(strict, H))
+            rhs = -make_field(strict, bracket(chart, kind, F, H))
+            if lhs != rhs:
+                return f"strict rows fail to close at F = {_fmt(chart, F)}"
             return None
 
-        run.check("homomorphism/strict", strict_row)
+        run.check("homomorphism/strict", strict_row, salt=31)
 
 
 def _kinetics_laws(run: _Runner) -> None:
     chart = run.chart
-    gauge = Gauge.ZERO if chart.has_time else None
-    spec = FieldSpec(chart, Family.HAMILTONIAN, gauge)
 
-    def intertwine():
-        rng = run.rng(40)
-        for _ in range(run.trials):
-            H = random_hamiltonian(rng, chart, degree=2, terms=3)
-            Pi = random_one_form(rng, chart, degree=2, terms=2)
-            residual = intertwine_residual(spec, H, Pi)
-            if not residual.is_zero():
-                return f"residual {_fmt(chart, residual)} at H = {_fmt(chart, H)}"
+    def intertwine(rng):
+        H = random_hamiltonian(rng, chart, degree=2, terms=3)
+        Pi = random_one_form(rng, chart, degree=2, terms=2)
+        residual = intertwine_residual(H, Pi)
+        if not residual.is_zero():
+            return f"residual {_fmt(chart, residual)} at H = {_fmt(chart, H)}"
         return None
 
-    run.check("kinetics/intertwine", intertwine)
+    run.check("kinetics/intertwine", intertwine, salt=40)
 
     def adjudication():
         frozen = density_coefficients(chart)
@@ -449,30 +422,26 @@ def _kinetics_laws(run: _Runner) -> None:
 
     run.check("kinetics/adjudication", adjudication)
 
-    def linearity():
-        rng = run.rng(41)
-        for _ in range(run.trials):
-            A = random_one_form(rng, chart, degree=2, terms=2)
-            B = random_one_form(rng, chart, degree=2, terms=2)
-            lhs = momentum_map(A + B.scaled(chart.const(-3)))
-            rhs = momentum_map(A) - Poly.const(chart.dim, 3) * momentum_map(B)
-            if lhs != rhs:
-                return "momentum map is not linear"
+    def linearity(rng):
+        A = random_one_form(rng, chart, degree=2, terms=2)
+        B = random_one_form(rng, chart, degree=2, terms=2)
+        lhs = momentum_map(A + B.scaled(chart.const(-3)))
+        rhs = momentum_map(A) - Poly.const(chart.dim, 3) * momentum_map(B)
+        if lhs != rhs:
+            return "momentum map is not linear"
         return None
 
-    run.check("kinetics/momentum-linearity", linearity)
+    run.check("kinetics/momentum-linearity", linearity, salt=41)
 
-    def dual_pairing():
-        rng = run.rng(42)
-        for _ in range(run.trials):
-            H = random_hamiltonian(rng, chart, degree=2, terms=3)
-            Pi = random_one_form(rng, chart, degree=2, terms=2)
-            residual = dual_pairing_residual(chart, H, Pi)
-            if not residual.is_zero():
-                return f"pairing residual {_fmt(chart, residual)}"
+    def dual_pairing(rng):
+        H = random_hamiltonian(rng, chart, degree=2, terms=3)
+        Pi = random_one_form(rng, chart, degree=2, terms=2)
+        residual = dual_pairing_residual(chart, H, Pi)
+        if not residual.is_zero():
+            return f"pairing residual {_fmt(chart, residual)}"
         return None
 
-    run.check("kinetics/dual-pairing", dual_pairing)
+    run.check("kinetics/dual-pairing", dual_pairing, salt=42)
 
 
 def run_identity_suite(chart: Chart, seed: int = 0, trials: int = 20) -> list[LawReport]:

@@ -89,22 +89,12 @@ def _hamiltonian_zero_spec(chart: Chart) -> FieldSpec:
     return FieldSpec(chart, Family.HAMILTONIAN, gauge)
 
 
-def _check_momentum_spec(spec: FieldSpec) -> None:
-    if spec.family is not Family.HAMILTONIAN or (
-        spec.gauge is not None and spec.gauge is not Gauge.ZERO
-    ):
-        raise ValueError(
-            "momentum dynamics is defined along the Hamiltonian/gauge-zero row only"
-        )
-
-
-def momentum_vlasov_rhs(spec: FieldSpec, H: Poly, Pi: OneFormExpr) -> OneFormExpr:
-    """dPi/ds under the coadjoint flow of the Hamiltonian field."""
-    _check_momentum_spec(spec)
-    chart = spec.chart
-    if Pi.chart != chart or H.dim != chart.dim:
-        raise ValueError("Hamiltonian, one-form and spec must share a chart")
-    X = make_field(spec, H)
+def momentum_vlasov_rhs(H: Poly, Pi: OneFormExpr) -> OneFormExpr:
+    """dPi/ds under the coadjoint flow of the Hamiltonian/gauge-zero field."""
+    chart = Pi.chart
+    if H.dim != chart.dim:
+        raise ValueError("Hamiltonian and one-form must share a chart")
+    X = make_field(_hamiltonian_zero_spec(chart), H)
     out = -lie_derivative_oneform(X, Pi)
     if chart.has_z:
         out = out + Pi.scaled((chart.n + 1) * H.partial(chart.z_slot))
@@ -130,11 +120,10 @@ def density_vlasov_rhs(chart: Chart, H: Poly, f: Poly) -> Poly:
     return out
 
 
-def intertwine_residual(spec: FieldSpec, H: Poly, Pi: OneFormExpr) -> Poly:
+def intertwine_residual(H: Poly, Pi: OneFormExpr) -> Poly:
     """Momentum route minus density route; identically zero."""
-    _check_momentum_spec(spec)
-    mom = momentum_map(momentum_vlasov_rhs(spec, H, Pi))
-    den = density_vlasov_rhs(spec.chart, H, momentum_map(Pi))
+    mom = momentum_map(momentum_vlasov_rhs(H, Pi))
+    den = density_vlasov_rhs(Pi.chart, H, momentum_map(Pi))
     return mom - den
 
 
@@ -194,7 +183,6 @@ def adjudicate_density_coefficients(
     term by term, and solves the resulting system over the rationals.
     """
     rng = _random.Random(seed)
-    spec = _hamiltonian_zero_spec(chart)
     kind = canonical_bracket_kind(chart.kind)
     slots = [0]  # a always present
     if chart.has_z:
@@ -206,7 +194,7 @@ def adjudicate_density_coefficients(
         H = random_hamiltonian(rng, chart, degree=2, terms=3)
         Pi = random_one_form(rng, chart, degree=2, terms=2)
         f = momentum_map(Pi)
-        lhs = momentum_map(momentum_vlasov_rhs(spec, H, Pi))
+        lhs = momentum_map(momentum_vlasov_rhs(H, Pi))
         basis = [bracket(chart, kind, H, f)]
         if chart.has_z:
             basis.append(f * H.partial(chart.z_slot))
@@ -498,7 +486,6 @@ def seed_particles(
     f0: GridDensity,
     particle_count: int,
     seed: int = 0,
-    jitter: float = 1.0,
     density: Poly | Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ParticleEnsemble:
     """Jittered-lattice sampling of f0 into weighted particles.
@@ -528,9 +515,9 @@ def seed_particles(
     pts = np.stack([g.ravel() for g in mesh], axis=1)
     for k, axis in enumerate(f0.axes):
         m = axes_counts[k]
-        if m > 1 and jitter > 0:
+        if m > 1:
             step = (axis.hi - axis.lo) / m
-            pts[:, k] += (rng.random(pts.shape[0]) - 0.5) * step * jitter
+            pts[:, k] += (rng.random(pts.shape[0]) - 0.5) * step
     if isinstance(density, Poly):
         weights = density.eval_array(pts) * vol
     elif density is not None:

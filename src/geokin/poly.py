@@ -14,8 +14,8 @@ with cached coordinate powers, so results are deterministic in double
 precision.
 
 Iterated symbolic work (nested brackets, Lie derivatives) can blow up;
-a configurable total-degree cap (default 24) turns runaway growth into
-an explicit `DegreeOverflowError` instead of a hang.
+a fixed total-degree cap, `MAX_TOTAL_DEGREE` = 24, turns runaway growth
+into an explicit `DegreeOverflowError` instead of a hang.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ import numpy as np
 Exponents = tuple[int, ...]
 Rational = Fraction | int
 
-DEFAULT_MAX_TOTAL_DEGREE = 24
-
-_max_total_degree = DEFAULT_MAX_TOTAL_DEGREE
+MAX_TOTAL_DEGREE = 24
 
 
 class DegreeOverflowError(ArithmeticError):
-    """Raised when an operation would exceed the configured degree cap."""
+    """Raised when an operation would exceed the degree cap."""
 
 
 class ParseError(ValueError):
@@ -49,20 +47,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-def max_total_degree() -> int:
-    return _max_total_degree
-
-
-def set_max_total_degree(limit: int) -> int:
-    """Set the global degree cap, returning the previous value."""
-    global _max_total_degree
-    if limit < 1:
-        raise ValueError("degree cap must be at least 1")
-    previous = _max_total_degree
-    _max_total_degree = limit
-    return previous
 
 
 def _term_sort_key(exps: Exponents) -> tuple:
@@ -209,14 +193,13 @@ class Poly:
             result.terms = {e: k * c for e, k in self.terms.items()}
             return result
         other = self._coerce(other)
-        cap = _max_total_degree
         out: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                if sum(exps) > cap:
+                if sum(exps) > MAX_TOTAL_DEGREE:
                     raise DegreeOverflowError(
-                        f"product term degree {sum(exps)} exceeds cap {cap}"
+                        f"product term degree {sum(exps)} exceeds cap {MAX_TOTAL_DEGREE}"
                     )
                 acc = out.get(exps, Fraction(0)) + ca * cb
                 if acc == 0:

@@ -389,11 +389,10 @@ def test_criterion_7_momentum_intertwining():
     for kind in ChartKind:
         for n, pairs in ((1, 30), (2, 20)):
             chart = Chart(kind, n)
-            spec = _hamiltonian_row(chart)
             for _ in range(pairs):
                 H = random_hamiltonian(rng, chart, degree=2, terms=3)
                 Pi = random_one_form(rng, chart, degree=2, terms=2)
-                residual = intertwine_residual(spec, H, Pi)
+                residual = intertwine_residual(H, Pi)
                 if not residual.is_zero():
                     failures.append(f"{kind.value} n={n}: nonzero intertwine residual")
                     break

@@ -46,9 +46,10 @@ def test_identity_subcommand_all_pass(tmp_path, capsys):
     assert sum(1 for n in names if n.endswith("/conformal")) == 9
 
 
-def test_identity_rejects_bad_n(capsys):
-    assert cli.main(["identity", "--chart", "contact", "--n", "0"]) == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("n", [0, 17, 10 ** 400], ids=["zero", "past-bound", "huge"])
+def test_identity_rejects_bad_n(capsys, n):
+    assert cli.main(["identity", "--chart", "contact", "--n", str(n)]) == 2
+    assert "config error at --n: must be between 1 and 16" in capsys.readouterr().err
 
 
 def test_identity_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -126,15 +127,63 @@ def _set(section, key, value):
     ("$.time.cfl", _set("time", "cfl", -0.5)),
     ("$.time.rel_tol", _set("time", "rel_tol", -1e-8)),
     ("$.time.abs_tol", _set("time", "abs_tol", -1e-10)),
+    ("$.chart.n", _set("chart", "n", 17)),
+    ("$.chart.n", _set("chart", "n", 10 ** 400)),
 ], ids=["trajectory-int", "t-final-inf", "dt-huge-int", "point-inf", "point-bool",
         "degree-overflow", "coefficient-overflow", "constant-power", "particles-few",
-        "cfl-negative", "rel-tol-negative", "abs-tol-negative"])
+        "cfl-negative", "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge"])
 def test_boundary_faults_are_config_errors(tmp_path, capsys, path, mutate):
     cfg = simulate_config(tmp_path)
     mutate(cfg)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
     assert f"config error at {path}:" in capsys.readouterr().err
     assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("kind, field, hamiltonian", [
+    ("contact", {}, "q1^23*z"),
+    ("cosymplectic", {"gauge": "gradH"}, "t^24"),
+    ("cocontact", {"family": "energy", "gauge": "gradH"}, "p1^23*t"),
+], ids=["contact", "cosymplectic-gradH", "cocontact-energy-gradH"])
+def test_flow_diagnostics_past_the_degree_cap_are_config_errors(tmp_path, capsys, kind,
+                                                                field, hamiltonian):
+    # the field fits under the cap but X(H) and the divergence do not
+    chart = Chart(ChartKind(kind), 1)
+    cfg = simulate_config(tmp_path, chart={"kind": kind, "n": 1}, field=field,
+                          hamiltonian=hamiltonian, initial={"point": [0.1] * chart.dim})
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 2
+        assert "config error at $.hamiltonian: product term degree" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+    # kinetic tasks build no flow diagnostics, so the same Hamiltonian stays valid there
+    cfg.update(task="kinetic-grid", field={}, initial={
+        "density": "1", "grid": {"axes": [{"lo": -1, "hi": 1, "size": 4}] * chart.dim}})
+    cfg["output"] = {"grid": str(tmp_path / "g.txt")}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+
+
+def test_degree_overflow_during_a_run_exits_1(tmp_path, capsys):
+    cfg = {
+        "chart": {"kind": "contact", "n": 1},
+        "task": "momentum-check",
+        "hamiltonian": "q1^20*z",
+        "initial": {"one_form": ["q1^5", "p1", "z"]},
+        "output": {"report": str(tmp_path / "mom.txt")},
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: product term degree 25 exceeds cap 24\n"
+
+
+def test_chart_n_at_the_bound_is_valid(tmp_path, capsys):
+    cfg = {"chart": {"kind": "cocontact", "n": 16}, "task": "identity-check",
+           "output": {"report": str(tmp_path / "report.json")}}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    assert "chart: cocontact n=16" in capsys.readouterr().out
 
 
 def test_run_simulate_matches_exponential_decay(tmp_path):

@@ -11,7 +11,6 @@ from geokin.flow import (
     BlowUpError,
     IntegrationError,
     IntegratorConfig,
-    NumericHamiltonian,
     StepBudgetError,
     flow_map_logdet,
     integrate,
@@ -176,23 +175,6 @@ def test_step_budget_is_enforced():
     with pytest.raises(StepBudgetError) as err:
         integrate(spec, H, [1.0, 0.0], (0.0, 1.0), cfg)
     assert err.value.partial is not None
-
-
-def test_numeric_hamiltonian_matches_polynomial_route():
-    chart, spec = _spec(ChartKind.CONTACT)
-    H = chart.parse("z + p1^2/2")
-    num = NumericHamiltonian(
-        value=lambda x: x[2] + 0.5 * x[1] ** 2,
-        gradient=lambda x: np.array([0.0, x[1], 1.0]),
-    )
-    cfg = IntegratorConfig(step=1e-3)
-    a = integrate(spec, H, [0.1, 0.4, 0.2], (0.0, 0.5), cfg)
-    b = integrate(spec, num, [0.1, 0.4, 0.2], (0.0, 0.5), cfg)
-    assert np.max(np.abs(a.states - b.states)) < 1e-12
-    assert np.allclose(a.monitors["hamiltonian"], b.monitors["hamiltonian"])
-    # exact-only channels are flagged, not silently faked
-    assert np.isnan(b.monitors["divergence"]).all()
-    assert np.isnan(b.monitors["predicted_dH"]).all()
 
 
 def test_backward_time_is_rejected():

@@ -37,6 +37,13 @@ SELECTED = {
     "kinetic": ("part2-contact-36cu", "grid1-cosymplectic-t-collapsed-96sq"),
     "exact": (
         "ident0-symplectic-n1",
+        "ident0-symplectic-n2",
+        "ident0-cosymplectic-n1",
+        "ident0-cosymplectic-n2",
+        "ident0-contact-n1",
+        "ident0-contact-n2",
+        "ident0-cocontact-n1",
+        "ident0-cocontact-n2",
         "momentum-symplectic",
         "momentum-cosymplectic",
         "momentum-contact",

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -79,3 +80,40 @@ def test_same_seed_same_reports():
     a = run_identity_suite(chart, seed=9, trials=3)
     b = run_identity_suite(chart, seed=9, trials=3)
     assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
+
+
+def test_runner_stops_at_the_first_witness_of_a_seeded_law():
+    run = _Runner(Chart(ChartKind.CONTACT, 2), seed=7, trials=5)
+    stream = random.Random("7/contact/2/99")
+    draws = []
+
+    def third_draw_fails(rng):
+        draws.append(rng.random())
+        return f"witness {len(draws)}" if len(draws) == 3 else None
+
+    run.check("demo/third", third_draw_fails, salt=99)
+    assert draws == [stream.random() for _ in range(3)]
+    # a falsy witness is still a witness
+    run.check("demo/empty", lambda rng: "", salt=1)
+    run.check("demo/pass", lambda rng: None, salt=1)
+    assert [r.as_dict() for r in run.reports] == [
+        {"law": "demo/third", "status": "fail", "witness": "witness 3"},
+        {"law": "demo/empty", "status": "fail", "witness": ""},
+        {"law": "demo/pass", "status": "pass"},
+    ]
+
+
+def test_runner_reports_a_crash_on_a_later_draw():
+    run = _Runner(Chart(ChartKind.SYMPLECTIC, 1), seed=0, trials=4)
+    draws = []
+
+    def crash_on_second_draw(rng):
+        draws.append(rng.random())
+        if len(draws) == 2:
+            raise ZeroDivisionError("draw 2")
+        return None
+
+    run.check("demo/crash", crash_on_second_draw, salt=3)
+    assert len(draws) == 2
+    (report,) = run.reports
+    assert report.witness == "raised ZeroDivisionError: draw 2"

@@ -139,35 +139,27 @@ def test_momentum_one_form_membership_validation():
 
 def test_momentum_vlasov_pinned_symplectic():
     s = Chart(ChartKind.SYMPLECTIC, 1)
-    spec = _ham_zero_spec(s)
     H = s.parse("p1^2/2")
-    rhs = momentum_vlasov_rhs(spec, H, _form(s, {"q1": "p1"}))
+    rhs = momentum_vlasov_rhs(H, _form(s, {"q1": "p1"}))
     expected = _form(s, {"p1": "-p1"})
     assert (rhs - expected).is_zero()
 
 
-def test_momentum_vlasov_row_gating():
+def test_momentum_vlasov_needs_a_shared_chart():
     c = Chart(ChartKind.CONTACT, 1)
-    H = c.parse("z")
     Pi = _form(c, {"q1": "p1"})
     with pytest.raises(ValueError):
-        momentum_vlasov_rhs(FieldSpec(c, Family.ENERGY), H, Pi)
-    cc = Chart(ChartKind.COCONTACT, 1)
-    with pytest.raises(ValueError):
-        momentum_vlasov_rhs(FieldSpec(cc, Family.HAMILTONIAN, Gauge.ONE), cc.parse("z"), _form(cc, {"q1": "p1"}))
-    with pytest.raises(ValueError):
-        momentum_vlasov_rhs(_ham_zero_spec(c), Chart(ChartKind.CONTACT, 2).parse("z"), Pi)
+        momentum_vlasov_rhs(Chart(ChartKind.CONTACT, 2).parse("z"), Pi)
 
 
 def test_momentum_vlasov_linearity():
     rng = random.Random(13)
     for chart in ALL_CHARTS:
-        spec = _ham_zero_spec(chart)
         H = random_hamiltonian(rng, chart, degree=2, terms=3)
         A = random_one_form(rng, chart, degree=2, terms=2)
         B = random_one_form(rng, chart, degree=2, terms=2)
-        lhs = momentum_vlasov_rhs(spec, H, A + B.scaled(chart.const(-2)))
-        rhs = momentum_vlasov_rhs(spec, H, A) - momentum_vlasov_rhs(spec, H, B).scaled(chart.const(2))
+        lhs = momentum_vlasov_rhs(H, A + B.scaled(chart.const(-2)))
+        rhs = momentum_vlasov_rhs(H, A) - momentum_vlasov_rhs(H, B).scaled(chart.const(2))
         assert (lhs - rhs).is_zero()
 
 
@@ -187,8 +179,8 @@ def test_momentum_reduction_to_symplectic_block():
         comps_cc[cc.q_slot(1)] = comps_s[0].remap(cc.dim, lift)
         comps_cc[cc.p_slot(1)] = comps_s[1].remap(cc.dim, lift)
         Pi_cc = OneFormExpr(cc, tuple(comps_cc))
-        out_s = momentum_vlasov_rhs(_ham_zero_spec(s), H_s, Pi_s)
-        out_cc = momentum_vlasov_rhs(_ham_zero_spec(cc), H_cc, Pi_cc)
+        out_s = momentum_vlasov_rhs(H_s, Pi_s)
+        out_cc = momentum_vlasov_rhs(H_cc, Pi_cc)
         assert out_cc.components[cc.t_slot].is_zero()
         assert out_cc.components[cc.z_slot].is_zero()
         assert (out_cc.components[cc.q_slot(1)] - out_s.components[0].remap(cc.dim, lift)).is_zero()
@@ -258,11 +250,10 @@ def test_adjudication_pins_c_when_few_draws_depend_on_t(kind, n, seed):
 def test_intertwine_residual_vanishes_on_corpus():
     rng = random.Random(16)
     for chart in ALL_CHARTS:
-        spec = _ham_zero_spec(chart)
         for _ in range(12):
             H = random_hamiltonian(rng, chart, degree=2, terms=3)
             Pi = random_one_form(rng, chart, degree=2, terms=2)
-            assert intertwine_residual(spec, H, Pi).is_zero()
+            assert intertwine_residual(H, Pi).is_zero()
 
 
 def test_intertwine_pinned_symplectic_example():
@@ -270,7 +261,7 @@ def test_intertwine_pinned_symplectic_example():
     H = s.parse("p1^2/2")
     Pi = _form(s, {"q1": "p1"})
     assert momentum_map(Pi).to_text(s.coord_names) == "-1"
-    assert intertwine_residual(_ham_zero_spec(s), H, Pi).is_zero()
+    assert intertwine_residual(H, Pi).is_zero()
 
 
 def test_dual_pairing_integrand_identity():

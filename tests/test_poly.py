@@ -12,7 +12,6 @@ from geokin.poly import (
     ParseError,
     Poly,
     parse,
-    set_max_total_degree,
 )
 from geokin.corpus import random_poly
 
@@ -92,15 +91,8 @@ def test_degree_and_dependence():
     assert not P("x^2").depends_on(1)
 
 
-def test_degree_cap_is_enforced_and_configurable():
-    old = set_max_total_degree(10)
-    try:
-        with pytest.raises(DegreeOverflowError):
-            P("x^6") * P("x^5")
-        assert P("x^5") * P("x^5") == P("x^10")
-    finally:
-        set_max_total_degree(old)
-    # default cap of 24 admits degree 24 exactly
+def test_degree_cap_is_enforced():
+    # the cap of 24 admits degree 24 exactly
     assert (P("x^12") * P("x^12")).total_degree() == 24
     with pytest.raises(DegreeOverflowError):
         P("x^13") * P("x^12")
