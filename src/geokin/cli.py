@@ -31,6 +31,7 @@ from .kinetics import (
     GridAxis,
     GridDensity,
     StabilityError,
+    _field_and_source,
     intertwine_residual,
     solve_density_grid,
     solve_density_particle,
@@ -49,14 +50,20 @@ class ConfigError(Exception):
         self.path = path
 
 
+def _check_float_range(polys) -> None:
+    """Raise OverflowError if a coefficient would not convert to a float,
+    as a kernel does when first evaluated."""
+    for poly in polys:
+        list(map(float, poly.terms.values()))
+
+
 def _parse_expr(chart: Chart, text: str | None, path: str) -> Poly | None:
     """Parse an expression field; every way it can fail names `path`."""
     if text is None:
         return None
     try:
         poly = chart.parse(text)
-        for c in poly.terms.values():
-            float(c)
+        _check_float_range([poly])
     except (ParseError, DegreeOverflowError) as exc:
         raise ConfigError(path, f"{exc} on the {chart.kind.value} chart") from None
     except OverflowError:
@@ -113,13 +120,24 @@ class Scenario:
                                    Gauge(gauge or "zero") if chart.has_time else None)
         except ValueError as exc:
             raise ConfigError("$.field", str(exc)) from None
-        if self.hamiltonian is not None:
-            try:  # surface strictness and, for a flow, degree overflow before any solver runs
-                make_field(self.field, self.hamiltonian)
+        H = self.hamiltonian
+        if H is not None:
+            # surface strictness, and degree or float overflow in what a solver
+            # evaluates, before any solver runs
+            try:
+                evaluated = list(make_field(self.field, H).components)
                 if task == "simulate":
-                    diagnostics(self.field, self.hamiltonian)
+                    diag = diagnostics(self.field, H)
+                    evaluated += [diag.dH_along_flow, diag.divergence]
+                elif task in ("kinetic-grid", "kinetic-particle"):
+                    X, source = _field_and_source(chart, H)
+                    evaluated += [*X.components, source or chart.zero()]
+                _check_float_range(evaluated)
             except (StrictnessError, DegreeOverflowError) as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
+            except OverflowError:
+                raise ConfigError("$.hamiltonian",
+                                  "a derived coefficient lies outside float range") from None
 
         initial = cfg["initial"]
         self.point = [float(v) for v in initial["point"]] if initial["point"] else None

@@ -28,6 +28,7 @@ from .fields import FieldSpec, diagnostics, make_field
 from .poly import Poly
 
 METHODS = ("rk4", "rk45")
+MAX_STEPS = 2_000_000  # the step budget of every solver loop
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class IntegratorConfig:
     step: float = 1e-3  # rk4 step; initial step for rk45
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_steps: int = 2_000_000
+    max_steps: int = MAX_STEPS
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:

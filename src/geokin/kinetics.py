@@ -49,7 +49,7 @@ from .brackets import bracket, canonical_bracket_kind
 from .chart import Chart, ChartKind, OneFormExpr, VectorFieldExpr, pairing
 from .corpus import random_hamiltonian, random_one_form
 from .fields import Family, FieldSpec, Gauge, divergence, lie_derivative_oneform, make_field
-from .flow import _rk4_step
+from .flow import MAX_STEPS, _rk4_step
 from .musical import SharpVariant, sharp
 from .poly import Poly
 
@@ -370,6 +370,15 @@ class ParticleKineticResult:
     escaped_count: int
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """ceil(t_final / dt) steps, at least one (none for t_final = 0);
+    refused before any work when past the step budget."""
+    steps = t_final / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"t_final/dt = {t_final / dt:.6g} steps exceed the budget of {MAX_STEPS}")
+    return max(1, math.ceil(steps)) if t_final > 0 else 0
+
+
 def _field_and_source(chart: Chart, H: Poly):
     X = make_field(_hamiltonian_zero_spec(chart), H)
     source = H.partial(chart.z_slot) if chart.has_z else None
@@ -441,7 +450,8 @@ def solve_density_grid(
 
     First-order upwind transport along each active axis, pointwise
     source (n+2) R_eta(H) f on z-charts, SSP-RK3 in time.  Raises
-    StabilityError if the requested dt violates the CFL bound.
+    StabilityError if the requested dt violates the CFL bound, and
+    ValueError if the run needs more than `flow.MAX_STEPS` steps.
     """
     if f0.chart != chart or H.dim != chart.dim:
         raise ValueError("grid, Hamiltonian and chart must agree")
@@ -457,7 +467,7 @@ def solve_density_grid(
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
     if t_final == 0:
         return GridDensity(chart, f0.axes, f0.values.copy())
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
+    n_steps = _step_count(t_final, dt)
     h = t_final / n_steps
     src = None
     if source is not None and not source.is_zero():
@@ -607,7 +617,8 @@ def solve_density_particle(
     zero-boundary axes, and deposits the survivors back onto the seed
     grid.  GEOKIN_THREADS (or `threads`), capped at the CPU count,
     splits the ensemble into independently pushed chunks; the answer
-    does not depend on the split.
+    does not depend on the split.  A run of more than `flow.MAX_STEPS`
+    steps is refused with ValueError before seeding.
     """
     density = None
     if not isinstance(f0, GridDensity):
@@ -626,10 +637,10 @@ def solve_density_particle(
     # particles tolerate larger steps than the grid; guard at 4x CFL
     if dt > 4.0 * limit:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {4.0 * limit!r}")
+    n_steps = _step_count(t_final, dt)
+    h = t_final / n_steps if n_steps else 0.0
     seeded = seed_particles(f0, particle_count, seed=seed, density=density)
     mass_initial = seeded.total_weight()
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12))) if t_final > 0 else 0
-    h = t_final / n_steps if n_steps else 0.0
     workers = min(_thread_count(threads), os.cpu_count() or 1)
     bounds = [(len(seeded.weights) * i) // workers for i in range(workers + 1)]
     chunks = [np.column_stack((seeded.positions[lo:hi], seeded.weights[lo:hi]))

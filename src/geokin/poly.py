@@ -9,9 +9,13 @@ rounds.
 
 Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
-higher exponents.  Numeric evaluation walks terms in that fixed order
-with cached coordinate powers, so results are deterministic in double
-precision.
+higher exponents.  Numeric evaluation (`Poly.eval` on one point,
+`Poly.eval_array` on an (N, dim) array) runs one kernel per polynomial:
+straight-line Python source that walks the terms in that fixed order
+with powers built by repeated multiplication, compiled on the first
+evaluation and cached in the instance's `_kernel` slot.  Floats and
+numpy columns go through the same float operations in the same order,
+so results are deterministic and bit-identical between the two.
 
 Iterated symbolic work (nested brackets, Lie derivatives) can blow up;
 a fixed total-degree cap, `MAX_TOTAL_DEGREE` = 24, turns runaway growth
@@ -59,10 +63,11 @@ class Poly:
     """Sparse exact polynomial over Fraction coefficients.
 
     Instances are immutable by convention: no method mutates `terms`
-    after construction, and callers must not either.
+    after construction, and callers must not either.  That is what lets
+    `_kernel` cache the compiled evaluator for the life of the instance.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_kernel")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | None = None):
         if dim < 0:
@@ -87,6 +92,16 @@ class Poly:
                         clean[key] = c
         self.dim = dim
         self.terms = clean
+        self._kernel = None
+
+    @classmethod
+    def _of(cls, dim: int, terms: dict[Exponents, Fraction]) -> "Poly":
+        """Wrap a term map that is already canonical (no zero coefficients)."""
+        result = cls.__new__(cls)
+        result.dim = dim
+        result.terms = terms
+        result._kernel = None
+        return result
 
     # -- constructors -------------------------------------------------
 
@@ -164,18 +179,12 @@ class Poly:
                 out.pop(exps, None)
             else:
                 out[exps] = acc
-        result = Poly.__new__(Poly)
-        result.dim = self.dim
-        result.terms = out
-        return result
+        return Poly._of(self.dim, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result.dim = self.dim
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return Poly._of(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Rational") -> "Poly":
         return self + (-self._coerce(other))
@@ -188,10 +197,7 @@ class Poly:
             c = Fraction(other)
             if c == 0:
                 return Poly.zero(self.dim)
-            result = Poly.__new__(Poly)
-            result.dim = self.dim
-            result.terms = {e: k * c for e, k in self.terms.items()}
-            return result
+            return Poly._of(self.dim, {e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         out: dict[Exponents, Fraction] = {}
         for ea, ca in self.terms.items():
@@ -206,10 +212,7 @@ class Poly:
                     out.pop(exps, None)
                 else:
                     out[exps] = acc
-        result = Poly.__new__(Poly)
-        result.dim = self.dim
-        result.terms = out
-        return result
+        return Poly._of(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -249,10 +252,7 @@ class Poly:
                 continue
             lowered = tuple(x - 1 if i == index else x for i, x in enumerate(exps))
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        result = Poly.__new__(Poly)
-        result.dim = self.dim
-        result.terms = {e: c for e, c in out.items() if c != 0}
-        return result
+        return Poly._of(self.dim, {e: c for e, c in out.items() if c != 0})
 
     def remap(self, new_dim: int, index_map: Mapping[int, int]) -> "Poly":
         """Reinterpret on a chart with `new_dim` coordinates.
@@ -291,39 +291,64 @@ class Poly:
     def eval(self, point: Sequence[float]) -> float:
         """Evaluate at a point of floats.
 
-        Deterministic: terms are accumulated in graded-lex order with
-        cached powers per coordinate.
+        Runs the compiled kernel (see `_compile`), built on the first
+        evaluation and cached in `_kernel`.  Deterministic: terms are
+        accumulated in graded-lex order with powers built by repeated
+        multiplication, so the result does not depend on the call.
         """
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        xs = [float(x) for x in point]
-        if not all(math.isfinite(x) for x in xs):
+        xs = list(map(float, point))
+        if not all(map(math.isfinite, xs)):
             raise ValueError("non-finite coordinate in evaluation point")
-        return self._walk(xs)
+        return (self._kernel or self._compile())(*xs)
 
     def eval_array(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, dim) array; bit-identical to `eval`."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim})")
-        total = self._walk([pts[:, i] for i in range(self.dim)])
+        total = (self._kernel or self._compile())(*(pts[:, i] for i in range(self.dim)))
         return total if isinstance(total, np.ndarray) else np.full(len(pts), total)
 
-    def _walk(self, xs: Sequence) -> float | np.ndarray:
-        """Sum the terms in graded-lex order at `xs`: one float, or one
-        numpy column, per coordinate; the same arithmetic either way."""
-        powers = [[1.0] for _ in xs]
-        total = 0.0
+    def _compile(self):
+        """Build, cache and return the kernel: one float, or one numpy
+        column, per coordinate in; the polynomial's value out.
+
+        The kernel is straight-line source for the graded-lex walk.  Power
+        e of coordinate i is `p{i}_{e} = p{i}_{e-1} * x{i}`, starting from
+        x{i} itself (1.0 * x is x exactly); each term is the coefficient's
+        `repr(float(c))` times its powers, left to right in coordinate
+        order; terms are added one by one to `total = 0.0`.  Every float
+        operation and its order are fixed by the terms alone, so the
+        result is bit-identical for floats and numpy columns, and from
+        one call to the next.  Only generated names and float literals
+        enter the source.  A coefficient outside float range raises
+        OverflowError here.  Threads that race here (the particle push)
+        build the same kernel, so whichever is cached is right.
+        """
+        def power(i: int, e: int) -> str:
+            return f"x{i}" if e == 1 else f"p{i}_{e}"
+
+        top = [0] * self.dim
+        terms = []
         for exps, coeff in self.sorted_terms():
-            term = float(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * xs[i])
-                    term *= cache[e]
-            total += term
-        return total
+            factors = [power(i, e) for i, e in enumerate(exps) if e]
+            terms.append(f"    total += {' * '.join([repr(float(coeff))] + factors)}")
+            top = [max(t, e) for t, e in zip(top, exps)]
+        args = ", ".join(f"x{i}" for i in range(self.dim))
+        source = "\n".join([
+            f"def kernel({args}):",
+            *(f"    {power(i, e)} = {power(i, e - 1)} * x{i}"
+              for i, t in enumerate(top) for e in range(2, t + 1)),
+            "    total = 0.0",
+            *terms,
+            "    return total",
+        ])
+        namespace: dict = {}
+        exec(source, namespace)
+        self._kernel = namespace["kernel"]
+        return self._kernel
 
     # -- printing ------------------------------------------------------
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from geokin import cli
+from geokin import cli, kinetics
 from geokin.identities import LawReport
 from geokin.kinetics import read_grid, read_particles
 from geokin.chart import Chart, ChartKind
@@ -350,3 +350,51 @@ def test_grid_resolution_guard_surfaces_as_runtime_error(tmp_path, capsys):
     }
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _kinetic_config(tmp_path, task, hamiltonian, t_final, dt):
+    return {
+        "chart": {"kind": "symplectic", "n": 1},
+        "task": task,
+        "hamiltonian": hamiltonian,
+        "particles": 1000,
+        "initial": {
+            "grid": {"axes": [{"lo": -3.0, "hi": 3.0, "size": 32},
+                              {"lo": -2.0, "hi": 2.0, "size": 32}]},
+            "density": "q1^2*p1^2",
+        },
+        "time": {"t_final": t_final, "dt": dt},
+        "output": {"grid": str(tmp_path / "g.grid")},
+    }
+
+
+@pytest.mark.parametrize("task", ["simulate", "kinetic-grid", "kinetic-particle"])
+def test_derived_coefficients_outside_float_range_are_config_errors(tmp_path, capsys, task):
+    # 1.7e308 fits a float, but the field's 2 * 1.7e308 does not
+    H = "17" + "0" * 307 + "*q1^2 + p1^2/2"
+    if task == "simulate":
+        cfg = simulate_config(tmp_path, chart={"kind": "symplectic", "n": 1}, hamiltonian=H,
+                              initial={"point": [0.1, 0.2]})
+    else:
+        cfg = _kinetic_config(tmp_path, task, H, 0.1, 0.01)
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error at $.hamiltonian: a derived coefficient lies outside float range\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
+
+
+@pytest.mark.parametrize("task", ["kinetic-grid", "kinetic-particle"])
+def test_kinetic_runs_past_the_step_budget_are_refused_before_stepping(tmp_path, capsys,
+                                                                        monkeypatch, task):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(kinetics, "_rk4_step", no_step)  # the particle push
+    monkeypatch.setattr(kinetics, "_upwind_term", no_step)  # the grid step
+    path = write_config(tmp_path, _kinetic_config(tmp_path, task, "p1^2/2", 1e9, 0.01))
+    assert cli.main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_final/dt = 1e+11 steps exceed the budget of 2000000\n")
+    assert not (tmp_path / "g.grid").exists()

@@ -30,10 +30,7 @@ with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as _fh:
 # None runs every operation of the workload.
 SELECTED = {
     "short": None,
-    "trajectory": (
-        "traj00-symplectic-n1-hamiltonian-none-rk4-deg4",
-        "traj06-contact-n1-strict-none-rk45-deg4",
-    ),
+    "trajectory": None,
     "kinetic": ("part2-contact-36cu", "grid1-cosymplectic-t-collapsed-96sq"),
     "exact": (
         "ident0-symplectic-n1",

@@ -2,11 +2,15 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geokin.chart import Chart, ChartKind
+from geokin.fields import Family, FieldSpec, Gauge, make_field
 from geokin.poly import (
     DegreeOverflowError,
     ParseError,
@@ -153,6 +157,106 @@ def test_eval_array_matches_scalar():
             assert vec.shape == (len(rows),) and vec.dtype == np.float64
             # the same term walk: bit-identical, not merely close
             assert np.array_equal(vec, [p.eval(row) for row in rows])
+
+
+def reference_walk(p, xs):
+    """The graded-lex walk that the compiled kernel must reproduce, as a
+    loop: one float, or one numpy column, per coordinate in `xs`."""
+    graded_lex = sorted(p.terms.items(), key=lambda kv: (-sum(kv[0]), [-e for e in kv[0]]))
+    powers = [[1.0] for _ in xs]
+    total = 0.0
+    for exps, coeff in graded_lex:
+        term = float(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                cache = powers[i]
+                while len(cache) <= e:
+                    cache.append(cache[-1] * xs[i])
+                term *= cache[e]
+        total += term
+    return total
+
+
+@st.composite
+def terms_of_degree_8(draw, dim):
+    terms = {}
+    for _ in range(draw(st.integers(1, 12))):
+        budget, exps = draw(st.integers(0, 8)), []
+        for _ in range(dim):
+            exps.append(draw(st.integers(0, budget)))
+            budget -= exps[-1]
+        terms[tuple(draw(st.permutations(exps)))] = draw(
+            st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+    return Poly(dim, terms)
+
+
+@st.composite
+def polys(draw):
+    shape = draw(st.sampled_from(["terms", "field", "constant", "zero"]))
+    if shape == "field":  # a Hamiltonian field component on one of the four chart layouts
+        chart = Chart(draw(st.sampled_from(list(ChartKind))), 1)
+        spec = FieldSpec(chart, Family.HAMILTONIAN, Gauge.ZERO if chart.has_time else None)
+        X = make_field(spec, draw(terms_of_degree_8(chart.dim)))
+        return draw(st.sampled_from(X.components))
+    dim = draw(st.integers(1, 5))
+    if shape == "constant":
+        return Poly.const(dim, draw(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)))
+    return Poly.zero(dim) if shape == "zero" else draw(terms_of_degree_8(dim))
+
+
+# -0.0, subnormal, tiny and large magnitudes; |x| <= 1e30 keeps degree-8 values finite
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-160,
+                     1.0, -1.0, 1 / 3, 1e15, -1e30, 1e30]),
+    st.floats(min_value=-1e30, max_value=1e30),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_is_bit_identical_to_the_reference_walk(data):
+    p = data.draw(polys())
+    rows = data.draw(st.lists(st.lists(COORDINATES, min_size=p.dim, max_size=p.dim),
+                              min_size=1, max_size=6))
+    # plus generic points, where the order of the float operations shows in the last bits
+    rng = data.draw(st.randoms(use_true_random=False))
+    pts = np.array(rows + [[rng.uniform(-2, 2) for _ in range(p.dim)] for _ in range(16)])
+    # bytes, not ==, so that a -0.0 where the walk gives 0.0 counts
+    for row in pts:
+        want = reference_walk(p, [float(x) for x in row])
+        assert struct.pack("<d", p.eval(row)) == struct.pack("<d", want)
+    want = reference_walk(p, [pts[:, i] for i in range(p.dim)])
+    want = np.broadcast_to(np.asarray(want, dtype=float), (len(pts),))
+    assert p.eval_array(pts).tobytes() == want.tobytes()
+    assert p.eval_array(pts).tobytes() == np.array([p.eval(row) for row in pts]).tobytes()
+
+
+def test_kernel_is_built_once_and_the_checks_still_fire():
+    p = P("x^3*y - 2*y^2 + 1/3")
+    assert p._kernel is None  # nothing is compiled before the first evaluation
+    first = p.eval([0.5, -1.5])
+    kernel = p._kernel
+    assert kernel is not None
+    p.eval([2.0, 3.0])
+    p.eval_array(np.ones((4, 2)))
+    assert p._kernel is kernel and p.eval([0.5, -1.5]) == first
+    assert (p + 0)._kernel is None  # a new polynomial compiles its own
+    for bad in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="expected 2"):
+            p.eval(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            p.eval([bad, 0.0])
+    with pytest.raises(ValueError, match="shape"):
+        p.eval_array(np.ones((4, 3)))
+    assert p._kernel is kernel
+
+
+def test_coefficients_outside_float_range_raise_on_first_evaluation():
+    p = Poly(1, {(1,): Fraction(10 ** 400)})
+    with pytest.raises(OverflowError):
+        p.eval([1.0])
+    assert p._kernel is None
 
 
 def test_remap_between_dimensions():
