@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -25,13 +26,23 @@ from functools import reduce
 
 from .chart import Chart, ChartKind, OneFormExpr
 from .fields import Family, FieldSpec, Gauge, StrictnessError, diagnostics, make_field
-from .flow import METHODS, IntegrationError, IntegratorConfig, integrate, write_trajectory_csv
+from .flow import (
+    MAX_GRID_CELLS,
+    MAX_PARTICLES,
+    MAX_TRIALS,
+    METHODS,
+    IntegrationError,
+    IntegratorConfig,
+    integrate,
+    write_trajectory_csv,
+)
 from .identities import run_identity_suite, suite_passed
 from .kinetics import (
     GridAxis,
     GridDensity,
     StabilityError,
     _field_and_source,
+    _hamiltonian_zero_spec,
     intertwine_residual,
     solve_density_grid,
     solve_density_particle,
@@ -120,6 +131,10 @@ class Scenario:
                                    Gauge(gauge or "zero") if chart.has_time else None)
         except ValueError as exc:
             raise ConfigError("$.field", str(exc)) from None
+        if task in _KINETIC_TASKS and self.field != _hamiltonian_zero_spec(chart):
+            raise ConfigError("$.field", f"the kinetic tasks carry densities along the "
+                                         f"hamiltonian field with gauge zero only, not "
+                                         f"{self.field.row_name}")
         H = self.hamiltonian
         if H is not None:
             # surface strictness, and degree or float overflow in what a solver
@@ -129,7 +144,7 @@ class Scenario:
                 if task == "simulate":
                     diag = diagnostics(self.field, H)
                     evaluated += [diag.dH_along_flow, diag.divergence]
-                elif task in ("kinetic-grid", "kinetic-particle"):
+                elif task in _KINETIC_TASKS:
                     X, source = _field_and_source(chart, H)
                     evaluated += [*X.components, source or chart.zero()]
                 _check_float_range(evaluated)
@@ -148,11 +163,14 @@ class Scenario:
         self.axes = None if initial["grid"] is None else tuple(
             self._axis(i, name, entry)
             for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
+        if self.axes is not None and math.prod(a.size for a in self.axes) > MAX_GRID_CELLS:
+            raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
+                                                     f"{MAX_GRID_CELLS} cells")
 
         if isinstance(self.output["grid"], str):
             self.output["grid"] = [self.output["grid"]]
         count = len(self.snapshots) if self.snapshots else 1
-        if task in ("kinetic-grid", "kinetic-particle") and len(self.output["grid"]) != count:
+        if task in _KINETIC_TASKS and len(self.output["grid"]) != count:
             raise ConfigError("$.output.grid", f"expected {count} paths, one per snapshot")
         if task == "kinetic-particle" and count > 1:
             raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
@@ -177,7 +195,7 @@ class Scenario:
         ]
         if self.hamiltonian is not None:
             lines.append(f"hamiltonian: {self.hamiltonian.to_text(self.chart.coord_names)}")
-        if self.task in ("simulate", "kinetic-grid", "kinetic-particle"):
+        if self.task == "simulate":  # the kinetic tasks have one field
             lines.append(f"field: {self.field.row_name}")
         if self.density is not None:
             lines.append(f"density: {self.density.to_text(self.chart.coord_names)}")
@@ -317,6 +335,7 @@ def _run_kinetic_particle(s: Scenario) -> int:
 
 # -- the two tables ----------------------------------------------------
 
+_KINETIC_TASKS = ("kinetic-grid", "kinetic-particle")
 _KINETIC = ("$.hamiltonian", "$.initial.grid", "$.initial.density", "$.time.t_final",
             "$.output.grid")
 
@@ -357,9 +376,8 @@ _TYPES = {
               and all(isinstance(p, str) for p in v), "a path or a list of paths"),
 }
 
-# config path -> (JSON type, default, rule).  A rule is POSITIVE, an
-# integer minimum, a range or a tuple of choices.  `.*` is each entry
-# of a list.
+# config path -> (JSON type, default, rule).  A rule is POSITIVE, a
+# range or a tuple of choices.  `.*` is each entry of a list.
 SCHEMA = {
     "$": ("object", REQUIRED, None),
     "$.chart": ("object", REQUIRED, None),
@@ -391,9 +409,9 @@ SCHEMA = {
     "$.time.rel_tol": ("number", 1e-8, POSITIVE),
     "$.time.abs_tol": ("number", 1e-10, POSITIVE),
     "$.time.snapshots": ("numbers", None, None),
-    "$.particles": ("integer", 100_000, 1_000),
+    "$.particles": ("integer", 100_000, range(1_000, MAX_PARTICLES + 1)),
     "$.threads": ("integer", None, POSITIVE),
-    "$.trials": ("integer", None, POSITIVE),  # 20 for identity-check, else 25
+    "$.trials": ("integer", None, range(1, MAX_TRIALS + 1)),  # 20 for identity-check, else 25
     "$.output": ("object", {}, None),
     "$.output.trajectory": ("string", None, None),
     "$.output.report": ("string", None, None),
@@ -418,8 +436,6 @@ def _check(value, path: str, key: str):
         raise ConfigError(path, f"unknown value {value!r}; choose from {', '.join(rule)}")
     if rule is POSITIVE and not value > 0:
         raise ConfigError(path, "must be positive")
-    if isinstance(rule, int) and value < rule:
-        raise ConfigError(path, f"must be at least {rule}")
     if isinstance(rule, range) and value not in rule:
         raise ConfigError(path, f"must be between {rule.start} and {rule[-1]}")
     if kind == "list":

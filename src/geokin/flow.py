@@ -13,11 +13,19 @@ divergence).
 A non-finite state aborts the run with the last good time and the
 partial trajectory attached to the error; so does exhausting the step
 budget.
+
+The steppers work on a list of coordinates: one Python float each in
+`integrate`, one contiguous numpy column each in the particle push
+(`kinetics._push_chunk`), matching the polynomial kernel's own "one
+float or one column per coordinate" contract.  Every update is a
+per-coordinate expression, so floats and columns go through the same
+float operations in the same order.  `Trajectory` still holds arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,6 +37,11 @@ from .poly import Poly
 
 METHODS = ("rk4", "rk45")
 MAX_STEPS = 2_000_000  # the step budget of every solver loop
+# What one config may ask for, each at least 10x the largest benchmark or
+# test input (64 000 cells, 230 400 particles, 25 trials); `cli` refuses more.
+MAX_GRID_CELLS = 1_000_000  # the product of the grid axis sizes
+MAX_PARTICLES = 2_500_000
+MAX_TRIALS = 1_000
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if not (self.abs_tol > 0 and self.rel_tol >= 0):  # the rk45 error scale divides
+            raise ValueError("need abs_tol > 0 and rel_tol >= 0")
 
 
 @dataclass
@@ -80,18 +95,28 @@ def _poly_channels(spec: FieldSpec, H: Poly):
     comps = X.components
     diag = diagnostics(spec, H)
 
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return np.array([c.eval(x) for c in comps])
+    def rhs(x: list[float]) -> list[float]:
+        return [c.eval(x) for c in comps]
 
     return rhs, H.eval, diag.dH_along_flow.eval, diag.divergence.eval
 
 
-def _rk4_step(rhs, x: np.ndarray, h: float) -> np.ndarray:
+def _add_scaled(x: list, terms) -> list:
+    """x + c0*k0 + c1*k1 + ..., added left to right per coordinate, for
+    (c, k) in `terms`; a coordinate of x or k is a float or a column."""
+    for c, k in terms:
+        x = [a + c * b for a, b in zip(x, k)]
+    return x
+
+
+def _rk4_step(rhs, x: list, h: float) -> list:
+    half, sixth = 0.5 * h, h / 6.0
     k1 = rhs(x)
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([a + half * b for a, b in zip(x, k1)])
+    k3 = rhs([a + half * b for a, b in zip(x, k2)])
+    k4 = rhs([a + h * b for a, b in zip(x, k3)])
+    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 # Fehlberg 4(5) coefficients, classic values.
@@ -107,22 +132,24 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def _rkf45_step(rhs, x: np.ndarray, h: float):
-    ks = []
+def _rkf45_step(rhs, x: list, h: float):
+    """The fifth-order state and its difference from the fourth-order one."""
+    ks: list = []
     for row in _RKF_A:
-        xi = x.copy()
-        for a, k in zip(row, ks):
-            if a:
-                xi = xi + (h * a) * k
-        ks.append(rhs(xi))
-    x5 = x.copy()
-    x4 = x.copy()
-    for b5, b4, k in zip(_RKF_B5, _RKF_B4, ks):
-        if b5:
-            x5 = x5 + (h * b5) * k
-        if b4:
-            x4 = x4 + (h * b4) * k
-    return x5, x5 - x4
+        ks.append(rhs(_add_scaled(x, [(h * a, k) for a, k in zip(row, ks) if a])))
+    x5 = _add_scaled(x, [(h * b, k) for b, k in zip(_RKF_B5, ks) if b])
+    x4 = _add_scaled(x, [(h * b, k) for b, k in zip(_RKF_B4, ks) if b])
+    return x5, [a - b for a, b in zip(x5, x4)]
+
+
+def _error_norm(err: list, x: list, x_new: list, abs_tol: float, rel_tol: float) -> float:
+    """RMS of err scaled by abs_tol + rel_tol * max(|x|, |x_new|) per coordinate.
+
+    The sum is np.mean's own, np.add.reduce: numpy adds pairwise from
+    eight terms on, so a Python sum would move the bytes.
+    """
+    ratios = [e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, x, x_new)]
+    return math.sqrt(float(np.add.reduce(np.array([r * r for r in ratios]))) / len(ratios))
 
 
 def integrate(
@@ -139,30 +166,31 @@ def integrate(
     dictates.
     """
     chart = spec.chart
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (chart.dim,):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (chart.dim,):
         raise ValueError(f"initial state must have shape ({chart.dim},)")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
     s0, s1 = float(t_span[0]), float(t_span[1])
     if s1 < s0:
         raise ValueError("backward integration is not supported; swap the span")
     rhs, h_eval, rate_eval, div_eval = _poly_channels(spec, H)
 
+    x = x0.tolist()
     times = [s0]
-    states = [x.copy()]
+    states = array("d", x)  # row after row, 8 bytes a coordinate
     ham = [h_eval(x)]
     pred = [rate_eval(x)]
     div = [div_eval(x)]
 
     def partial_trajectory() -> Trajectory:
-        traj = Trajectory(spec, np.array(times), np.array(states))
+        traj = Trajectory(spec, np.array(times), np.array(states).reshape(-1, chart.dim))
         _fill_monitors(traj, ham, pred, div)
         return traj
 
-    def record(s: float, y: np.ndarray) -> None:
+    def record(s: float, y: list[float]) -> None:
         times.append(s)
-        states.append(y.copy())
+        states.extend(y)
         ham.append(h_eval(y))
         pred.append(rate_eval(y))
         div.append(div_eval(y))
@@ -186,7 +214,7 @@ def integrate(
                     partial_trajectory(),
                 ) from None
             s = s0 + (k + 1) * h
-            if not np.all(np.isfinite(x)):
+            if not all(map(math.isfinite, x)):
                 raise BlowUpError("non-finite state", times[-1], partial_trajectory())
             record(s, x)
     else:
@@ -206,10 +234,9 @@ def integrate(
                 raise BlowUpError(
                     "state left the representable range mid-step", s, partial_trajectory()
                 ) from None
-            if not np.all(np.isfinite(x_new)):
+            if not all(map(math.isfinite, x_new)):
                 raise BlowUpError("non-finite state", s, partial_trajectory())
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-            err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+            err_norm = _error_norm(err, x, x_new, config.abs_tol, config.rel_tol)
             if err_norm <= 1.0:
                 s = s + h
                 x = x_new
@@ -219,9 +246,7 @@ def integrate(
             if h <= 0 or not math.isfinite(h):
                 raise BlowUpError("step size collapsed", s, partial_trajectory())
 
-    traj = Trajectory(spec, np.array(times), np.array(states))
-    _fill_monitors(traj, ham, pred, div)
-    return traj
+    return partial_trajectory()
 
 
 def _fill_monitors(traj: Trajectory, ham, pred, div) -> None:
@@ -309,13 +334,9 @@ def trajectory_csv_lines(traj: Trajectory) -> list[str]:
     header.extend(chart.coord_names)
     header.extend(["H", "pred_dHds", "div"])
     lines = [",".join(header)]
-    for k in range(len(traj.times)):
-        row = [repr(float(traj.times[k]))]
-        row.extend(repr(float(v)) for v in traj.states[k])
-        row.append(repr(float(traj.monitors["hamiltonian"][k])))
-        row.append(repr(float(traj.monitors["predicted_dH"][k])))
-        row.append(repr(float(traj.monitors["divergence"][k])))
-        lines.append(",".join(row))
+    monitors = [traj.monitors[k] for k in ("hamiltonian", "predicted_dH", "divergence")]
+    for row in np.column_stack([traj.times, traj.states, *monitors]):
+        lines.append(",".join(map(repr, row.tolist())))
     return lines
 
 

@@ -26,9 +26,10 @@ and the plain bracket equation elsewhere.
 Solvers.  The particle solver pushes a jittered-lattice ensemble along
 the Hamiltonian/gauge-zero flow with per-particle weights obeying
 dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
-contraction n+1), then deposits cloud-in-cell.  The push state is
-(N, dim+1), weight last, stepped by `flow`'s RK4 step along one path:
-one chunk per worker, mapped in the calling thread or a thread pool.
+contraction n+1), then deposits cloud-in-cell.  The push state is dim+1
+contiguous columns, weight last, stepped by `flow`'s RK4 step along one
+path: one chunk per worker, mapped in the calling thread or a thread
+pool, and stacked into the final ensemble once, at the end.
 The grid solver is the independent oracle: method of lines with
 first-order upwind transport per advecting axis, the pointwise source
 (n+2) R_eta(H) f, and SSP-RK3 in time under an explicit CFL guard.
@@ -320,7 +321,7 @@ class GridDensity:
         shape = tuple(a.size for a in axes)
         grid = cls(chart, axes, np.zeros(shape))
         pts = grid.points()
-        vals = func.eval_array(pts) if isinstance(func, Poly) else np.asarray(func(pts), float)
+        vals = func.eval_array(pts.T) if isinstance(func, Poly) else np.asarray(func(pts), float)
         grid.values = vals.reshape(shape)
         return grid
 
@@ -388,7 +389,7 @@ def _field_and_source(chart: Chart, H: Poly):
 def _velocity_grids(grid: GridDensity, X: VectorFieldExpr) -> list[np.ndarray]:
     pts = grid.points()
     shape = grid.values.shape
-    return [c.eval_array(pts).reshape(shape) for c in X.components]
+    return [c.eval_array(pts.T).reshape(shape) for c in X.components]
 
 
 def _check_grid_vs_field(grid: GridDensity, vel: list[np.ndarray]) -> list[int]:
@@ -472,7 +473,7 @@ def solve_density_grid(
     src = None
     if source is not None and not source.is_zero():
         shape = f0.values.shape
-        src = (chart.n + 2) * source.eval_array(f0.points()).reshape(shape)
+        src = (chart.n + 2) * source.eval_array(f0.points().T).reshape(shape)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -529,7 +530,7 @@ def seed_particles(
             step = (axis.hi - axis.lo) / m
             pts[:, k] += (rng.random(pts.shape[0]) - 0.5) * step
     if isinstance(density, Poly):
-        weights = density.eval_array(pts) * vol
+        weights = density.eval_array(pts.T) * vol
     elif density is not None:
         weights = np.asarray(density(pts), dtype=float) * vol
     else:
@@ -559,42 +560,44 @@ def _thread_count(threads: int | None) -> int:
 
 
 def _push_chunk(
-    state: np.ndarray,
+    state: list[np.ndarray],
     X: VectorFieldExpr,
     source: Poly | None,
     h: float,
     n_steps: int,
     axes: tuple[GridAxis, ...],
-) -> tuple[np.ndarray, float, int]:
-    """RK4 on one (N, dim+1) chunk: X moves the positions, dw/ds = source * w;
-    rows leaving a zero-boundary axis are dropped and tallied."""
+) -> tuple[list[np.ndarray], float, int]:
+    """RK4 on one chunk held as dim+1 contiguous columns, weight last: X
+    moves the positions, dw/ds = source * w; rows leaving a zero-boundary
+    axis are dropped and tallied.  A component that is identically zero
+    contributes the scalar 0.0 (x + c*0.0 is what a zero column gives)."""
     dim = len(axes)
     moving = [(k, c.eval_array) for k, c in enumerate(X.components) if not c.is_zero()]
     src_eval = None if source is None or source.is_zero() else source.eval_array
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        x = y[:, :dim]
-        dy = np.zeros_like(y)
+    def rhs(y: list[np.ndarray]) -> list:
+        x = y[:dim]
+        dy: list = [0.0] * (dim + 1)
         for k, eval_array in moving:
-            dy[:, k] = eval_array(x)
+            dy[k] = eval_array(x)
         if src_eval is not None:
-            dy[:, dim] = src_eval(x) * y[:, dim]
+            dy[dim] = src_eval(x) * y[dim]
         return dy
 
     escaped_mass = 0.0
     escaped_count = 0
     for _ in range(n_steps):
         state = _rk4_step(rhs, state, h)
-        alive = np.ones(state.shape[0], dtype=bool)
+        alive = np.ones(len(state[dim]), dtype=bool)
         for k, axis in enumerate(axes):
             if axis.boundary == "periodic":
-                state[:, k] = axis.lo + np.mod(state[:, k] - axis.lo, axis.hi - axis.lo)
+                state[k] = axis.lo + np.mod(state[k] - axis.lo, axis.hi - axis.lo)
             else:
-                alive &= (state[:, k] >= axis.lo) & (state[:, k] <= axis.hi)
+                alive &= (state[k] >= axis.lo) & (state[k] <= axis.hi)
         if not alive.all():
-            escaped_mass += float(state[~alive, dim].sum())
+            escaped_mass += float(state[dim][~alive].sum())
             escaped_count += int((~alive).sum())
-            state = state[alive]
+            state = [column[alive] for column in state]
     return state, escaped_mass, escaped_count
 
 
@@ -643,9 +646,10 @@ def solve_density_particle(
     mass_initial = seeded.total_weight()
     workers = min(_thread_count(threads), os.cpu_count() or 1)
     bounds = [(len(seeded.weights) * i) // workers for i in range(workers + 1)]
-    chunks = [np.column_stack((seeded.positions[lo:hi], seeded.weights[lo:hi]))
+    columns = [*seeded.positions.T, seeded.weights]
+    chunks = [[np.ascontiguousarray(c[lo:hi]) for c in columns]
               for lo, hi in zip(bounds, bounds[1:])]
-    del seeded  # the chunks now hold the ensemble
+    del seeded, columns  # the chunks now hold the ensemble
     push = functools.partial(_push_chunk, X=X, source=source, h=h, n_steps=n_steps, axes=f0.axes)
     if workers == 1:
         parts = list(map(push, chunks))
@@ -654,8 +658,9 @@ def solve_density_particle(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(push, chunks))
-    state = np.concatenate([p[0] for p in parts])
-    final = ParticleEnsemble(chart, state[:, :-1], state[:, -1])
+    del chunks
+    *positions, weights = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
+    final = ParticleEnsemble(chart, np.column_stack(positions), weights)
     return ParticleKineticResult(
         ensemble=final,
         deposited=deposit(final, f0.axes),
@@ -715,7 +720,10 @@ def read_grid(path: str) -> GridDensity:
 
 
 def particle_csv_columns(chart: Chart) -> list[str]:
-    """CSV column order: q block, p block, then z, then t, then weight."""
+    """CSV column order: q block, p block, then z, then t, then weight.
+
+    This is not chart order (t, q, p, z): t comes after z here.
+    """
     cols = [f"q{i}" for i in range(1, chart.n + 1)]
     cols.extend(f"p{i}" for i in range(1, chart.n + 1))
     if chart.has_z:
@@ -727,16 +735,17 @@ def particle_csv_columns(chart: Chart) -> list[str]:
 
 
 def write_particles(ensemble: ParticleEnsemble, path: str) -> None:
-    chart = ensemble.chart
-    cols = particle_csv_columns(chart)
-    names = chart.coord_names
-    slot_of = {name: k for k, name in enumerate(names)}
+    """One row per particle, columns in `particle_csv_columns` order
+    (q, p, z, t, w), which differs from chart order (t, q, p, z);
+    `read_particles` maps them back."""
+    cols = particle_csv_columns(ensemble.chart)
+    slot_of = {name: k for k, name in enumerate(ensemble.chart.coord_names)}
+    table = np.column_stack([ensemble.positions[:, [slot_of[c] for c in cols[:-1]]],
+                             ensemble.weights])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for row, w in zip(ensemble.positions, ensemble.weights):
-            vals = [repr(float(row[slot_of[c]])) for c in cols[:-1]]
-            vals.append(repr(float(w)))
-            fh.write(",".join(vals) + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_particles(chart: Chart, path: str) -> ParticleEnsemble:

@@ -9,13 +9,15 @@ rounds.
 
 Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
-higher exponents.  Numeric evaluation (`Poly.eval` on one point,
-`Poly.eval_array` on an (N, dim) array) runs one kernel per polynomial:
+higher exponents.  Numeric evaluation runs one kernel per polynomial:
 straight-line Python source that walks the terms in that fixed order
 with powers built by repeated multiplication, compiled on the first
-evaluation and cached in the instance's `_kernel` slot.  Floats and
-numpy columns go through the same float operations in the same order,
-so results are deterministic and bit-identical between the two.
+evaluation and cached in the instance's `_kernel` slot.  The kernel
+takes one float or one numpy column per coordinate: `Poly.eval` hands
+it a point's floats, `Poly.eval_array` a sequence of `dim` equal-length
+columns (an (N, dim) array's `.T`, or the columns a solver keeps).
+Floats and columns go through the same float operations in the same
+order, so results are deterministic and bit-identical between the two.
 
 Iterated symbolic work (nested brackets, Lie derivatives) can blow up;
 a fixed total-degree cap, `MAX_TOTAL_DEGREE` = 24, turns runaway growth
@@ -303,13 +305,16 @@ class Poly:
             raise ValueError("non-finite coordinate in evaluation point")
         return (self._kernel or self._compile())(*xs)
 
-    def eval_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (N, dim) array; bit-identical to `eval`."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have shape (N, {self.dim})")
-        total = (self._kernel or self._compile())(*(pts[:, i] for i in range(self.dim)))
-        return total if isinstance(total, np.ndarray) else np.full(len(pts), total)
+    def eval_array(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Vectorized evaluation at N points given as `dim` columns of
+        length N, one per coordinate: an (N, dim) array `pts` is passed as
+        `pts.T`.  Returns N values, bit-identical to `eval` row by row."""
+        cols = [np.asarray(c, dtype=float) for c in columns]
+        shape = cols[0].shape if cols else (0,)
+        if len(cols) != self.dim or len(shape) != 1 or any(c.shape != shape for c in cols):
+            raise ValueError(f"points must have shape ({self.dim}, N): one column per coordinate")
+        total = (self._kernel or self._compile())(*cols)
+        return total if isinstance(total, np.ndarray) else np.full(shape, total)
 
     def _compile(self):
         """Build, cache and return the kernel: one float, or one numpy

@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from geokin import cli, kinetics
+from geokin import cli, flow, kinetics
 from geokin.identities import LawReport
 from geokin.kinetics import read_grid, read_particles
 from geokin.chart import Chart, ChartKind
@@ -398,3 +399,101 @@ def test_kinetic_runs_past_the_step_budget_are_refused_before_stepping(tmp_path,
     assert capsys.readouterr().err == (
         "error: t_final/dt = 1e+11 steps exceed the budget of 2000000\n")
     assert not (tmp_path / "g.grid").exists()
+
+
+def _contact_grid_config(tmp_path, **overrides):
+    cfg = {
+        "chart": {"kind": "contact", "n": 1},
+        "task": "kinetic-grid",
+        "hamiltonian": "z + p1^2/2",
+        "initial": {
+            "grid": {"axes": [{"lo": -2.0, "hi": 2.0, "size": 32},
+                              {"lo": -2.0, "hi": 2.0, "size": 32},
+                              {"lo": -2.0, "hi": 2.0, "size": 32}]},
+            "density": "1 + q1^2",
+        },
+        "time": {"t_final": 0.02, "dt": 0.005},
+        "output": {"grid": str(tmp_path / "g.grid")},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("task", ["kinetic-grid", "kinetic-particle"])
+@pytest.mark.parametrize("kind, field", [
+    ("contact", {"family": "energy"}),
+    ("contact", {"family": "strict"}),
+    ("cocontact", {"gauge": "one"}),
+    ("cocontact", {"family": "energy", "gauge": "zero"}),
+    ("cosymplectic", {"gauge": "gradH"}),
+])
+def test_kinetic_tasks_refuse_any_field_but_hamiltonian_gauge_zero(tmp_path, capsys, task,
+                                                                   kind, field):
+    cfg = _contact_grid_config(tmp_path, task=task, field=field, particles=1000)
+    if kind != "contact":  # the same problem on a chart with t, t collapsed first
+        cfg["chart"]["kind"] = kind
+        cfg["initial"]["grid"]["axes"].insert(0, {"lo": -0.5, "hi": 0.5, "size": 1})
+        if kind == "cosymplectic":
+            cfg["hamiltonian"] = "p1^2/2"
+            cfg["initial"]["grid"]["axes"].pop()
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err.startswith("config error at $.field: ")
+    assert not (tmp_path / "g.grid").exists()
+
+
+@pytest.mark.parametrize("field", [{}, {"family": "hamiltonian"}])
+def test_kinetic_tasks_take_the_default_field(tmp_path, capsys, field):
+    path = write_config(tmp_path, _contact_grid_config(tmp_path, field=field))
+    assert cli.main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    assert "task: kinetic-grid" in out and "field:" not in out  # there is only one
+    assert cli.main(["run", path]) == 0
+    assert (tmp_path / "g.grid").exists()
+
+
+def test_grid_past_the_cell_budget_is_refused_without_allocating(tmp_path, capsys):
+    axes = [{"lo": -2.0, "hi": 2.0, "size": 1_000_000}, {"lo": -2.0, "hi": 2.0, "size": 1_000_000}]
+    cfg = {
+        "chart": {"kind": "symplectic", "n": 1},
+        "task": "kinetic-grid",
+        "hamiltonian": "p1^2/2",
+        "initial": {"grid": {"axes": axes}, "density": "1"},
+        "time": {"t_final": 0.1},
+        "output": {"grid": str(tmp_path / "g.grid")},
+    }
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        tracemalloc.start()
+        try:
+            assert cli.main([command, path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # a 10**12-cell grid never comes near an allocation
+        assert capsys.readouterr().err == (
+            "config error at $.initial.grid.axes: the axis sizes multiply to more than "
+            f"{flow.MAX_GRID_CELLS} cells\n")
+    assert not (tmp_path / "g.grid").exists()
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("particles", flow.MAX_PARTICLES + 1, "$.particles"),
+    ("particles", 10 ** 400, "$.particles"),
+    ("trials", flow.MAX_TRIALS + 1, "$.trials"),
+])
+def test_particles_and_trials_past_their_budget_are_config_errors(tmp_path, capsys, key,
+                                                                   value, path):
+    cfg = _contact_grid_config(tmp_path, task="kinetic-particle", **{key: value})
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: must be between ")
+
+
+def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsys):
+    assert flow.MAX_GRID_CELLS >= 10 * 40 ** 3  # the benchmark's largest grid
+    assert flow.MAX_PARTICLES >= 10 * 480 ** 2  # and its largest ensemble
+    assert flow.MAX_TRIALS >= 10 * 25  # the default momentum-check trials
+    assert cli.main(["identity", "--chart", "symplectic", "--trials",
+                     str(flow.MAX_TRIALS + 1)]) == 2
+    assert "config error at --trials: must be between 1 and" in capsys.readouterr().err

@@ -1,17 +1,24 @@
-"""Integrator tests: pinned trajectories, convergence order, monitors."""
+"""Integrator tests: pinned trajectories, convergence order, monitors, and
+a bit-identity oracle against the array loop the coordinate-list steps replaced."""
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+from geokin import flow
 from geokin.chart import Chart, ChartKind
-from geokin.fields import Family, FieldSpec, Gauge, diagnostics
+from geokin.corpus import random_hamiltonian
+from geokin.fields import Family, FieldSpec, Gauge, catalog, diagnostics
 from geokin.flow import (
     BlowUpError,
     IntegrationError,
     IntegratorConfig,
     StepBudgetError,
+    Trajectory,
     flow_map_logdet,
     integrate,
     monitored_energy_rate,
@@ -210,3 +217,151 @@ def test_strictness_violation_surfaces_before_integration():
 
     with pytest.raises(StrictnessError):
         integrate(spec, H, [0.0, 1.0, 1.0], (0.0, 0.1), IntegratorConfig())
+
+
+def test_integrator_config_refuses_a_tolerance_the_error_scale_cannot_divide_by():
+    for bad in ({"abs_tol": 0.0}, {"abs_tol": -1e-10}, {"rel_tol": -1e-8}):
+        with pytest.raises(ValueError, match="abs_tol"):
+            IntegratorConfig(method="rk45", **bad)
+    IntegratorConfig(method="rk45", rel_tol=0.0)  # absolute control alone is fine
+
+
+# -- bit-identity oracle: the array loop the coordinate-list steps replaced --
+
+
+def reference_rk4_step(rhs, x, h):
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_rkf45_step(rhs, x, h):
+    ks = []
+    for row in flow._RKF_A:
+        xi = x.copy()
+        for a, k in zip(row, ks):
+            if a:
+                xi = xi + (h * a) * k
+        ks.append(rhs(xi))
+    x5 = x.copy()
+    x4 = x.copy()
+    for b5, b4, k in zip(flow._RKF_B5, flow._RKF_B4, ks):
+        if b5:
+            x5 = x5 + (h * b5) * k
+        if b4:
+            x4 = x4 + (h * b4) * k
+    return x5, x5 - x4
+
+
+def reference_integrate(spec, H, x0, s1, config):
+    """`integrate` on numpy state, as it ran before its state became a list
+    of floats: array steps, the array error norm, monitors evaluated on
+    arrays, and per-element CSV formatting.  None when the state leaves
+    float range."""
+    comps, h_eval, rate_eval, div_eval = flow._poly_channels(spec, H)
+
+    def rhs(x):
+        return np.array(comps(x))
+
+    with np.errstate(all="ignore"):
+        try:
+            found = _reference_states(rhs, np.asarray(x0, dtype=float), s1, config)
+        except ValueError:  # a stage evaluated the field off float range
+            found = None
+    if found is None:
+        return None
+    times, states = found
+    traj = Trajectory(spec, np.array(times), np.array(states))
+    flow._fill_monitors(traj, [h_eval(y) for y in states], [rate_eval(y) for y in states],
+                        [div_eval(y) for y in states])
+    lines = [trajectory_csv_lines(traj)[0]]
+    for k in range(len(traj.times)):
+        row = [repr(float(traj.times[k]))]
+        row.extend(repr(float(v)) for v in traj.states[k])
+        row.extend(repr(float(traj.monitors[m][k]))
+                   for m in ("hamiltonian", "predicted_dH", "divergence"))
+        lines.append(",".join(row))
+    return traj, lines
+
+
+def _reference_states(rhs, x, s1, config):
+    """The array step loop: its times and states, or None at the first
+    non-finite state."""
+    times, states = [0.0], [x.copy()]
+    if config.method == "rk4":
+        n_steps = max(1, int(round(s1 / config.step))) if s1 > 0 else 0
+        h = s1 / n_steps if n_steps else 0.0
+        for k in range(n_steps):
+            x = reference_rk4_step(rhs, x, h)
+            if not np.all(np.isfinite(x)):
+                return None
+            times.append((k + 1) * h)
+            states.append(x.copy())
+        return times, states
+    s, h = 0.0, min(config.step, s1) if s1 > 0 else 0.0
+    while s < s1:
+        h = min(h, s1 - s)
+        x_new, err = reference_rkf45_step(rhs, x, h)
+        if not np.all(np.isfinite(x_new)):
+            return None
+        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+        if err_norm <= 1.0:
+            s, x = s + h, x_new
+            times.append(s)
+            states.append(x.copy())
+        factor = 0.9 * (err_norm ** -0.2) if err_norm > 0 else 5.0
+        h = h * min(5.0, max(0.2, factor))
+    return times, states
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_error_norm_is_bit_identical_to_the_array_norm(data):
+    dim = data.draw(st.integers(2, 34))  # chart dims from symplectic n=1 to cocontact n=16
+    vectors = st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)
+    err, x, x_new = data.draw(vectors), data.draw(vectors), data.draw(vectors)
+    abs_tol = data.draw(st.sampled_from([1e-14, 1e-10, 1e-3]))
+    rel_tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-8, 0.5]))
+    scale = abs_tol + rel_tol * np.maximum(np.abs(np.array(x)), np.abs(np.array(x_new)))
+    with np.errstate(over="ignore"):
+        want = math.sqrt(float(np.mean((np.array(err) / scale) ** 2)))
+    got = flow._error_norm(err, x, x_new, abs_tol, rel_tol)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# -0.0 and exact zeros as well as generic values
+COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(ChartKind)), method=st.sampled_from(flow.METHODS),
+       data=st.data())
+def test_integrate_is_bit_identical_to_the_array_loop(kind, method, data):
+    chart = Chart(kind, data.draw(st.integers(1, 4)))  # dim 8 and up sums the norm pairwise
+    spec = data.draw(st.sampled_from(catalog(chart)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    H = random_hamiltonian(rng, chart, degree=3, terms=4, z_free=spec.family is Family.STRICT)
+    x0 = data.draw(st.lists(COORDINATE, min_size=chart.dim, max_size=chart.dim))
+    # tight tolerances keep the rk45 controller where err_norm sets the step
+    rel_tol = data.draw(st.sampled_from([1e-12, 1e-10, 1e-7]))
+    config = IntegratorConfig(method=method, step=data.draw(st.sampled_from([0.005, 0.02, 0.1])),
+                              rel_tol=rel_tol, abs_tol=rel_tol / 100)
+    s1 = data.draw(st.sampled_from([0.0, 0.01, 0.2, 0.5]))
+    want = reference_integrate(spec, H, x0, s1, config)
+    if want is None:
+        with pytest.raises(BlowUpError):
+            integrate(spec, H, x0, (0.0, s1), config)
+        reject()
+    ref, ref_lines = want
+    traj = integrate(spec, H, x0, (0.0, s1), config)
+    assert traj.times.dtype == traj.states.dtype == np.float64
+    assert traj.times.tobytes() == ref.times.tobytes()
+    assert traj.states.shape == ref.states.shape
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert traj.monitors.keys() == ref.monitors.keys()
+    for name, channel in ref.monitors.items():
+        assert traj.monitors[name].tobytes() == channel.tobytes(), name
+    assert trajectory_csv_lines(traj) == ref_lines

@@ -31,7 +31,7 @@ with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as _fh:
 SELECTED = {
     "short": None,
     "trajectory": None,
-    "kinetic": ("part2-contact-36cu", "grid1-cosymplectic-t-collapsed-96sq"),
+    "kinetic": None,
     "exact": (
         "ident0-symplectic-n1",
         "ident0-symplectic-n2",

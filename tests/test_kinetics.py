@@ -9,9 +9,11 @@ against closed-form solutions and the upwind grid oracle.
 import math
 import os
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geokin.brackets import bracket, canonical_bracket_kind
 from geokin.chart import (
@@ -24,6 +26,7 @@ from geokin.chart import (
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
 from geokin.fields import Family, FieldSpec, Gauge, divergence, make_field
+from geokin import kinetics
 from geokin.kinetics import (
     GridAxis,
     GridDensity,
@@ -333,7 +336,7 @@ def test_grid_sample_matches_poly_eval():
     f = s.parse("q1*p1 + 1/2")
     g = GridDensity.sample(s, axes, f)
     pts = g.points()
-    assert np.allclose(g.values.ravel(), f.eval_array(pts))
+    assert np.allclose(g.values.ravel(), f.eval_array(pts.T))
     assert pts.shape == (32, 2)
 
 
@@ -344,7 +347,7 @@ def test_interpolation_is_exact_on_multilinear_data():
     g = GridDensity.sample(s, axes, f)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.5, 1.5, size=(40, 2))  # interior, away from edge cells
-    assert np.allclose(g.interpolate(pts), f.eval_array(pts), atol=1e-12)
+    assert np.allclose(g.interpolate(pts), f.eval_array(pts.T), atol=1e-12)
     outside = np.array([[5.0, 0.0], [0.0, -9.0]])
     assert np.allclose(g.interpolate(outside), 0.0)
 
@@ -719,3 +722,81 @@ def test_thread_count_env_override(monkeypatch):
     assert _thread_count(None) == 6
     monkeypatch.setenv("GEOKIN_THREADS", "junk")
     assert _thread_count(None) == 1
+
+
+# -- bit-identity oracle: the (N, dim+1) array push the column push replaced --
+
+
+def reference_rk4_step(rhs, x, h):
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_push_chunk(state, X, source, h, n_steps, axes):
+    """RK4 on one row-major (N, dim+1) chunk, weight last, with a zeros
+    block for the components that do not move."""
+    dim = len(axes)
+    moving = [(k, c.eval_array) for k, c in enumerate(X.components) if not c.is_zero()]
+    src_eval = None if source is None or source.is_zero() else source.eval_array
+
+    def rhs(y):
+        x = y[:, :dim]
+        dy = np.zeros_like(y)
+        for k, eval_array in moving:
+            dy[:, k] = eval_array(x.T)
+        if src_eval is not None:
+            dy[:, dim] = src_eval(x.T) * y[:, dim]
+        return dy
+
+    escaped_mass = 0.0
+    escaped_count = 0
+    for _ in range(n_steps):
+        state = reference_rk4_step(rhs, state, h)
+        alive = np.ones(state.shape[0], dtype=bool)
+        for k, axis in enumerate(axes):
+            if axis.boundary == "periodic":
+                state[:, k] = axis.lo + np.mod(state[:, k] - axis.lo, axis.hi - axis.lo)
+            else:
+                alive &= (state[:, k] >= axis.lo) & (state[:, k] <= axis.hi)
+        if not alive.all():
+            escaped_mass += float(state[~alive, dim].sum())
+            escaped_count += int((~alive).sum())
+            state = state[alive]
+    return state, escaped_mass, escaped_count
+
+
+# signed zeros and the axis ends as well as generic values
+PUSH_VALUE = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0]), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(ChartKind)), data=st.data())
+def test_push_chunk_is_bit_identical_to_the_array_push(kind, data):
+    chart = Chart(kind, data.draw(st.integers(1, 2)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    # frozen coordinates give identically zero components (t never moves)
+    frozen = tuple(data.draw(st.sets(st.integers(0, chart.dim - 1), max_size=chart.dim - 1)))
+    H = random_poly(rng, chart.dim, degree=3, terms=4, frozen_slots=frozen)
+    X, source = kinetics._field_and_source(chart, H)
+    axes = tuple(GridAxis(name, -1.0, 1.0, 4, data.draw(st.sampled_from(["zero", "periodic"])))
+                 for name in chart.coord_names)
+    rows = data.draw(st.lists(st.lists(PUSH_VALUE, min_size=chart.dim + 1,
+                                       max_size=chart.dim + 1), min_size=1, max_size=12))
+    # plus a bulk, so that a step drops enough rows for numpy to sum them pairwise
+    bulk = np.random.default_rng(rng.randrange(2 ** 32)).uniform(
+        -1.5, 1.5, (data.draw(st.integers(0, 300)), chart.dim + 1))
+    state = np.concatenate([np.array(rows), bulk])
+    h = data.draw(st.sampled_from([0.01, 0.05, 0.2]))
+    n_steps = data.draw(st.integers(0, 6))
+    with np.errstate(all="ignore"):
+        want = reference_push_chunk(state.copy(), X, source, h, n_steps, axes)
+        columns = [np.ascontiguousarray(c) for c in state.T]
+        got = kinetics._push_chunk(columns, X, source, h, n_steps, axes)
+    assert len(got[0]) == chart.dim + 1
+    assert all(c.flags.c_contiguous and c.dtype == np.float64 for c in got[0])
+    assert np.column_stack(got[0]).tobytes() == want[0].tobytes()
+    assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
+    assert got[2] == want[2]

@@ -153,7 +153,7 @@ def test_eval_array_matches_scalar():
         dim = len(names)
         rows = pts[:, :dim]
         for p in (random_poly(rng, dim, degree=4, terms=8), parse("3/7", names), Poly.zero(dim)):
-            vec = p.eval_array(rows)
+            vec = p.eval_array(rows.T)
             assert vec.shape == (len(rows),) and vec.dtype == np.float64
             # the same term walk: bit-identical, not merely close
             assert np.array_equal(vec, [p.eval(row) for row in rows])
@@ -227,8 +227,8 @@ def test_kernel_is_bit_identical_to_the_reference_walk(data):
         assert struct.pack("<d", p.eval(row)) == struct.pack("<d", want)
     want = reference_walk(p, [pts[:, i] for i in range(p.dim)])
     want = np.broadcast_to(np.asarray(want, dtype=float), (len(pts),))
-    assert p.eval_array(pts).tobytes() == want.tobytes()
-    assert p.eval_array(pts).tobytes() == np.array([p.eval(row) for row in pts]).tobytes()
+    assert p.eval_array(pts.T).tobytes() == want.tobytes()
+    assert p.eval_array(pts.T).tobytes() == np.array([p.eval(row) for row in pts]).tobytes()
 
 
 def test_kernel_is_built_once_and_the_checks_still_fire():
@@ -238,7 +238,7 @@ def test_kernel_is_built_once_and_the_checks_still_fire():
     kernel = p._kernel
     assert kernel is not None
     p.eval([2.0, 3.0])
-    p.eval_array(np.ones((4, 2)))
+    p.eval_array(np.ones((4, 2)).T)
     assert p._kernel is kernel and p.eval([0.5, -1.5]) == first
     assert (p + 0)._kernel is None  # a new polynomial compiles its own
     for bad in ([1.0], [1.0, 2.0, 3.0]):
@@ -247,8 +247,11 @@ def test_kernel_is_built_once_and_the_checks_still_fire():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             p.eval([bad, 0.0])
-    with pytest.raises(ValueError, match="shape"):
-        p.eval_array(np.ones((4, 3)))
+    for bad in (np.ones((4, 3)).T, [np.ones(4), np.ones(3)], [1.0, 2.0], np.ones((2, 4, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            p.eval_array(bad)
+    columns = [np.array([0.5, 2.0]), np.array([-1.5, 3.0])]  # a list of columns, or an array's .T
+    assert p.eval_array(columns).tolist() == [first, p.eval([2.0, 3.0])]
     assert p._kernel is kernel
 
 
