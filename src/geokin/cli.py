@@ -27,8 +27,9 @@ from functools import reduce
 from .chart import Chart, ChartKind, OneFormExpr
 from .fields import Family, FieldSpec, Gauge, StrictnessError, diagnostics, make_field
 from .flow import (
-    MAX_GRID_CELLS,
+    MAX_GRID_VALUES,
     MAX_PARTICLES,
+    MAX_PUSH_VALUES,
     MAX_TRIALS,
     METHODS,
     IntegrationError,
@@ -99,7 +100,11 @@ class Scenario:
         self.seed = cfg["seed"]
         self.trials = cfg["trials"] or (20 if task == "identity-check" else 25)
         self.threads = cfg["threads"]
-        self.particle_count = cfg["particles"]
+        self.particle_count = count = cfg["particles"]
+        if count * (chart.dim + 1) > MAX_PUSH_VALUES:
+            raise ConfigError("$.particles", f"{count} particles x {chart.dim + 1} values exceed "
+                                             f"the push budget of {MAX_PUSH_VALUES}; at most "
+                                             f"{MAX_PUSH_VALUES // (chart.dim + 1)} on this chart")
         self.output = cfg["output"]
 
         time = cfg["time"]
@@ -140,13 +145,14 @@ class Scenario:
             # surface strictness, and degree or float overflow in what a solver
             # evaluates, before any solver runs
             try:
-                evaluated = list(make_field(self.field, H).components)
+                if task in _KINETIC_TASKS:  # self.field is their one row, checked above
+                    X, source = _field_and_source(chart, H)
+                    evaluated = [*X.components, source or chart.zero()]
+                else:
+                    evaluated = list(make_field(self.field, H).components)
                 if task == "simulate":
                     diag = diagnostics(self.field, H)
                     evaluated += [diag.dH_along_flow, diag.divergence]
-                elif task in _KINETIC_TASKS:
-                    X, source = _field_and_source(chart, H)
-                    evaluated += [*X.components, source or chart.zero()]
                 _check_float_range(evaluated)
             except (StrictnessError, DegreeOverflowError) as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
@@ -163,9 +169,10 @@ class Scenario:
         self.axes = None if initial["grid"] is None else tuple(
             self._axis(i, name, entry)
             for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
-        if self.axes is not None and math.prod(a.size for a in self.axes) > MAX_GRID_CELLS:
+        most = MAX_GRID_VALUES // chart.dim  # cells x dim values for the points and velocities
+        if self.axes is not None and math.prod(a.size for a in self.axes) > most:
             raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
-                                                     f"{MAX_GRID_CELLS} cells")
+                                                     f"{most} cells")
 
         if isinstance(self.output["grid"], str):
             self.output["grid"] = [self.output["grid"]]

@@ -38,9 +38,13 @@ from .poly import Poly
 METHODS = ("rk4", "rk45")
 MAX_STEPS = 2_000_000  # the step budget of every solver loop
 # What one config may ask for, each at least 10x the largest benchmark or
-# test input (64 000 cells, 230 400 particles, 25 trials); `cli` refuses more.
-MAX_GRID_CELLS = 1_000_000  # the product of the grid axis sizes
-MAX_PARTICLES = 2_500_000
+# test input (64 000 cells of 3 coordinates, 230 400 particles of 2 plus a
+# weight, 25 trials); `cli` refuses more.  The grid and particle budgets
+# count float64 values, so a chart with more coordinates gets fewer of each.
+MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity grids
+MAX_PUSH_VALUES = 7_500_000  # particles x (dim + 1): one copy of the push state
+MAX_GRID_CELLS = MAX_GRID_VALUES // 2  # the most cells and particles, reached
+MAX_PARTICLES = MAX_PUSH_VALUES // 3  # on the two-coordinate charts
 MAX_TRIALS = 1_000
 
 

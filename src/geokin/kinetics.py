@@ -23,16 +23,22 @@ re-derived in a regression test, is
 i.e. df/ds = {H,f} + (n+3) f R_eta(H) on contact and cocontact charts
 and the plain bracket equation elsewhere.
 
-Solvers.  The particle solver pushes a jittered-lattice ensemble along
-the Hamiltonian/gauge-zero flow with per-particle weights obeying
-dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
-contraction n+1), then deposits cloud-in-cell.  The push state is dim+1
-contiguous columns, weight last, stepped by `flow`'s RK4 step along one
-path: one chunk per worker, mapped in the calling thread or a thread
-pool, and stacked into the final ensemble once, at the end.
-The grid solver is the independent oracle: method of lines with
-first-order upwind transport per advecting axis, the pointwise source
-(n+2) R_eta(H) f, and SSP-RK3 in time under an explicit CFL guard.
+Solvers.  Both start from one setup, `_transport`: it checks the chart
+and the times, builds the Hamiltonian/gauge-zero field and its z-source,
+evaluates the field on the grid, refuses a collapsed axis with transport
+across it and an active axis under 32 cells, and returns the CFL limit.
+Past that setup they share no numerics.  The particle solver takes the
+initial density in closed form (a `Poly` or a callable) plus the grid
+axes.  It pushes a jittered-lattice ensemble along the flow with
+per-particle weights obeying dw/ds = R_eta(H) w (the material growth
+rate n+2 minus the volume contraction n+1), then deposits cloud-in-cell.
+The push state is dim+1 contiguous columns, weight last, stepped by
+`flow`'s RK4 step along one path: one chunk per worker, mapped in the
+calling thread or a thread pool, and stacked into the final ensemble
+once, at the end.  The grid solver is the independent oracle: from a
+sampled `GridDensity`, method of lines with first-order upwind transport
+per advecting axis, the pointwise source (n+2) R_eta(H) f, and SSP-RK3
+in time under an explicit CFL guard.
 """
 
 from __future__ import annotations
@@ -251,6 +257,16 @@ class GridAxis:
         return self.lo + (np.arange(self.size) + 0.5) * self.dx
 
 
+Density = Poly | Callable[[np.ndarray], np.ndarray]  # a density in closed form
+
+
+def _evaluate(density: Density, pts: np.ndarray) -> np.ndarray:
+    """A closed-form density at (N, dim) points."""
+    if isinstance(density, Poly):
+        return density.eval_array(pts.T)
+    return np.asarray(density(pts), dtype=float)
+
+
 def _cic_corners(axes: Sequence[GridAxis], pts: np.ndarray, weight: np.ndarray):
     """The cloud-in-cell stencil: per cell-center corner around the points,
     yield (flat cell index, weight times corner weight, in-grid mask)."""
@@ -314,15 +330,11 @@ class GridDensity:
         return np.stack([g.ravel() for g in grids], axis=1)
 
     @classmethod
-    def sample(
-        cls, chart: Chart, axes: Sequence[GridAxis], func: Poly | Callable[[np.ndarray], np.ndarray]
-    ) -> "GridDensity":
+    def sample(cls, chart: Chart, axes: Sequence[GridAxis], func: Density) -> "GridDensity":
         axes = tuple(axes)
         shape = tuple(a.size for a in axes)
         grid = cls(chart, axes, np.zeros(shape))
-        pts = grid.points()
-        vals = func.eval_array(pts.T) if isinstance(func, Poly) else np.asarray(func(pts), float)
-        grid.values = vals.reshape(shape)
+        grid.values = _evaluate(func, grid.points()).reshape(shape)
         return grid
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
@@ -386,37 +398,36 @@ def _field_and_source(chart: Chart, H: Poly):
     return X, source
 
 
-def _velocity_grids(grid: GridDensity, X: VectorFieldExpr) -> list[np.ndarray]:
-    pts = grid.points()
-    shape = grid.values.shape
-    return [c.eval_array(pts.T).reshape(shape) for c in X.components]
+def _transport(chart: Chart, H: Poly, grid: GridDensity, t_final: float, dt: float | None,
+               cfl: float):
+    """The setup both solvers share, checked in this order: the chart, the
+    times, then each axis against the field's velocity on the grid.
 
-
-def _check_grid_vs_field(grid: GridDensity, vel: list[np.ndarray]) -> list[int]:
-    """Active axes; collapsed axes must carry no transport."""
-    active = []
-    for k, axis in enumerate(grid.axes):
-        moving = bool(np.max(np.abs(vel[k])) > 0.0)
+    Returns (X, source, vel, active, limit): the field, the z-source (None
+    off z-charts), each component's velocity grid, the active axes, and the
+    CFL limit cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves).
+    """
+    if grid.chart != chart or H.dim != chart.dim:
+        raise ValueError("grid, Hamiltonian and chart must agree")
+    if not t_final >= 0 or dt is not None and not dt > 0:
+        raise ValueError("need dt > 0 and t_final >= 0")
+    X, source = _field_and_source(chart, H)
+    pts = grid.points().T
+    vel, active, rate = [], [], 0.0
+    for k, (axis, component) in enumerate(zip(grid.axes, X.components)):
+        vel.append(component.eval_array(pts).reshape(grid.values.shape))
+        speed = float(np.max(np.abs(vel[k])))
         if axis.size == 1:
-            if moving:
+            if speed > 0.0:
                 raise ValueError(
                     f"axis {axis.name} is collapsed but its advection velocity is nonzero"
                 )
+        elif axis.size < 32:
+            raise ValueError(f"axis {axis.name}: active axes need at least 32 cells")
         else:
-            if axis.size < 32:
-                raise ValueError(f"axis {axis.name}: active axes need at least 32 cells")
             active.append(k)
-    return active
-
-
-def _cfl_limit(grid: GridDensity, vel: list[np.ndarray], active: list[int], cfl: float) -> float:
-    rate = 0.0
-    for k in active:
-        vmax = float(np.max(np.abs(vel[k])))
-        rate += vmax / grid.axes[k].dx
-    if rate == 0.0:
-        return math.inf
-    return cfl / rate
+            rate += speed / axis.dx
+    return X, source, vel, active, cfl / rate if rate else math.inf
 
 
 def _upwind_term(values: np.ndarray, v: np.ndarray, axis_idx: int, axis: GridAxis) -> np.ndarray:
@@ -451,17 +462,11 @@ def solve_density_grid(
 
     First-order upwind transport along each active axis, pointwise
     source (n+2) R_eta(H) f on z-charts, SSP-RK3 in time.  Raises
-    StabilityError if the requested dt violates the CFL bound, and
-    ValueError if the run needs more than `flow.MAX_STEPS` steps.
+    ValueError where `_transport` refuses the setup or the run needs more
+    than `flow.MAX_STEPS` steps, and StabilityError if the requested dt
+    violates the CFL bound.
     """
-    if f0.chart != chart or H.dim != chart.dim:
-        raise ValueError("grid, Hamiltonian and chart must agree")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
-    X, source = _field_and_source(chart, H)
-    vel = _velocity_grids(f0, X)
-    active = _check_grid_vs_field(f0, vel)
-    limit = _cfl_limit(f0, vel, active, cfl)
+    _, source, vel, active, limit = _transport(chart, H, f0, t_final, dt, cfl)
     if dt is None:
         dt = limit if math.isfinite(limit) else max(t_final, 1e-3)
     elif dt > limit:
@@ -497,7 +502,7 @@ def seed_particles(
     f0: GridDensity,
     particle_count: int,
     seed: int = 0,
-    density: Poly | Callable[[np.ndarray], np.ndarray] | None = None,
+    density: Density | None = None,
 ) -> ParticleEnsemble:
     """Jittered-lattice sampling of f0 into weighted particles.
 
@@ -529,12 +534,7 @@ def seed_particles(
         if m > 1:
             step = (axis.hi - axis.lo) / m
             pts[:, k] += (rng.random(pts.shape[0]) - 0.5) * step
-    if isinstance(density, Poly):
-        weights = density.eval_array(pts.T) * vol
-    elif density is not None:
-        weights = np.asarray(density(pts), dtype=float) * vol
-    else:
-        weights = f0.interpolate(pts) * vol
+    weights = (f0.interpolate(pts) if density is None else _evaluate(density, pts)) * vol
     return ParticleEnsemble(f0.chart, pts, weights)
 
 
@@ -547,16 +547,6 @@ def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity
         np.add.at(acc.ravel(), flat, np.where(valid, weight, 0.0))
     grid.values = acc / grid.cell_volume
     return grid
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("GEOKIN_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _push_chunk(
@@ -604,53 +594,44 @@ def _push_chunk(
 def solve_density_particle(
     chart: Chart,
     H: Poly,
-    f0: GridDensity | Poly | Callable[[np.ndarray], np.ndarray],
+    f0: Density,
     t_final: float,
     dt: float,
     particle_count: int,
     seed: int = 0,
     threads: int | None = None,
-    axes: Sequence[GridAxis] | None = None,
+    *,
+    axes: Sequence[GridAxis],
 ) -> ParticleKineticResult:
     """Characteristics solver for the density equation.
 
-    Seeds from f0 (a grid, or an exact density plus `axes`), pushes
-    along the Hamiltonian/gauge-zero field with the weight ODE
-    dw/ds = R_eta(H) w, drops and reports particles that leave
-    zero-boundary axes, and deposits the survivors back onto the seed
-    grid.  GEOKIN_THREADS (or `threads`), capped at the CPU count,
-    splits the ensemble into independently pushed chunks; the answer
-    does not depend on the split.  A run of more than `flow.MAX_STEPS`
-    steps is refused with ValueError before seeding.
+    f0 is the initial density in closed form, a `Poly` or a callable on
+    (N, dim) points, and `axes` the grid it lives on.  After the setup it
+    shares with the grid solver (`_transport`, with the particle guard at
+    4x the CFL limit), it seeds weights from f0 exactly, pushes along the
+    Hamiltonian/gauge-zero field with the weight ODE dw/ds = R_eta(H) w,
+    drops and reports particles that leave zero-boundary axes, and
+    deposits the survivors onto `axes`.  `threads` workers (one when None
+    or below 1), capped at the CPU count, push independent chunks of the
+    ensemble; the answer does not depend on the split.  A run of more
+    than `flow.MAX_STEPS` steps is refused with ValueError before seeding.
     """
-    density = None
-    if not isinstance(f0, GridDensity):
-        if axes is None:
-            raise ValueError("axes are required when f0 is given in closed form")
-        density = f0
-        f0 = GridDensity.sample(chart, axes, f0)
-    if f0.chart != chart or H.dim != chart.dim:
-        raise ValueError("grid, Hamiltonian and chart must agree")
-    if dt <= 0 or t_final < 0:
-        raise ValueError("need dt > 0 and t_final >= 0")
-    X, source = _field_and_source(chart, H)
-    vel = _velocity_grids(f0, X)
-    active = _check_grid_vs_field(f0, vel)
-    limit = _cfl_limit(f0, vel, active, 1.0)
+    grid = GridDensity.sample(chart, axes, f0)
     # particles tolerate larger steps than the grid; guard at 4x CFL
-    if dt > 4.0 * limit:
-        raise StabilityError(f"dt={dt!r} exceeds the particle guard {4.0 * limit!r}")
+    X, source, _, _, guard = _transport(chart, H, grid, t_final, dt, 4.0)
+    if dt > guard:
+        raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
     n_steps = _step_count(t_final, dt)
     h = t_final / n_steps if n_steps else 0.0
-    seeded = seed_particles(f0, particle_count, seed=seed, density=density)
+    seeded = seed_particles(grid, particle_count, seed=seed, density=f0)
     mass_initial = seeded.total_weight()
-    workers = min(_thread_count(threads), os.cpu_count() or 1)
+    workers = min(max(1, threads or 1), os.cpu_count() or 1)
     bounds = [(len(seeded.weights) * i) // workers for i in range(workers + 1)]
     columns = [*seeded.positions.T, seeded.weights]
     chunks = [[np.ascontiguousarray(c[lo:hi]) for c in columns]
               for lo, hi in zip(bounds, bounds[1:])]
     del seeded, columns  # the chunks now hold the ensemble
-    push = functools.partial(_push_chunk, X=X, source=source, h=h, n_steps=n_steps, axes=f0.axes)
+    push = functools.partial(_push_chunk, X=X, source=source, h=h, n_steps=n_steps, axes=grid.axes)
     if workers == 1:
         parts = list(map(push, chunks))
     else:
@@ -663,7 +644,7 @@ def solve_density_particle(
     final = ParticleEnsemble(chart, np.column_stack(positions), weights)
     return ParticleKineticResult(
         ensemble=final,
-        deposited=deposit(final, f0.axes),
+        deposited=deposit(final, grid.axes),
         mass_initial=mass_initial,
         mass_final=final.total_weight(),
         escaped_mass=sum(p[1] for p in parts),

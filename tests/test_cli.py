@@ -490,9 +490,60 @@ def test_particles_and_trials_past_their_budget_are_config_errors(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"config error at {path}: must be between ")
 
 
+def _wide_chart_config(tmp_path, task, particles, size):
+    """A cocontact n=16 kinetic config (34 coordinates): q1 and p1 carry
+    `size` cells each and every other axis is collapsed."""
+    chart = Chart(ChartKind.COCONTACT, 16)
+    axes = [{"lo": -2.0, "hi": 2.0, "size": size if name in ("q1", "p1") else 1}
+            for name in chart.coord_names]
+    return {
+        "chart": {"kind": "cocontact", "n": 16},
+        "task": task,
+        "hamiltonian": "p1^2/2",
+        "particles": particles,
+        "initial": {"grid": {"axes": axes}, "density": "1"},
+        "time": {"t_final": 0.1, "dt": 0.01},
+        "output": {"grid": str(tmp_path / "g.grid")},
+    }
+
+
+@pytest.mark.parametrize("task, particles, size, path, message", [
+    # 2 500 000 particles x 35 values: about 700 MB for one copy of the push state
+    pytest.param("kinetic-particle", flow.MAX_PARTICLES, 32, "$.particles",
+                 f"2500000 particles x 35 values exceed the push budget of "
+                 f"{flow.MAX_PUSH_VALUES}; at most {flow.MAX_PUSH_VALUES // 35} on this chart",
+                 id="particles"),
+    # 512^2 cells x 34 coordinates: fewer cells than MAX_GRID_CELLS, too many values
+    pytest.param("kinetic-grid", 100_000, 512, "$.initial.grid.axes",
+                 f"the axis sizes multiply to more than {flow.MAX_GRID_VALUES // 34} cells",
+                 id="cells"),
+])
+def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task, particles,
+                                                          size, path, message):
+    assert size ** 2 <= flow.MAX_GRID_CELLS
+    cfg_path = write_config(tmp_path, _wide_chart_config(tmp_path, task, particles, size))
+    for command in ("validate", "run"):
+        tracemalloc.start()
+        try:
+            assert cli.main([command, cfg_path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20  # refused before the push state or a grid is allocated
+        assert capsys.readouterr().err == f"config error at {path}: {message}\n"
+    assert not (tmp_path / "g.grid").exists()
+
+
+def test_budgets_leave_the_default_particles_on_the_widest_chart(tmp_path, capsys):
+    cfg = _wide_chart_config(tmp_path, "kinetic-particle", 100_000, 32)
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+
+
 def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsys):
     assert flow.MAX_GRID_CELLS >= 10 * 40 ** 3  # the benchmark's largest grid
     assert flow.MAX_PARTICLES >= 10 * 480 ** 2  # and its largest ensemble
+    assert flow.MAX_GRID_VALUES >= 10 * 40 ** 3 * 3  # that grid on its 3-coordinate chart
+    assert flow.MAX_PUSH_VALUES >= 10 * 480 ** 2 * 3  # that ensemble: 2 coordinates, a weight
     assert flow.MAX_TRIALS >= 10 * 25  # the default momentum-check trials
     assert cli.main(["identity", "--chart", "symplectic", "--trials",
                      str(flow.MAX_TRIALS + 1)]) == 2

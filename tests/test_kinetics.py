@@ -488,16 +488,7 @@ def test_grid_guards():
     g0 = GridDensity.sample(s, axes, _gauss((1, 0), (0.3, 0.3)))
     with pytest.raises(StabilityError):
         solve_density_grid(s, H, g0, t_final=0.5, dt=0.5)
-    # collapsed axis with transport across it
-    thin = (GridAxis("q1", -2, 2, 1), GridAxis("p1", -2, 2, 64))
-    g1 = GridDensity.sample(s, thin, _gauss((0, 0), (None, 0.3)))
-    with pytest.raises(ValueError):
-        solve_density_grid(s, H, g1, t_final=0.1)
-    # under-resolved active axis
-    coarse = (GridAxis("q1", -2, 2, 16), GridAxis("p1", -2, 2, 64))
-    g2 = GridDensity.sample(s, coarse, _gauss((0, 0), (0.3, 0.3)))
-    with pytest.raises(ValueError):
-        solve_density_grid(s, H, g2, t_final=0.1)
+    # the axis and chart checks are shared: test_both_solvers_refuse_the_same_bad_grids
 
 
 # -- particle solver ---------------------------------------------------
@@ -669,8 +660,10 @@ def test_particle_threads_do_not_change_the_answer():
     assert one.mass_final == three.mass_final
 
 
-@pytest.mark.parametrize("threads, env", [(1_000_000, None), (None, "1000000")])
-def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, env):
+@pytest.mark.parametrize("threads, pool", [(1_000_000, [3]), (None, []), (0, []), (-2, [])],
+                         ids=["huge", "none", "zero", "negative"])
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, pool):
+    # a huge `threads` asks for no more workers than CPUs; None or below 1 means one
     import concurrent.futures
 
     requested = []
@@ -697,7 +690,6 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, env):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.delenv("GEOKIN_THREADS", raising=False)
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
     kw = dict(t_final=0.04, dt=0.02, particle_count=1_000, seed=3, axes=axes)
@@ -705,23 +697,55 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, env):
     H = s.parse("p1^2/2 + q1^2/2")
     one = solve_density_particle(s, H, f0, threads=1, **kw)
     assert requested == []
-    if env is not None:
-        monkeypatch.setenv("GEOKIN_THREADS", env)
     capped = solve_density_particle(s, H, f0, threads=threads, **kw)
-    assert requested == [3]
+    assert requested == pool
     assert np.array_equal(one.deposited.values, capped.deposited.values)
 
 
-def test_thread_count_env_override(monkeypatch):
-    from geokin.kinetics import _thread_count
+# -- the setup both solvers share --------------------------------------
 
-    monkeypatch.delenv("GEOKIN_THREADS", raising=False)
-    assert _thread_count(None) == 1
-    assert _thread_count(4) == 4
-    monkeypatch.setenv("GEOKIN_THREADS", "6")
-    assert _thread_count(None) == 6
-    monkeypatch.setenv("GEOKIN_THREADS", "junk")
-    assert _thread_count(None) == 1
+
+def _solve(solver, chart, H, axes, f0, t_final=0.1, dt=None):
+    if solver == "grid":
+        return solve_density_grid(chart, H, GridDensity.sample(chart, axes, f0), t_final, dt)
+    return solve_density_particle(chart, H, f0, t_final, 0.01 if dt is None else dt, 1_000,
+                                  axes=axes)
+
+
+_SYM = Chart(ChartKind.SYMPLECTIC, 1)
+
+
+@pytest.mark.parametrize("solver", ["grid", "particle"])
+@pytest.mark.parametrize("axes, H, match", [
+    ((GridAxis("q1", -2, 2, 1), GridAxis("p1", -2, 2, 64)), _SYM.parse("(q1^2 + p1^2)/2"),
+     "axis q1 is collapsed but its advection velocity is nonzero"),
+    ((GridAxis("q1", -2, 2, 16), GridAxis("p1", -2, 2, 64)), _SYM.parse("(q1^2 + p1^2)/2"),
+     "axis q1: active axes need at least 32 cells"),
+    ((GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64)),
+     Chart(ChartKind.SYMPLECTIC, 2).parse("p1^2/2"), "grid, Hamiltonian and chart must agree"),
+], ids=["collapsed-but-moving", "under-32-cells", "chart-mismatch"])
+def test_both_solvers_refuse_the_same_bad_grids(solver, axes, H, match):
+    with pytest.raises(ValueError, match=match):
+        _solve(solver, _SYM, H, axes, _gauss((0.0, 0.0), (0.3, 0.3)))
+
+
+@pytest.mark.parametrize("solver", ["grid", "particle"])
+@pytest.mark.parametrize("t_final, dt", [(-0.1, 0.01), (0.1, 0.0), (0.1, -0.01)])
+def test_both_solvers_refuse_bad_times(solver, t_final, dt):
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+    with pytest.raises(ValueError, match=r"need dt > 0 and t_final >= 0"):
+        _solve(solver, _SYM, _SYM.parse("p1^2/2"), axes, _gauss((0.0, 0.0), (0.5, 0.5)),
+               t_final, dt)
+
+
+@pytest.mark.parametrize("solver", ["grid", "particle"])
+def test_each_solver_call_runs_the_shared_setup_once(monkeypatch, solver):
+    calls = []
+    setup = kinetics._transport
+    monkeypatch.setattr(kinetics, "_transport", lambda *a: calls.append(a) or setup(*a))
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+    _solve(solver, _SYM, _SYM.parse("p1^2/2"), axes, _gauss((0.0, 0.0), (0.5, 0.5)), 0.04)
+    assert len(calls) == 1
 
 
 # -- bit-identity oracle: the (N, dim+1) array push the column push replaced --
