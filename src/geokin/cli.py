@@ -169,8 +169,9 @@ class Scenario:
         self.axes = None if initial["grid"] is None else tuple(
             self._axis(i, name, entry)
             for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
+        cells = math.prod(a.size for a in self.axes) if self.axes else 0
         most = MAX_GRID_VALUES // chart.dim  # cells x dim values for the points and velocities
-        if self.axes is not None and math.prod(a.size for a in self.axes) > most:
+        if cells > most:
             raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
                                                      f"{most} cells")
 
@@ -181,6 +182,10 @@ class Scenario:
             raise ConfigError("$.output.grid", f"expected {count} paths, one per snapshot")
         if task == "kinetic-particle" and count > 1:
             raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
+        # the grid solver holds every snapshot until the run ends
+        if task == "kinetic-grid" and count * cells > MAX_GRID_VALUES:
+            raise ConfigError("$.time.snapshots", f"{count} snapshots of the grid exceed the "
+                                                  f"budget of {MAX_GRID_VALUES} values")
         if task == "momentum-check" and self.one_form is not None and self.hamiltonian is None:
             raise ConfigError("$.hamiltonian", "required when initial.one_form is given")
 
@@ -307,16 +312,10 @@ def _run_momentum(s: Scenario) -> int:
 def _run_kinetic_grid(s: Scenario) -> int:
     f0 = GridDensity.sample(s.chart, s.axes, s.density)
     snapshots = s.snapshots or [float(s.t_final)]
-    outputs = s.output["grid"]
-    current, reached = f0, 0.0
-    for target, path in zip(snapshots, outputs):
-        current = solve_density_grid(
-            s.chart, s.hamiltonian, current, target - reached,
-            dt=s.dt, cfl=float(s.cfl),
-        )
-        reached = target
-        write_grid(current, _prepare(path))
-        print(f"kinetic-grid: s={target:g} mass={current.total_mass():.9g} -> {path}")
+    grids = solve_density_grid(s.chart, s.hamiltonian, f0, snapshots, dt=s.dt, cfl=float(s.cfl))
+    for target, path, grid in zip(snapshots, s.output["grid"], grids):
+        write_grid(grid, _prepare(path))
+        print(f"kinetic-grid: s={target:g} mass={grid.total_mass():.9g} -> {path}")
     return 0
 
 

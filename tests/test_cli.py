@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -393,12 +394,51 @@ def test_kinetic_runs_past_the_step_budget_are_refused_before_stepping(tmp_path,
         raise AssertionError("a step ran")
 
     monkeypatch.setattr(kinetics, "_rk4_step", no_step)  # the particle push
-    monkeypatch.setattr(kinetics, "_upwind_term", no_step)  # the grid step
+    monkeypatch.setattr(kinetics, "_ssp_rk3_step", no_step)  # the grid step
     path = write_config(tmp_path, _kinetic_config(tmp_path, task, "p1^2/2", 1e9, 0.01))
     assert cli.main(["run", path]) == 1
     assert capsys.readouterr().err == (
         "error: t_final/dt = 1e+11 steps exceed the budget of 2000000\n")
     assert not (tmp_path / "g.grid").exists()
+
+
+def test_a_late_snapshot_past_the_step_budget_is_refused_before_stepping(tmp_path, capsys,
+                                                                         monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(kinetics, "_ssp_rk3_step", no_step)
+    cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2", None, 0.01)
+    outs = [str(tmp_path / f"snap{k}.grid") for k in range(3)]
+    cfg["time"] = {"snapshots": [0.02, 0.04, 1e9], "dt": 0.01}
+    cfg["output"] = {"grid": outs}
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_final/dt = 1e+11 steps exceed the budget of 2000000\n")
+    assert not any(os.path.exists(out) for out in outs)
+
+
+def test_grid_snapshots_past_the_value_budget_are_refused_without_allocating(tmp_path, capsys):
+    # 1000^2 cells x 2 coordinates fit the grid budget; three snapshots of them do not
+    cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2", None, 0.01)
+    cfg["initial"]["grid"]["axes"] = [{"lo": -2.0, "hi": 2.0, "size": 1000}] * 2
+    cfg["time"] = {"snapshots": [0.01, 0.02, 0.03]}
+    cfg["output"] = {"grid": [str(tmp_path / f"snap{k}.grid") for k in range(3)]}
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        tracemalloc.start()
+        try:
+            assert cli.main([command, path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert capsys.readouterr().err == (
+            "config error at $.time.snapshots: 3 snapshots of the grid exceed the budget of "
+            f"{flow.MAX_GRID_VALUES} values\n")
+    cfg["time"]["snapshots"] = [0.01, 0.02]
+    cfg["output"]["grid"] = cfg["output"]["grid"][:2]
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
 
 
 def _contact_grid_config(tmp_path, **overrides):

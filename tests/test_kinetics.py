@@ -6,6 +6,8 @@ commute exactly.  The numeric half validates the particle solver
 against closed-form solutions and the upwind grid oracle.
 """
 
+import itertools
+import json
 import math
 import os
 import random
@@ -26,7 +28,7 @@ from geokin.chart import (
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
 from geokin.fields import Family, FieldSpec, Gauge, divergence, make_field
-from geokin import kinetics
+from geokin import cli, kinetics
 from geokin.kinetics import (
     GridAxis,
     GridDensity,
@@ -386,7 +388,7 @@ def test_seed_then_deposit_reproduces_density():
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
     f0 = _gauss((0.0, 0.0), (0.4, 0.4))
     g0 = GridDensity.sample(s, axes, f0)
-    ens = seed_particles(g0, 90_000, seed=9, density=f0)
+    ens = seed_particles(s, f0, 90_000, seed=9, axes=axes)
     redeposited = deposit(ens, axes)
     assert redeposited.l1_distance(g0) <= 0.02 * g0.l1_norm()
     assert ens.total_weight() == pytest.approx(g0.total_mass(), rel=0.01)
@@ -396,14 +398,14 @@ def test_seed_is_reproducible_and_seed_sensitive():
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
     g0 = GridDensity.sample(s, axes, _gauss((0, 0), (0.5, 0.5)))
-    a = seed_particles(g0, 2_000, seed=1)
-    b = seed_particles(g0, 2_000, seed=1)
-    c = seed_particles(g0, 2_000, seed=2)
+    a = seed_particles(s, g0.interpolate, 2_000, seed=1, axes=axes)
+    b = seed_particles(s, g0.interpolate, 2_000, seed=1, axes=axes)
+    c = seed_particles(s, g0.interpolate, 2_000, seed=2, axes=axes)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.weights, b.weights)
     assert not np.array_equal(a.positions, c.positions)
     with pytest.raises(ValueError):
-        seed_particles(g0, 999)
+        seed_particles(s, g0.interpolate, 999, axes=axes)
 
 
 def test_grid_file_roundtrip(tmp_path):
@@ -459,7 +461,7 @@ def test_grid_zero_field_is_identity():
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
     g0 = GridDensity.sample(s, axes, _gauss((0, 0), (0.5, 0.5)))
-    out = solve_density_grid(s, s.zero(), g0, t_final=1.0)
+    [out] = solve_density_grid(s, s.zero(), g0, [1.0])
     # stage recombination rounds at 1 ulp; nothing else may move
     assert np.max(np.abs(out.values - g0.values)) <= 1e-14 * np.max(g0.values)
 
@@ -469,7 +471,7 @@ def test_grid_rigid_rotation_moves_center_one_quarter_turn():
     H = s.parse("(q1^2 + p1^2)/2")
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
     g0 = GridDensity.sample(s, axes, _gauss((1.0, 0.0), (0.25, 0.25)))
-    out = solve_density_grid(s, H, g0, t_final=math.pi / 2)
+    [out] = solve_density_grid(s, H, g0, [math.pi / 2])
     pts = out.points()
     mass = out.values.ravel()
     q_bar = float((pts[:, 0] * mass).sum() / mass.sum())
@@ -487,7 +489,7 @@ def test_grid_guards():
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
     g0 = GridDensity.sample(s, axes, _gauss((1, 0), (0.3, 0.3)))
     with pytest.raises(StabilityError):
-        solve_density_grid(s, H, g0, t_final=0.5, dt=0.5)
+        solve_density_grid(s, H, g0, [0.5], dt=0.5)
     # the axis and chart checks are shared: test_both_solvers_refuse_the_same_bad_grids
 
 
@@ -587,7 +589,7 @@ def test_particle_vs_grid_cross_oracle_contact_decay():
     f0 = _gauss((None, 0.0, 0.0), (None, 0.9, 0.9))
     t = 0.5
     particle = solve_density_particle(c, H, f0, t_final=t, dt=0.01, particle_count=100_000, seed=5, axes=_CONTACT_AXES)
-    grid = solve_density_grid(c, H, GridDensity.sample(c, _CONTACT_AXES, f0), t_final=t)
+    [grid] = solve_density_grid(c, H, GridDensity.sample(c, _CONTACT_AXES, f0), [t])
     ref = GridDensity.sample(c, _CONTACT_AXES, _contact_exact(f0, t))
     assert particle.deposited.l1_distance(grid) <= 0.05 * ref.l1_norm()
 
@@ -604,7 +606,7 @@ def test_grid_contact_decay_converges_first_order():
             GridAxis("z", -2.0, 2.0, cells),
         )
         f0 = _gauss((None, 0.5, 0.4), (None, 0.5, 0.5))
-        grid = solve_density_grid(c, H, GridDensity.sample(c, axes, f0), t_final=t)
+        [grid] = solve_density_grid(c, H, GridDensity.sample(c, axes, f0), [t])
         ref = GridDensity.sample(c, axes, _contact_exact(f0, t))
         errs.append(grid.l1_distance(ref) / ref.l1_norm())
     assert errs[0] <= 0.10  # upwind diffusion level at 64^2
@@ -644,20 +646,47 @@ def test_particle_guard_rejects_oversized_step():
         solve_density_particle(s, H, _gauss((0, 0), (0.3, 0.3)), t_final=1.0, dt=2.0, particle_count=2_000, axes=axes)
 
 
-def test_particle_threads_do_not_change_the_answer():
+def _contact_no_escapes():
     c = Chart(ChartKind.CONTACT, 1)
-    H = c.parse("z")
     axes = (
         GridAxis("q1", -0.5, 0.5, 1),
         GridAxis("p1", -2.0, 2.0, 64),
         GridAxis("z", -2.0, 2.0, 64),
     )
     f0 = _gauss((None, 0.5, 0.5), (None, 0.4, 0.4))
-    kw = dict(t_final=0.3, dt=0.02, particle_count=5_000, seed=8, axes=axes)
-    one = solve_density_particle(c, H, f0, threads=1, **kw)
-    three = solve_density_particle(c, H, f0, threads=3, **kw)
-    assert np.array_equal(one.deposited.values, three.deposited.values)
-    assert one.mass_final == three.mass_final
+    return c, c.parse("z"), f0, dict(t_final=0.3, dt=0.02, particle_count=5_000, seed=8,
+                                     axes=axes)
+
+
+def _symplectic_escapes():
+    # about a sixth of the ensemble leaves q1 or p1 over the 50 steps
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    axes = (GridAxis("q1", -1.0, 1.0, 64), GridAxis("p1", -1.0, 1.0, 64))
+    return s, s.parse("p1^2/2 + q1^2/2 + q1*p1/10"), s.parse("1 + q1^2"), dict(
+        t_final=0.5, dt=0.01, particle_count=60_000, seed=3, axes=axes)
+
+
+@pytest.mark.parametrize("case", [_contact_no_escapes, _symplectic_escapes],
+                         ids=["contact-no-escapes", "symplectic-escapes"])
+def test_particle_threads_do_not_change_the_answer(monkeypatch, case):
+    chart, H, f0, kw = case()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers on any host
+    one = solve_density_particle(chart, H, f0, threads=1, **kw)
+    assert (one.escaped_count > 0) == (case is _symplectic_escapes)
+
+    def assert_same(threads):
+        other = solve_density_particle(chart, H, f0, threads=threads, **kw)
+        assert other.deposited.values.tobytes() == one.deposited.values.tobytes()
+        assert other.ensemble.weights.tobytes() == one.ensemble.weights.tobytes()
+        assert struct.pack("<d", other.mass_final) == struct.pack("<d", one.mass_final)
+        assert struct.pack("<d", other.escaped_mass) == struct.pack("<d", one.escaped_mass)
+        assert other.escaped_count == one.escaped_count
+
+    assert_same(3)
+    for rows in (1_000, 25_000, 1_000_000):
+        monkeypatch.setattr(kinetics, "PUSH_BLOCK_ROWS", rows)
+        assert_same(1)
+        assert_same(3)
 
 
 @pytest.mark.parametrize("threads, pool", [(1_000_000, [3]), (None, []), (0, []), (-2, [])],
@@ -707,7 +736,7 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, pool):
 
 def _solve(solver, chart, H, axes, f0, t_final=0.1, dt=None):
     if solver == "grid":
-        return solve_density_grid(chart, H, GridDensity.sample(chart, axes, f0), t_final, dt)
+        return solve_density_grid(chart, H, GridDensity.sample(chart, axes, f0), [t_final], dt)
     return solve_density_particle(chart, H, f0, t_final, 0.01 if dt is None else dt, 1_000,
                                   axes=axes)
 
@@ -738,13 +767,24 @@ def test_both_solvers_refuse_bad_times(solver, t_final, dt):
                t_final, dt)
 
 
-@pytest.mark.parametrize("solver", ["grid", "particle"])
-def test_each_solver_call_runs_the_shared_setup_once(monkeypatch, solver):
+@pytest.mark.parametrize("run", ["grid", "particle", "grid-3-snapshots"])
+def test_each_solver_call_runs_the_shared_setup_once(monkeypatch, tmp_path, run):
     calls = []
     setup = kinetics._transport
     monkeypatch.setattr(kinetics, "_transport", lambda *a: calls.append(a) or setup(*a))
-    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
-    _solve(solver, _SYM, _SYM.parse("p1^2/2"), axes, _gauss((0.0, 0.0), (0.5, 0.5)), 0.04)
+    if run == "grid-3-snapshots":  # one setup for the whole run, not one per snapshot
+        outs = [str(tmp_path / f"snap{k}.grid") for k in range(3)]
+        cfg = {"chart": {"kind": "symplectic", "n": 1}, "task": "kinetic-grid",
+               "hamiltonian": "p1^2/2",
+               "initial": {"grid": {"axes": [{"lo": -2, "hi": 2, "size": 32}] * 2},
+                           "density": "1 + q1^2"},
+               "time": {"snapshots": [0.02, 0.03, 0.04], "dt": 0.01}, "output": {"grid": outs}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["run", str(tmp_path / "cfg.json")]) == 0
+        assert all(os.path.exists(out) for out in outs)
+    else:
+        axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+        _solve(run, _SYM, _SYM.parse("p1^2/2"), axes, _gauss((0.0, 0.0), (0.5, 0.5)), 0.04)
     assert len(calls) == 1
 
 
@@ -815,12 +855,137 @@ def test_push_chunk_is_bit_identical_to_the_array_push(kind, data):
     state = np.concatenate([np.array(rows), bulk])
     h = data.draw(st.sampled_from([0.01, 0.05, 0.2]))
     n_steps = data.draw(st.integers(0, 6))
+    # pushed in blocks of rows, as the solver does, then gathered in row order
+    block = data.draw(st.integers(1, len(state)))
     with np.errstate(all="ignore"):
         want = reference_push_chunk(state.copy(), X, source, h, n_steps, axes)
-        columns = [np.ascontiguousarray(c) for c in state.T]
-        got = kinetics._push_chunk(columns, X, source, h, n_steps, axes)
-    assert len(got[0]) == chart.dim + 1
-    assert all(c.flags.c_contiguous and c.dtype == np.float64 for c in got[0])
-    assert np.column_stack(got[0]).tobytes() == want[0].tobytes()
-    assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
-    assert got[2] == want[2]
+        parts = [kinetics._push_chunk([np.ascontiguousarray(c) for c in state[lo:lo + block].T],
+                                      X, source, h, n_steps, axes)
+                 for lo in range(0, len(state), block)]
+    assert all(len(columns) == chart.dim + 1 for columns, _ in parts)
+    assert all(c.flags.c_contiguous and c.dtype == np.float64
+               for columns, _ in parts for c in columns)
+    got = np.concatenate([np.column_stack(columns) for columns, _ in parts])
+    assert got.tobytes() == want[0].tobytes()
+    mass, count = kinetics._gather_escapes([escapes for _, escapes in parts])
+    assert struct.pack("<d", mass) == struct.pack("<d", want[1])
+    assert count == want[2]
+
+
+# -- bit-identity oracle: the padded upwind term and per-snapshot solves the
+# -- grid step replaced
+
+
+def reference_upwind_term(values, v, axis_idx, axis):
+    """-v * df/dx with first-order upwinding along one axis."""
+    if axis.boundary == "periodic":
+        lower = np.roll(values, 1, axis=axis_idx)
+        upper = np.roll(values, -1, axis=axis_idx)
+    else:
+        pad = [(0, 0)] * values.ndim
+        pad[axis_idx] = (1, 1)
+        padded = np.pad(values, pad)  # zero inflow
+        sl_lo = [slice(None)] * values.ndim
+        sl_hi = [slice(None)] * values.ndim
+        sl_lo[axis_idx] = slice(0, values.shape[axis_idx])
+        sl_hi[axis_idx] = slice(2, 2 + values.shape[axis_idx])
+        lower = padded[tuple(sl_lo)]
+        upper = padded[tuple(sl_hi)]
+    backward = (values - lower) / axis.dx
+    forward = (upper - values) / axis.dx
+    return -v * np.where(v > 0.0, backward, forward)
+
+
+def reference_solve_grid(chart, H, f0, t_final, dt, cfl):
+    """One snapshot segment, set up anew: velocities, CFL limit,
+    source, then SSP-RK3 over ceil(t_final/dt) equal steps."""
+    X, source = kinetics._field_and_source(chart, H)
+    shape = f0.values.shape
+    vel = [c.eval_array(f0.points().T).reshape(shape) for c in X.components]
+    active = [k for k, axis in enumerate(f0.axes) if axis.size > 1]
+    rate = sum(float(np.max(np.abs(vel[k]))) / f0.axes[k].dx for k in active)
+    limit = cfl / rate if rate else math.inf
+    if dt is None:
+        dt = limit if math.isfinite(limit) else max(t_final, 1e-3)
+    elif dt > limit:
+        raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
+    if t_final == 0:
+        return GridDensity(chart, f0.axes, f0.values.copy())
+    n_steps = kinetics._step_count(t_final, dt)
+    h = t_final / n_steps
+    src = None
+    if source is not None and not source.is_zero():
+        src = (chart.n + 2) * source.eval_array(f0.points().T).reshape(shape)
+
+    def rhs(values):
+        out = np.zeros_like(values)
+        for k in active:
+            out += reference_upwind_term(values, vel[k], k, f0.axes[k])
+        if src is not None:
+            out += src * values
+        return out
+
+    v = f0.values.copy()
+    for _ in range(n_steps):
+        k1 = v + h * rhs(v)
+        k2 = 0.75 * v + 0.25 * (k1 + h * rhs(k1))
+        v = v / 3.0 + (2.0 / 3.0) * (k2 + h * rhs(k2))
+        if not np.all(np.isfinite(v)):
+            raise StabilityError("grid solution lost finiteness; reduce dt")
+    return GridDensity(chart, f0.axes, v)
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except StabilityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(ChartKind)), data=st.data())
+def test_grid_solver_is_bit_identical_to_the_padded_upwind_solver(kind, data):
+    chart = Chart(kind, 1)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    # frozen coordinates zero some components (a frozen p1 stops q1, and t
+    # never moves), so their axes may collapse or stay active at rest; a
+    # frozen z drops the source on z-charts
+    frozen = tuple(data.draw(st.sets(st.integers(0, chart.dim - 1), max_size=chart.dim - 1)))
+    H = random_poly(rng, chart.dim, degree=3, terms=4, frozen_slots=frozen)
+    X, _ = kinetics._field_and_source(chart, H)
+    # odd sizes on symmetric axes put a center at 0.0, so velocities hit -0.0 and 0.0
+    sizes = [data.draw(st.sampled_from([1, 32, 33] if c.is_zero() else [32, 33]))
+             for c in X.components]
+    for k, c in enumerate(X.components):  # at most three active axes, for speed
+        if math.prod(sizes) > 40_000 and c.is_zero():
+            sizes[k] = 1
+    axes = tuple(GridAxis(name, -1.0, 1.0, size, data.draw(st.sampled_from(["zero", "periodic"])))
+                 for name, size in zip(chart.coord_names, sizes))
+    shape = tuple(sizes)
+    gen = np.random.default_rng(rng.randrange(2 ** 32))
+    values = gen.uniform(-1.0, 1.0, shape)
+    values[gen.random(shape) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    values[gen.random(shape) < data.draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    f0 = GridDensity(chart, axes, values)
+    spans = data.draw(st.lists(st.sampled_from([0.002, 0.005, 0.0125]), min_size=1, max_size=3))
+    times = list(itertools.accumulate(spans))
+    dt = data.draw(st.sampled_from([None, 0.002, 0.004]))
+    cfl = data.draw(st.sampled_from([0.9, 0.3]))
+    with np.errstate(all="ignore"):
+        def reference():
+            grids, reached, current = [], 0.0, f0
+            for target in times:
+                current = reference_solve_grid(chart, H, current, target - reached, dt, cfl)
+                grids.append(current)
+                reached = target
+            return grids
+
+        want = _outcome(reference)
+        got = _outcome(lambda: solve_density_grid(chart, H, f0, times, dt, cfl))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(times)
+    for g, w in zip(got, want):
+        assert g.axes == w.axes and g.values.shape == w.values.shape
+        assert g.values.tobytes() == w.values.tobytes()
