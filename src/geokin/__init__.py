@@ -31,6 +31,7 @@ from .chart import (
     reeb_tau,
 )
 from .fields import (
+    Dynamics,
     Family,
     FieldDiagnostics,
     FieldSpec,

@@ -127,59 +127,53 @@ def _check_components(chart: Chart, components: Sequence[Poly]) -> tuple[Poly, .
 
 
 @dataclass(frozen=True)
-class OneFormExpr:
+class _Components:
+    """Components in chart order, with the linear algebra one-forms and
+    vector fields share.  A subclass passing `noun=` names its errors and
+    types its results: a sum of `MomentumOneForm`s is a `OneFormExpr`."""
+
+    chart: Chart
+    components: tuple[Poly, ...]
+
+    def __init_subclass__(cls, noun: str = "", **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if noun:
+            cls._noun, cls._result = noun, cls
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "components", _check_components(self.chart, self.components))
+
+    @classmethod
+    def basis(cls, chart: Chart, slot: int):
+        """The element with component 1 at `slot` and 0 elsewhere."""
+        comps = [chart.zero() for _ in range(chart.dim)]
+        comps[slot] = chart.const(1)
+        return cls(chart, tuple(comps))
+
+    def __add__(self, other):
+        if other.chart != self.chart:
+            raise ValueError(f"{self._noun} live on different charts")
+        return self._result(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._result(self.chart, tuple(-a for a in self.components))
+
+    def scaled(self, factor: Poly | Rational):
+        return self._result(self.chart, tuple(a * factor for a in self.components))
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for a in self.components)
+
+
+class OneFormExpr(_Components, noun="one-forms"):
     """A one-form alpha = alpha_k dx^k with polynomial components."""
 
-    chart: Chart
-    components: tuple[Poly, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _check_components(self.chart, self.components))
-
-    def __add__(self, other: "OneFormExpr") -> "OneFormExpr":
-        if other.chart != self.chart:
-            raise ValueError("one-forms live on different charts")
-        return OneFormExpr(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "OneFormExpr") -> "OneFormExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "OneFormExpr":
-        return OneFormExpr(self.chart, tuple(-a for a in self.components))
-
-    def scaled(self, factor: Poly | Rational) -> "OneFormExpr":
-        return OneFormExpr(self.chart, tuple(a * factor for a in self.components))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.components)
-
-
-@dataclass(frozen=True)
-class VectorFieldExpr:
+class VectorFieldExpr(_Components, noun="vector fields"):
     """A vector field X = X^k d/dx^k with polynomial components."""
-
-    chart: Chart
-    components: tuple[Poly, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _check_components(self.chart, self.components))
-
-    def __add__(self, other: "VectorFieldExpr") -> "VectorFieldExpr":
-        if other.chart != self.chart:
-            raise ValueError("vector fields live on different charts")
-        return VectorFieldExpr(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorFieldExpr") -> "VectorFieldExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "VectorFieldExpr":
-        return VectorFieldExpr(self.chart, tuple(-a for a in self.components))
-
-    def scaled(self, factor: Poly | Rational) -> "VectorFieldExpr":
-        return VectorFieldExpr(self.chart, tuple(a * factor for a in self.components))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.components)
 
     def apply_to(self, f: Poly) -> Poly:
         """Directional derivative X(f) = X^k df/dx^k."""
@@ -194,18 +188,6 @@ class VectorFieldExpr:
 
 def zero_one_form(chart: Chart) -> OneFormExpr:
     return OneFormExpr(chart, tuple(chart.zero() for _ in range(chart.dim)))
-
-
-def basis_one_form(chart: Chart, slot: int) -> OneFormExpr:
-    comps = [chart.zero() for _ in range(chart.dim)]
-    comps[slot] = chart.const(1)
-    return OneFormExpr(chart, tuple(comps))
-
-
-def basis_vector_field(chart: Chart, slot: int) -> VectorFieldExpr:
-    comps = [chart.zero() for _ in range(chart.dim)]
-    comps[slot] = chart.const(1)
-    return VectorFieldExpr(chart, tuple(comps))
 
 
 def pairing(alpha: OneFormExpr, X: VectorFieldExpr) -> Poly:
@@ -228,7 +210,7 @@ def differential(H: Poly, chart: Chart) -> OneFormExpr:
 
 def canonical_tau(chart: Chart) -> OneFormExpr:
     """The clock form tau = dt (cosymplectic and cocontact charts)."""
-    return basis_one_form(chart, chart.t_slot)
+    return OneFormExpr.basis(chart, chart.t_slot)
 
 
 def canonical_eta(chart: Chart) -> OneFormExpr:
@@ -264,9 +246,9 @@ def canonical_forms(chart: Chart) -> CanonicalForms:
 
 def reeb_tau(chart: Chart) -> VectorFieldExpr:
     """Reeb field of the clock form: d/dt."""
-    return basis_vector_field(chart, chart.t_slot)
+    return VectorFieldExpr.basis(chart, chart.t_slot)
 
 
 def reeb_eta(chart: Chart) -> VectorFieldExpr:
     """Reeb field of the contact form: d/dz."""
-    return basis_vector_field(chart, chart.z_slot)
+    return VectorFieldExpr.basis(chart, chart.z_slot)

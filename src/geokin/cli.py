@@ -8,7 +8,8 @@ One scenario per invocation, driven by a single JSON config:
 
 Every random draw flows from the config seed and outputs are byte
 identical for identical (config, seed) pairs.  Exit status: 0 on
-success, 1 when a check fails or a solver aborts, 2 on config errors.
+success, 1 when a check fails, a solver aborts or an output cannot be
+written, 2 on config errors.
 
 The config is declared once: `SCHEMA` types every key, and `TASK_TABLE`
 gives each task's required paths and its runner.
@@ -25,7 +26,7 @@ import sys
 from functools import reduce
 
 from .chart import Chart, ChartKind, OneFormExpr
-from .fields import Family, FieldSpec, Gauge, StrictnessError, diagnostics, make_field
+from .fields import Dynamics, Family, FieldSpec, Gauge, StrictnessError
 from .flow import (
     MAX_GRID_VALUES,
     MAX_PARTICLES,
@@ -42,8 +43,8 @@ from .kinetics import (
     GridAxis,
     GridDensity,
     StabilityError,
-    _field_and_source,
     _hamiltonian_zero_spec,
+    _weight_rate,
     intertwine_residual,
     solve_density_grid,
     solve_density_particle,
@@ -141,18 +142,17 @@ class Scenario:
                                          f"hamiltonian field with gauge zero only, not "
                                          f"{self.field.row_name}")
         H = self.hamiltonian
-        if H is not None:
+        # the run's one build of its field (and diagnostics), handed to its solver
+        self.dynamics = dyn = None if H is None else Dynamics(self.field, H)
+        if dyn is not None:
             # surface strictness, and degree or float overflow in what a solver
             # evaluates, before any solver runs
             try:
+                evaluated = list(dyn.field.components)
                 if task in _KINETIC_TASKS:  # self.field is their one row, checked above
-                    X, source = _field_and_source(chart, H)
-                    evaluated = [*X.components, source or chart.zero()]
-                else:
-                    evaluated = list(make_field(self.field, H).components)
+                    evaluated.append(_weight_rate(dyn))
                 if task == "simulate":
-                    diag = diagnostics(self.field, H)
-                    evaluated += [diag.dH_along_flow, diag.divergence]
+                    evaluated += [dyn.diagnostics.dH_along_flow, dyn.diagnostics.divergence]
                 _check_float_range(evaluated)
             except (StrictnessError, DegreeOverflowError) as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
@@ -240,7 +240,7 @@ def _run_simulate(s: Scenario) -> int:
         method=s.method, step=s.dt if s.dt is not None else 1e-3,
         rel_tol=float(s.rel_tol), abs_tol=float(s.abs_tol),
     )
-    traj = integrate(s.field, s.hamiltonian, s.point, (0.0, float(s.t_final)), cfg)
+    traj = integrate(s.dynamics, s.point, (0.0, float(s.t_final)), cfg)
     out = _prepare(s.output["trajectory"])
     write_trajectory_csv(traj, out)
     final = ", ".join(
@@ -312,7 +312,7 @@ def _run_momentum(s: Scenario) -> int:
 def _run_kinetic_grid(s: Scenario) -> int:
     f0 = GridDensity.sample(s.chart, s.axes, s.density)
     snapshots = s.snapshots or [float(s.t_final)]
-    grids = solve_density_grid(s.chart, s.hamiltonian, f0, snapshots, dt=s.dt, cfl=float(s.cfl))
+    grids = solve_density_grid(s.dynamics, f0, snapshots, dt=s.dt, cfl=float(s.cfl))
     for target, path, grid in zip(snapshots, s.output["grid"], grids):
         write_grid(grid, _prepare(path))
         print(f"kinetic-grid: s={target:g} mass={grid.total_mass():.9g} -> {path}")
@@ -321,7 +321,7 @@ def _run_kinetic_grid(s: Scenario) -> int:
 
 def _run_kinetic_particle(s: Scenario) -> int:
     result = solve_density_particle(
-        s.chart, s.hamiltonian, s.density, float(s.t_final), float(s.dt),
+        s.dynamics, s.density, float(s.t_final), float(s.dt),
         s.particle_count, seed=s.seed, threads=s.threads, axes=s.axes,
     )
     out = _prepare(s.output["grid"][0])
@@ -515,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error at {exc}", file=sys.stderr)
         return 2
     except (StrictnessError, StabilityError, IntegrationError, DegreeOverflowError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

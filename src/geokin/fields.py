@@ -16,16 +16,18 @@ only), contact 3 (family only), cocontact 9 (family x gauge).  Strict
 rows demand dH/dz == 0, checked symbolically at construction.
 
 `diagnostics` returns the closed-form divergence, energy rate X(H), and
-the eta/tau coefficients of L_X eta, all as exact polynomials.  The
-module also houses the small Cartan toolbox (exterior derivative, Lie
-derivatives, wedge, contractions) used to verify the displayed
-Lie-derivative laws symbolically.
+the eta/tau coefficients of L_X eta, all as exact polynomials.
+`Dynamics` is one row with one Hamiltonian: what a run hands its
+solver.  The module also houses the small Cartan toolbox (exterior
+derivative, Lie derivatives, wedge, contractions) used to verify the
+displayed Lie-derivative laws symbolically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .chart import (
     Chart,
@@ -177,6 +179,23 @@ def diagnostics(spec: FieldSpec, H: Poly) -> FieldDiagnostics:
         -H.partial(chart.t_slot) if (chart.has_z and chart.has_time) else None
     )
     return FieldDiagnostics(div, rate, conformal_eta, conformal_tau)
+
+
+@dataclass(frozen=True)
+class Dynamics:
+    """One catalog row driven by one Hamiltonian.  `field` and `diagnostics`
+    are built on first use and kept, with their polynomials' compiled kernels."""
+
+    spec: FieldSpec
+    H: Poly
+
+    @cached_property
+    def field(self) -> VectorFieldExpr:
+        return make_field(self.spec, self.H)
+
+    @cached_property
+    def diagnostics(self) -> FieldDiagnostics:
+        return diagnostics(self.spec, self.H)
 
 
 # -- Cartan toolbox ----------------------------------------------------

@@ -2,13 +2,13 @@
 
 Two integrators: classic fixed-step RK4 and adaptive RKF45 (Fehlberg
 pair, fifth-order propagation, step control on the embedded error).
-The polynomial Hamiltonian drives the field through the exact catalog
-construction in `fields`.  Both integrators record, at every accepted
-node, the Hamiltonian value, the exact predicted energy rate X(H) and
-the exact local divergence.  After the run two derived channels are
-filled: the measured energy rate (central differences of the H
-channel) and a log-volume estimate (trapezoidal time integral of the
-divergence).
+Each entry point takes a `fields.Dynamics` and shares its field and
+diagnostics, and their compiled kernels, with every run it is given to.
+Both integrators record, at every accepted node, the Hamiltonian value,
+the exact predicted energy rate X(H) and the exact local divergence.
+After the run two derived channels are filled: the measured energy rate
+(central differences of the H channel) and a log-volume estimate
+(trapezoidal time integral of the divergence).
 
 A non-finite state aborts the run with the last good time and the
 partial trajectory attached to the error; so does exhausting the step
@@ -32,11 +32,16 @@ from typing import Sequence
 import numpy as np
 
 from .chart import Chart
-from .fields import FieldSpec, diagnostics, make_field
-from .poly import Poly
+from .fields import Dynamics, FieldSpec
 
 METHODS = ("rk4", "rk45")
 MAX_STEPS = 2_000_000  # the step budget of every solver loop
+# The work budget of one kinetic run: cells x steps (all snapshot segments)
+# on the grid, particles x steps in the push.  At least 10x the largest
+# benchmark or test input (128^2 cells x 250 steps; 10^5 particles x 50
+# steps); one core of a 2-vCPU x86 host steps it in about 35 s on the grid
+# and pushes it in about 80 s.
+MAX_WORK = 1_000_000_000
 # What one config may ask for, each at least 10x the largest benchmark or
 # test input (64 000 cells of 3 coordinates, 230 400 particles of 2 plus a
 # weight, 25 trials); `cli` refuses more.  The grid and particle budgets
@@ -94,17 +99,6 @@ class StepBudgetError(IntegrationError):
     pass
 
 
-def _poly_channels(spec: FieldSpec, H: Poly):
-    X = make_field(spec, H)
-    comps = X.components
-    diag = diagnostics(spec, H)
-
-    def rhs(x: list[float]) -> list[float]:
-        return [c.eval(x) for c in comps]
-
-    return rhs, H.eval, diag.dH_along_flow.eval, diag.divergence.eval
-
-
 def _add_scaled(x: list, terms) -> list:
     """x + c0*k0 + c1*k1 + ..., added left to right per coordinate, for
     (c, k) in `terms`; a coordinate of x or k is a float or a column."""
@@ -157,18 +151,18 @@ def _error_norm(err: list, x: list, x_new: list, abs_tol: float, rel_tol: float)
 
 
 def integrate(
-    spec: FieldSpec,
-    H: Poly,
+    dyn: Dynamics,
     x0: Sequence[float],
     t_span: tuple[float, float],
     config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate the catalog field for `spec` from x0 over t_span.
+    """Integrate the catalog field of `dyn` from x0 over t_span.
 
     The flow parameter s is the integration variable; on charts with a
     time coordinate, t is part of the state and moves only as the gauge
     dictates.
     """
+    spec = dyn.spec
     chart = spec.chart
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (chart.dim,):
@@ -178,7 +172,11 @@ def integrate(
     s0, s1 = float(t_span[0]), float(t_span[1])
     if s1 < s0:
         raise ValueError("backward integration is not supported; swap the span")
-    rhs, h_eval, rate_eval, div_eval = _poly_channels(spec, H)
+    comps, diag = dyn.field.components, dyn.diagnostics
+    h_eval, rate_eval, div_eval = dyn.H.eval, diag.dH_along_flow.eval, diag.divergence.eval
+
+    def rhs(x: list[float]) -> list[float]:
+        return [c.eval(x) for c in comps]
 
     x = x0.tolist()
     times = [s0]
@@ -289,23 +287,19 @@ def monitored_energy_rate(traj: Trajectory) -> float:
     return float(np.max(np.abs(measured[1:-1] - predicted[1:-1])))
 
 
-def numeric_divergence(
-    spec: FieldSpec, H: Poly, x: Sequence[float], h: float = 1e-4
-) -> float:
+def numeric_divergence(dyn: Dynamics, x: Sequence[float], h: float = 1e-4) -> float:
     """Central-difference divergence of the catalog field at x."""
-    rhs, *_ = _poly_channels(spec, H)
     x = np.asarray(x, dtype=float)
     total = 0.0
-    for i in range(spec.chart.dim):
+    for i, comp in enumerate(dyn.field.components):
         e = np.zeros_like(x)
         e[i] = h
-        total += (rhs(x + e)[i] - rhs(x - e)[i]) / (2.0 * h)
+        total += (comp.eval(x + e) - comp.eval(x - e)) / (2.0 * h)
     return total
 
 
 def flow_map_logdet(
-    spec: FieldSpec,
-    H: Poly,
+    dyn: Dynamics,
     x0: Sequence[float],
     t_span: tuple[float, float],
     config: IntegratorConfig = IntegratorConfig(),
@@ -314,16 +308,17 @@ def flow_map_logdet(
     """log |det d(flow map)/dx0| by central differences of endpoints.
 
     Compared in the tests against the time integral of the exact
-    divergence along the center trajectory.
+    divergence along the center trajectory.  The 2 * dim runs share the
+    field of `dyn` and its compiled kernels.
     """
     x0 = np.asarray(x0, dtype=float)
-    dim = spec.chart.dim
+    dim = dyn.spec.chart.dim
     jac = np.zeros((dim, dim))
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = h
-        plus = integrate(spec, H, x0 + e, t_span, config).states[-1]
-        minus = integrate(spec, H, x0 - e, t_span, config).states[-1]
+        plus = integrate(dyn, x0 + e, t_span, config).states[-1]
+        minus = integrate(dyn, x0 - e, t_span, config).states[-1]
         jac[:, i] = (plus - minus) / (2.0 * h)
     sign, logdet = np.linalg.slogdet(jac)
     if sign <= 0:

@@ -23,12 +23,16 @@ re-derived in a regression test, is
 i.e. df/ds = {H,f} + (n+3) f R_eta(H) on contact and cocontact charts
 and the plain bracket equation elsewhere.
 
-Solvers.  Both start from one setup per call, `_transport`: it checks
-the chart and the times, builds the Hamiltonian/gauge-zero field and its
-z-source, evaluates the field at the cell centers of the grid axes,
-refuses a collapsed axis with transport across it and an active axis
-under 32 cells, and returns the CFL limit.  Past that setup they share
-no numerics.  The particle solver takes the initial density in closed
+Solvers.  Both take a `fields.Dynamics` of the Hamiltonian/gauge-zero
+row, built once by the caller, and start from one setup per call,
+`_transport`: it checks the chart, the row and the times, evaluates the
+field the `Dynamics` holds at the cell centers of the grid axes,
+refuses a velocity that is not finite there, a collapsed axis with
+transport across it and an active axis under 32 cells, and returns the
+weight rate R_eta(H) and the CFL limit.  Both refuse a run past
+`flow.MAX_STEPS` steps, or past `flow.MAX_WORK` cells (or particles)
+x steps, before the first step.  Past that setup they share no
+numerics.  The particle solver takes the initial density in closed
 form (a `Poly` or a callable) plus the grid axes.  It pushes a
 jittered-lattice ensemble along the flow with per-particle weights
 obeying dw/ds = R_eta(H) w (the material growth rate n+2 minus the
@@ -42,8 +46,9 @@ the blocking or the worker count.  The grid solver is the independent
 oracle: from a sampled `GridDensity`, method of lines with first-order
 upwind transport per advecting axis (one difference per cell face, with
 -v and the wind direction v > 0 taken once per solve), the pointwise
-source (n+2) R_eta(H) f, and SSP-RK3 in time under an explicit CFL
-guard, through every snapshot time in one call.
+source (n+2) R_eta(H) f (the factor is `_growth_factor`, read off the
+law), and SSP-RK3 in time under an explicit CFL guard, through every
+snapshot time in one call.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ import numpy as np
 from .brackets import bracket, canonical_bracket_kind
 from .chart import Chart, ChartKind, OneFormExpr, VectorFieldExpr, pairing
 from .corpus import random_hamiltonian, random_one_form
-from .fields import Family, FieldSpec, Gauge, divergence, lie_derivative_oneform, make_field
-from .flow import MAX_STEPS, _rk4_step
+from .fields import (Dynamics, Family, FieldSpec, Gauge, divergence, lie_derivative_oneform,
+                     make_field)
+from .flow import MAX_STEPS, MAX_WORK, _rk4_step
 from .musical import SharpVariant, sharp
 from .poly import Poly
 
@@ -401,33 +407,54 @@ def _step_count(t_final: float, dt: float) -> int:
     return max(1, math.ceil(steps)) if t_final > 0 else 0
 
 
-def _field_and_source(chart: Chart, H: Poly):
-    X = make_field(_hamiltonian_zero_spec(chart), H)
-    source = H.partial(chart.z_slot) if chart.has_z else None
-    return X, source
+def _check_work(size: int, what: str, steps: int) -> None:
+    """Refuse a run of `steps` steps over `size` cells or particles past
+    the work budget, before any work."""
+    if size * steps > MAX_WORK:
+        raise ValueError(f"{size} {what} x {steps} steps exceed the work budget of {MAX_WORK}")
 
 
-def _transport(chart: Chart, H: Poly, axes: tuple[GridAxis, ...], spans: Sequence[float],
+def _weight_rate(dyn: Dynamics) -> Poly:
+    """R_eta(H) = dH/dz, the rate of the particle weights (zero off z-charts)."""
+    chart = dyn.spec.chart
+    return dyn.H.partial(chart.z_slot) if chart.has_z else chart.zero()
+
+
+def _growth_factor(chart: Chart) -> int:
+    """The grid source's multiple of the weight rate.  The law's
+    f-coefficient is density_vlasov_rhs(chart, H, 1) = a {H, 1} + b R_eta(H)
+    with {H, 1} = -R_eta(H), so b - a = n + 2 on z-charts (the rate is zero
+    elsewhere).  An int, so that the source grid is an exact multiple."""
+    a, b, _ = density_coefficients(chart)
+    return int(b - a)
+
+
+def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float],
                dt: float | None, cfl: float):
     """The setup both solvers share, checked in this order: the chart, the
-    times (each span of time to run), then each axis against the field's
-    velocity at the cell centers.
+    row (Hamiltonian/gauge-zero only), the times (each span of time to
+    run), then each axis against the field's velocity at the cell centers.
 
-    Returns (X, source, vel, active, limit): the field, the z-source (None
-    off z-charts), each component's velocity grid, the active axes, and the
-    CFL limit cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves).
+    Returns (rate, vel, active, limit): the weight rate, each component's
+    velocity grid, the active axes, and the CFL limit
+    cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves).
     """
-    if tuple(a.name for a in axes) != chart.coord_names or H.dim != chart.dim:
+    chart = dyn.spec.chart
+    if tuple(a.name for a in axes) != chart.coord_names or dyn.H.dim != chart.dim:
         raise ValueError("grid, Hamiltonian and chart must agree")
+    if dyn.spec != _hamiltonian_zero_spec(chart):
+        raise ValueError(f"the solvers carry densities along the hamiltonian field with "
+                         f"gauge zero only, not {dyn.spec.row_name}")
     if not all(span >= 0 for span in spans) or dt is not None and not dt > 0:
         raise ValueError("need dt > 0 and t_final >= 0, with times in order")
-    X, source = _field_and_source(chart, H)
     shape = tuple(a.size for a in axes)
     pts = _cell_centers(axes)
     vel, active, rate = [], [], 0.0
-    for k, (axis, component) in enumerate(zip(axes, X.components)):
+    for k, (axis, component) in enumerate(zip(axes, dyn.field.components)):
         vel.append(component.eval_array(pts).reshape(shape))
         speed = float(np.max(np.abs(vel[k])))
+        if not math.isfinite(speed):
+            raise ValueError(f"axis {axis.name}: the advection velocity is not finite on the grid")
         if axis.size == 1:
             if speed > 0.0:
                 raise ValueError(
@@ -438,7 +465,7 @@ def _transport(chart: Chart, H: Poly, axes: tuple[GridAxis, ...], spans: Sequenc
         else:
             active.append(k)
             rate += speed / axis.dx
-    return X, source, vel, active, cfl / rate if rate else math.inf
+    return _weight_rate(dyn), vel, active, cfl / rate if rate else math.inf
 
 
 def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, k: int,
@@ -475,8 +502,7 @@ def _ssp_rk3_step(rhs, v: np.ndarray, h: float) -> np.ndarray:
 
 
 def solve_density_grid(
-    chart: Chart,
-    H: Poly,
+    dyn: Dynamics,
     f0: GridDensity,
     times: Sequence[float],
     dt: float | None = None,
@@ -489,24 +515,27 @@ def solve_density_grid(
     density at each of `times` (nondecreasing, from s = 0), one grid per
     time, all held until the call returns.  The setup runs once; each span
     between consecutive times is its own segment of ceil(span/dt) equal
-    steps.  Raises ValueError where `_transport` refuses the setup or any
-    segment needs more than `flow.MAX_STEPS` steps, both before the first
-    step, and StabilityError if the requested dt violates the CFL bound.
+    steps.  Raises ValueError where `_transport` refuses the setup, any
+    segment needs more than `flow.MAX_STEPS` steps or cells x steps over
+    all segments exceed `flow.MAX_WORK`, all before the first step, and
+    StabilityError if the requested dt violates the CFL bound.
     """
+    chart = dyn.spec.chart
     spans = [b - a for a, b in zip([0.0, *times], times)]
-    _, source, vel, active, limit = _transport(chart, H, f0.axes, spans, dt, cfl)
+    rate, vel, active, limit = _transport(dyn, f0.axes, spans, dt, cfl)
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
     # dt defaults to the CFL limit, or with nothing moving to the span itself
     counts = [_step_count(span, dt if dt is not None else
                           limit if math.isfinite(limit) else max(span, 1e-3))
               for span in spans]
+    _check_work(f0.values.size, "cells", sum(counts))
     wind = [(k, -vel[k], vel[k] > 0.0, f0.axes[k]) for k in active]
     del vel  # -v and v > 0 are all the steps read
     src = None
-    if source is not None and not source.is_zero():
+    if not rate.is_zero():
         shape = f0.values.shape
-        src = (chart.n + 2) * source.eval_array(_cell_centers(f0.axes)).reshape(shape)
+        src = _growth_factor(chart) * rate.eval_array(_cell_centers(f0.axes)).reshape(shape)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -589,20 +618,20 @@ PUSH_BLOCK_ROWS = 16_384
 def _push_chunk(
     state: list[np.ndarray],
     X: VectorFieldExpr,
-    source: Poly | None,
+    rate: Poly,
     h: float,
     n_steps: int,
     axes: tuple[GridAxis, ...],
 ) -> tuple[list[np.ndarray], list[tuple[int, np.ndarray]]]:
     """RK4 on one block held as dim+1 contiguous columns, weight last: X
-    moves the positions, dw/ds = source * w; rows leaving a zero-boundary
+    moves the positions, dw/ds = rate * w; rows leaving a zero-boundary
     axis are dropped.  Returns the surviving columns and, for each step
     that dropped rows, (step, their weights in row order).  A component
     that is identically zero contributes the scalar 0.0 (x + c*0.0 is what
     a zero column gives)."""
     dim = len(axes)
     moving = [(k, c.eval_array) for k, c in enumerate(X.components) if not c.is_zero()]
-    src_eval = None if source is None or source.is_zero() else source.eval_array
+    src_eval = None if rate.is_zero() else rate.eval_array
 
     def rhs(y: list[np.ndarray]) -> list:
         x = y[:dim]
@@ -646,8 +675,7 @@ def _gather_escapes(per_block: Sequence[list[tuple[int, np.ndarray]]]) -> tuple[
 
 
 def solve_density_particle(
-    chart: Chart,
-    H: Poly,
+    dyn: Dynamics,
     f0: Density,
     t_final: float,
     dt: float,
@@ -663,20 +691,23 @@ def solve_density_particle(
     (N, dim) points, and `axes` the grid it lives on.  After the setup it
     shares with the grid solver (`_transport`, with the particle guard at
     4x the CFL limit), it seeds weights from f0 exactly, pushes along the
-    Hamiltonian/gauge-zero field with the weight ODE dw/ds = R_eta(H) w,
+    field of `dyn` with the weight ODE dw/ds = R_eta(H) w,
     drops and reports particles that leave zero-boundary axes, and
     deposits the survivors onto `axes`.  The ensemble is pushed in blocks
     of `PUSH_BLOCK_ROWS` rows, by `threads` workers (one when None or below
     1) capped at the CPU count; no output, escaped mass included, depends on
     the blocking or the worker count.  A run of more than `flow.MAX_STEPS`
-    steps is refused with ValueError before seeding.
+    steps, or of more than `flow.MAX_WORK` particles x steps, is refused
+    with ValueError before seeding.
     """
+    chart = dyn.spec.chart
     axes = tuple(axes)
     # particles tolerate larger steps than the grid; guard at 4x CFL
-    X, source, _, _, guard = _transport(chart, H, axes, (t_final,), dt, 4.0)
+    rate, _, _, guard = _transport(dyn, axes, (t_final,), dt, 4.0)
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
     n_steps = _step_count(t_final, dt)
+    _check_work(particle_count, "particles", n_steps)
     h = t_final / n_steps if n_steps else 0.0
     seeded = seed_particles(chart, f0, particle_count, seed=seed, axes=axes)
     mass_initial = seeded.total_weight()
@@ -685,7 +716,7 @@ def solve_density_particle(
     blocks = [[np.ascontiguousarray(c[lo:lo + PUSH_BLOCK_ROWS]) for c in columns]
               for lo in range(0, len(seeded.weights), PUSH_BLOCK_ROWS)]
     del seeded, columns  # the blocks now hold the ensemble
-    push = functools.partial(_push_chunk, X=X, source=source, h=h, n_steps=n_steps, axes=axes)
+    push = functools.partial(_push_chunk, X=dyn.field, rate=rate, h=h, n_steps=n_steps, axes=axes)
     if workers == 1:
         parts = list(map(push, blocks))
     else:

@@ -32,6 +32,7 @@ from geokin.chart import (
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_point, random_poly
 from geokin.fields import (
+    Dynamics,
     Family,
     FieldSpec,
     Gauge,
@@ -80,6 +81,10 @@ def _gauss(center, width):
 
 def _hamiltonian_row(chart: Chart) -> FieldSpec:
     return FieldSpec(chart, Family.HAMILTONIAN, Gauge.ZERO if chart.has_time else None)
+
+
+def _dyn(chart: Chart, H) -> Dynamics:
+    return Dynamics(_hamiltonian_row(chart), H)
 
 
 JACOBI_KINDS = (
@@ -215,7 +220,7 @@ def test_criterion_3_field_catalog():
             sym = diagnostics(spec, H).divergence
             for _ in range(20):
                 x = random_point(rng, chart.dim)
-                err = abs(numeric_divergence(spec, H, x, h=1e-4) - sym.eval(x))
+                err = abs(numeric_divergence(Dynamics(spec, H), x, h=1e-4) - sym.eval(x))
                 if err > 1e-5:
                     failures.append(f"{kind.value} {spec.row_name}: FD divergence err {err:.2e}")
                     break
@@ -314,7 +319,7 @@ def test_criterion_6_flow_physics():
     span = (0.0, 2.0 * math.pi)
 
     # period return within 1e-8 at step 1e-3
-    traj = integrate(spec, oscillator, x0, span, IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, oscillator), x0, span, IntegratorConfig(step=1e-3))
     err = float(np.max(np.abs(traj.states[-1] - np.array(x0))))
     if err >= 1e-8:
         failures.append(f"oscillator return error {err:.2e} >= 1e-8")
@@ -322,7 +327,7 @@ def test_criterion_6_flow_physics():
     # RK4 order factor within [8, 32] when halving the step
     errs = [
         float(np.max(np.abs(
-            integrate(spec, oscillator, x0, span, IntegratorConfig(step=h)).states[-1]
+            integrate(Dynamics(spec, oscillator), x0, span, IntegratorConfig(step=h)).states[-1]
             - np.array(x0)
         )))
         for h in (0.02, 0.01)
@@ -334,7 +339,7 @@ def test_criterion_6_flow_physics():
     # contact H = z: p and z decay like e^{-s}; within 1e-6 at s = 1
     contact = Chart(ChartKind.CONTACT, 1)
     traj = integrate(
-        _hamiltonian_row(contact), contact.parse("z"), [0.0, 1.0, 1.0],
+        _dyn(contact, contact.parse("z")), [0.0, 1.0, 1.0],
         (0.0, 1.0), IntegratorConfig(step=1e-3),
     )
     for slot in (1, 2):
@@ -345,8 +350,8 @@ def test_criterion_6_flow_physics():
     # gauge One advances t affinely within 1e-10
     cosym = Chart(ChartKind.COSYMPLECTIC, 1)
     traj = integrate(
-        FieldSpec(cosym, Family.HAMILTONIAN, Gauge.ONE),
-        cosym.parse("p1^2/2 + t*q1"), [0.25, 0.5, -0.3],
+        Dynamics(FieldSpec(cosym, Family.HAMILTONIAN, Gauge.ONE), cosym.parse("p1^2/2 + t*q1")),
+        [0.25, 0.5, -0.3],
         (0.0, 1.5), IntegratorConfig(step=1e-3),
     )
     drift = float(np.max(np.abs(traj.states[:, cosym.t_slot] - (0.25 + traj.times))))
@@ -369,7 +374,7 @@ def test_criterion_6_flow_physics():
             if spec.family is Family.STRICT:
                 use = text.replace(" + z/2", "")
             traj = integrate(
-                spec, chart.parse(use), [0.2] * chart.dim,
+                Dynamics(spec, chart.parse(use)), [0.2] * chart.dim,
                 (0.0, 0.2), IntegratorConfig(step=1e-3),
             )
             rate = monitored_energy_rate(traj)
@@ -418,7 +423,7 @@ def test_criterion_8_kinetic_solvers():
     f0 = _gauss((0.0, 0.0), (0.45, 0.45))
     t = 0.5
     res = solve_density_particle(
-        sym, sym.parse("p1^2/2"), f0, t_final=t, dt=0.02,
+        _dyn(sym, sym.parse("p1^2/2")), f0, t_final=t, dt=0.02,
         particle_count=100_000, seed=3, axes=axes,
     )
     ref = GridDensity.sample(
@@ -434,7 +439,7 @@ def test_criterion_8_kinetic_solvers():
     axes = (GridAxis("q1", -2.4, 2.4, 64), GridAxis("p1", -2.4, 2.4, 64))
     f0 = _gauss((1.0, 0.0), (0.45, 0.45))
     res = solve_density_particle(
-        sym, sym.parse("(q1^2 + p1^2)/2"), f0, t_final=T, dt=0.02,
+        _dyn(sym, sym.parse("(q1^2 + p1^2)/2")), f0, t_final=T, dt=0.02,
         particle_count=100_000, seed=4, axes=axes,
     )
 
@@ -459,11 +464,11 @@ def test_criterion_8_kinetic_solvers():
     )
     f0 = _gauss((None, 0.0, 0.0), (None, 0.9, 0.9))
     particle = solve_density_particle(
-        contact, H, f0, t_final=0.5, dt=0.01,
+        _dyn(contact, H), f0, t_final=0.5, dt=0.01,
         particle_count=100_000, seed=5, axes=contact_axes,
     )
     [grid] = solve_density_grid(
-        contact, H, GridDensity.sample(contact, contact_axes, f0), [0.5]
+        _dyn(contact, H), GridDensity.sample(contact, contact_axes, f0), [0.5]
     )
 
     def dilated(pts):
@@ -486,14 +491,14 @@ def test_criterion_8_kinetic_solvers():
     H = contact.parse("p1/2")
     f0 = _gauss((0.0, 0.0, None), (0.4, 0.4, None))
     res = solve_density_particle(
-        contact, H, f0, t_final=1.0, dt=0.05,
+        _dyn(contact, H), f0, t_final=1.0, dt=0.05,
         particle_count=20_000, seed=6, axes=cons_axes,
     )
     drift = abs(res.mass_final - res.mass_initial) / abs(res.mass_initial)
     if drift > 1e-10:
         failures.append(f"particle mass drift {drift:.2e} > 1e-10")
     g0 = GridDensity.sample(contact, cons_axes, f0)
-    [gout] = solve_density_grid(contact, H, g0, [1.0])
+    [gout] = solve_density_grid(_dyn(contact, H), g0, [1.0])
     drift = abs(gout.total_mass() - g0.total_mass()) / g0.total_mass()
     if drift > 1e-10:
         failures.append(f"grid mass drift {drift:.2e} > 1e-10")

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import pytest
 
-from geokin import cli, flow, kinetics
+from geokin import cli, fields, flow, kinetics
 from geokin.identities import LawReport
 from geokin.kinetics import read_grid, read_particles
 from geokin.chart import Chart, ChartKind
@@ -418,6 +419,56 @@ def test_a_late_snapshot_past_the_step_budget_is_refused_before_stepping(tmp_pat
     assert not any(os.path.exists(out) for out in outs)
 
 
+@pytest.mark.parametrize("task, size, particles, t_final, dt, message", [
+    # 2 500 000 particles x 2 000 000 steps: days of pushing
+    ("kinetic-particle", 32, 2_500_000, 2000.0, 0.001,
+     "2500000 particles x 2000000 steps exceed the work budget of 1000000000"),
+    # 128^2 cells (the benchmark's largest grid) x 2 000 000 steps: hours of stepping
+    ("kinetic-grid", 128, 1000, 2.0, 1e-6,
+     "16384 cells x 2000000 steps exceed the work budget of 1000000000"),
+])
+def test_kinetic_runs_past_the_work_budget_are_refused_before_stepping(
+        tmp_path, capsys, monkeypatch, task, size, particles, t_final, dt, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(kinetics, "_rk4_step", no_step)  # the particle push
+    monkeypatch.setattr(kinetics, "_ssp_rk3_step", no_step)  # the grid step
+    cfg = _kinetic_config(tmp_path, task, "p1^2/2", t_final, dt)
+    cfg["particles"] = particles
+    cfg["initial"]["grid"]["axes"] = [{"lo": -2.0, "hi": 2.0, "size": size}] * 2
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == 0  # within every config budget
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", path]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the particles were never seeded
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g.grid").exists()
+
+
+def test_a_grid_run_past_the_work_budget_is_refused_before_stepping(tmp_path, capsys,
+                                                                    monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(kinetics, "_ssp_rk3_step", no_step)
+    # 1000^2 cells x 2 000 000 steps: about 19 h at the measured grid rate
+    cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2", 2.0, 1e-6)
+    cfg["initial"]["grid"]["axes"] = [{"lo": -2.0, "hi": 2.0, "size": 1000}] * 2
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: 1000000 cells x 2000000 steps exceed the work budget of 1000000000\n")
+    assert not (tmp_path / "g.grid").exists()
+
+
 def test_grid_snapshots_past_the_value_budget_are_refused_without_allocating(tmp_path, capsys):
     # 1000^2 cells x 2 coordinates fit the grid budget; three snapshots of them do not
     cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2", None, 0.01)
@@ -585,6 +636,34 @@ def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsy
     assert flow.MAX_GRID_VALUES >= 10 * 40 ** 3 * 3  # that grid on its 3-coordinate chart
     assert flow.MAX_PUSH_VALUES >= 10 * 480 ** 2 * 3  # that ensemble: 2 coordinates, a weight
     assert flow.MAX_TRIALS >= 10 * 25  # the default momentum-check trials
+    assert flow.MAX_WORK >= 10 * 128 ** 2 * 250  # the benchmark's largest grid run
+    assert flow.MAX_WORK >= 10 * 100_000 * 50  # the tests' largest particle run
     assert cli.main(["identity", "--chart", "symplectic", "--trials",
                      str(flow.MAX_TRIALS + 1)]) == 2
     assert "config error at --trials: must be between 1 and" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, builds, diagnoses", [
+    ("simulate", 1, 1), ("kinetic-grid", 1, 0), ("kinetic-particle", 1, 0)])
+def test_each_run_builds_its_field_once(tmp_path, monkeypatch, task, builds, diagnoses):
+    """Config checks and the solver share one build; kinetic runs need no diagnostics."""
+    counts = {"make_field": 0, "diagnostics": 0}
+    for name in counts:  # every module's binding, wherever it was imported
+        original = getattr(fields, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "geokin"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    if task == "simulate":
+        cfg = simulate_config(tmp_path)
+    else:
+        cfg = _kinetic_config(tmp_path, task, "p1^2/2", 0.04, 0.01)
+        if task == "kinetic-grid":
+            cfg["time"] = {"snapshots": [0.02, 0.03, 0.04], "dt": 0.01}
+            cfg["output"]["grid"] = [str(tmp_path / f"snap{k}.grid") for k in range(3)]
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    assert counts == {"make_field": builds, "diagnostics": diagnoses}

@@ -12,7 +12,7 @@ from hypothesis import given, reject, settings, strategies as st
 from geokin import flow
 from geokin.chart import Chart, ChartKind
 from geokin.corpus import random_hamiltonian
-from geokin.fields import Family, FieldSpec, Gauge, catalog, diagnostics
+from geokin.fields import Dynamics, Family, FieldSpec, Gauge, catalog, diagnostics, make_field
 from geokin.flow import (
     BlowUpError,
     IntegrationError,
@@ -39,7 +39,7 @@ def test_harmonic_oscillator_period_return():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     x0 = [1.0, 0.0]
-    traj = integrate(spec, H, x0, (0.0, 2.0 * math.pi), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), x0, (0.0, 2.0 * math.pi), IntegratorConfig(step=1e-3))
     assert np.max(np.abs(traj.states[-1] - np.array(x0))) < 1e-8
 
 
@@ -50,7 +50,7 @@ def test_rk4_order_on_oscillator():
     span = (0.0, 2.0 * math.pi)
     errs = []
     for h in (0.02, 0.01):
-        traj = integrate(spec, H, x0, span, IntegratorConfig(step=h))
+        traj = integrate(Dynamics(spec, H), x0, span, IntegratorConfig(step=h))
         errs.append(float(np.max(np.abs(traj.states[-1] - np.array(x0)))))
     ratio = errs[0] / errs[1]
     assert 8.0 <= ratio <= 32.0  # fourth order halving
@@ -60,7 +60,7 @@ def test_contact_linear_decay_pinned():
     # H = z: qdot = 0, pdot = -p, zdot = -z
     chart, spec = _spec(ChartKind.CONTACT)
     H = chart.parse("z")
-    traj = integrate(spec, H, [0.0, 1.0, 1.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
     expected = math.exp(-1.0)
     assert abs(traj.states[-1][1] - expected) < 1e-6
     assert abs(traj.states[-1][2] - expected) < 1e-6
@@ -70,7 +70,7 @@ def test_contact_linear_decay_pinned():
 def test_gauge_one_time_channel_is_affine():
     chart, spec = _spec(ChartKind.COSYMPLECTIC, gauge=Gauge.ONE)
     H = chart.parse("p1^2/2 + t*q1")
-    traj = integrate(spec, H, [0.25, 0.5, -0.3], (0.0, 1.5), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.25, 0.5, -0.3], (0.0, 1.5), IntegratorConfig(step=1e-3))
     t_slot = chart.t_slot
     drift = np.abs(traj.states[:, t_slot] - (0.25 + traj.times))
     assert np.max(drift) < 1e-10
@@ -79,7 +79,7 @@ def test_gauge_one_time_channel_is_affine():
 def test_gauge_zero_freezes_time_channel():
     chart, spec = _spec(ChartKind.COCONTACT, gauge=Gauge.ZERO)
     H = chart.parse("p1^2/2 + t*q1 + z")
-    traj = integrate(spec, H, [0.7, 0.2, 0.1, 0.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.7, 0.2, 0.1, 0.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
     assert np.max(np.abs(traj.states[:, chart.t_slot] - 0.7)) == 0.0
 
 
@@ -105,14 +105,14 @@ def test_energy_rate_monitor_all_rows(kind, text):
             use_H = H
             if family is Family.STRICT and chart.has_z:
                 use_H = chart.parse(text.replace(" + z/2", ""))
-            traj = integrate(spec, use_H, x0, (0.0, 0.2), IntegratorConfig(step=1e-3))
+            traj = integrate(Dynamics(spec, use_H), x0, (0.0, 0.2), IntegratorConfig(step=1e-3))
             assert monitored_energy_rate(traj) < 1e-5, spec.row_name
 
 
 def test_monitor_channels_match_closed_forms():
     chart, spec = _spec(ChartKind.CONTACT)
     H = chart.parse("z")
-    traj = integrate(spec, H, [0.0, 1.0, 1.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
     z = traj.states[:, chart.z_slot]
     assert np.max(np.abs(traj.monitors["hamiltonian"] - z)) < 1e-12
     # X(H) = -H*H_z = -z along the flow
@@ -139,7 +139,7 @@ def test_numeric_divergence_matches_symbolic():
         sym = diagnostics(spec, H).divergence
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, chart.dim)
-            assert abs(numeric_divergence(spec, H, x) - sym.eval(x)) < 1e-5
+            assert abs(numeric_divergence(Dynamics(spec, H), x) - sym.eval(x)) < 1e-5
 
 
 def test_flow_map_logdet_matches_divergence_integral():
@@ -147,7 +147,7 @@ def test_flow_map_logdet_matches_divergence_integral():
     chart, spec = _spec(ChartKind.CONTACT)
     H = chart.parse("z + p1^2/2")
     window = 0.3
-    logdet = flow_map_logdet(spec, H, [0.1, 0.4, 0.2], (0.0, window))
+    logdet = flow_map_logdet(Dynamics(spec, H), [0.1, 0.4, 0.2], (0.0, window))
     expected = -2.0 * window
     assert abs(logdet - expected) <= 0.05 * abs(expected)
 
@@ -156,7 +156,7 @@ def test_rk45_adaptive_matches_exact_solution():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     cfg = IntegratorConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(spec, H, [1.0, 0.0], (0.0, 2.0 * math.pi), cfg)
+    traj = integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 2.0 * math.pi), cfg)
     assert np.max(np.abs(traj.states[-1] - np.array([1.0, 0.0]))) < 1e-6
     steps = np.diff(traj.times)
     assert steps.min() > 0
@@ -168,7 +168,7 @@ def test_blow_up_reports_last_good_state():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("q1^3 * p1")
     with pytest.raises(BlowUpError) as err:
-        integrate(spec, H, [1.0, 0.2], (0.0, 1.0), IntegratorConfig(step=1e-3))
+        integrate(Dynamics(spec, H), [1.0, 0.2], (0.0, 1.0), IntegratorConfig(step=1e-3))
     assert isinstance(err.value, IntegrationError)
     assert 0.0 < err.value.last_good_time < 0.6
     assert err.value.partial is not None
@@ -180,7 +180,7 @@ def test_step_budget_is_enforced():
     H = chart.parse("(q1^2 + p1^2)/2")
     cfg = IntegratorConfig(step=1e-3, max_steps=10)
     with pytest.raises(StepBudgetError) as err:
-        integrate(spec, H, [1.0, 0.0], (0.0, 1.0), cfg)
+        integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1.0), cfg)
     assert err.value.partial is not None
 
 
@@ -188,13 +188,13 @@ def test_backward_time_is_rejected():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     with pytest.raises(ValueError):
-        integrate(spec, H, [1.0, 0.0], (0.5, 0.0), IntegratorConfig())
+        integrate(Dynamics(spec, H), [1.0, 0.0], (0.5, 0.0), IntegratorConfig())
 
 
 def test_csv_export_layout_and_determinism(tmp_path):
     chart, spec = _spec(ChartKind.COCONTACT)
     H = chart.parse("p1^2/2 + z/3 + t/5")
-    traj = integrate(spec, H, [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
+    traj = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
     lines = trajectory_csv_lines(traj)
     assert lines[0] == "s,t,q1,p1,z,H,pred_dHds,div"
     assert len(lines) == 1 + len(traj.times)
@@ -204,7 +204,7 @@ def test_csv_export_layout_and_determinism(tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_trajectory_csv(traj, p1)
-    traj2 = integrate(spec, H, [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
+    traj2 = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
     write_trajectory_csv(traj2, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -216,7 +216,7 @@ def test_strictness_violation_surfaces_before_integration():
     from geokin.fields import StrictnessError
 
     with pytest.raises(StrictnessError):
-        integrate(spec, H, [0.0, 1.0, 1.0], (0.0, 0.1), IntegratorConfig())
+        integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], (0.0, 0.1), IntegratorConfig())
 
 
 def test_integrator_config_refuses_a_tolerance_the_error_scale_cannot_divide_by():
@@ -260,10 +260,12 @@ def reference_integrate(spec, H, x0, s1, config):
     of floats: array steps, the array error norm, monitors evaluated on
     arrays, and per-element CSV formatting.  None when the state leaves
     float range."""
-    comps, h_eval, rate_eval, div_eval = flow._poly_channels(spec, H)
+    comps = make_field(spec, H).components
+    diag = diagnostics(spec, H)
+    h_eval, rate_eval, div_eval = H.eval, diag.dH_along_flow.eval, diag.divergence.eval
 
     def rhs(x):
-        return np.array(comps(x))
+        return np.array([c.eval(x) for c in comps])
 
     with np.errstate(all="ignore"):
         try:
@@ -353,10 +355,10 @@ def test_integrate_is_bit_identical_to_the_array_loop(kind, method, data):
     want = reference_integrate(spec, H, x0, s1, config)
     if want is None:
         with pytest.raises(BlowUpError):
-            integrate(spec, H, x0, (0.0, s1), config)
+            integrate(Dynamics(spec, H), x0, (0.0, s1), config)
         reject()
     ref, ref_lines = want
-    traj = integrate(spec, H, x0, (0.0, s1), config)
+    traj = integrate(Dynamics(spec, H), x0, (0.0, s1), config)
     assert traj.times.dtype == traj.states.dtype == np.float64
     assert traj.times.tobytes() == ref.times.tobytes()
     assert traj.states.shape == ref.states.shape

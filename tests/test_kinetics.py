@@ -27,7 +27,7 @@ from geokin.chart import (
     pairing,
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
-from geokin.fields import Family, FieldSpec, Gauge, divergence, make_field
+from geokin.fields import Dynamics, Family, FieldSpec, Gauge, divergence, make_field
 from geokin import cli, kinetics
 from geokin.kinetics import (
     GridAxis,
@@ -56,6 +56,11 @@ from geokin.musical import SharpVariant, sharp
 from geokin.poly import Poly
 
 ALL_CHARTS = [Chart(kind, n) for kind in ChartKind for n in (1, 2)]
+
+
+def _dyn(chart, H):
+    """The motion both solvers carry densities along: H's Hamiltonian/gauge-zero row."""
+    return Dynamics(kinetics._hamiltonian_zero_spec(chart), H)
 
 
 def _ham_zero_spec(chart):
@@ -461,7 +466,7 @@ def test_grid_zero_field_is_identity():
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
     g0 = GridDensity.sample(s, axes, _gauss((0, 0), (0.5, 0.5)))
-    [out] = solve_density_grid(s, s.zero(), g0, [1.0])
+    [out] = solve_density_grid(_dyn(s, s.zero()), g0, [1.0])
     # stage recombination rounds at 1 ulp; nothing else may move
     assert np.max(np.abs(out.values - g0.values)) <= 1e-14 * np.max(g0.values)
 
@@ -471,7 +476,7 @@ def test_grid_rigid_rotation_moves_center_one_quarter_turn():
     H = s.parse("(q1^2 + p1^2)/2")
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
     g0 = GridDensity.sample(s, axes, _gauss((1.0, 0.0), (0.25, 0.25)))
-    [out] = solve_density_grid(s, H, g0, [math.pi / 2])
+    [out] = solve_density_grid(_dyn(s, H), g0, [math.pi / 2])
     pts = out.points()
     mass = out.values.ravel()
     q_bar = float((pts[:, 0] * mass).sum() / mass.sum())
@@ -489,7 +494,7 @@ def test_grid_guards():
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
     g0 = GridDensity.sample(s, axes, _gauss((1, 0), (0.3, 0.3)))
     with pytest.raises(StabilityError):
-        solve_density_grid(s, H, g0, [0.5], dt=0.5)
+        solve_density_grid(_dyn(s, H), g0, [0.5], dt=0.5)
     # the axis and chart checks are shared: test_both_solvers_refuse_the_same_bad_grids
 
 
@@ -502,7 +507,7 @@ def test_particle_free_streaming_matches_closed_form():
     axes = (GridAxis("q1", -2.5, 2.5, 64), GridAxis("p1", -2, 2, 64))
     f0 = _gauss((0.0, 0.0), (0.45, 0.45))
     t = 0.5
-    res = solve_density_particle(s, H, f0, t_final=t, dt=0.02, particle_count=100_000, seed=3, axes=axes)
+    res = solve_density_particle(_dyn(s, H), f0, t_final=t, dt=0.02, particle_count=100_000, seed=3, axes=axes)
     ref = GridDensity.sample(s, axes, lambda pts: f0(np.stack([pts[:, 0] - t * pts[:, 1], pts[:, 1]], axis=1)))
     assert res.deposited.l1_distance(ref) <= 0.02 * ref.l1_norm()
     # escapers are far-tail lattice sites; the ledger must still balance
@@ -515,7 +520,7 @@ def test_particle_rigid_rotation_matches_closed_form():
     T = math.pi / 2
     axes = (GridAxis("q1", -2.4, 2.4, 64), GridAxis("p1", -2.4, 2.4, 64))
     f0 = _gauss((1.0, 0.0), (0.45, 0.45))
-    res = solve_density_particle(s, H, f0, t_final=T, dt=0.02, particle_count=100_000, seed=4, axes=axes)
+    res = solve_density_particle(_dyn(s, H), f0, t_final=T, dt=0.02, particle_count=100_000, seed=4, axes=axes)
 
     def exact(pts):
         q0 = pts[:, 0] * math.cos(T) - pts[:, 1] * math.sin(T)
@@ -545,7 +550,7 @@ def test_particle_cosymplectic_forced_flow_matches_closed_form():
         p0 = p + tt * t
         return f0(np.stack([tt, q0, p0], axis=1))
 
-    res = solve_density_particle(cs, H, f0, t_final=t, dt=0.02, particle_count=100_000, seed=4, axes=axes)
+    res = solve_density_particle(_dyn(cs, H), f0, t_final=t, dt=0.02, particle_count=100_000, seed=4, axes=axes)
     ref = GridDensity.sample(cs, axes, exact)
     assert res.deposited.l1_distance(ref) <= 0.02 * ref.l1_norm()
     assert res.mass_initial - res.mass_final == pytest.approx(res.escaped_mass, abs=1e-12 * res.mass_initial)
@@ -574,7 +579,7 @@ def test_particle_contact_decay_matches_closed_form():
     H = c.parse("z")
     f0 = _gauss((None, 0.5, 0.4), (None, 0.5, 0.5))
     t = 0.5
-    res = solve_density_particle(c, H, f0, t_final=t, dt=0.01, particle_count=100_000, seed=5, axes=_CONTACT_AXES)
+    res = solve_density_particle(_dyn(c, H), f0, t_final=t, dt=0.01, particle_count=100_000, seed=5, axes=_CONTACT_AXES)
     ref = GridDensity.sample(c, _CONTACT_AXES, _contact_exact(f0, t))
     assert res.deposited.l1_distance(ref) <= 0.02 * ref.l1_norm()
     # total mass grows like e^t; the weight ODE reproduces it to 1e-8
@@ -588,8 +593,8 @@ def test_particle_vs_grid_cross_oracle_contact_decay():
     H = c.parse("z")
     f0 = _gauss((None, 0.0, 0.0), (None, 0.9, 0.9))
     t = 0.5
-    particle = solve_density_particle(c, H, f0, t_final=t, dt=0.01, particle_count=100_000, seed=5, axes=_CONTACT_AXES)
-    [grid] = solve_density_grid(c, H, GridDensity.sample(c, _CONTACT_AXES, f0), [t])
+    particle = solve_density_particle(_dyn(c, H), f0, t_final=t, dt=0.01, particle_count=100_000, seed=5, axes=_CONTACT_AXES)
+    [grid] = solve_density_grid(_dyn(c, H), GridDensity.sample(c, _CONTACT_AXES, f0), [t])
     ref = GridDensity.sample(c, _CONTACT_AXES, _contact_exact(f0, t))
     assert particle.deposited.l1_distance(grid) <= 0.05 * ref.l1_norm()
 
@@ -606,7 +611,7 @@ def test_grid_contact_decay_converges_first_order():
             GridAxis("z", -2.0, 2.0, cells),
         )
         f0 = _gauss((None, 0.5, 0.4), (None, 0.5, 0.5))
-        [grid] = solve_density_grid(c, H, GridDensity.sample(c, axes, f0), [t])
+        [grid] = solve_density_grid(_dyn(c, H), GridDensity.sample(c, axes, f0), [t])
         ref = GridDensity.sample(c, axes, _contact_exact(f0, t))
         errs.append(grid.l1_distance(ref) / ref.l1_norm())
     assert errs[0] <= 0.10  # upwind diffusion level at 64^2
@@ -623,7 +628,7 @@ def test_particle_mass_conserved_without_reeb_source():
         GridAxis("z", -0.5, 0.5, 1),
     )
     f0 = _gauss((0.0, 0.0, None), (0.4, 0.4, None))
-    res = solve_density_particle(c, H, f0, t_final=1.0, dt=0.05, particle_count=20_000, seed=6, axes=axes)
+    res = solve_density_particle(_dyn(c, H), f0, t_final=1.0, dt=0.05, particle_count=20_000, seed=6, axes=axes)
     assert res.escaped_count == 0
     assert abs(res.mass_final - res.mass_initial) <= 1e-10 * abs(res.mass_initial)
 
@@ -633,7 +638,7 @@ def test_particle_escape_reporting_balances_mass():
     H = s.parse("p1^2/2")
     axes = (GridAxis("q1", -1.0, 1.0, 32), GridAxis("p1", -2.0, 2.0, 32))
     f0 = _gauss((0.0, 0.0), (0.5, 0.5))
-    res = solve_density_particle(s, H, f0, t_final=0.5, dt=0.05, particle_count=10_000, seed=7, axes=axes)
+    res = solve_density_particle(_dyn(s, H), f0, t_final=0.5, dt=0.05, particle_count=10_000, seed=7, axes=axes)
     assert res.escaped_count > 0
     assert res.mass_initial - res.mass_final == pytest.approx(res.escaped_mass, rel=1e-10)
 
@@ -643,7 +648,7 @@ def test_particle_guard_rejects_oversized_step():
     H = s.parse("p1^2/2")
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
     with pytest.raises(StabilityError):
-        solve_density_particle(s, H, _gauss((0, 0), (0.3, 0.3)), t_final=1.0, dt=2.0, particle_count=2_000, axes=axes)
+        solve_density_particle(_dyn(s, H), _gauss((0, 0), (0.3, 0.3)), t_final=1.0, dt=2.0, particle_count=2_000, axes=axes)
 
 
 def _contact_no_escapes():
@@ -671,11 +676,11 @@ def _symplectic_escapes():
 def test_particle_threads_do_not_change_the_answer(monkeypatch, case):
     chart, H, f0, kw = case()
     monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers on any host
-    one = solve_density_particle(chart, H, f0, threads=1, **kw)
+    one = solve_density_particle(_dyn(chart, H), f0, threads=1, **kw)
     assert (one.escaped_count > 0) == (case is _symplectic_escapes)
 
     def assert_same(threads):
-        other = solve_density_particle(chart, H, f0, threads=threads, **kw)
+        other = solve_density_particle(_dyn(chart, H), f0, threads=threads, **kw)
         assert other.deposited.values.tobytes() == one.deposited.values.tobytes()
         assert other.ensemble.weights.tobytes() == one.ensemble.weights.tobytes()
         assert struct.pack("<d", other.mass_final) == struct.pack("<d", one.mass_final)
@@ -724,9 +729,9 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, pool):
     kw = dict(t_final=0.04, dt=0.02, particle_count=1_000, seed=3, axes=axes)
     f0 = _gauss((0.0, 0.0), (0.5, 0.5))
     H = s.parse("p1^2/2 + q1^2/2")
-    one = solve_density_particle(s, H, f0, threads=1, **kw)
+    one = solve_density_particle(_dyn(s, H), f0, threads=1, **kw)
     assert requested == []
-    capped = solve_density_particle(s, H, f0, threads=threads, **kw)
+    capped = solve_density_particle(_dyn(s, H), f0, threads=threads, **kw)
     assert requested == pool
     assert np.array_equal(one.deposited.values, capped.deposited.values)
 
@@ -734,11 +739,11 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, pool):
 # -- the setup both solvers share --------------------------------------
 
 
-def _solve(solver, chart, H, axes, f0, t_final=0.1, dt=None):
+def _solve(solver, dyn, axes, f0, t_final=0.1, dt=None):
     if solver == "grid":
-        return solve_density_grid(chart, H, GridDensity.sample(chart, axes, f0), [t_final], dt)
-    return solve_density_particle(chart, H, f0, t_final, 0.01 if dt is None else dt, 1_000,
-                                  axes=axes)
+        f0 = GridDensity.sample(dyn.spec.chart, axes, f0)
+        return solve_density_grid(dyn, f0, [t_final], dt)
+    return solve_density_particle(dyn, f0, t_final, 0.01 if dt is None else dt, 1_000, axes=axes)
 
 
 _SYM = Chart(ChartKind.SYMPLECTIC, 1)
@@ -752,10 +757,26 @@ _SYM = Chart(ChartKind.SYMPLECTIC, 1)
      "axis q1: active axes need at least 32 cells"),
     ((GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64)),
      Chart(ChartKind.SYMPLECTIC, 2).parse("p1^2/2"), "grid, Hamiltonian and chart must agree"),
-], ids=["collapsed-but-moving", "under-32-cells", "chart-mismatch"])
+    # -4 q1^3 overflows at the far cells, which would make the CFL limit zero
+    ((GridAxis("q1", -2, 1e300, 64), GridAxis("p1", -2, 2, 64)), _SYM.parse("p1^2/2 + q1^4"),
+     "axis p1: the advection velocity is not finite on the grid"),
+], ids=["collapsed-but-moving", "under-32-cells", "chart-mismatch", "infinite-velocity"])
 def test_both_solvers_refuse_the_same_bad_grids(solver, axes, H, match):
-    with pytest.raises(ValueError, match=match):
-        _solve(solver, _SYM, H, axes, _gauss((0.0, 0.0), (0.3, 0.3)))
+    with pytest.raises(ValueError, match=match), np.errstate(over="ignore", invalid="ignore"):
+        _solve(solver, _dyn(_SYM, H), axes, _gauss((0.0, 0.0), (0.3, 0.3)))
+
+
+@pytest.mark.parametrize("solver", ["grid", "particle"])
+@pytest.mark.parametrize("chart, spec", [
+    (Chart(ChartKind.CONTACT, 1), FieldSpec(Chart(ChartKind.CONTACT, 1), Family.ENERGY)),
+    (Chart(ChartKind.COSYMPLECTIC, 1),
+     FieldSpec(Chart(ChartKind.COSYMPLECTIC, 1), Family.HAMILTONIAN, Gauge.ONE)),
+], ids=["contact-energy", "cosymplectic-gauge-one"])
+def test_both_solvers_refuse_any_row_but_hamiltonian_gauge_zero(solver, chart, spec):
+    axes = tuple(GridAxis(name, -2, 2, 32) for name in chart.coord_names)
+    dyn = Dynamics(spec, chart.parse("p1^2/2"))
+    with pytest.raises(ValueError, match=f"gauge zero only, not {spec.row_name}$"):
+        _solve(solver, dyn, axes, lambda pts: np.ones(len(pts)))
 
 
 @pytest.mark.parametrize("solver", ["grid", "particle"])
@@ -763,7 +784,7 @@ def test_both_solvers_refuse_the_same_bad_grids(solver, axes, H, match):
 def test_both_solvers_refuse_bad_times(solver, t_final, dt):
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
     with pytest.raises(ValueError, match=r"need dt > 0 and t_final >= 0"):
-        _solve(solver, _SYM, _SYM.parse("p1^2/2"), axes, _gauss((0.0, 0.0), (0.5, 0.5)),
+        _solve(solver, _dyn(_SYM, _SYM.parse("p1^2/2")), axes, _gauss((0.0, 0.0), (0.5, 0.5)),
                t_final, dt)
 
 
@@ -784,8 +805,32 @@ def test_each_solver_call_runs_the_shared_setup_once(monkeypatch, tmp_path, run)
         assert all(os.path.exists(out) for out in outs)
     else:
         axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
-        _solve(run, _SYM, _SYM.parse("p1^2/2"), axes, _gauss((0.0, 0.0), (0.5, 0.5)), 0.04)
+        _solve(run, _dyn(_SYM, _SYM.parse("p1^2/2")), axes, _gauss((0.0, 0.0), (0.5, 0.5)), 0.04)
     assert len(calls) == 1
+
+
+def test_solver_terms_are_the_density_law():
+    """The solvers' hand-coded terms against the exact law, on random (H, f).
+
+    With X the transport field and s = density_vlasov_rhs(chart, H, 1) the
+    law's f-coefficient: the law is transport plus growth, -X(f) + s f; the
+    particle weight rate is the growth net of the volume change, s + div X;
+    and the grid source s is `_growth_factor` times that rate.
+    """
+    for chart in ALL_CHARTS:
+        rng = random.Random(f"density-law/{chart.kind.value}/{chart.n}")
+        factor = kinetics._growth_factor(chart)
+        assert type(factor) is int  # an exact multiple keeps the source grid's bytes
+        for _ in range(15):
+            H = random_hamiltonian(rng, chart, degree=3, terms=4)
+            f = random_poly(rng, chart.dim, degree=2, terms=3)
+            dyn = _dyn(chart, H)
+            X = dyn.field
+            s = density_vlasov_rhs(chart, H, chart.const(1))
+            rate = kinetics._weight_rate(dyn)
+            assert density_vlasov_rhs(chart, H, f) == -X.apply_to(f) + s * f
+            assert s + divergence(X) == rate
+            assert s == factor * rate
 
 
 # -- bit-identity oracle: the (N, dim+1) array push the column push replaced --
@@ -844,7 +889,8 @@ def test_push_chunk_is_bit_identical_to_the_array_push(kind, data):
     # frozen coordinates give identically zero components (t never moves)
     frozen = tuple(data.draw(st.sets(st.integers(0, chart.dim - 1), max_size=chart.dim - 1)))
     H = random_poly(rng, chart.dim, degree=3, terms=4, frozen_slots=frozen)
-    X, source = kinetics._field_and_source(chart, H)
+    X = _dyn(chart, H).field
+    source = H.partial(chart.z_slot) if chart.has_z else chart.zero()
     axes = tuple(GridAxis(name, -1.0, 1.0, 4, data.draw(st.sampled_from(["zero", "periodic"])))
                  for name in chart.coord_names)
     rows = data.draw(st.lists(st.lists(PUSH_VALUE, min_size=chart.dim + 1,
@@ -899,7 +945,8 @@ def reference_upwind_term(values, v, axis_idx, axis):
 def reference_solve_grid(chart, H, f0, t_final, dt, cfl):
     """One snapshot segment, set up anew: velocities, CFL limit,
     source, then SSP-RK3 over ceil(t_final/dt) equal steps."""
-    X, source = kinetics._field_and_source(chart, H)
+    X = _dyn(chart, H).field
+    source = H.partial(chart.z_slot) if chart.has_z else chart.zero()
     shape = f0.values.shape
     vel = [c.eval_array(f0.points().T).reshape(shape) for c in X.components]
     active = [k for k, axis in enumerate(f0.axes) if axis.size > 1]
@@ -952,7 +999,7 @@ def test_grid_solver_is_bit_identical_to_the_padded_upwind_solver(kind, data):
     # frozen z drops the source on z-charts
     frozen = tuple(data.draw(st.sets(st.integers(0, chart.dim - 1), max_size=chart.dim - 1)))
     H = random_poly(rng, chart.dim, degree=3, terms=4, frozen_slots=frozen)
-    X, _ = kinetics._field_and_source(chart, H)
+    X = _dyn(chart, H).field
     # odd sizes on symmetric axes put a center at 0.0, so velocities hit -0.0 and 0.0
     sizes = [data.draw(st.sampled_from([1, 32, 33] if c.is_zero() else [32, 33]))
              for c in X.components]
@@ -981,7 +1028,7 @@ def test_grid_solver_is_bit_identical_to_the_padded_upwind_solver(kind, data):
             return grids
 
         want = _outcome(reference)
-        got = _outcome(lambda: solve_density_grid(chart, H, f0, times, dt, cfl))
+        got = _outcome(lambda: solve_density_grid(_dyn(chart, H), f0, times, dt, cfl))
     if isinstance(want, str):
         assert got == want
         return

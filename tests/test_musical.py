@@ -80,12 +80,12 @@ def test_sharp_general_cocontact_formula():
 
 def test_flat_displays():
     s = Chart(ChartKind.SYMPLECTIC, 1)
-    from geokin.chart import basis_vector_field
+    from geokin.chart import VectorFieldExpr
 
     # flat(d/dq1) = i_{d/dq1} Omega = dp1
-    assert comps(flat(basis_vector_field(s, s.q_slot(1))), s) == ["0", "1"]
+    assert comps(flat(VectorFieldExpr.basis(s, s.q_slot(1))), s) == ["0", "1"]
     # flat(d/dp1) = -dq1
-    assert comps(flat(basis_vector_field(s, s.p_slot(1))), s) == ["-1", "0"]
+    assert comps(flat(VectorFieldExpr.basis(s, s.p_slot(1))), s) == ["-1", "0"]
     c = Chart(ChartKind.CONTACT, 1)
     # flat(R_eta) = eta
     assert flat(reeb_eta(c)) == canonical_eta(c)
