@@ -27,7 +27,6 @@ suite and must never be collapsed into one.
 
 from __future__ import annotations
 
-import random
 from enum import Enum
 
 from .chart import Chart, ChartKind, differential, pairing
@@ -165,28 +164,3 @@ def jacobiator_witness(chart: Chart, kind: BracketKind) -> tuple[Poly, Poly, Pol
     _check(chart, kind)
     F, G, H = (chart.parse(name) for name in JACOBIATOR_WITNESS_NAMES)
     return F, G, H
-
-
-def search_jacobiator_witness(
-    chart: Chart, kind: BracketKind, seed: int = 2024, tries: int = 200
-) -> tuple[Poly, Poly, Poly] | None:
-    """Randomized search for a triple with nonzero jacobiator.
-
-    Draws monomials of total degree <= 2 in the chart coordinates.
-    Returns the first witness found, or None.
-    """
-    _check(chart, kind)
-    rng = random.Random(seed)
-    dim = chart.dim
-
-    def draw() -> Poly:
-        exps = [0] * dim
-        for _ in range(rng.randint(1, 2)):
-            exps[rng.randrange(dim)] += 1
-        return Poly.monomial(dim, exps)
-
-    for _ in range(tries):
-        F, G, H = draw(), draw(), draw()
-        if not jacobiator(chart, kind, F, G, H).is_zero():
-            return F, G, H
-    return None

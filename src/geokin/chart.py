@@ -186,10 +186,6 @@ class VectorFieldExpr(_Components, noun="vector fields"):
         return out
 
 
-def zero_one_form(chart: Chart) -> OneFormExpr:
-    return OneFormExpr(chart, tuple(chart.zero() for _ in range(chart.dim)))
-
-
 def pairing(alpha: OneFormExpr, X: VectorFieldExpr) -> Poly:
     """Pointwise pairing <alpha, X> = alpha_k X^k."""
     if alpha.chart != X.chart:

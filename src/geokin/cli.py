@@ -26,6 +26,7 @@ import sys
 from functools import reduce
 
 from .chart import Chart, ChartKind, OneFormExpr
+from .density import intertwine_residual, kinetic_spec, weight_rate
 from .fields import Dynamics, Family, FieldSpec, Gauge, StrictnessError
 from .flow import (
     MAX_GRID_VALUES,
@@ -43,9 +44,6 @@ from .kinetics import (
     GridAxis,
     GridDensity,
     StabilityError,
-    _hamiltonian_zero_spec,
-    _weight_rate,
-    intertwine_residual,
     solve_density_grid,
     solve_density_particle,
     write_grid,
@@ -137,7 +135,7 @@ class Scenario:
                                    Gauge(gauge or "zero") if chart.has_time else None)
         except ValueError as exc:
             raise ConfigError("$.field", str(exc)) from None
-        if task in _KINETIC_TASKS and self.field != _hamiltonian_zero_spec(chart):
+        if task in _KINETIC_TASKS and self.field != kinetic_spec(chart):
             raise ConfigError("$.field", f"the kinetic tasks carry densities along the "
                                          f"hamiltonian field with gauge zero only, not "
                                          f"{self.field.row_name}")
@@ -150,7 +148,7 @@ class Scenario:
             try:
                 evaluated = list(dyn.field.components)
                 if task in _KINETIC_TASKS:  # self.field is their one row, checked above
-                    evaluated.append(_weight_rate(dyn))
+                    evaluated.append(weight_rate(dyn))
                 if task == "simulate":
                     evaluated += [dyn.diagnostics.dH_along_flow, dyn.diagnostics.divergence]
                 _check_float_range(evaluated)
@@ -363,6 +361,7 @@ TASKS = tuple(TASK_TABLE)
 
 REQUIRED = object()  # a default: the key must be present
 POSITIVE = "positive"  # a rule: the number must be > 0
+NON_NEGATIVE = "non-negative"  # a rule: the number must be >= 0
 MAX_CHART_N = 16  # the most (q, p) pairs a config or `identity --n` may ask for
 
 
@@ -382,8 +381,8 @@ _TYPES = {
               and all(isinstance(p, str) for p in v), "a path or a list of paths"),
 }
 
-# config path -> (JSON type, default, rule).  A rule is POSITIVE, a
-# range or a tuple of choices.  `.*` is each entry of a list.
+# config path -> (JSON type, default, rule).  A rule is POSITIVE,
+# NON_NEGATIVE, a range or a tuple of choices.  `.*` is each entry of a list.
 SCHEMA = {
     "$": ("object", REQUIRED, None),
     "$.chart": ("object", REQUIRED, None),
@@ -423,7 +422,7 @@ SCHEMA = {
     "$.output.report": ("string", None, None),
     "$.output.grid": ("paths", None, None),
     "$.output.particles": ("string", None, None),
-    "$.seed": ("integer", 0, None),
+    "$.seed": ("integer", 0, NON_NEGATIVE),
 }
 
 # object path -> {key: its path}, in declaration order
@@ -442,6 +441,8 @@ def _check(value, path: str, key: str):
         raise ConfigError(path, f"unknown value {value!r}; choose from {', '.join(rule)}")
     if rule is POSITIVE and not value > 0:
         raise ConfigError(path, "must be positive")
+    if rule is NON_NEGATIVE and not value >= 0:
+        raise ConfigError(path, "must be non-negative")
     if isinstance(rule, range) and value not in rule:
         raise ConfigError(path, f"must be between {rule.start} and {rule[-1]}")
     if kind == "list":
@@ -470,7 +471,12 @@ def run_scenario(s: Scenario, verbose: bool = False) -> int:
             print(line)
         print(f"seed: {s.seed}")
     _, runner = TASK_TABLE[s.task]
-    return runner(s)
+    import numpy as np
+
+    # the solvers' finiteness checks decide a failure; numpy's warnings
+    # would add lines to its one stderr line
+    with np.errstate(all="ignore"):
+        return runner(s)
 
 
 def main(argv: list[str] | None = None) -> int:

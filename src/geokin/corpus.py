@@ -74,7 +74,3 @@ def random_one_form(
         for _ in range(chart.dim)
     )
     return OneFormExpr(chart, comps)
-
-
-def random_point(rng: random.Random, dim: int, scale: float = 1.5) -> list[float]:
-    return [rng.uniform(-scale, scale) for _ in range(dim)]

@@ -247,11 +247,6 @@ class TwoFormExpr:
         return all(a.is_zero() for row in self.components for a in row)
 
 
-def zero_two_form(chart: Chart) -> TwoFormExpr:
-    z = chart.zero()
-    return TwoFormExpr(chart, tuple(tuple(z for _ in range(chart.dim)) for _ in range(chart.dim)))
-
-
 def two_form_omega(chart: Chart) -> TwoFormExpr:
     """dq^i wedge dp_i; the symplectic two-form, and d(eta) on z-charts."""
     rows = [[chart.zero() for _ in range(chart.dim)] for _ in range(chart.dim)]

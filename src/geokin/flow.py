@@ -59,7 +59,6 @@ class IntegratorConfig:
     step: float = 1e-3  # rk4 step; initial step for rk45
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_steps: int = MAX_STEPS
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -199,12 +198,13 @@ def integrate(
 
     if config.method == "rk4":
         total = s1 - s0
-        n_steps = max(1, int(round(total / config.step))) if total > 0 else 0
-        if n_steps > config.max_steps:
+        steps = total / config.step  # inf when a long span meets a tiny step
+        if not steps <= MAX_STEPS:
             raise StepBudgetError(
-                f"{n_steps} RK4 steps exceed max_steps={config.max_steps}", s0,
+                f"{steps:.6g} RK4 steps exceed the step budget of {MAX_STEPS}", s0,
                 partial_trajectory(),
             )
+        n_steps = max(1, round(steps)) if total > 0 else 0
         h = total / n_steps if n_steps else 0.0
         s = s0
         for k in range(n_steps):
@@ -224,9 +224,9 @@ def integrate(
         h = min(config.step, s1 - s0) if s1 > s0 else 0.0
         steps = 0
         while s < s1:
-            if steps >= config.max_steps:
+            if steps >= MAX_STEPS:
                 raise StepBudgetError(
-                    f"step budget {config.max_steps} exhausted", s, partial_trajectory()
+                    f"step budget {MAX_STEPS} exhausted", s, partial_trajectory()
                 )
             steps += 1
             h = min(h, s1 - s)

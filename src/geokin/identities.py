@@ -33,6 +33,14 @@ from .chart import (
     reeb_tau,
 )
 from .corpus import random_hamiltonian, random_one_form, random_poly
+from .density import (
+    adjudicate_density_coefficients,
+    density_coefficients,
+    dual_pairing_residual,
+    intertwine_residual,
+    kinetic_spec,
+    momentum_map,
+)
 from .fields import (
     Family,
     FieldSpec,
@@ -48,13 +56,6 @@ from .fields import (
     make_field,
     two_form_omega,
     wedge,
-)
-from .kinetics import (
-    adjudicate_density_coefficients,
-    density_coefficients,
-    dual_pairing_residual,
-    intertwine_residual,
-    momentum_map,
 )
 from .musical import (
     SharpVariant,
@@ -370,9 +371,8 @@ def _field_laws(run: _Runner) -> None:
 
 def _homomorphism_laws(run: _Runner) -> None:
     chart = run.chart
-    gauge = Gauge.ZERO if chart.has_time else None
     kind = canonical_bracket_kind(chart.kind)
-    spec = FieldSpec(chart, Family.HAMILTONIAN, gauge)
+    spec = kinetic_spec(chart)
 
     def hamiltonian_row(rng):
         F = random_hamiltonian(rng, chart)
@@ -386,7 +386,7 @@ def _homomorphism_laws(run: _Runner) -> None:
     run.check("homomorphism/hamiltonian", hamiltonian_row, salt=30)
 
     if chart.has_z:
-        strict = FieldSpec(chart, Family.STRICT, gauge)
+        strict = FieldSpec(chart, Family.STRICT, spec.gauge)
 
         def strict_row(rng):
             F = random_hamiltonian(rng, chart, z_free=True)

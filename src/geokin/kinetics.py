@@ -1,54 +1,37 @@
-"""Kinetic lifts: momentum one-forms, density dynamics, two solvers.
+"""Kinetic solvers: a density carried along the Hamiltonian/gauge-zero
+flow, by particles and on a grid, with their file formats.
 
-Momentum side.  A momentum one-form Pi is carried to a scalar density
+The law they carry, and what they read off it (the row, the weight rate
+R_eta(H) and the grid's growth factor), lives in `density`.  Both solvers
+take a `fields.Dynamics` of that row, built once by the caller, and start
+from one setup per call, `_transport`: it checks the chart, the row and
+the times, evaluates the field the `Dynamics` holds at the cell centers
+of the grid axes, refuses a velocity that is not finite there, a
+collapsed axis with transport across it and an active axis under 32
+cells, and returns the weight rate and the CFL limit.  Both refuse a run
+past `flow.MAX_STEPS` steps, or past `flow.MAX_WORK` cells (or
+particles) x steps, before the first step, and both refuse a state that
+loses finiteness with a `StabilityError`.  Past that setup they share no
+numerics.
 
-    f = div sharp(Pi) - d<Pi,R_eta>/dz - d<Pi,R_tau>/dt - <Pi,R_eta>
+The particle solver takes the initial density in closed form (a `Poly`
+or a callable) plus the grid axes.  It pushes a jittered-lattice
+ensemble along the flow with per-particle weights obeying
+dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
+contraction n+1), then deposits cloud-in-cell.  The push state is dim+1
+contiguous columns, weight last, stepped by `flow`'s RK4 step along one
+path, in fixed blocks of `PUSH_BLOCK_ROWS` rows that the workers (the
+calling thread or a thread pool) map over.  The blocks are stacked into
+the final ensemble once, at the end, and the weights that escape are
+gathered step by step in row order, so no result depends on the blocking
+or the worker count.
 
-(each correction only on charts carrying that Reeb field; the
-divergence uses the Darboux volume).  Its evolution under the
-Hamiltonian/gauge-zero flow is the coadjoint equation
-
-    dPi/ds = -L_{X_H} Pi + (n+1) R_eta(H) Pi               (z-charts)
-    dPi/ds = -L_{X_H} Pi                                   (otherwise)
-
-Density side.  The induced density equation is, by construction, the
-unique combination a {H,f} + b f R_eta(H) + c f R_tau(H) that makes
-momentum map and momentum dynamics commute (`intertwine_residual`
-vanishes identically).  `adjudicate_density_coefficients` solves for
-(a, b, c) exactly over a seeded corpus; the result, frozen here and
-re-derived in a regression test, is
-
-    a = 1,  b = n + 3  (0 without z),  c = 0,
-
-i.e. df/ds = {H,f} + (n+3) f R_eta(H) on contact and cocontact charts
-and the plain bracket equation elsewhere.
-
-Solvers.  Both take a `fields.Dynamics` of the Hamiltonian/gauge-zero
-row, built once by the caller, and start from one setup per call,
-`_transport`: it checks the chart, the row and the times, evaluates the
-field the `Dynamics` holds at the cell centers of the grid axes,
-refuses a velocity that is not finite there, a collapsed axis with
-transport across it and an active axis under 32 cells, and returns the
-weight rate R_eta(H) and the CFL limit.  Both refuse a run past
-`flow.MAX_STEPS` steps, or past `flow.MAX_WORK` cells (or particles)
-x steps, before the first step.  Past that setup they share no
-numerics.  The particle solver takes the initial density in closed
-form (a `Poly` or a callable) plus the grid axes.  It pushes a
-jittered-lattice ensemble along the flow with per-particle weights
-obeying dw/ds = R_eta(H) w (the material growth rate n+2 minus the
-volume contraction n+1), then deposits cloud-in-cell.  The push state is
-dim+1 contiguous columns, weight last, stepped by `flow`'s RK4 step
-along one path, in fixed blocks of `PUSH_BLOCK_ROWS` rows that the
-workers (the calling thread or a thread pool) map over.  The blocks are
-stacked into the final ensemble once, at the end, and the weights that
-escape are gathered step by step in row order, so no result depends on
-the blocking or the worker count.  The grid solver is the independent
-oracle: from a sampled `GridDensity`, method of lines with first-order
-upwind transport per advecting axis (one difference per cell face, with
--v and the wind direction v > 0 taken once per solve), the pointwise
-source (n+2) R_eta(H) f (the factor is `_growth_factor`, read off the
-law), and SSP-RK3 in time under an explicit CFL guard, through every
-snapshot time in one call.
+The grid solver is the independent oracle: from a sampled `GridDensity`,
+method of lines with first-order upwind transport per advecting axis
+(one difference per cell face, with -v and the wind direction v > 0
+taken once per solve), the pointwise source (n+2) R_eta(H) f (the factor
+is `density.growth_factor`), and SSP-RK3 in time under an explicit CFL
+guard, through every snapshot time in one call.
 """
 
 from __future__ import annotations
@@ -57,181 +40,16 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .brackets import bracket, canonical_bracket_kind
-from .chart import Chart, ChartKind, OneFormExpr, VectorFieldExpr, pairing
-from .corpus import random_hamiltonian, random_one_form
-from .fields import (Dynamics, Family, FieldSpec, Gauge, divergence, lie_derivative_oneform,
-                     make_field)
+from .chart import Chart, ChartKind, VectorFieldExpr
+from .density import growth_factor, kinetic_spec, weight_rate
+from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
+from .fields import Dynamics
 from .flow import MAX_STEPS, MAX_WORK, _rk4_step
-from .musical import SharpVariant, sharp
 from .poly import Poly
-
-import random as _random
-
-
-class MomentumOneForm(OneFormExpr):
-    """A one-form designated as a dual-space element.
-
-    With validate=True, membership is asserted: the associated density
-    must not vanish identically unless the form itself is zero.
-    """
-
-    def __init__(self, chart: Chart, components: Sequence[Poly], validate: bool = False):
-        super().__init__(chart, tuple(components))
-        if validate and not self.is_zero() and momentum_map(self).is_zero():
-            raise ValueError(
-                "one-form lies outside the dual space: its density vanishes identically"
-            )
-
-
-def momentum_map(Pi: OneFormExpr) -> Poly:
-    """The scalar density associated to a momentum one-form (exact)."""
-    chart = Pi.chart
-    f = divergence(sharp(Pi, SharpVariant.FULL))
-    if chart.has_z:
-        pi_z = Pi.components[chart.z_slot]
-        f = f - pi_z.partial(chart.z_slot) - pi_z
-    if chart.has_time:
-        pi_t = Pi.components[chart.t_slot]
-        f = f - pi_t.partial(chart.t_slot)
-    return f
-
-
-def _hamiltonian_zero_spec(chart: Chart) -> FieldSpec:
-    gauge = Gauge.ZERO if chart.has_time else None
-    return FieldSpec(chart, Family.HAMILTONIAN, gauge)
-
-
-def momentum_vlasov_rhs(H: Poly, Pi: OneFormExpr) -> OneFormExpr:
-    """dPi/ds under the coadjoint flow of the Hamiltonian/gauge-zero field."""
-    chart = Pi.chart
-    if H.dim != chart.dim:
-        raise ValueError("Hamiltonian and one-form must share a chart")
-    X = make_field(_hamiltonian_zero_spec(chart), H)
-    out = -lie_derivative_oneform(X, Pi)
-    if chart.has_z:
-        out = out + Pi.scaled((chart.n + 1) * H.partial(chart.z_slot))
-    return out
-
-
-def density_coefficients(chart: Chart) -> tuple[Fraction, Fraction, Fraction]:
-    """Frozen (a, b, c) of the density equation for this chart."""
-    b = Fraction(chart.n + 3) if chart.has_z else Fraction(0)
-    return (Fraction(1), b, Fraction(0))
-
-
-def density_vlasov_rhs(chart: Chart, H: Poly, f: Poly) -> Poly:
-    """df/ds = a {H,f} + b f R_eta(H) + c f R_tau(H), exact."""
-    if H.dim != chart.dim or f.dim != chart.dim:
-        raise ValueError("function dimension does not match chart")
-    a, b, c = density_coefficients(chart)
-    out = a * bracket(chart, canonical_bracket_kind(chart.kind), H, f)
-    if b and chart.has_z:
-        out = out + b * f * H.partial(chart.z_slot)
-    if c and chart.has_time:
-        out = out + c * f * H.partial(chart.t_slot)
-    return out
-
-
-def intertwine_residual(H: Poly, Pi: OneFormExpr) -> Poly:
-    """Momentum route minus density route; identically zero."""
-    mom = momentum_map(momentum_vlasov_rhs(H, Pi))
-    den = density_vlasov_rhs(Pi.chart, H, momentum_map(Pi))
-    return mom - den
-
-
-def dual_pairing_residual(chart: Chart, H: Poly, Pi: OneFormExpr) -> Poly:
-    """Integrand identity behind the dual pairing, as an exact residual.
-
-    <Pi, X_H> = H * f - div(H * sharp_biv(Pi)); a Pi whose density
-    vanishes therefore pairs to a pure divergence and annihilates every
-    Hamiltonian after integration.
-    """
-    X = make_field(_hamiltonian_zero_spec(chart), H)
-    lhs = pairing(Pi, X)
-    rhs = H * momentum_map(Pi) - divergence(sharp(Pi, SharpVariant.BIVECTOR).scaled(H))
-    return lhs - rhs
-
-
-def _solve_exact(rows: list[list[Fraction]], unknowns: int) -> list[Fraction] | None:
-    """Solve an overdetermined exact linear system [A | b].
-
-    Returns the unique solution, None while underdetermined, and raises
-    on inconsistency.
-    """
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [v - factor * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][-1] != 0:
-            raise ArithmeticError("density ansatz is inconsistent with the momentum flow")
-    if len(pivots) < unknowns:
-        return None
-    solution = [Fraction(0)] * unknowns
-    for row_idx, col in enumerate(pivots):
-        solution[col] = mat[row_idx][-1]
-    return solution
-
-
-def adjudicate_density_coefficients(
-    chart: Chart, seed: int = 71, max_samples: int = 64
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Re-derive (a, b, c) from scratch by exact linear solve.
-
-    Draws random (H, Pi) pairs, demands
-    momentum_map(dPi/ds) == a {H,f} + b f R_eta(H) + c f R_tau(H)
-    term by term, and solves the resulting system over the rationals.
-    """
-    rng = _random.Random(seed)
-    kind = canonical_bracket_kind(chart.kind)
-    slots = [0]  # a always present
-    if chart.has_z:
-        slots.append(1)
-    if chart.has_time:
-        slots.append(2)
-    rows: list[list[Fraction]] = []
-    for _ in range(max_samples):
-        H = random_hamiltonian(rng, chart, degree=2, terms=3)
-        Pi = random_one_form(rng, chart, degree=2, terms=2)
-        f = momentum_map(Pi)
-        lhs = momentum_map(momentum_vlasov_rhs(H, Pi))
-        basis = [bracket(chart, kind, H, f)]
-        if chart.has_z:
-            basis.append(f * H.partial(chart.z_slot))
-        if chart.has_time:
-            basis.append(f * H.partial(chart.t_slot))
-        monomials = set(lhs.terms)
-        for poly in basis:
-            monomials.update(poly.terms)
-        for exps in monomials:
-            row = [poly.terms.get(exps, Fraction(0)) for poly in basis]
-            row.append(lhs.terms.get(exps, Fraction(0)))
-            rows.append(row)
-        solution = _solve_exact(rows, len(slots))
-        if solution is not None:
-            out = [Fraction(0)] * 3
-            for slot, value in zip(slots, solution):
-                out[slot] = value
-            return tuple(out)  # type: ignore[return-value]
-    raise ArithmeticError("corpus never determined the density coefficients")
 
 
 # -- grids, particles, solvers ----------------------------------------
@@ -401,9 +219,10 @@ class ParticleKineticResult:
 def _step_count(t_final: float, dt: float) -> int:
     """ceil(t_final / dt) steps, at least one (none for t_final = 0);
     refused before any work when past the step budget."""
-    steps = t_final / dt - 1e-12
+    ratio = t_final / dt if dt else math.inf  # a CFL limit can underflow to 0.0
+    steps = ratio - 1e-12
     if not steps <= MAX_STEPS:
-        raise ValueError(f"t_final/dt = {t_final / dt:.6g} steps exceed the budget of {MAX_STEPS}")
+        raise ValueError(f"t_final/dt = {ratio:.6g} steps exceed the budget of {MAX_STEPS}")
     return max(1, math.ceil(steps)) if t_final > 0 else 0
 
 
@@ -412,21 +231,6 @@ def _check_work(size: int, what: str, steps: int) -> None:
     the work budget, before any work."""
     if size * steps > MAX_WORK:
         raise ValueError(f"{size} {what} x {steps} steps exceed the work budget of {MAX_WORK}")
-
-
-def _weight_rate(dyn: Dynamics) -> Poly:
-    """R_eta(H) = dH/dz, the rate of the particle weights (zero off z-charts)."""
-    chart = dyn.spec.chart
-    return dyn.H.partial(chart.z_slot) if chart.has_z else chart.zero()
-
-
-def _growth_factor(chart: Chart) -> int:
-    """The grid source's multiple of the weight rate.  The law's
-    f-coefficient is density_vlasov_rhs(chart, H, 1) = a {H, 1} + b R_eta(H)
-    with {H, 1} = -R_eta(H), so b - a = n + 2 on z-charts (the rate is zero
-    elsewhere).  An int, so that the source grid is an exact multiple."""
-    a, b, _ = density_coefficients(chart)
-    return int(b - a)
 
 
 def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float],
@@ -442,7 +246,7 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     chart = dyn.spec.chart
     if tuple(a.name for a in axes) != chart.coord_names or dyn.H.dim != chart.dim:
         raise ValueError("grid, Hamiltonian and chart must agree")
-    if dyn.spec != _hamiltonian_zero_spec(chart):
+    if dyn.spec != kinetic_spec(chart):
         raise ValueError(f"the solvers carry densities along the hamiltonian field with "
                          f"gauge zero only, not {dyn.spec.row_name}")
     if not all(span >= 0 for span in spans) or dt is not None and not dt > 0:
@@ -465,7 +269,7 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
         else:
             active.append(k)
             rate += speed / axis.dx
-    return _weight_rate(dyn), vel, active, cfl / rate if rate else math.inf
+    return weight_rate(dyn), vel, active, cfl / rate if rate else math.inf
 
 
 def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, k: int,
@@ -535,7 +339,7 @@ def solve_density_grid(
     src = None
     if not rate.is_zero():
         shape = f0.values.shape
-        src = _growth_factor(chart) * rate.eval_array(_cell_centers(f0.axes)).reshape(shape)
+        src = growth_factor(chart) * rate.eval_array(_cell_centers(f0.axes)).reshape(shape)
 
     def rhs(values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -628,7 +432,9 @@ def _push_chunk(
     axis are dropped.  Returns the surviving columns and, for each step
     that dropped rows, (step, their weights in row order).  A component
     that is identically zero contributes the scalar 0.0 (x + c*0.0 is what
-    a zero column gives)."""
+    a zero column gives).  Raises StabilityError if a column, or an escaped
+    weight, is not finite after the push; numpy's warnings are off, since
+    that check decides."""
     dim = len(axes)
     moving = [(k, c.eval_array) for k, c in enumerate(X.components) if not c.is_zero()]
     src_eval = None if rate.is_zero() else rate.eval_array
@@ -643,17 +449,20 @@ def _push_chunk(
         return dy
 
     escapes = []
-    for step in range(n_steps):
-        state = _rk4_step(rhs, state, h)
-        alive = np.ones(len(state[dim]), dtype=bool)
-        for k, axis in enumerate(axes):
-            if axis.boundary == "periodic":
-                state[k] = axis.lo + np.mod(state[k] - axis.lo, axis.hi - axis.lo)
-            else:
-                alive &= (state[k] >= axis.lo) & (state[k] <= axis.hi)
-        if not alive.all():
-            escapes.append((step, state[dim][~alive]))
-            state = [column[alive] for column in state]
+    with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
+        for step in range(n_steps):
+            state = _rk4_step(rhs, state, h)
+            alive = np.ones(len(state[dim]), dtype=bool)
+            for k, axis in enumerate(axes):
+                if axis.boundary == "periodic":
+                    state[k] = axis.lo + np.mod(state[k] - axis.lo, axis.hi - axis.lo)
+                else:
+                    alive &= (state[k] >= axis.lo) & (state[k] <= axis.hi)
+            if not alive.all():
+                escapes.append((step, state[dim][~alive]))
+                state = [column[alive] for column in state]
+    if not all(np.isfinite(c).all() for c in [*state, *(w for _, w in escapes)]):
+        raise StabilityError("the pushed particle state is not finite; reduce dt")
     return state, escapes
 
 
@@ -698,7 +507,9 @@ def solve_density_particle(
     1) capped at the CPU count; no output, escaped mass included, depends on
     the blocking or the worker count.  A run of more than `flow.MAX_STEPS`
     steps, or of more than `flow.MAX_WORK` particles x steps, is refused
-    with ValueError before seeding.
+    with ValueError before seeding.  As on the grid, a state that is not
+    finite is refused with StabilityError: the seeded weights before the
+    push, each block after its push, and the deposit.
     """
     chart = dyn.spec.chart
     axes = tuple(axes)
@@ -710,6 +521,8 @@ def solve_density_particle(
     _check_work(particle_count, "particles", n_steps)
     h = t_final / n_steps if n_steps else 0.0
     seeded = seed_particles(chart, f0, particle_count, seed=seed, axes=axes)
+    if not np.isfinite(seeded.weights).all():
+        raise StabilityError("the seeded weights are not finite; f0 overflows on the grid")
     mass_initial = seeded.total_weight()
     workers = min(max(1, threads or 1), os.cpu_count() or 1)
     columns = [*seeded.positions.T, seeded.weights]
@@ -728,9 +541,12 @@ def solve_density_particle(
     *positions, weights = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
     escaped_mass, escaped_count = _gather_escapes([p[1] for p in parts])
     final = ParticleEnsemble(chart, np.column_stack(positions), weights)
+    deposited = deposit(final, axes)
+    if not np.isfinite(deposited.values).all():
+        raise StabilityError("the deposited density is not finite")
     return ParticleKineticResult(
         ensemble=final,
-        deposited=deposit(final, axes),
+        deposited=deposited,
         mass_initial=mass_initial,
         mass_final=final.total_weight(),
         escaped_mass=escaped_mass,

@@ -31,8 +31,6 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 Exponents = tuple[int, ...]
 Rational = Fraction | int
 
@@ -308,7 +306,10 @@ class Poly:
     def eval_array(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized evaluation at N points given as `dim` columns of
         length N, one per coordinate: an (N, dim) array `pts` is passed as
-        `pts.T`.  Returns N values, bit-identical to `eval` row by row."""
+        `pts.T`.  Returns N values, bit-identical to `eval` row by row.
+        numpy is imported here, so that the exact layers load without it."""
+        import numpy as np
+
         cols = [np.asarray(c, dtype=float) for c in columns]
         shape = cols[0].shape if cols else (0,)
         if len(cols) != self.dim or len(shape) != 1 or any(c.shape != shape for c in cols):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -132,9 +133,11 @@ def _set(section, key, value):
     ("$.time.abs_tol", _set("time", "abs_tol", -1e-10)),
     ("$.chart.n", _set("chart", "n", 17)),
     ("$.chart.n", _set("chart", "n", 10 ** 400)),
+    ("$.seed", lambda cfg: cfg.update(seed=-1)),
 ], ids=["trajectory-int", "t-final-inf", "dt-huge-int", "point-inf", "point-bool",
         "degree-overflow", "coefficient-overflow", "constant-power", "particles-few",
-        "cfl-negative", "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge"])
+        "cfl-negative", "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge",
+        "seed-negative"])
 def test_boundary_faults_are_config_errors(tmp_path, capsys, path, mutate):
     cfg = simulate_config(tmp_path)
     mutate(cfg)
@@ -403,6 +406,14 @@ def test_kinetic_runs_past_the_step_budget_are_refused_before_stepping(tmp_path,
     assert not (tmp_path / "g.grid").exists()
 
 
+def test_a_cfl_limit_that_underflows_to_zero_meets_the_step_budget(tmp_path, capsys):
+    # speeds near 1e301 per cell make the limit 1e-300 / 1e302, which is 0.0
+    cfg = _kinetic_config(tmp_path, "kinetic-grid", "10^300*(p1^2 + q1^2)", 0.04, None)
+    cfg["time"] = {"t_final": 0.04, "cfl": 1e-300}
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "error: t_final/dt = inf steps exceed the budget of 2000000\n"
+
+
 def test_a_late_snapshot_past_the_step_budget_is_refused_before_stepping(tmp_path, capsys,
                                                                          monkeypatch):
     def no_step(*args, **kwargs):
@@ -667,3 +678,28 @@ def test_each_run_builds_its_field_once(tmp_path, monkeypatch, task, builds, dia
             cfg["output"]["grid"] = [str(tmp_path / f"snap{k}.grid") for k in range(3)]
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
     assert counts == {"make_field": builds, "diagnostics": diagnoses}
+
+
+@pytest.mark.parametrize("case", ["seeded", "pushed"])
+def test_a_particle_overflow_exits_1_with_one_stderr_line(tmp_path, case):
+    """In a subprocess, because pytest captures warnings: numpy's overflow
+    warnings, raised in the pool threads too, must not reach stderr."""
+    if case == "seeded":
+        chart, hamiltonian, density = {"kind": "symplectic", "n": 1}, "p1^2/2", "q1^24"
+        axes = [{"lo": -1e20, "hi": 1e20, "size": 32}, {"lo": -2.0, "hi": 2.0, "size": 32}]
+    else:
+        chart, hamiltonian, density = {"kind": "contact", "n": 1}, "10^100*z", "1"
+        axes = [{"lo": -1.0, "hi": 1.0, "size": 32}, {"lo": -1e-3, "hi": 1e-3, "size": 1},
+                {"lo": -1e-3, "hi": 1e-3, "size": 1}]
+    cfg = {"chart": chart, "task": "kinetic-particle", "hamiltonian": hamiltonian,
+           "particles": 1000, "threads": 2,
+           "initial": {"grid": {"axes": axes}, "density": density},
+           "time": {"t_final": 1.0, "dt": 1.0},
+           "output": {"grid": str(tmp_path / "g.grid")}}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "geokin.cli", "run", write_config(tmp_path, cfg)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "g.grid").exists()

@@ -1,11 +1,15 @@
-"""No traceback on any input: single-key mutations of one small config per task.
+"""No traceback on any input: mutations of one small config per task.
 
-Each drawn config goes through `geokin validate` and `geokin run`.  Both
-must end in a documented exit code (0 ok, 1 check or solver failure, 2
-config error), raise nothing out of `cli.main`, and say why in exactly
-one stderr line when they fail.  The bases are small (32-cell axes, 1000
-particles, a few steps), and no drawn value is a size that is both legal
-and large: sizes are small, or past a budget that refuses them first.
+Two strategies draw the configs: single-key mutations of any value, and
+pairs of keys set to extreme values (1e300 bounds, degree-24 terms, dt
+at the CFL edge), since some faults need two keys at once.  Each drawn
+config goes through `geokin validate` and `geokin run`.  Both must end
+in a documented exit code (0 ok, 1 check or solver failure, 2 config
+error), raise nothing out of `cli.main`, and say why in exactly one
+stderr line when they fail.  The bases are small (32-cell axes, 1000
+particles, a few steps), and no drawn value, nor pair, is a size that is
+both legal and large: sizes are small, or past a budget that refuses
+them first.
 """
 
 import contextlib
@@ -99,22 +103,64 @@ def _values_for(path, current):
     return st.one_of(typed, typed, _ANY, st.just(_DELETE))
 
 
-@st.composite
-def mutated_configs(draw):
-    task = draw(st.sampled_from(sorted(BASES)))
-    cfg = copy.deepcopy(BASES[task])
-    path = draw(st.sampled_from(list(_key_paths(cfg)) + _SCHEMA_PATHS + _UNKNOWN_PATHS))
+def _parent(cfg, path):
+    """The node holding the last key of `path`, made on the way if missing."""
     node = cfg
     for key in path[:-1]:
         if isinstance(node, dict) and key not in node:
             node[key] = {}
         node = node[key]
+    return node
+
+
+@st.composite
+def mutated_configs(draw):
+    task = draw(st.sampled_from(sorted(BASES)))
+    cfg = copy.deepcopy(BASES[task])
+    path = draw(st.sampled_from(list(_key_paths(cfg)) + _SCHEMA_PATHS + _UNKNOWN_PATHS))
+    node = _parent(cfg, path)
     current = node[path[-1]] if isinstance(node, list) or path[-1] in node else None
     value = draw(_values_for(path, current))
     if value is not _DELETE:
         node[path[-1]] = value
     elif current is not None:
         del node[path[-1]]
+    return cfg
+
+
+# The kinetic bases' CFL limit: speed 1.9375 over 0.125-wide cells on two
+# axes is a rate of 31; the grid steps under 0.9 of it, particles under 4.
+_GRID_EDGE, _PARTICLE_EDGE = 0.9 / 31.0, 4.0 / 31.0
+# A few extreme values per key.  Every pair of them is small, or refused
+# before any work: a large t_final meets a step budget up front.  Not
+# `time.method`: rk45 with a huge t_final runs to its step budget, for
+# minutes, before it is refused.
+_EXTREMES = {
+    ("hamiltonian",): ["q1^24 + p1^2/2", "p1^24/24 + q1^2/2", "10^300*(p1^2 + q1^2)",
+                       "z^24 + p1^2/2", "q1^12*p1^12"],
+    ("initial", "density"): ["q1^24", "q1^12*p1^12", "10^300", "10^300*q1^2"],
+    ("initial", "point"): [[1e300, 1e300, 1e300], [1e150, -1e150, 1e150]],
+    ("initial", "grid", "axes", 0, "lo"): [-1e300, -1e20],
+    ("initial", "grid", "axes", 0, "hi"): [1e300, 1e20],
+    ("initial", "grid", "axes", 1, "lo"): [-1e300],
+    ("initial", "grid", "axes", 1, "hi"): [1e300],
+    ("initial", "grid", "axes", 0, "boundary"): ["periodic"],
+    ("time", "dt"): [_GRID_EDGE, math.nextafter(_GRID_EDGE, math.inf),
+                     _PARTICLE_EDGE, math.nextafter(_PARTICLE_EDGE, math.inf), 1e-300],
+    ("time", "t_final"): [1e300, 1e-300],
+    ("time", "snapshots"): [[1e-300, 0.04], [1e300]],
+    ("time", "cfl"): [1e300, 1e-300],
+    ("seed",): [2 ** 64, 10 ** 400],
+    ("threads",): [2],
+}
+
+
+@st.composite
+def extreme_pairs(draw):
+    cfg = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    for path in draw(st.lists(st.sampled_from(list(_EXTREMES)), min_size=2, max_size=2,
+                              unique=True)):
+        _parent(cfg, path)[path[-1]] = draw(st.sampled_from(_EXTREMES[path]))
     return cfg
 
 
@@ -129,6 +175,17 @@ def _main(argv):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=mutated_configs())
 def test_no_input_ends_in_a_traceback(cfg):
+    _validate_and_run(cfg)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=extreme_pairs())
+def test_no_pair_of_extreme_values_ends_in_a_traceback(cfg):
+    _validate_and_run(cfg)
+
+
+def _validate_and_run(cfg):
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as run_dir:
         os.chdir(run_dir)  # relative output paths land here

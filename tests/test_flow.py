@@ -175,13 +175,22 @@ def test_blow_up_reports_last_good_state():
     assert len(err.value.partial.times) > 1
 
 
-def test_step_budget_is_enforced():
+def test_step_budget_is_enforced(monkeypatch):
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
-    cfg = IntegratorConfig(step=1e-3, max_steps=10)
-    with pytest.raises(StepBudgetError) as err:
-        integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1.0), cfg)
-    assert err.value.partial is not None
+    monkeypatch.setattr(flow, "MAX_STEPS", 10)
+    for method in flow.METHODS:
+        with pytest.raises(StepBudgetError) as err:
+            integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1.0),
+                      IntegratorConfig(method=method, step=1e-3))
+        assert err.value.partial is not None
+
+
+def test_a_step_count_past_float_range_is_refused():
+    chart, spec = _spec(ChartKind.SYMPLECTIC)
+    H = chart.parse("(q1^2 + p1^2)/2")
+    with pytest.raises(StepBudgetError, match="inf RK4 steps exceed the step budget"):
+        integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1e300), IntegratorConfig(step=1e-300))
 
 
 def test_backward_time_is_rejected():

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +120,28 @@ def test_runner_reports_a_crash_on_a_later_draw():
     assert len(draws) == 2
     (report,) = run.reports
     assert report.witness == "raised ZeroDivisionError: draw 2"
+
+
+_EXACT_CORE = """
+import random, sys
+from geokin.chart import Chart, ChartKind
+from geokin.corpus import random_hamiltonian, random_one_form
+from geokin.density import intertwine_residual
+from geokin.identities import run_identity_suite, suite_passed
+
+for kind in ChartKind:
+    assert suite_passed(run_identity_suite(Chart(kind, 1), seed=0, trials=2)), kind
+chart, rng = Chart(ChartKind.COCONTACT, 1), random.Random(0)
+H, Pi = random_hamiltonian(rng, chart), random_one_form(rng, chart)
+assert intertwine_residual(H, Pi).is_zero()
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+
+def test_the_exact_core_runs_without_numpy():
+    """The identity suite and the density law import and run without numpy,
+    in a fresh interpreter that has loaded nothing else."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _EXACT_CORE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

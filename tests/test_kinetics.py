@@ -29,20 +29,25 @@ from geokin.chart import (
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
 from geokin.fields import Dynamics, Family, FieldSpec, Gauge, divergence, make_field
 from geokin import cli, kinetics
-from geokin.kinetics import (
-    GridAxis,
-    GridDensity,
+from geokin.density import (
     MomentumOneForm,
-    ParticleEnsemble,
-    StabilityError,
     adjudicate_density_coefficients,
     density_coefficients,
     density_vlasov_rhs,
-    deposit,
     dual_pairing_residual,
+    growth_factor,
     intertwine_residual,
+    kinetic_spec,
     momentum_map,
     momentum_vlasov_rhs,
+    weight_rate,
+)
+from geokin.kinetics import (
+    GridAxis,
+    GridDensity,
+    ParticleEnsemble,
+    StabilityError,
+    deposit,
     particle_csv_columns,
     read_grid,
     read_particles,
@@ -60,7 +65,7 @@ ALL_CHARTS = [Chart(kind, n) for kind in ChartKind for n in (1, 2)]
 
 def _dyn(chart, H):
     """The motion both solvers carry densities along: H's Hamiltonian/gauge-zero row."""
-    return Dynamics(kinetics._hamiltonian_zero_spec(chart), H)
+    return Dynamics(kinetic_spec(chart), H)
 
 
 def _ham_zero_spec(chart):
@@ -815,11 +820,11 @@ def test_solver_terms_are_the_density_law():
     With X the transport field and s = density_vlasov_rhs(chart, H, 1) the
     law's f-coefficient: the law is transport plus growth, -X(f) + s f; the
     particle weight rate is the growth net of the volume change, s + div X;
-    and the grid source s is `_growth_factor` times that rate.
+    and the grid source s is `growth_factor` times that rate.
     """
     for chart in ALL_CHARTS:
         rng = random.Random(f"density-law/{chart.kind.value}/{chart.n}")
-        factor = kinetics._growth_factor(chart)
+        factor = growth_factor(chart)
         assert type(factor) is int  # an exact multiple keeps the source grid's bytes
         for _ in range(15):
             H = random_hamiltonian(rng, chart, degree=3, terms=4)
@@ -827,7 +832,7 @@ def test_solver_terms_are_the_density_law():
             dyn = _dyn(chart, H)
             X = dyn.field
             s = density_vlasov_rhs(chart, H, chart.const(1))
-            rate = kinetics._weight_rate(dyn)
+            rate = weight_rate(dyn)
             assert density_vlasov_rhs(chart, H, f) == -X.apply_to(f) + s * f
             assert s + divergence(X) == rate
             assert s == factor * rate
@@ -1036,3 +1041,28 @@ def test_grid_solver_is_bit_identical_to_the_padded_upwind_solver(kind, data):
     for g, w in zip(got, want):
         assert g.axes == w.axes and g.values.shape == w.values.shape
         assert g.values.tobytes() == w.values.tobytes()
+
+
+# Three ways a particle run overflows, each caught where it happens.  The
+# contact runs keep p1 and z collapsed at 0, so nothing moves and only the
+# weights grow, by dw/ds = R_eta(H) w = c w.
+_COLLAPSED_CONTACT = (GridAxis("q1", -1.0, 1.0, 32), GridAxis("p1", -1e-3, 1e-3, 1),
+                      GridAxis("z", -1e-3, 1e-3, 1))
+_OVERFLOWS = {
+    # q1^24 at |q1| ~ 1e20 is past float range: the seeded weights are inf
+    "seeded": (_SYM, "p1^2/2", "q1^24",
+               (GridAxis("q1", -1e20, 1e20, 32), GridAxis("p1", -2.0, 2.0, 32)), 1.0, 0.5),
+    # one RK4 step of h c = 1e100: the last stage overflows mid-push
+    "pushed": (Chart(ChartKind.CONTACT, 1), "10^100*z", "1", _COLLAPSED_CONTACT, 1.0, 1.0),
+    # e^258 growth keeps the weights (about 1e-8 * f0 each) finite but takes
+    # the density they deposit (about f0) past float range
+    "deposited": (Chart(ChartKind.CONTACT, 1), "258*z", "10^200", _COLLAPSED_CONTACT, 1.0, 0.001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+def test_particle_runs_that_lose_finiteness_are_refused(case):
+    chart, H, f0, axes, t_final, dt = _OVERFLOWS[case]
+    with np.errstate(all="ignore"), pytest.raises(StabilityError, match="not finite"):
+        solve_density_particle(_dyn(chart, chart.parse(H)), chart.parse(f0), t_final, dt, 1000,
+                               axes=axes)

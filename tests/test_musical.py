@@ -7,13 +7,13 @@ import pytest
 from geokin.chart import (
     Chart,
     ChartKind,
+    OneFormExpr,
     canonical_eta,
     canonical_tau,
     differential,
     pairing,
     reeb_eta,
     reeb_tau,
-    zero_one_form,
 )
 from geokin.corpus import random_one_form
 from geokin.musical import (
@@ -35,8 +35,6 @@ def _form(chart, by_name):
     parts = []
     for name in chart.coord_names:
         parts.append(chart.parse(by_name.get(name, "0")))
-    from geokin.chart import OneFormExpr
-
     return OneFormExpr(chart, tuple(parts))
 
 
@@ -135,5 +133,6 @@ def test_sharp_of_canonical_forms_hits_reeb_fields():
 
 def test_zero_form_maps_to_zero_field():
     for chart in ALL_CHARTS:
-        assert sharp(zero_one_form(chart)).is_zero()
-        assert sharp(zero_one_form(chart), SharpVariant.BIVECTOR).is_zero()
+        zero = OneFormExpr(chart, (chart.zero(),) * chart.dim)
+        assert sharp(zero).is_zero()
+        assert sharp(zero, SharpVariant.BIVECTOR).is_zero()
