@@ -324,8 +324,9 @@ def _run_kinetic_particle(s: Scenario) -> int:
     )
     out = _prepare(s.output["grid"][0])
     write_grid(result.deposited, out)
+    seeded = len(result.ensemble.weights) + result.escaped_count
     print(
-        f"kinetic-particle: {s.particle_count} particles to s={s.t_final:g}; "
+        f"kinetic-particle: {seeded} particles to s={s.t_final:g}; "
         f"mass {result.mass_initial:.9g} -> {result.mass_final:.9g}, "
         f"escaped {result.escaped_count} ({result.escaped_mass:.3g})"
     )

@@ -56,14 +56,9 @@ def random_hamiltonian(
     degree: int = 3,
     terms: int = 4,
     z_free: bool = False,
-    t_free: bool = False,
 ) -> Poly:
-    frozen: list[int] = []
-    if z_free and chart.has_z:
-        frozen.append(chart.z_slot)
-    if t_free and chart.has_time:
-        frozen.append(chart.t_slot)
-    return random_poly(rng, chart.dim, degree=degree, terms=terms, frozen_slots=tuple(frozen))
+    frozen = (chart.z_slot,) if z_free and chart.has_z else ()
+    return random_poly(rng, chart.dim, degree=degree, terms=terms, frozen_slots=frozen)
 
 
 def random_one_form(

@@ -180,12 +180,16 @@ def _solve_exact(rows: list[list[Fraction]], unknowns: int) -> list[Fraction] | 
     return solution
 
 
+# (H, Pi) draws before `adjudicate_density_coefficients` gives up.
+MAX_ADJUDICATION_SAMPLES = 64
+
+
 def adjudicate_density_coefficients(
-    chart: Chart, seed: int = 71, max_samples: int = 64
+    chart: Chart, seed: int = 71
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Re-derive (a, b, c) from scratch by exact linear solve.
 
-    Draws random (H, Pi) pairs, demands
+    Draws up to `MAX_ADJUDICATION_SAMPLES` random (H, Pi) pairs, demands
     momentum_map(dPi/ds) == a {H,f} + b f R_eta(H) + c f R_tau(H)
     term by term, and solves the resulting system over the rationals.
     """
@@ -197,7 +201,7 @@ def adjudicate_density_coefficients(
     if chart.has_time:
         slots.append(2)
     rows: list[list[Fraction]] = []
-    for _ in range(max_samples):
+    for _ in range(MAX_ADJUDICATION_SAMPLES):
         H = random_hamiltonian(rng, chart, degree=2, terms=3)
         Pi = random_one_form(rng, chart, degree=2, terms=2)
         f = momentum_map(Pi)

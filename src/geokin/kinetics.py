@@ -18,13 +18,15 @@ The particle solver takes the initial density in closed form (a `Poly`
 or a callable) plus the grid axes.  It pushes a jittered-lattice
 ensemble along the flow with per-particle weights obeying
 dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
-contraction n+1), then deposits cloud-in-cell.  The push state is dim+1
-contiguous columns, weight last, stepped by `flow`'s RK4 step along one
-path, in fixed blocks of `PUSH_BLOCK_ROWS` rows that the workers (the
-calling thread or a thread pool) map over.  The blocks are stacked into
-the final ensemble once, at the end, and the weights that escape are
-gathered step by step in row order, so no result depends on the blocking
-or the worker count.
+contraction n+1), then deposits cloud-in-cell.  From seeding to deposit the
+ensemble is one contiguous column per chart coordinate, in chart order,
+plus the weights.  The push state is those dim+1 columns, weight last,
+stepped by `flow`'s RK4 step along one path, in fixed blocks of
+`PUSH_BLOCK_ROWS` rows that the workers (the calling thread or a thread
+pool) map over; a block is a slice (a view, not a copy) of the seeded
+columns.  The survivors are joined column by column once, at the end,
+and the weights that escape are gathered step by step in row order, so
+no result depends on the blocking or the worker count.
 
 The grid solver is the independent oracle: from a sampled `GridDensity`,
 method of lines with first-order upwind transport per advecting axis
@@ -89,11 +91,12 @@ class GridAxis:
 Density = Poly | Callable[[np.ndarray], np.ndarray]  # a density in closed form
 
 
-def _evaluate(density: Density, pts: np.ndarray) -> np.ndarray:
-    """A closed-form density at (N, dim) points."""
+def _evaluate(density: Density, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """A closed-form density at N points given as one column per axis; a
+    callable takes them as one (N, dim) array."""
     if isinstance(density, Poly):
-        return density.eval_array(pts.T)
-    return np.asarray(density(pts), dtype=float)
+        return density.eval_array(cols)
+    return np.asarray(density(np.stack(cols, axis=1)), dtype=float)
 
 
 def _cell_centers(axes: Sequence[GridAxis]) -> list[np.ndarray]:
@@ -101,16 +104,17 @@ def _cell_centers(axes: Sequence[GridAxis]) -> list[np.ndarray]:
     return [g.ravel() for g in np.meshgrid(*[a.centers() for a in axes], indexing="ij")]
 
 
-def _cic_corners(axes: Sequence[GridAxis], pts: np.ndarray, weight: np.ndarray):
-    """The cloud-in-cell stencil: per cell-center corner around the points,
-    yield (flat cell index, weight times corner weight, in-grid mask)."""
+def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray], weight: np.ndarray):
+    """The cloud-in-cell stencil: per cell-center corner around the points
+    (one column per axis), yield (flat cell index, weight times corner
+    weight, in-grid mask)."""
     shape = tuple(a.size for a in axes)
     for corner in range(1 << len(axes)):
         idx = []
         w = weight
-        valid = np.ones(pts.shape[0], dtype=bool)
+        valid = np.ones(len(weight), dtype=bool)
         for k, axis in enumerate(axes):
-            u = (pts[:, k] - axis.lo) / axis.dx - 0.5
+            u = (cols[k] - axis.lo) / axis.dx - 0.5
             i0 = np.floor(u).astype(int)
             frac = u - i0
             hi = (corner >> k) & 1
@@ -167,7 +171,7 @@ class GridDensity:
         axes = tuple(axes)
         shape = tuple(a.size for a in axes)
         grid = cls(chart, axes, np.zeros(shape))
-        grid.values = _evaluate(func, grid.points()).reshape(shape)
+        grid.values = _evaluate(func, _cell_centers(axes)).reshape(shape)
         return grid
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
@@ -175,7 +179,7 @@ class GridDensity:
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[0])
         values = self.values.ravel()
-        for flat, weight, valid in _cic_corners(self.axes, pts, np.ones(pts.shape[0])):
+        for flat, weight, valid in _cic_corners(self.axes, pts.T, np.ones(pts.shape[0])):
             out += np.where(valid, weight * values[flat], 0.0)
         return out
 
@@ -191,16 +195,17 @@ class GridDensity:
 @dataclass
 class ParticleEnsemble:
     chart: Chart
-    positions: np.ndarray  # (N, dim), chart coordinate order
+    columns: list[np.ndarray]  # one (N,) column per chart coordinate, chart order
     weights: np.ndarray  # (N,)
 
     def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=float)
+        self.columns = [np.asarray(c, dtype=float) for c in self.columns]
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != self.chart.dim:
-            raise ValueError(f"positions must have shape (N, {self.chart.dim})")
-        if self.weights.shape != (self.positions.shape[0],):
+        if self.weights.ndim != 1:
             raise ValueError("weights must be one per particle")
+        if len(self.columns) != self.chart.dim or any(
+                c.shape != self.weights.shape for c in self.columns):
+            raise ValueError(f"need {self.chart.dim} columns of one value per particle")
 
     def total_weight(self) -> float:
         return float(self.weights.sum())
@@ -379,26 +384,16 @@ def seed_particles(
     """
     if particle_count < 1_000:
         raise ValueError("particle_count must be at least 1000")
-    active = [k for k, a in enumerate(axes) if a.size > 1]
-    per_axis = max(2, int(round(particle_count ** (1.0 / max(1, len(active))))))
+    active = sum(a.size > 1 for a in axes)
+    per_axis = max(2, int(round(particle_count ** (1.0 / max(1, active)))))
     rng = np.random.default_rng(seed)
-    axes_counts = [per_axis if k in active else 1 for k in range(len(axes))]
-    coords = []
-    vol = 1.0
-    for k, axis in enumerate(axes):
-        m = axes_counts[k]
-        step = (axis.hi - axis.lo) / m
-        centers = axis.lo + (np.arange(m) + 0.5) * step
-        coords.append(centers)
-        vol *= step
-    mesh = np.meshgrid(*coords, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    for k, axis in enumerate(axes):
-        m = axes_counts[k]
-        if m > 1:
-            step = (axis.hi - axis.lo) / m
-            pts[:, k] += (rng.random(pts.shape[0]) - 0.5) * step
-    return ParticleEnsemble(chart, pts, _evaluate(f0, pts) * vol)
+    lattice = [GridAxis(a.name, a.lo, a.hi, per_axis if a.size > 1 else 1) for a in axes]
+    cols = _cell_centers(lattice)
+    for col, cell in zip(cols, lattice):
+        if cell.size > 1:
+            col += (rng.random(len(col)) - 0.5) * cell.dx
+    vol = math.prod(cell.dx for cell in lattice)
+    return ParticleEnsemble(chart, cols, _evaluate(f0, cols) * vol)
 
 
 def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity:
@@ -406,7 +401,7 @@ def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity
     axes = tuple(axes)
     grid = GridDensity(ensemble.chart, axes, np.zeros(tuple(a.size for a in axes)))
     acc = np.zeros(grid.values.shape)
-    for flat, weight, valid in _cic_corners(axes, ensemble.positions, ensemble.weights):
+    for flat, weight, valid in _cic_corners(axes, ensemble.columns, ensemble.weights):
         np.add.at(acc.ravel(), flat, np.where(valid, weight, 0.0))
     grid.values = acc / grid.cell_volume
     return grid
@@ -525,10 +520,10 @@ def solve_density_particle(
         raise StabilityError("the seeded weights are not finite; f0 overflows on the grid")
     mass_initial = seeded.total_weight()
     workers = min(max(1, threads or 1), os.cpu_count() or 1)
-    columns = [*seeded.positions.T, seeded.weights]
-    blocks = [[np.ascontiguousarray(c[lo:lo + PUSH_BLOCK_ROWS]) for c in columns]
+    columns = [*seeded.columns, seeded.weights]
+    blocks = [[c[lo:lo + PUSH_BLOCK_ROWS] for c in columns]
               for lo in range(0, len(seeded.weights), PUSH_BLOCK_ROWS)]
-    del seeded, columns  # the blocks now hold the ensemble
+    del seeded, columns  # the blocks, views of the seeded columns, now hold the ensemble
     push = functools.partial(_push_chunk, X=dyn.field, rate=rate, h=h, n_steps=n_steps, axes=axes)
     if workers == 1:
         parts = list(map(push, blocks))
@@ -538,9 +533,10 @@ def solve_density_particle(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(push, blocks))
     del blocks
-    *positions, weights = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
+    *columns, weights = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
     escaped_mass, escaped_count = _gather_escapes([p[1] for p in parts])
-    final = ParticleEnsemble(chart, np.column_stack(positions), weights)
+    del parts
+    final = ParticleEnsemble(chart, columns, weights)
     deposited = deposit(final, axes)
     if not np.isfinite(deposited.values).all():
         raise StabilityError("the deposited density is not finite")
@@ -623,7 +619,7 @@ def write_particles(ensemble: ParticleEnsemble, path: str) -> None:
     `read_particles` maps them back."""
     cols = particle_csv_columns(ensemble.chart)
     slot_of = {name: k for k, name in enumerate(ensemble.chart.coord_names)}
-    table = np.column_stack([ensemble.positions[:, [slot_of[c] for c in cols[:-1]]],
+    table = np.column_stack([*(ensemble.columns[slot_of[c]] for c in cols[:-1]),
                              ensemble.weights])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
@@ -639,9 +635,6 @@ def read_particles(chart: Chart, path: str) -> ParticleEnsemble:
             raise ValueError(f"{path}: header {header} does not match {expected}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     data = np.array([[float(v) for v in row] for row in rows]) if rows else np.zeros((0, len(expected)))
-    slot_of = {name: k for k, name in enumerate(chart.coord_names)}
-    positions = np.zeros((data.shape[0], chart.dim))
-    for col_idx, col in enumerate(expected[:-1]):
-        positions[:, slot_of[col]] = data[:, col_idx]
-    weights = data[:, -1] if data.size else np.zeros(0)
-    return ParticleEnsemble(chart, positions, weights)
+    *table, weights = data.T.copy()  # one contiguous column per CSV column
+    index_of = {name: k for k, name in enumerate(expected)}
+    return ParticleEnsemble(chart, [table[index_of[name]] for name in chart.coord_names], weights)

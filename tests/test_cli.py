@@ -324,10 +324,41 @@ def test_kinetic_particle_run(tmp_path):
     deposited = read_grid(str(tmp_path / "dep.grid"))
     assert deposited.total_mass() > 0
     ensemble = read_particles(Chart(ChartKind.SYMPLECTIC, 1), str(tmp_path / "ens.csv"))
-    assert ensemble.positions.shape[1] == 2
+    assert len(ensemble.columns) == 2
     first = (tmp_path / "dep.grid").read_bytes()
     assert cli.main(["run", path]) == 0
     assert (tmp_path / "dep.grid").read_bytes() == first
+
+
+def test_kinetic_particle_reports_the_seeded_count(tmp_path, capsys):
+    # 1000 requested on two active axes seed a 32 x 32 lattice: 1024 particles,
+    # survivors in the CSV plus the escaped ones
+    cfg = {
+        "chart": {"kind": "symplectic", "n": 1},
+        "task": "kinetic-particle",
+        "hamiltonian": "p1^2/2",
+        "particles": 1000,
+        "seed": 3,
+        "initial": {
+            "grid": {"axes": [
+                {"lo": -1.0, "hi": 1.0, "size": 32},
+                {"lo": -2.0, "hi": 2.0, "size": 32},
+            ]},
+            "density": "1 + q1^2",
+        },
+        "time": {"t_final": 0.5, "dt": 0.05},
+        "output": {
+            "grid": str(tmp_path / "dep.grid"),
+            "particles": str(tmp_path / "ens.csv"),
+        },
+    }
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "kinetic-particle: 1024 particles to s=0.5;" in out
+    escaped = int(out.split("escaped ")[1].split()[0])
+    ensemble = read_particles(Chart(ChartKind.SYMPLECTIC, 1), str(tmp_path / "ens.csv"))
+    assert escaped > 0
+    assert len(ensemble.weights) + escaped == 1024
 
 
 def test_task_override_flag(tmp_path, capsys):

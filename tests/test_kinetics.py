@@ -370,7 +370,7 @@ def test_deposit_conserves_mass_for_interior_particles():
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1.5, 1.5, size=(500, 2))
     wts = rng.uniform(0.5, 2.0, size=500)
-    g = deposit(ParticleEnsemble(s, pts, wts), axes)
+    g = deposit(ParticleEnsemble(s, pts.T, wts), axes)
     assert g.total_mass() == pytest.approx(float(wts.sum()), rel=1e-12)
 
 
@@ -387,7 +387,7 @@ def test_deposit_is_the_adjoint_of_interpolate():
     assert np.any((np.abs(pts[:, 1]) > 2.0) | (pts[:, 2] < 0.0) | (pts[:, 2] > 1.0))
     wts = rng.uniform(0.5, 2.0, size=400)
     g = GridDensity(c, axes, rng.uniform(-1.0, 1.0, size=(8, 6, 5)))
-    dep = deposit(ParticleEnsemble(c, pts, wts), axes)
+    dep = deposit(ParticleEnsemble(c, pts.T, wts), axes)
     lhs = float(np.sum(dep.values * g.values)) * g.cell_volume
     rhs = float(np.sum(wts * g.interpolate(pts)))
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
@@ -411,11 +411,22 @@ def test_seed_is_reproducible_and_seed_sensitive():
     a = seed_particles(s, g0.interpolate, 2_000, seed=1, axes=axes)
     b = seed_particles(s, g0.interpolate, 2_000, seed=1, axes=axes)
     c = seed_particles(s, g0.interpolate, 2_000, seed=2, axes=axes)
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.columns, b.columns)
     assert np.array_equal(a.weights, b.weights)
-    assert not np.array_equal(a.positions, c.positions)
+    assert not np.array_equal(a.columns, c.columns)
     with pytest.raises(ValueError):
         seed_particles(s, g0.interpolate, 999, axes=axes)
+
+
+def test_particle_ensemble_refuses_bad_shapes():
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    ones = np.ones(4)
+    with pytest.raises(ValueError):
+        ParticleEnsemble(s, [ones], ones)  # one column on a two-coordinate chart
+    with pytest.raises(ValueError):
+        ParticleEnsemble(s, [ones, np.ones(3)], ones)  # a column one particle short
+    with pytest.raises(ValueError):
+        ParticleEnsemble(s, [ones, ones], np.ones((4, 1)))  # weights not one per particle
 
 
 def test_grid_file_roundtrip(tmp_path):
@@ -454,11 +465,11 @@ def test_particle_csv_roundtrip(tmp_path):
     cc = Chart(ChartKind.COCONTACT, 2)
     assert particle_csv_columns(cc) == ["q1", "q2", "p1", "p2", "z", "t", "w"]
     rng = np.random.default_rng(8)
-    ens = ParticleEnsemble(cc, rng.standard_normal((5, cc.dim)), rng.uniform(0, 1, 5))
+    ens = ParticleEnsemble(cc, rng.standard_normal((5, cc.dim)).T, rng.uniform(0, 1, 5))
     path = tmp_path / "cloud.csv"
     write_particles(ens, str(path))
     back = read_particles(cc, str(path))
-    assert np.array_equal(back.positions, ens.positions)
+    assert np.array_equal(back.columns, ens.columns)
     assert np.array_equal(back.weights, ens.weights)
     with pytest.raises(ValueError):
         read_particles(Chart(ChartKind.CONTACT, 2), str(path))
@@ -646,6 +657,27 @@ def test_particle_escape_reporting_balances_mass():
     res = solve_density_particle(_dyn(s, H), f0, t_final=0.5, dt=0.05, particle_count=10_000, seed=7, axes=axes)
     assert res.escaped_count > 0
     assert res.mass_initial - res.mass_final == pytest.approx(res.escaped_mass, rel=1e-10)
+
+
+def test_particle_solve_makes_no_extra_copies_of_the_state():
+    # 480^2 particles x 10 steps: seeding, push and deposit together peak under
+    # 4.5 push states (N x (dim + 1) float64); an (N, dim) round trip (a stacked
+    # seed matrix, copied push blocks, a stacked final matrix) peaks near 5.6
+    import tracemalloc
+
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    axes = (GridAxis("q1", -2.0, 2.0, 64), GridAxis("p1", -2.0, 2.0, 64))
+    dyn, f0 = _dyn(s, s.parse("p1^2/2")), s.parse("1 + q1^2/4 - p1^2/8")
+    solve_density_particle(dyn, f0, 0.1, 0.01, 1_000, axes=axes)  # compile the kernels
+    count = 480 ** 2
+    tracemalloc.start()
+    try:
+        res = solve_density_particle(dyn, f0, 0.1, 0.01, count, axes=axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.ensemble.weights) + res.escaped_count == count
+    assert peak < 4.5 * count * (s.dim + 1) * 8
 
 
 def test_particle_guard_rejects_oversized_step():
