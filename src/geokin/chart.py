@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .poly import Poly, Rational, parse
@@ -43,7 +44,11 @@ class ChartKind(str, Enum):
 
 @dataclass(frozen=True)
 class Chart:
-    """A Darboux chart: a kind plus the number of (q, p) pairs."""
+    """A Darboux chart: a kind plus the number of (q, p) pairs.
+
+    Its shape (`dim`, `has_time`, `has_z`) is computed once per instance:
+    `cached_property` stores it in the instance dict, which neither the
+    frozen fields nor equality and hashing see."""
 
     kind: ChartKind
     n: int
@@ -52,16 +57,15 @@ class Chart:
         if self.n < 1:
             raise ValueError("a chart needs at least one (q, p) pair")
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        base = 2 * self.n
-        return base + self.kind.has_time + self.kind.has_z
+        return 2 * self.n + self.has_time + self.has_z
 
-    @property
+    @cached_property
     def has_time(self) -> bool:
         return self.kind.has_time
 
-    @property
+    @cached_property
     def has_z(self) -> bool:
         return self.kind.has_z
 

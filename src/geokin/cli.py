@@ -65,7 +65,7 @@ def _check_float_range(polys) -> None:
     """Raise OverflowError if a coefficient would not convert to a float,
     as a kernel does when first evaluated."""
     for poly in polys:
-        list(map(float, poly.terms.values()))
+        poly.float_coefficients()
 
 
 def _parse_expr(chart: Chart, text: str | None, path: str) -> Poly | None:

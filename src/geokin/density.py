@@ -211,13 +211,10 @@ def adjudicate_density_coefficients(
             basis.append(f * H.partial(chart.z_slot))
         if chart.has_time:
             basis.append(f * H.partial(chart.t_slot))
-        monomials = set(lhs.terms)
-        for poly in basis:
-            monomials.update(poly.terms)
-        for exps in monomials:
-            row = [poly.terms.get(exps, Fraction(0)) for poly in basis]
-            row.append(lhs.terms.get(exps, Fraction(0)))
-            rows.append(row)
+        # each polynomial's coefficients, read once: the basis columns, then lhs
+        columns = [poly.terms for poly in (*basis, lhs)]
+        for exps in set().union(*columns):
+            rows.append([col.get(exps, Fraction(0)) for col in columns])
         solution = _solve_exact(rows, len(slots))
         if solution is not None:
             out = [Fraction(0)] * 3

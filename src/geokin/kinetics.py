@@ -366,6 +366,14 @@ def solve_density_grid(
     return grids
 
 
+def _seed_lattice(axes: Sequence[GridAxis], particle_count: int) -> list[GridAxis]:
+    """The lattice `seed_particles` draws on: `particle_count` rounded to a
+    whole number of sites per active axis, one layer on collapsed axes."""
+    active = sum(a.size > 1 for a in axes)
+    per_axis = max(2, int(round(particle_count ** (1.0 / max(1, active)))))
+    return [GridAxis(a.name, a.lo, a.hi, per_axis if a.size > 1 else 1) for a in axes]
+
+
 def seed_particles(
     chart: Chart,
     f0: Density,
@@ -384,10 +392,8 @@ def seed_particles(
     """
     if particle_count < 1_000:
         raise ValueError("particle_count must be at least 1000")
-    active = sum(a.size > 1 for a in axes)
-    per_axis = max(2, int(round(particle_count ** (1.0 / max(1, active)))))
     rng = np.random.default_rng(seed)
-    lattice = [GridAxis(a.name, a.lo, a.hi, per_axis if a.size > 1 else 1) for a in axes]
+    lattice = _seed_lattice(axes, particle_count)
     cols = _cell_centers(lattice)
     for col, cell in zip(cols, lattice):
         if cell.size > 1:
@@ -501,10 +507,10 @@ def solve_density_particle(
     of `PUSH_BLOCK_ROWS` rows, by `threads` workers (one when None or below
     1) capped at the CPU count; no output, escaped mass included, depends on
     the blocking or the worker count.  A run of more than `flow.MAX_STEPS`
-    steps, or of more than `flow.MAX_WORK` particles x steps, is refused
-    with ValueError before seeding.  As on the grid, a state that is not
-    finite is refused with StabilityError: the seeded weights before the
-    push, each block after its push, and the deposit.
+    steps, or of more than `flow.MAX_WORK` seeded particles x steps, is
+    refused with ValueError before seeding.  As on the grid, a state that
+    is not finite is refused with StabilityError: the seeded weights before
+    the push, each block after its push, and the deposit.
     """
     chart = dyn.spec.chart
     axes = tuple(axes)
@@ -513,7 +519,8 @@ def solve_density_particle(
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
     n_steps = _step_count(t_final, dt)
-    _check_work(particle_count, "particles", n_steps)
+    seeded_count = math.prod(a.size for a in _seed_lattice(axes, particle_count))
+    _check_work(seeded_count, "seeded particles", n_steps)
     h = t_final / n_steps if n_steps else 0.0
     seeded = seed_particles(chart, f0, particle_count, seed=seed, axes=axes)
     if not np.isfinite(seeded.weights).all():

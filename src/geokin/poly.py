@@ -1,11 +1,15 @@
 """Exact multivariate polynomials with rational coefficients.
 
-A polynomial in d coordinates is stored sparsely as a map from exponent
-tuples (length d, nonnegative ints) to nonzero `fractions.Fraction`
-coefficients.  Zero terms are pruned on construction, so two polynomials
-are equal iff their term maps are equal, and the zero polynomial is the
-empty map.  Every arithmetic result is canonical; nothing here ever
-rounds.
+A polynomial in d coordinates is stored sparsely as integer numerators
+over one positive denominator: a map from exponent tuples (length d,
+nonnegative ints) to nonzero ints, and the int that divides them all.
+The form is canonical: zero terms are pruned, the denominator and the
+numerators share no common factor, and the zero polynomial is the empty
+map over 1.  So two polynomials are equal iff their maps and
+denominators are equal.  Ring operations run on ints alone (a product
+multiplies numerators and denominators, a sum first scales both sides
+to their common denominator) with one gcd per result; nothing here ever
+rounds.  `terms` shows the coefficients as `fractions.Fraction`s.
 
 Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
@@ -60,14 +64,15 @@ def _term_sort_key(exps: Exponents) -> tuple:
 
 
 class Poly:
-    """Sparse exact polynomial over Fraction coefficients.
+    """Sparse exact polynomial: int numerators `_num` over one int
+    denominator `_den` > 0, in the canonical form the module describes.
 
-    Instances are immutable by convention: no method mutates `terms`
+    Instances are immutable by convention: no method mutates `_num`
     after construction, and callers must not either.  That is what lets
     `_kernel` cache the compiled evaluator for the life of the instance.
     """
 
-    __slots__ = ("dim", "terms", "_kernel")
+    __slots__ = ("dim", "_num", "_den", "_kernel")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | None = None):
         if dim < 0:
@@ -90,16 +95,32 @@ class Poly:
                         clean.pop(key, None)
                     else:
                         clean[key] = c
+        # each coefficient is in lowest terms, so the lcm of their
+        # denominators shares no factor with all the scaled numerators
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.dim = dim
-        self.terms = clean
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
         self._kernel = None
 
     @classmethod
-    def _of(cls, dim: int, terms: dict[Exponents, Fraction]) -> "Poly":
-        """Wrap a term map that is already canonical (no zero coefficients)."""
+    def _of(cls, dim: int, num: dict[Exponents, int], den: int) -> "Poly":
+        """Wrap nonzero numerators over `den` > 0, dividing out their
+        common factor with `den` (none to divide when `den` is 1)."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: n // g for e, n in num.items()}
+                den //= g
+        return cls._wrap(dim, num, den)
+
+    @classmethod
+    def _wrap(cls, dim: int, num: dict[Exponents, int], den: int) -> "Poly":
+        """Wrap numerators over `den` that are already canonical."""
         result = cls.__new__(cls)
         result.dim = dim
-        result.terms = terms
+        result._num = num
+        result._den = den
         result._kernel = None
         return result
 
@@ -107,18 +128,19 @@ class Poly:
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls(dim, {})
+        return cls._of(dim, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value: Rational) -> "Poly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        c = Fraction(value)
+        return cls._of(dim, {(0,) * dim: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
         if not 0 <= index < dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
         exps = tuple(1 if i == index else 0 for i in range(dim))
-        return cls(dim, {exps: Fraction(1)})
+        return cls._of(dim, {exps: 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coeff: Rational = 1) -> "Poly":
@@ -126,40 +148,52 @@ class Poly:
 
     # -- predicates and views -----------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """The coefficients as Fractions, in a new dict on every read."""
+        den = self._den
+        return {e: Fraction(n, den) for e, n in self._num.items()}
+
+    def float_coefficients(self) -> list[float]:
+        """The coefficients as the kernel reads them (correctly rounded);
+        OverflowError if one lies outside float range."""
+        den = self._den
+        return [n / den for n in self._num.values()]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.dim in self.terms)
+        return not self._num or (len(self._num) == 1 and (0,) * self.dim in self._num)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self._num.get((0,) * self.dim, 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def depends_on(self, index: int) -> bool:
-        return any(exps[index] > 0 for exps in self.terms)
+        return any(exps[index] > 0 for exps in self._num)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.dim == other.dim and self.terms == other.terms
+            return self.dim == other.dim and self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(self.dim, other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     # -- ring operations ----------------------------------------------
 
@@ -172,19 +206,29 @@ class Poly:
 
     def __add__(self, other: "Poly | Rational") -> "Poly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(exps, None)
-            else:
+        da, db = self._den, other._den
+        if da == db:
+            out, den, items = dict(self._num), da, other._num.items()
+        else:
+            den = da // math.gcd(da, db) * db
+            sa, sb = den // da, den // db
+            out = {e: n * sa for e, n in self._num.items()}
+            items = [(e, n * sb) for e, n in other._num.items()]
+        for exps, n in items:
+            acc = out.get(exps)
+            if acc is None:
+                out[exps] = n
+            elif acc := acc + n:
                 out[exps] = acc
-        return Poly._of(self.dim, out)
+            else:
+                del out[exps]
+        return Poly._of(self.dim, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._of(self.dim, {e: -c for e, c in self.terms.items()})
+        # negated numerators over the same denominator stay canonical
+        return Poly._wrap(self.dim, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly | Rational") -> "Poly":
         return self + (-self._coerce(other))
@@ -193,26 +237,30 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             c = Fraction(other)
             if c == 0:
                 return Poly.zero(self.dim)
-            return Poly._of(self.dim, {e: k * c for e, k in self.terms.items()})
+            k = c.numerator
+            return Poly._of(self.dim, {e: n * k for e, n in self._num.items()},
+                            self._den * c.denominator)
         other = self._coerce(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        out: dict[Exponents, int] = {}
+        for ea, na in self._num.items():
+            for eb, nb in other._num.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 if sum(exps) > MAX_TOTAL_DEGREE:
                     raise DegreeOverflowError(
                         f"product term degree {sum(exps)} exceeds cap {MAX_TOTAL_DEGREE}"
                     )
-                acc = out.get(exps, Fraction(0)) + ca * cb
-                if acc == 0:
-                    out.pop(exps, None)
-                else:
+                acc = out.get(exps)
+                if acc is None:
+                    out[exps] = na * nb
+                elif acc := acc + na * nb:
                     out[exps] = acc
-        return Poly._of(self.dim, out)
+                else:
+                    del out[exps]
+        return Poly._of(self.dim, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -242,17 +290,17 @@ class Poly:
     # -- calculus ------------------------------------------------------
 
     def partial(self, index: int) -> "Poly":
-        """Partial derivative with respect to coordinate `index`."""
+        """Partial derivative with respect to coordinate `index`.  Lowering
+        one exponent sends distinct terms to distinct terms, so nothing
+        collects."""
         if not 0 <= index < self.dim:
             raise ValueError(f"coordinate index {index} out of range for dim {self.dim}")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, n in self._num.items():
             e = exps[index]
-            if e == 0:
-                continue
-            lowered = tuple(x - 1 if i == index else x for i, x in enumerate(exps))
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Poly._of(self.dim, {e: c for e, c in out.items() if c != 0})
+            if e:
+                out[exps[:index] + (e - 1,) + exps[index + 1:]] = n * e
+        return Poly._of(self.dim, out, self._den)
 
     def remap(self, new_dim: int, index_map: Mapping[int, int]) -> "Poly":
         """Reinterpret on a chart with `new_dim` coordinates.
@@ -263,15 +311,15 @@ class Poly:
         (for example a time-and-z-independent cocontact Hamiltonian read
         as a symplectic one).
         """
-        used = {i for exps in self.terms for i, e in enumerate(exps) if e > 0}
+        used = {i for exps in self._num for i, e in enumerate(exps) if e > 0}
         missing = used - set(index_map)
         if missing:
             raise ValueError(f"coordinates {sorted(missing)} are used but not mapped")
         targets = [index_map[i] for i in sorted(index_map)]
         if len(set(targets)) != len(targets):
             raise ValueError("index_map must be injective")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, n in self._num.items():
             new_exps = [0] * new_dim
             for i, e in enumerate(exps):
                 if e:
@@ -279,9 +327,8 @@ class Poly:
                     if not 0 <= j < new_dim:
                         raise ValueError(f"mapped index {j} out of range for dim {new_dim}")
                     new_exps[j] = e
-            key = tuple(new_exps)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Poly(new_dim, out)
+            out[tuple(new_exps)] = n  # injective on the used coordinates: no collisions
+        return Poly._wrap(new_dim, out, self._den)
 
     # -- numeric evaluation -------------------------------------------
 
@@ -362,7 +409,7 @@ class Poly:
         """Canonical text form, parseable by `parse` with the same names."""
         if len(names) != self.dim:
             raise ValueError(f"got {len(names)} names for dim {self.dim}")
-        if not self.terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
         for k, (exps, coeff) in enumerate(self.sorted_terms()):

@@ -1,5 +1,7 @@
 """Chart layouts, canonical forms, Reeb fields, pairings."""
 
+import dataclasses
+
 import pytest
 
 from geokin.chart import (
@@ -25,6 +27,24 @@ def test_dimensions():
     assert Chart(ChartKind.COCONTACT, 3).dim == 8
     with pytest.raises(ValueError):
         Chart(ChartKind.SYMPLECTIC, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(ChartKind))
+def test_chart_shape_is_computed_once_and_the_chart_stays_frozen(kind, n):
+    chart, fresh = Chart(kind, n), Chart(kind, n)
+    has_time = kind in (ChartKind.COSYMPLECTIC, ChartKind.COCONTACT)
+    has_z = kind in (ChartKind.CONTACT, ChartKind.COCONTACT)
+    assert not {"dim", "has_time", "has_z"} & set(vars(chart))  # nothing before the first read
+    assert (chart.dim, chart.has_time, chart.has_z) == (2 * n + has_time + has_z, has_time, has_z)
+    assert {"dim", "has_time", "has_z"} <= set(vars(chart))  # kept, not recomputed
+    assert chart.dim == len(chart.coord_names)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chart.n = n + 1
+    assert chart.n == n and chart.dim == 2 * n + has_time + has_z
+    # the cached shape is not a field: a chart that read it equals one that did not
+    assert chart == fresh and hash(chart) == hash(fresh)
+    assert "dim" not in vars(fresh) and chart != Chart(kind, n + 1)
 
 
 def test_coordinate_layouts():

@@ -615,6 +615,19 @@ def test_particle_vs_grid_cross_oracle_contact_decay():
     assert particle.deposited.l1_distance(grid) <= 0.05 * ref.l1_norm()
 
 
+def test_the_work_budget_counts_the_seeded_particles(monkeypatch):
+    # 1057 requested particles seed a 33^2 lattice on a 32^2 grid: 1089 x 10 steps
+    # exceed a budget that the requested 1057 x 10 would meet exactly
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+    f0 = _gauss((0.0, 0.0), (0.5, 0.5))
+    assert len(seed_particles(s, f0, 1057, axes=axes).weights) == 33 ** 2
+    monkeypatch.setattr(kinetics, "MAX_WORK", 1057 * 10)
+    with pytest.raises(ValueError, match="1089 seeded particles x 10 steps exceed"):
+        solve_density_particle(_dyn(s, s.parse("p1^2/2")), f0, t_final=0.1, dt=0.01,
+                               particle_count=1057, axes=axes)
+
+
 def test_grid_contact_decay_converges_first_order():
     c = Chart(ChartKind.CONTACT, 1)
     H = c.parse("z")

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from geokin.chart import Chart, ChartKind
 from geokin.fields import Family, FieldSpec, Gauge, make_field
 from geokin.poly import (
+    MAX_TOTAL_DEGREE,
     DegreeOverflowError,
     ParseError,
     Poly,
@@ -229,6 +230,180 @@ def test_kernel_is_bit_identical_to_the_reference_walk(data):
     want = np.broadcast_to(np.asarray(want, dtype=float), (len(pts),))
     assert p.eval_array(pts.T).tobytes() == want.tobytes()
     assert p.eval_array(pts.T).tobytes() == np.array([p.eval(row) for row in pts]).tobytes()
+
+
+class FractionPoly:
+    """The exact ring as `Poly` computed it when each coefficient was a
+    `Fraction`: the reference the differential test below holds the
+    integer-numerator `Poly` to.  The loops, and so the order of the term
+    maps and the first product past the degree cap, are that code's."""
+
+    def __init__(self, dim, terms):
+        self.dim = dim
+        self.terms = {e: c for e, c in terms.items() if c != 0}
+
+    def _accumulate(self, pairs):
+        out = {}
+        for exps, coeff in pairs:
+            acc = out.get(exps, Fraction(0)) + coeff
+            if acc == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = acc
+        return FractionPoly(self.dim, out)
+
+    def __add__(self, other):
+        return self._accumulate([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, c):
+        return FractionPoly(self.dim, {e: k * Fraction(c) for e, k in self.terms.items()})
+
+    def __mul__(self, other):
+        def products():
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
+                    exps = tuple(x + y for x, y in zip(ea, eb))
+                    if sum(exps) > MAX_TOTAL_DEGREE:
+                        raise DegreeOverflowError(
+                            f"product term degree {sum(exps)} exceeds cap {MAX_TOTAL_DEGREE}")
+                    yield exps, ca * cb
+        return self._accumulate(products())
+
+    def __pow__(self, k):
+        result, base = FractionPoly(self.dim, {(0,) * self.dim: Fraction(1)}), self
+        while k:
+            if k & 1:
+                result = result * base
+            if k > 1:
+                base = base * base
+            k >>= 1
+        return result
+
+    def partial(self, i):
+        return self._accumulate(
+            (tuple(x - 1 if j == i else x for j, x in enumerate(exps)), coeff * exps[i])
+            for exps, coeff in self.terms.items() if exps[i])
+
+    def remap(self, new_dim, index_map):
+        out = FractionPoly(new_dim, {})
+        for exps, coeff in self.terms.items():
+            new_exps = [0] * new_dim
+            for i, e in enumerate(exps):
+                if e:
+                    new_exps[index_map[i]] = e
+            out = out + FractionPoly(new_dim, {tuple(new_exps): coeff})
+        return out
+
+    def total_degree(self):
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def to_text(self, names):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for k, (exps, coeff) in enumerate(sorted(
+                self.terms.items(), key=lambda kv: (-sum(kv[0]), [-e for e in kv[0]]))):
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            if not factors or abs(coeff) != 1:
+                factors.insert(0, str(abs(coeff)))
+            sign = ("" if coeff > 0 else "-") if k == 0 else ("+ " if coeff > 0 else "- ")
+            pieces.append(sign + "*".join(factors))
+        return " ".join(pieces)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def small_terms(draw, dim):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        budget, exps = draw(st.integers(0, 6)), []
+        for _ in range(dim):
+            exps.append(draw(st.integers(0, budget)))
+            budget -= exps[-1]
+        terms[tuple(draw(st.permutations(exps)))] = draw(SMALL_RATIONALS)
+    return terms
+
+
+def assert_matches_reference(p, ref, points):
+    names = [f"x{i}" for i in range(p.dim)]
+    assert p.terms == ref.terms
+    assert p.to_text(names) == ref.to_text(names)
+    assert p.total_degree() == ref.total_degree()
+    # canonical: a positive denominator sharing no factor with the numerators,
+    # so the same polynomial built from its coefficients is equal and hashes equal
+    assert p._den > 0 and math.gcd(p._den, *p._num.values()) == 1 and 0 not in p._num.values()
+    rebuilt = Poly(p.dim, ref.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    for pt in points:
+        assert struct.pack("<d", p.eval(pt)) == struct.pack("<d", reference_walk(ref, pt))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_numerators_match_the_fraction_reference(data):
+    def outcome(compute):
+        try:
+            return compute(), None
+        except DegreeOverflowError as exc:
+            return None, str(exc)
+
+    dim = data.draw(st.integers(1, 4))
+    pool = [(Poly(dim, t), FractionPoly(dim, t))
+            for t in data.draw(st.lists(small_terms(dim), min_size=1, max_size=3))]
+    pool += [(Poly.variable(dim, i), FractionPoly(dim, {tuple(int(i == j) for j in range(dim)): 1}))
+             for i in range(dim)]
+    # a monomial of degree 10 to 13, so that products and powers reach the cap and pass it
+    top = (data.draw(st.integers(10, 13)),) + (0,) * (dim - 1)
+    pool.append((Poly.monomial(dim, top, 3), FractionPoly(dim, {top: Fraction(3)})))
+    rng = data.draw(st.randoms(use_true_random=False))
+    points = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(3)]
+    for _ in range(data.draw(st.integers(1, 10))):
+        (a, ra), (b, rb) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        c = data.draw(SMALL_RATIONALS.filter(bool) | st.integers(-3, 3).filter(bool))
+        i, k = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, 6))
+        perm = dict(enumerate(data.draw(st.permutations(range(dim)))))
+        compute, reference = data.draw(st.sampled_from([
+            (lambda: a + b, lambda: ra + rb),
+            (lambda: a - b, lambda: ra - rb),
+            (lambda: a * b, lambda: ra * rb),
+            (lambda: a * c, lambda: ra.scaled(c)),
+            (lambda: c * a, lambda: ra.scaled(c)),
+            (lambda: a * 0, lambda: ra.scaled(0)),
+            (lambda: a / c, lambda: ra.scaled(1 / Fraction(c))),
+            (lambda: -a, lambda: -ra),
+            (lambda: a.partial(i), lambda: ra.partial(i)),
+            (lambda: a ** k, lambda: ra ** k),
+            (lambda: a.remap(dim, perm), lambda: ra.remap(dim, perm)),
+        ]))
+        if len(a.terms) * len(b.terms) > 400 or len(a.terms) ** k > 4000:
+            continue  # keep each example fast; the cap is still reached through degree
+        (p, error), (ref, ref_error) = outcome(compute), outcome(reference)
+        assert error == ref_error  # past the cap both refuse, at the same first term
+        if error is None:
+            assert_matches_reference(p, ref, points)
+            pool.append((p, ref))
+
+
+def test_canonical_form_makes_equality_structural():
+    x, y = P("x"), P("y")
+    for a, b in [(P("2*x/4"), P("x/2")), (x * 2 / 4, x / 2), (x + y - y, x),
+                 (P("x/6") + P("x/3"), P("x/2")), (P("(x + y)/2"), P("x/2 + y/2")),
+                 (P("x/3") * 3, x), (Poly(2, {(1, 0): Fraction(2, 4)}), Poly(2, {(1, 0): 0.5}))]:
+        assert a == b and hash(a) == hash(b)
+        assert (a._num, a._den) == (b._num, b._den)
+    assert (P("x/6") + P("x/3"))._den == 2
+    for zero in (x - x, Poly.zero(2), x * 0, P("x/3") - P("2*x/6"), Poly(2, {(1, 0): 0})):
+        assert zero._num == {} and zero._den == 1
+        assert zero == Poly.zero(2) and hash(zero) == hash(Poly.zero(2)) and zero == 0
+    assert P("x/2") != P("x/3") and P("x/2") != P("y/2")
 
 
 def test_kernel_is_built_once_and_the_checks_still_fire():
