@@ -93,27 +93,26 @@ def _check(chart: Chart, kind: BracketKind, *fs: Poly) -> None:
 def bracket(chart: Chart, kind: BracketKind, F: Poly, H: Poly) -> Poly:
     """Evaluate the bracket, exactly."""
     _check(chart, kind, F, H)
-    out = Poly.zero(chart.dim)
+    dim = chart.dim
+    terms = []
     for i in range(1, chart.n + 1):
         qi, pi = chart.q_slot(i), chart.p_slot(i)
-        out = out + F.partial(qi) * H.partial(pi) - F.partial(pi) * H.partial(qi)
+        terms += [(1, F.partial(qi), H.partial(pi)), (-1, F.partial(pi), H.partial(qi))]
     if kind.is_almost_poisson:
         z = chart.z_slot
         Fz, Hz = F.partial(z), H.partial(z)
         for i in range(1, chart.n + 1):
-            p_i = chart.coordinate(chart.p_slot(i))
-            out = out + p_i * (Fz * H.partial(chart.p_slot(i)) - F.partial(chart.p_slot(i)) * Hz)
+            pi = chart.p_slot(i)
+            drift = Poly.sum_of_products(dim, [(1, Fz, H.partial(pi)), (-1, F.partial(pi), Hz)])
+            terms.append((1, chart.coordinate(pi), drift))
     elif kind.is_jacobi:
         z = chart.z_slot
-        Fz, Hz = F.partial(z), H.partial(z)
-        pFp = Poly.zero(chart.dim)
-        pHp = Poly.zero(chart.dim)
-        for i in range(1, chart.n + 1):
-            p_i = chart.coordinate(chart.p_slot(i))
-            pFp = pFp + p_i * F.partial(chart.p_slot(i))
-            pHp = pHp + p_i * H.partial(chart.p_slot(i))
-        out = out + (F - pFp) * Hz - (H - pHp) * Fz
-    return out
+        # p_i dF/dp_i is of no higher degree than F: these sums pass the cap only where F does
+        ps = [(chart.coordinate(pi), pi) for pi in map(chart.p_slot, range(1, chart.n + 1))]
+        pFp = Poly.sum_of_products(dim, [(1, p, F.partial(pi)) for p, pi in ps])
+        pHp = Poly.sum_of_products(dim, [(1, p, H.partial(pi)) for p, pi in ps])
+        terms += [(1, F - pFp, H.partial(z)), (-1, H - pHp, F.partial(z))]
+    return Poly.sum_of_products(dim, terms)
 
 
 def bracket_via_bivector(chart: Chart, kind: BracketKind, F: Poly, H: Poly) -> Poly:
@@ -126,7 +125,8 @@ def bracket_via_bivector(chart: Chart, kind: BracketKind, F: Poly, H: Poly) -> P
     out = pairing(differential(F, chart), sharp(differential(H, chart), SharpVariant.BIVECTOR))
     if kind.is_jacobi:
         z = chart.z_slot
-        out = out + F * H.partial(z) - H * F.partial(z)
+        out = Poly.sum_of_products(chart.dim, [(1, out, None), (1, F, H.partial(z)),
+                                               (-1, H, F.partial(z))])
     return out
 
 

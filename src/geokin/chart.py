@@ -183,22 +183,20 @@ class VectorFieldExpr(_Components, noun="vector fields"):
         """Directional derivative X(f) = X^k df/dx^k."""
         if f.dim != self.chart.dim:
             raise ValueError("function dimension does not match chart")
-        out = Poly.zero(f.dim)
-        for k, comp in enumerate(self.components):
-            if not comp.is_zero():
-                out = out + comp * f.partial(k)
-        return out
+        return Poly.sum_of_products(f.dim, self.derivative_terms(f))
+
+    def derivative_terms(self, f: Poly, sign: int = 1) -> list[tuple[int, Poly, Poly]]:
+        """sign * X(f) as `Poly.sum_of_products` terms (sign, X^k, df/dx^k),
+        one per nonzero component, for sums that hold X(f) among others."""
+        return [(sign, comp, f.partial(k)) for k, comp in enumerate(self.components) if comp]
 
 
 def pairing(alpha: OneFormExpr, X: VectorFieldExpr) -> Poly:
     """Pointwise pairing <alpha, X> = alpha_k X^k."""
     if alpha.chart != X.chart:
         raise ValueError("pairing requires a common chart")
-    out = Poly.zero(alpha.chart.dim)
-    for a, v in zip(alpha.components, X.components):
-        if not (a.is_zero() or v.is_zero()):
-            out = out + a * v
-    return out
+    return Poly.sum_of_products(
+        alpha.chart.dim, [(1, a, v) for a, v in zip(alpha.components, X.components)])
 
 
 def differential(H: Poly, chart: Chart) -> OneFormExpr:

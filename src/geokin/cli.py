@@ -44,6 +44,7 @@ from .kinetics import (
     GridAxis,
     GridDensity,
     StabilityError,
+    _seed_lattice,
     solve_density_grid,
     solve_density_particle,
     write_grid,
@@ -172,6 +173,13 @@ class Scenario:
         if cells > most:
             raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
                                                      f"{most} cells")
+        if task == "kinetic-particle" and self.axes:
+            # the lattice rounds the requested count per axis, so it may seed more
+            seeded = math.prod(a.size for a in _seed_lattice(self.axes, self.particle_count))
+            if seeded * (chart.dim + 1) > MAX_PUSH_VALUES:
+                raise ConfigError("$.particles", f"{seeded} seeded particles x {chart.dim + 1} "
+                                                 f"values exceed the push budget of "
+                                                 f"{MAX_PUSH_VALUES}")
 
         if isinstance(self.output["grid"], str):
             self.output["grid"] = [self.output["grid"]]

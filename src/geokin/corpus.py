@@ -6,12 +6,12 @@ so a fixed seed reproduces a corpus byte for byte.
 
 Coefficients are small rationals (denominators up to 3) to keep nested
 exact operations fast while still exercising non-integer arithmetic.
+They are summed as integer numerators over 6, the lcm of 1..3.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .chart import Chart, OneFormExpr
 from .poly import Poly
@@ -34,7 +34,7 @@ def random_poly(
         raise ValueError("degree must be nonnegative")
     free = [i for i in range(dim) if i not in frozen_slots]
     for _ in range(50):
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}  # numerators over 6, the lcm of 1..3
         for _ in range(rng.randint(1, max(1, terms))):
             exps = [0] * dim
             for _ in range(rng.randint(0, degree)):
@@ -43,8 +43,8 @@ def random_poly(
             num = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
             den = rng.randint(1, 3)
             key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + Fraction(num, den)
-        poly = Poly(dim, out)
+            out[key] = out.get(key, 0) + num * (6 // den)
+        poly = Poly._of(dim, {e: n for e, n in out.items() if n}, 6)
         if allow_zero or not poly.is_zero():
             return poly
     raise RuntimeError("failed to draw a nonzero polynomial")

@@ -87,10 +87,13 @@ def momentum_vlasov_rhs(H: Poly, Pi: OneFormExpr) -> OneFormExpr:
     if H.dim != chart.dim:
         raise ValueError("Hamiltonian and one-form must share a chart")
     X = make_field(kinetic_spec(chart), H)
-    out = -lie_derivative_oneform(X, Pi)
-    if chart.has_z:
-        out = out + Pi.scaled((chart.n + 1) * H.partial(chart.z_slot))
-    return out
+    lie = lie_derivative_oneform(X, Pi)
+    if not chart.has_z:
+        return -lie
+    k, Hz = chart.n + 1, H.partial(chart.z_slot)
+    return OneFormExpr(chart, tuple(
+        Poly.sum_of_products(chart.dim, [(-1, L_j, None), (k, Pi_j, Hz)])
+        for L_j, Pi_j in zip(lie.components, Pi.components)))
 
 
 def density_coefficients(chart: Chart) -> tuple[Fraction, Fraction, Fraction]:
@@ -103,13 +106,13 @@ def density_vlasov_rhs(chart: Chart, H: Poly, f: Poly) -> Poly:
     """df/ds = a {H,f} + b f R_eta(H) + c f R_tau(H), exact."""
     if H.dim != chart.dim or f.dim != chart.dim:
         raise ValueError("function dimension does not match chart")
-    a, b, c = density_coefficients(chart)
-    out = a * bracket(chart, canonical_bracket_kind(chart.kind), H, f)
+    a, b, c = map(int, density_coefficients(chart))
+    terms = [(a, bracket(chart, canonical_bracket_kind(chart.kind), H, f), None)]
     if b and chart.has_z:
-        out = out + b * f * H.partial(chart.z_slot)
+        terms.append((b, f, H.partial(chart.z_slot)))
     if c and chart.has_time:
-        out = out + c * f * H.partial(chart.t_slot)
-    return out
+        terms.append((c, f, H.partial(chart.t_slot)))
+    return Poly.sum_of_products(chart.dim, terms)
 
 
 def intertwine_residual(H: Poly, Pi: OneFormExpr) -> Poly:

@@ -35,8 +35,6 @@ from .chart import (
     OneFormExpr,
     VectorFieldExpr,
     differential,
-    reeb_eta,
-    reeb_tau,
 )
 from .musical import SharpVariant, sharp
 from .poly import Poly
@@ -126,12 +124,17 @@ def make_field(spec: FieldSpec, H: Poly) -> VectorFieldExpr:
     if H.dim != chart.dim:
         raise ValueError("Hamiltonian dimension does not match chart")
     _require_strictness(spec, H)
-    X = sharp(differential(H, chart), SharpVariant.FULL)
+    comps = list(sharp(differential(H, chart), SharpVariant.FULL).components)
+    # the Reeb corrections change one component each
     if chart.has_time:
-        X = X + reeb_tau(chart).scaled(_gauge_value(spec, H) - H.partial(chart.t_slot))
+        t = chart.t_slot
+        comps[t] = Poly.sum_of_products(chart.dim, [
+            (1, comps[t], None), (1, _gauge_value(spec, H), None), (-1, H.partial(t), None)])
     if chart.has_z:
-        X = X + reeb_eta(chart).scaled(_eta_value(spec, H) - H.partial(chart.z_slot))
-    return X
+        z = chart.z_slot
+        comps[z] = Poly.sum_of_products(chart.dim, [
+            (1, comps[z], None), (1, _eta_value(spec, H), None), (-1, H.partial(z), None)])
+    return VectorFieldExpr(chart, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,8 @@ class TwoFormExpr:
             raise ValueError(f"two-form needs a {d}x{d} component matrix")
         for j in range(d):
             for k in range(j, d):
-                if comps[j][k] != -comps[k][j]:
+                a, b = comps[j][k], comps[k][j]
+                if (a or b) and a != -b:
                     raise ValueError("two-form components must be antisymmetric")
         object.__setattr__(self, "components", comps)
 
@@ -276,10 +280,11 @@ def wedge(alpha: OneFormExpr, beta: OneFormExpr) -> TwoFormExpr:
         raise ValueError("wedge requires a common chart")
     chart = alpha.chart
     d = chart.dim
+    a, b = alpha.components, beta.components
     rows = [[chart.zero()] * d for _ in range(d)]
     for j in range(d):
         for k in range(j + 1, d):
-            entry = alpha.components[j] * beta.components[k] - alpha.components[k] * beta.components[j]
+            entry = Poly.sum_of_products(d, [(1, a[j], b[k]), (-1, a[k], b[j])])
             rows[j][k] = entry
             rows[k][j] = -entry
     return TwoFormExpr(chart, tuple(tuple(r) for r in rows))
@@ -290,15 +295,10 @@ def contract_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> OneFormExpr:
     if X.chart != B.chart:
         raise ValueError("contraction requires a common chart")
     chart = X.chart
-    comps = []
-    for k in range(chart.dim):
-        acc = chart.zero()
-        for j in range(chart.dim):
-            entry = B.components[j][k]
-            if not (entry.is_zero() or X.components[j].is_zero()):
-                acc = acc + X.components[j] * entry
-        comps.append(acc)
-    return OneFormExpr(chart, tuple(comps))
+    d = chart.dim
+    return OneFormExpr(chart, tuple(
+        Poly.sum_of_products(d, [(1, X.components[j], B.components[j][k]) for j in range(d)])
+        for k in range(d)))
 
 
 def lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExpr:
@@ -306,15 +306,12 @@ def lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExp
     if X.chart != alpha.chart:
         raise ValueError("Lie derivative requires a common chart")
     chart = X.chart
-    comps = []
-    for j in range(chart.dim):
-        acc = X.apply_to(alpha.components[j])
-        for i in range(chart.dim):
-            a_i = alpha.components[i]
-            if not a_i.is_zero():
-                acc = acc + a_i * X.components[i].partial(j)
-        comps.append(acc)
-    return OneFormExpr(chart, tuple(comps))
+    d = chart.dim
+    pairs = [(a_i, X_i) for a_i, X_i in zip(alpha.components, X.components) if a_i]
+    return OneFormExpr(chart, tuple(
+        Poly.sum_of_products(d, X.derivative_terms(alpha.components[j])
+                             + [(1, a_i, X_i.partial(j)) for a_i, X_i in pairs])
+        for j in range(d)))
 
 
 def lie_derivative_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> TwoFormExpr:
@@ -323,31 +320,26 @@ def lie_derivative_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> TwoFormExpr:
         raise ValueError("Lie derivative requires a common chart")
     chart = X.chart
     d = chart.dim
+    b = B.components
     rows = [[chart.zero()] * d for _ in range(d)]
     for j in range(d):
         for k in range(j + 1, d):
-            acc = X.apply_to(B.components[j][k])
-            for i in range(d):
-                Xi = X.components[i]
-                if Xi.is_zero():
-                    continue
-                b_ik = B.components[i][k]
-                if not b_ik.is_zero():
-                    acc = acc + b_ik * Xi.partial(j)
-                b_ji = B.components[j][i]
-                if not b_ji.is_zero():
-                    acc = acc + b_ji * Xi.partial(k)
-            rows[j][k] = acc
+            terms = X.derivative_terms(b[j][k])
+            for i, Xi in enumerate(X.components):
+                if Xi:
+                    if b[i][k]:
+                        terms.append((1, b[i][k], Xi.partial(j)))
+                    if b[j][i]:
+                        terms.append((1, b[j][i], Xi.partial(k)))
+            rows[j][k] = acc = Poly.sum_of_products(d, terms)
             rows[k][j] = -acc
     return TwoFormExpr(chart, tuple(tuple(r) for r in rows))
 
 
 def divergence(X: VectorFieldExpr) -> Poly:
     """Coordinate divergence sum_i dX^i/dx^i (Darboux volume)."""
-    out = Poly.zero(X.chart.dim)
-    for i, comp in enumerate(X.components):
-        out = out + comp.partial(i)
-    return out
+    return Poly.sum_of_products(
+        X.chart.dim, [(1, comp.partial(i), None) for i, comp in enumerate(X.components)])
 
 
 def jacobi_lie_bracket(X: VectorFieldExpr, Y: VectorFieldExpr) -> VectorFieldExpr:
@@ -356,6 +348,6 @@ def jacobi_lie_bracket(X: VectorFieldExpr, Y: VectorFieldExpr) -> VectorFieldExp
         raise ValueError("bracket requires a common chart")
     chart = X.chart
     comps = tuple(
-        X.apply_to(Y.components[i]) - Y.apply_to(X.components[i]) for i in range(chart.dim)
-    )
+        Poly.sum_of_products(chart.dim, X.derivative_terms(Y_i) + Y.derivative_terms(X_i, -1))
+        for X_i, Y_i in zip(X.components, Y.components))
     return VectorFieldExpr(chart, comps)

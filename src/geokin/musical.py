@@ -34,9 +34,8 @@ from .chart import (
     canonical_eta,
     canonical_tau,
     pairing,
-    reeb_eta,
-    reeb_tau,
 )
+from .poly import Poly
 
 
 class SharpVariant(Enum):
@@ -47,29 +46,25 @@ class SharpVariant(Enum):
 def sharp(alpha: OneFormExpr, variant: SharpVariant = SharpVariant.FULL) -> VectorFieldExpr:
     """Send a one-form to a vector field via the chart's sharp map."""
     chart = alpha.chart
+    # the bivector variant drops <alpha, R_eta> R_eta and <alpha, R_tau> R_tau:
+    # zeta leaves the z-component and the time component stays zero
+    full = variant is SharpVariant.FULL
     comps = [chart.zero() for _ in range(chart.dim)]
     zeta = alpha.components[chart.z_slot] if chart.has_z else None
-    pdotalpha = chart.zero()  # alpha^i p_i, the dp-components paired with p
+    pdotalpha = [(1, zeta, None)] if zeta is not None and full else []  # (zeta +) alpha^i p_i
     for i in range(1, chart.n + 1):
         a_q = alpha.components[chart.q_slot(i)]
         a_p = alpha.components[chart.p_slot(i)]
         p_i = chart.coordinate(chart.p_slot(i))
         comps[chart.q_slot(i)] = a_p
-        drag = a_q if zeta is None else a_q + p_i * zeta
-        comps[chart.p_slot(i)] = -drag
-        pdotalpha = pdotalpha + a_p * p_i
+        comps[chart.p_slot(i)] = (-a_q if zeta is None else
+                                  Poly.sum_of_products(chart.dim, [(-1, a_q, None), (-1, p_i, zeta)]))
+        pdotalpha.append((1, a_p, p_i))
     if chart.has_z:
-        comps[chart.z_slot] = zeta + pdotalpha
-    if chart.has_time:
+        comps[chart.z_slot] = Poly.sum_of_products(chart.dim, pdotalpha)
+    if chart.has_time and full:
         comps[chart.t_slot] = alpha.components[chart.t_slot]
-    X = VectorFieldExpr(chart, tuple(comps))
-    if variant is SharpVariant.FULL:
-        return X
-    if chart.has_z:
-        X = X - reeb_eta(chart).scaled(alpha.components[chart.z_slot])
-    if chart.has_time:
-        X = X - reeb_tau(chart).scaled(alpha.components[chart.t_slot])
-    return X
+    return VectorFieldExpr(chart, tuple(comps))
 
 
 def omega_contraction(X: VectorFieldExpr) -> OneFormExpr:

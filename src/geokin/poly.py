@@ -11,6 +11,14 @@ multiplies numerators and denominators, a sum first scales both sides
 to their common denominator) with one gcd per result; nothing here ever
 rounds.  `terms` shows the coefficients as `fractions.Fraction`s.
 
+The symbolic layers mostly need sums of products, such as X^k df/dx^k
+or F_q H_p - F_p H_q.  `Poly.sum_of_products(dim, [(c, a, b), ...])`
+forms the sum of c * a * b (int c, b None for c * a) in one pass: every
+product goes into one numerator map over the lcm of the products'
+denominators, with one gcd at the end.  It equals the fold over `+` and
+`*`, which builds, copies and reduces an intermediate per step, and
+raises the same degree-cap error from the same term.
+
 Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
 higher exponents.  Numeric evaluation runs one kernel per polynomial:
@@ -33,7 +41,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -43,6 +52,16 @@ MAX_TOTAL_DEGREE = 24
 
 class DegreeOverflowError(ArithmeticError):
     """Raised when an operation would exceed the degree cap."""
+
+
+def _check_degree(na: dict[Exponents, int], nb: dict[Exponents, int]) -> None:
+    """Raise the cap's `DegreeOverflowError` if the product of terms `na`
+    and `nb` has a term past it, naming the first such term in product
+    order (`na` outer, `nb` inner).  Term by term only when the two total
+    degrees together pass the cap, so that such a term exists."""
+    if na and nb and max(map(sum, na)) + max(map(sum, nb)) > MAX_TOTAL_DEGREE:
+        deg = next(d for ea in na for eb in nb if (d := sum(ea) + sum(eb)) > MAX_TOTAL_DEGREE)
+        raise DegreeOverflowError(f"product term degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
 
 
 class ParseError(ValueError):
@@ -128,7 +147,7 @@ class Poly:
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls._of(dim, {}, 1)
+        return cls._wrap(dim, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value: Rational) -> "Poly":
@@ -205,13 +224,25 @@ class Poly:
         return Poly.const(self.dim, other)
 
     def __add__(self, other: "Poly | Rational") -> "Poly":
-        other = self._coerce(other)
+        return self._sum(self._coerce(other), 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "Poly | Rational") -> "Poly":
+        return self._sum(self._coerce(other), -1)
+
+    def __rsub__(self, other: Rational) -> "Poly":
+        return self._coerce(other) - self
+
+    def _sum(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, for sign 1 or -1."""
         da, db = self._den, other._den
         if da == db:
-            out, den, items = dict(self._num), da, other._num.items()
+            out, den = dict(self._num), da
+            items = other._num.items() if sign == 1 else [(e, -n) for e, n in other._num.items()]
         else:
             den = da // math.gcd(da, db) * db
-            sa, sb = den // da, den // db
+            sa, sb = den // da, sign * (den // db)
             out = {e: n * sa for e, n in self._num.items()}
             items = [(e, n * sb) for e, n in other._num.items()]
         for exps, n in items:
@@ -224,17 +255,9 @@ class Poly:
                 del out[exps]
         return Poly._of(self.dim, out, den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         # negated numerators over the same denominator stay canonical
         return Poly._wrap(self.dim, {e: -n for e, n in self._num.items()}, self._den)
-
-    def __sub__(self, other: "Poly | Rational") -> "Poly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other: Rational) -> "Poly":
-        return self._coerce(other) - self
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if not isinstance(other, Poly):
@@ -245,14 +268,11 @@ class Poly:
             return Poly._of(self.dim, {e: n * k for e, n in self._num.items()},
                             self._den * c.denominator)
         other = self._coerce(other)
+        _check_degree(self._num, other._num)
         out: dict[Exponents, int] = {}
         for ea, na in self._num.items():
             for eb, nb in other._num.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if sum(exps) > MAX_TOTAL_DEGREE:
-                    raise DegreeOverflowError(
-                        f"product term degree {sum(exps)} exceeds cap {MAX_TOTAL_DEGREE}"
-                    )
+                exps = tuple(map(add, ea, eb))
                 acc = out.get(exps)
                 if acc is None:
                     out[exps] = na * nb
@@ -263,6 +283,51 @@ class Poly:
         return Poly._of(self.dim, out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, dim: int,
+                        terms: Iterable[tuple[int, "Poly", "Poly | None"]]) -> "Poly":
+        """The sum of c * a * b over `(c, a, b)` terms, exactly: `c` an int,
+        `a` and `b` polynomials on `dim` coordinates, `b` None for the
+        term c * a.
+
+        Equal to the fold `out = out + c * a * b` from zero, with one
+        denominator and one gcd for the whole sum instead of one per step:
+        every product goes straight into one numerator dict over the lcm
+        of the products' denominators.  A product past the degree cap
+        raises the error `a * b` raises, from the first such term.
+        """
+        prods = []
+        den = 1
+        for c, a, b in terms:
+            if a.dim != dim or (b is not None and b.dim != dim):
+                raise ValueError(f"dimension mismatch: a term is not on {dim} coordinates")
+            if not c or not a._num:
+                continue
+            if b is None:
+                d = a._den
+            elif b._num:
+                _check_degree(a._num, b._num)
+                d = a._den * b._den
+            else:
+                continue
+            prods.append((c, a._num, None if b is None else b._num, d))
+            den = math.lcm(den, d)
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for c, na, nb, d in prods:
+            s = c * (den // d)
+            if nb is None:
+                for e, n in na.items():
+                    out[e] = get(e, 0) + s * n
+                continue
+            nb_items = nb.items()
+            for ea, x in na.items():
+                x *= s
+                for eb, y in nb_items:
+                    e = tuple(map(add, ea, eb))
+                    out[e] = get(e, 0) + x * y
+        return cls._of(dim, {e: n for e, n in out.items() if n}, den)
 
     def __truediv__(self, other: Rational) -> "Poly":
         if isinstance(other, Poly):

@@ -672,6 +672,29 @@ def test_budgets_leave_the_default_particles_on_the_widest_chart(tmp_path, capsy
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
 
 
+def test_the_push_budget_counts_the_seeded_particles(tmp_path, capsys):
+    # the most particles the push budget allows on cocontact n=1; four active
+    # axes round them to a lattice of 35^4 = 1 500 625 sites
+    assert flow.MAX_PUSH_VALUES // 5 == 1_500_000
+    cfg = {
+        "chart": {"kind": "cocontact", "n": 1},
+        "task": "kinetic-particle",
+        "hamiltonian": "p1^2/2",
+        "particles": 1_500_000,
+        "initial": {"grid": {"axes": [{"lo": -2.0, "hi": 2.0, "size": 26}] * 4},
+                    "density": "1"},
+        "time": {"t_final": 0.1, "dt": 0.01},
+        "output": {"grid": str(tmp_path / "g.grid")},
+    }
+    for command in ("validate", "run"):
+        assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error at $.particles: 1500625 seeded particles x 5 values exceed the "
+            f"push budget of {flow.MAX_PUSH_VALUES}\n")
+    cfg["particles"] = 1_400_000  # a 34^4 lattice
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+
+
 def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsys):
     assert flow.MAX_GRID_CELLS >= 10 * 40 ** 3  # the benchmark's largest grid
     assert flow.MAX_PARTICLES >= 10 * 480 ** 2  # and its largest ensemble

@@ -1,11 +1,12 @@
 """Golden outputs: seed-0 benchmark operations, byte for byte.
 
 `perfbench/golden.json` records the exit code and the sha256 of every
-output file of each seed-0 benchmark operation.  These tests rebuild a
-subset of those operations with `perfbench/scenarios.py`, run them
-in-process through `geokin.cli.main`, and compare; each operation's
-expected stdout and stderr substrings (a config error's JSON path, for
-one) must appear too, as `perfbench/check.py` requires.  A change that moves
+output file of each seed-0 benchmark operation.  These tests rebuild
+every one of those operations, on all four workloads, with
+`perfbench/scenarios.py`, run them in-process through `geokin.cli.main`,
+and compare; each operation's expected stdout and stderr substrings (a
+config error's JSON path, for one) must appear too, as
+`perfbench/check.py` requires.  A change that moves
 one output byte fails here and has to say why; golden.json is re-recorded
 only by `perfbench/run.py --record-golden`.
 """
@@ -26,28 +27,6 @@ import scenarios  # noqa: E402
 
 with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
-
-# None runs every operation of the workload.
-SELECTED = {
-    "short": None,
-    "trajectory": None,
-    "kinetic": None,
-    "exact": (
-        "ident0-symplectic-n1",
-        "ident0-symplectic-n2",
-        "ident0-cosymplectic-n1",
-        "ident0-cosymplectic-n2",
-        "ident0-contact-n1",
-        "ident0-contact-n2",
-        "ident0-cocontact-n1",
-        "ident0-cocontact-n2",
-        "momentum-symplectic",
-        "momentum-cosymplectic",
-        "momentum-contact",
-        "momentum-cocontact",
-    ),
-}
-
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -74,13 +53,11 @@ def _run(op, capsys):
     return {"files": files, "rc": rc}, missing
 
 
-@pytest.mark.parametrize("workload", sorted(SELECTED))
+@pytest.mark.parametrize("workload", sorted(GOLDEN["workloads"]))
 def test_outputs_match_golden_digests(workload, tmp_path, capsys):
     recorded = GOLDEN["workloads"][workload]
-    names = SELECTED[workload]
     ops = scenarios.generate(workload, GOLDEN["seed"], str(tmp_path), GOLDEN["scale"])
-    ops = [op for op in ops if names is None or op.name in names]
-    assert len(ops) == (len(recorded) if names is None else len(names))
+    assert len(ops) == len(recorded)
     results = {op.name: _run(op, capsys) for op in ops}
     assert [name for name, (got, _) in results.items() if got != recorded[name]] == []
     # config errors name their JSON path, and runs print what the checks expect

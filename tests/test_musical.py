@@ -136,3 +136,12 @@ def test_zero_form_maps_to_zero_field():
         zero = OneFormExpr(chart, (chart.zero(),) * chart.dim)
         assert sharp(zero).is_zero()
         assert sharp(zero, SharpVariant.BIVECTOR).is_zero()
+
+
+@pytest.mark.parametrize("kind", [ChartKind.SYMPLECTIC, ChartKind.COSYMPLECTIC])
+def test_sharp_forms_the_p_sum_only_on_charts_with_z(kind):
+    # alpha^i p_i enters the z-component alone, so without z a dp-component
+    # at the degree cap maps as it is instead of overflowing in p1 * p1^24
+    chart = Chart(kind, 1)
+    X = sharp(_form(chart, {"p1": "p1^24", "q1": "q1"}))
+    assert comps(X, chart)[chart.q_slot(1):] == ["p1^24", "-q1"]

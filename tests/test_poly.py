@@ -501,3 +501,113 @@ def test_parse_gates_variables_by_name_set():
 def test_decimal_literals_are_exact():
     assert P("0.125*x") == Poly(2, {(1, 0): Fraction(1, 8)})
     assert P("2.50") == Poly.const(2, Fraction(5, 2))
+
+
+def fold_of_products(dim, terms):
+    """The reference for `Poly.sum_of_products`: out = out + c * a * b from zero."""
+    out = Poly.zero(dim)
+    for c, a, b in terms:
+        out = out + (c * a if b is None else c * a * b)
+    return out
+
+
+def first_overflow(a, b):
+    """The degree `a * b` must name past the cap: its first term past it in
+    product order, or None."""
+    return next((sum(ea) + sum(eb) for ea in a.terms for eb in b.terms
+                 if sum(ea) + sum(eb) > MAX_TOTAL_DEGREE), None)
+
+
+def assert_canonical(p):
+    assert p._den > 0 and 0 not in p._num.values()
+    assert math.gcd(p._den, *p._num.values()) == 1  # also: zero is the empty map over 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sum_of_products_matches_the_fold(data):
+    def outcome(compute):
+        try:
+            return compute(), None
+        except DegreeOverflowError as exc:
+            return None, str(exc)
+
+    dim = data.draw(st.integers(1, 4))
+    # first (hypothesis favours early entries): two polynomials with two high
+    # terms each, so that products pass the cap and the first term past it
+    # need not be the highest
+    pool = []
+    for _ in range(2):
+        lo, hi = sorted(data.draw(st.lists(st.integers(11, 16), min_size=2, max_size=2,
+                                           unique=True)))
+        first = data.draw(st.sampled_from([lo, hi]))
+        pool.append(Poly(dim, {(first,) + (0,) * (dim - 1): Fraction(1, 4),
+                               (0,) * (dim - 1) + (lo + hi - first,): -3}))
+    pool += [Poly.zero(dim), Poly.const(dim, Fraction(-5, 6)), Poly.variable(dim, dim - 1)]
+    pool += [Poly(dim, t) for t in data.draw(st.lists(small_terms(dim), min_size=1, max_size=3))]
+    term = st.tuples(st.integers(-3, 3), st.sampled_from(pool), st.none() | st.sampled_from(pool))
+    terms = [data.draw(term) for _ in range(data.draw(st.integers(0, 5)))]
+    got, error = outcome(lambda: Poly.sum_of_products(dim, terms))
+    want, want_error = outcome(lambda: fold_of_products(dim, terms))
+    assert error == want_error
+    overflows = [first_overflow(a, b) for c, a, b in terms if c and b is not None]
+    degree = next((d for d in overflows if d is not None), None)
+    assert error == (None if degree is None else
+                     f"product term degree {degree} exceeds cap {MAX_TOTAL_DEGREE}")
+    if error is None:
+        assert_canonical(got)
+        assert got == want and hash(got) == hash(want)
+        assert got.terms == want.terms
+
+
+def test_sum_of_products_edge_cases():
+    x, y = P("x"), P("y")
+    for terms in ([], [(0, x, y)], [(2, Poly.zero(2), y), (1, x, Poly.zero(2))],
+                  [(1, x / 3, y / 2), (-1, y / 6, x)], [(3, x / 4, None), (-3, x, P("1/4"))]):
+        total = Poly.sum_of_products(2, terms)
+        assert total._num == {} and total._den == 1 and total == Poly.zero(2)
+    total = Poly.sum_of_products(2, [(1, x / 2, y / 3), (-2, x / 6, None), (5, P("1/10"), None)])
+    assert total == P("x*y/6 - x/3 + 1/2") and total._den == 6
+    assert_canonical(total)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Poly.sum_of_products(2, [(1, x, Poly.variable(3, 0))])
+    # the first product term past the cap is x^13 * x^12, not the highest, x^13 * x^14
+    high = [(1, x, y), (1, P("x^10 + x^13"), P("x^12 + x^14"))]
+    for total in (Poly.sum_of_products, fold_of_products):
+        with pytest.raises(DegreeOverflowError, match="^product term degree 25 exceeds cap 24$"):
+            total(2, high)
+
+
+def fraction_random_poly(rng, dim, degree=3, terms=4, allow_zero=False, frozen_slots=()):
+    """`corpus.random_poly` as it was written on Fractions: one Fraction per
+    drawn term, summed per monomial, then `Poly(dim, terms)`."""
+    free = [i for i in range(dim) if i not in frozen_slots]
+    for _ in range(50):
+        out = {}
+        for _ in range(rng.randint(1, max(1, terms))):
+            exps = [0] * dim
+            for _ in range(rng.randint(0, degree)):
+                if free:
+                    exps[rng.choice(free)] += 1
+            num = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+            den = rng.randint(1, 3)
+            key = tuple(exps)
+            out[key] = out.get(key, Fraction(0)) + Fraction(num, den)
+        poly = Poly(dim, out)
+        if allow_zero or not poly.is_zero():
+            return poly
+    raise RuntimeError("failed to draw a nonzero polynomial")
+
+
+def test_corpus_draws_match_the_fraction_reference():
+    for seed in range(300):
+        dim = 1 + seed % 6
+        kwargs = {"degree": seed % 4, "terms": 1 + seed % 7, "allow_zero": seed % 2 == 0,
+                  "frozen_slots": (dim - 1,) if seed % 3 == 0 else ()}
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            p = random_poly(ours, dim, **kwargs)
+            q = fraction_random_poly(ref, dim, **kwargs)
+            assert p == q and hash(p) == hash(q) and list(p._num) == list(q._num)
+            assert_canonical(p)
+        assert ours.getstate() == ref.getstate()  # the same draws, in the same order
