@@ -4,7 +4,8 @@ Four chart kinds (symplectic, cosymplectic, contact, cocontact) with
 rational-coefficient polynomial observables, one module per layer:
 
 - `poly`: exact polynomials and their compiled numeric kernels;
-- `chart`: charts, one-forms, vector fields and the canonical forms;
+- `chart`: charts, one-forms, vector fields, two-forms and the canonical
+  forms;
 - `musical`: the musical isomorphisms;
 - `brackets`: the six canonical brackets;
 - `fields`: the sixteen-row catalog of dynamics fields;

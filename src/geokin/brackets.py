@@ -95,22 +95,25 @@ def bracket(chart: Chart, kind: BracketKind, F: Poly, H: Poly) -> Poly:
     _check(chart, kind, F, H)
     dim = chart.dim
     terms = []
-    for i in range(1, chart.n + 1):
-        qi, pi = chart.q_slot(i), chart.p_slot(i)
-        terms += [(1, F.partial(qi), H.partial(pi)), (-1, F.partial(pi), H.partial(qi))]
+    # each first partial once: the p-partials feed the drift and Reeb terms too
+    ps = [chart.p_slot(i) for i in range(1, chart.n + 1)]
+    Fp = [F.partial(pi) for pi in ps]
+    Hp = [H.partial(pi) for pi in ps]
+    for i, (Fpi, Hpi) in enumerate(zip(Fp, Hp), 1):
+        qi = chart.q_slot(i)
+        terms += [(1, F.partial(qi), Hpi), (-1, Fpi, H.partial(qi))]
     if kind.is_almost_poisson:
         z = chart.z_slot
         Fz, Hz = F.partial(z), H.partial(z)
-        for i in range(1, chart.n + 1):
-            pi = chart.p_slot(i)
-            drift = Poly.sum_of_products(dim, [(1, Fz, H.partial(pi)), (-1, F.partial(pi), Hz)])
+        for pi, Fpi, Hpi in zip(ps, Fp, Hp):
+            drift = Poly.sum_of_products(dim, [(1, Fz, Hpi), (-1, Fpi, Hz)])
             terms.append((1, chart.coordinate(pi), drift))
     elif kind.is_jacobi:
         z = chart.z_slot
         # p_i dF/dp_i is of no higher degree than F: these sums pass the cap only where F does
-        ps = [(chart.coordinate(pi), pi) for pi in map(chart.p_slot, range(1, chart.n + 1))]
-        pFp = Poly.sum_of_products(dim, [(1, p, F.partial(pi)) for p, pi in ps])
-        pHp = Poly.sum_of_products(dim, [(1, p, H.partial(pi)) for p, pi in ps])
+        pcoords = [chart.coordinate(pi) for pi in ps]
+        pFp = Poly.sum_of_products(dim, [(1, p, Fpi) for p, Fpi in zip(pcoords, Fp)])
+        pHp = Poly.sum_of_products(dim, [(1, p, Hpi) for p, Hpi in zip(pcoords, Hp)])
         terms += [(1, F - pFp, H.partial(z)), (-1, H - pHp, F.partial(z))]
     return Poly.sum_of_products(dim, terms)
 

@@ -13,8 +13,12 @@ eta = dz - p_i dq^i, and d(eta) = dq^i wedge dp_i (the same matrix as
 the symplectic two-form).  The Reeb fields are d/dt (for tau) and d/dz
 (for eta); their defining contractions are asserted in the test suite.
 
-One-forms and vector fields are plain component tuples of exact
-polynomials over the chart's coordinates, in chart coordinate order.
+One-forms, vector fields and two-forms share one container: a tuple of
+exact polynomials over the chart's coordinates.  One-forms and vector
+fields hold one component per coordinate, in chart order.  A two-form
+holds its strict upper triangle B_jk, j < k, in row order, so it is
+antisymmetric by construction; `TwoFormExpr.entry` reads any B_jk with
+its sign.  `pairing` and `contract_twoform` are the two contractions.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .poly import Poly, Rational, parse
 
@@ -120,10 +124,10 @@ class Chart:
         return parse(text, self.coord_names)
 
 
-def _check_components(chart: Chart, components: Sequence[Poly]) -> tuple[Poly, ...]:
+def _check_components(chart: Chart, components: Sequence[Poly], size: int) -> tuple[Poly, ...]:
     comps = tuple(components)
-    if len(comps) != chart.dim:
-        raise ValueError(f"expected {chart.dim} components, got {len(comps)}")
+    if len(comps) != size:
+        raise ValueError(f"expected {size} components, got {len(comps)}")
     for c in comps:
         if c.dim != chart.dim:
             raise ValueError(f"component dimension {c.dim} does not match chart dim {chart.dim}")
@@ -132,9 +136,10 @@ def _check_components(chart: Chart, components: Sequence[Poly]) -> tuple[Poly, .
 
 @dataclass(frozen=True)
 class _Components:
-    """Components in chart order, with the linear algebra one-forms and
-    vector fields share.  A subclass passing `noun=` names its errors and
-    types its results: a sum of `MomentumOneForm`s is a `OneFormExpr`."""
+    """Components with the linear algebra every exact tensor shares: one
+    per coordinate in chart order unless a subclass overrides `size`.  A
+    subclass passing `noun=` names its errors and types its results: a sum
+    of `MomentumOneForm`s is a `OneFormExpr`."""
 
     chart: Chart
     components: tuple[Poly, ...]
@@ -144,13 +149,19 @@ class _Components:
         if noun:
             cls._noun, cls._result = noun, cls
 
+    @staticmethod
+    def size(chart: Chart) -> int:
+        """The number of components on `chart`."""
+        return chart.dim
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _check_components(self.chart, self.components))
+        object.__setattr__(self, "components",
+                           _check_components(self.chart, self.components, self.size(self.chart)))
 
     @classmethod
     def basis(cls, chart: Chart, slot: int):
         """The element with component 1 at `slot` and 0 elsewhere."""
-        comps = [chart.zero() for _ in range(chart.dim)]
+        comps = [chart.zero() for _ in range(cls.size(chart))]
         comps[slot] = chart.const(1)
         return cls(chart, tuple(comps))
 
@@ -191,12 +202,47 @@ class VectorFieldExpr(_Components, noun="vector fields"):
         return [(sign, comp, f.partial(k)) for k, comp in enumerate(self.components) if comp]
 
 
+class TwoFormExpr(_Components, noun="two-forms"):
+    """A two-form B = sum_{j<k} B_jk dx^j wedge dx^k, stored as its strict
+    upper triangle in row order (0,1), (0,2), ..., (d-2,d-1); B_kj = -B_jk
+    and B_jj = 0 hold by construction."""
+
+    @staticmethod
+    def size(chart: Chart) -> int:
+        return chart.dim * (chart.dim - 1) // 2
+
+    @staticmethod
+    def slot(dim: int, j: int, k: int) -> int:
+        """The component index of B_jk, 0 <= j < k < dim."""
+        return j * (2 * dim - j - 1) // 2 + k - j - 1
+
+    def entry(self, j: int, k: int) -> tuple[int, Poly] | None:
+        """B_jk as (sign, stored component), None where it vanishes: the
+        sign is -1 below the diagonal, so no negated copy is built."""
+        if j == k:
+            return None
+        sign = 1 if j < k else -1
+        comp = self.components[self.slot(self.chart.dim, min(j, k), max(j, k))]
+        return (sign, comp) if comp else None
+
+
 def pairing(alpha: OneFormExpr, X: VectorFieldExpr) -> Poly:
     """Pointwise pairing <alpha, X> = alpha_k X^k."""
     if alpha.chart != X.chart:
         raise ValueError("pairing requires a common chart")
     return Poly.sum_of_products(
         alpha.chart.dim, [(1, a, v) for a, v in zip(alpha.components, X.components)])
+
+
+def contract_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> OneFormExpr:
+    """(i_X B)_k = X^j B_{jk}."""
+    if X.chart != B.chart:
+        raise ValueError("contraction requires a common chart")
+    d = X.chart.dim
+    return OneFormExpr(X.chart, tuple(
+        Poly.sum_of_products(d, [(e[0], Xj, e[1]) for j, Xj in enumerate(X.components)
+                                 if (e := B.entry(j, k))])
+        for k in range(d)))
 
 
 def differential(H: Poly, chart: Chart) -> OneFormExpr:
@@ -228,18 +274,12 @@ def canonical_theta(chart: Chart) -> OneFormExpr:
     return OneFormExpr(chart, tuple(comps))
 
 
-class CanonicalForms(NamedTuple):
-    tau: OneFormExpr | None
-    eta: OneFormExpr | None
-    theta: OneFormExpr
-
-
-def canonical_forms(chart: Chart) -> CanonicalForms:
-    return CanonicalForms(
-        tau=canonical_tau(chart) if chart.has_time else None,
-        eta=canonical_eta(chart) if chart.has_z else None,
-        theta=canonical_theta(chart),
-    )
+def two_form_omega(chart: Chart) -> TwoFormExpr:
+    """Omega = dq^i wedge dp_i; the symplectic two-form, and d(eta) on z-charts."""
+    comps = [chart.zero() for _ in range(TwoFormExpr.size(chart))]
+    for i in range(1, chart.n + 1):
+        comps[TwoFormExpr.slot(chart.dim, chart.q_slot(i), chart.p_slot(i))] = chart.const(1)
+    return TwoFormExpr(chart, tuple(comps))
 
 
 def reeb_tau(chart: Chart) -> VectorFieldExpr:

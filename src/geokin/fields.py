@@ -19,8 +19,9 @@ rows demand dH/dz == 0, checked symbolically at construction.
 the eta/tau coefficients of L_X eta, all as exact polynomials.
 `Dynamics` is one row with one Hamiltonian: what a run hands its
 solver.  The module also houses the small Cartan toolbox (exterior
-derivative, Lie derivatives, wedge, contractions) used to verify the
-displayed Lie-derivative laws symbolically.
+derivative, wedge, Lie derivatives of one- and two-forms, the Lie bracket
+of fields) used to verify the displayed Lie-derivative laws symbolically;
+two-forms and their contraction live in `chart` beside `pairing`.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 
 from .chart import (
     Chart,
     ChartKind,
     OneFormExpr,
+    TwoFormExpr,
     VectorFieldExpr,
     differential,
 )
@@ -204,101 +207,22 @@ class Dynamics:
 # -- Cartan toolbox ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoFormExpr:
-    """An antisymmetric matrix of polynomial components B_{jk}."""
-
-    chart: Chart
-    components: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self) -> None:
-        d = self.chart.dim
-        comps = tuple(tuple(row) for row in self.components)
-        if len(comps) != d or any(len(row) != d for row in comps):
-            raise ValueError(f"two-form needs a {d}x{d} component matrix")
-        for j in range(d):
-            for k in range(j, d):
-                a, b = comps[j][k], comps[k][j]
-                if (a or b) and a != -b:
-                    raise ValueError("two-form components must be antisymmetric")
-        object.__setattr__(self, "components", comps)
-
-    def __add__(self, other: "TwoFormExpr") -> "TwoFormExpr":
-        if other.chart != self.chart:
-            raise ValueError("two-forms live on different charts")
-        return TwoFormExpr(
-            self.chart,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.components, other.components)
-            ),
-        )
-
-    def __sub__(self, other: "TwoFormExpr") -> "TwoFormExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "TwoFormExpr":
-        return TwoFormExpr(
-            self.chart, tuple(tuple(-a for a in row) for row in self.components)
-        )
-
-    def scaled(self, factor: Poly) -> "TwoFormExpr":
-        return TwoFormExpr(
-            self.chart, tuple(tuple(a * factor for a in row) for row in self.components)
-        )
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.components for a in row)
-
-
-def two_form_omega(chart: Chart) -> TwoFormExpr:
-    """dq^i wedge dp_i; the symplectic two-form, and d(eta) on z-charts."""
-    rows = [[chart.zero() for _ in range(chart.dim)] for _ in range(chart.dim)]
-    one = chart.const(1)
-    for i in range(1, chart.n + 1):
-        rows[chart.q_slot(i)][chart.p_slot(i)] = one
-        rows[chart.p_slot(i)][chart.q_slot(i)] = -one
-    return TwoFormExpr(chart, tuple(tuple(r) for r in rows))
-
-
 def exterior_derivative_oneform(alpha: OneFormExpr) -> TwoFormExpr:
     """(d alpha)_{jk} = d_j alpha_k - d_k alpha_j."""
-    chart = alpha.chart
-    d = chart.dim
-    rows = [[chart.zero()] * d for _ in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            entry = alpha.components[k].partial(j) - alpha.components[j].partial(k)
-            rows[j][k] = entry
-            rows[k][j] = -entry
-    return TwoFormExpr(chart, tuple(tuple(r) for r in rows))
+    a = alpha.components
+    return TwoFormExpr(alpha.chart, tuple(
+        a[k].partial(j) - a[j].partial(k) for j, k in combinations(range(alpha.chart.dim), 2)))
 
 
 def wedge(alpha: OneFormExpr, beta: OneFormExpr) -> TwoFormExpr:
     """(alpha wedge beta)_{jk} = alpha_j beta_k - alpha_k beta_j."""
     if alpha.chart != beta.chart:
         raise ValueError("wedge requires a common chart")
-    chart = alpha.chart
-    d = chart.dim
+    d = alpha.chart.dim
     a, b = alpha.components, beta.components
-    rows = [[chart.zero()] * d for _ in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            entry = Poly.sum_of_products(d, [(1, a[j], b[k]), (-1, a[k], b[j])])
-            rows[j][k] = entry
-            rows[k][j] = -entry
-    return TwoFormExpr(chart, tuple(tuple(r) for r in rows))
-
-
-def contract_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> OneFormExpr:
-    """(i_X B)_k = X^j B_{jk}."""
-    if X.chart != B.chart:
-        raise ValueError("contraction requires a common chart")
-    chart = X.chart
-    d = chart.dim
-    return OneFormExpr(chart, tuple(
-        Poly.sum_of_products(d, [(1, X.components[j], B.components[j][k]) for j in range(d)])
-        for k in range(d)))
+    return TwoFormExpr(alpha.chart, tuple(
+        Poly.sum_of_products(d, [(1, a[j], b[k]), (-1, a[k], b[j])])
+        for j, k in combinations(range(d), 2)))
 
 
 def lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExpr:
@@ -318,22 +242,18 @@ def lie_derivative_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> TwoFormExpr:
     """(L_X B)_{jk} = X^i d_i B_{jk} + B_{ik} d_j X^i + B_{ji} d_k X^i."""
     if X.chart != B.chart:
         raise ValueError("Lie derivative requires a common chart")
-    chart = X.chart
-    d = chart.dim
-    b = B.components
-    rows = [[chart.zero()] * d for _ in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            terms = X.derivative_terms(b[j][k])
-            for i, Xi in enumerate(X.components):
-                if Xi:
-                    if b[i][k]:
-                        terms.append((1, b[i][k], Xi.partial(j)))
-                    if b[j][i]:
-                        terms.append((1, b[j][i], Xi.partial(k)))
-            rows[j][k] = acc = Poly.sum_of_products(d, terms)
-            rows[k][j] = -acc
-    return TwoFormExpr(chart, tuple(tuple(r) for r in rows))
+    d = X.chart.dim
+    comps = []
+    for (j, k), b_jk in zip(combinations(range(d), 2), B.components):
+        terms = X.derivative_terms(b_jk)
+        for i, Xi in enumerate(X.components):
+            if Xi:
+                if e := B.entry(i, k):
+                    terms.append((e[0], e[1], Xi.partial(j)))
+                if e := B.entry(j, i):
+                    terms.append((e[0], e[1], Xi.partial(k)))
+        comps.append(Poly.sum_of_products(d, terms))
+    return TwoFormExpr(X.chart, tuple(comps))
 
 
 def divergence(X: VectorFieldExpr) -> Poly:

@@ -48,8 +48,7 @@ MAX_WORK = 1_000_000_000
 # count float64 values, so a chart with more coordinates gets fewer of each.
 MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity grids
 MAX_PUSH_VALUES = 7_500_000  # particles x (dim + 1): one copy of the push state
-MAX_GRID_CELLS = MAX_GRID_VALUES // 2  # the most cells and particles, reached
-MAX_PARTICLES = MAX_PUSH_VALUES // 3  # on the two-coordinate charts
+MAX_PARTICLES = MAX_PUSH_VALUES // 3  # the most particles, reached on the two-coordinate charts
 MAX_TRIALS = 1_000
 
 

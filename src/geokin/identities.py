@@ -27,10 +27,12 @@ from .chart import (
     Chart,
     canonical_eta,
     canonical_tau,
+    contract_twoform,
     differential,
     pairing,
     reeb_eta,
     reeb_tau,
+    two_form_omega,
 )
 from .corpus import random_hamiltonian, random_one_form, random_poly
 from .density import (
@@ -46,7 +48,6 @@ from .fields import (
     FieldSpec,
     Gauge,
     catalog,
-    contract_twoform,
     diagnostics,
     divergence,
     exterior_derivative_oneform,
@@ -54,7 +55,6 @@ from .fields import (
     lie_derivative_oneform,
     lie_derivative_twoform,
     make_field,
-    two_form_omega,
     wedge,
 )
 from .musical import (

@@ -1,7 +1,8 @@
 """Musical maps between one-forms and vector fields on each chart kind.
 
-The flat map is assembled from contractions with the canonical forms,
-never by matrix inversion:
+The flat map is assembled from contractions with the canonical forms
+(`chart.contract_twoform` with `chart.two_form_omega`, and `pairing` with
+tau and eta), never by matrix inversion:
 
     symplectic    flat(X) = i_X Omega
     cosymplectic  flat(X) = i_X Omega + <tau, X> tau
@@ -33,7 +34,9 @@ from .chart import (
     VectorFieldExpr,
     canonical_eta,
     canonical_tau,
+    contract_twoform,
     pairing,
+    two_form_omega,
 )
 from .poly import Poly
 
@@ -67,20 +70,10 @@ def sharp(alpha: OneFormExpr, variant: SharpVariant = SharpVariant.FULL) -> Vect
     return VectorFieldExpr(chart, tuple(comps))
 
 
-def omega_contraction(X: VectorFieldExpr) -> OneFormExpr:
-    """i_X Omega for Omega = dq^i wedge dp_i; equals i_X d(eta) on z-charts."""
-    chart = X.chart
-    comps = [chart.zero() for _ in range(chart.dim)]
-    for i in range(1, chart.n + 1):
-        comps[chart.p_slot(i)] = X.components[chart.q_slot(i)]
-        comps[chart.q_slot(i)] = -X.components[chart.p_slot(i)]
-    return OneFormExpr(chart, tuple(comps))
-
-
 def flat(X: VectorFieldExpr) -> OneFormExpr:
     """Send a vector field to a one-form; inverse of sharp(FULL)."""
     chart = X.chart
-    alpha = omega_contraction(X)
+    alpha = contract_twoform(X, two_form_omega(chart))
     if chart.has_z:
         eta = canonical_eta(chart)
         alpha = alpha + eta.scaled(pairing(eta, X))

@@ -346,8 +346,7 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k > 1
-            if base_needed:
+            if k > 1:
                 base = base * base
             k >>= 1
         return result
@@ -579,7 +578,6 @@ class _Parser:
         return value
 
     def expr(self) -> Poly:
-        kind, tok, _ = self.toks.peek()
         value = self.term()
         while True:
             kind, tok, _ = self.toks.peek()

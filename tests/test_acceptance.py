@@ -25,10 +25,12 @@ from geokin.chart import (
     ChartKind,
     canonical_eta,
     canonical_tau,
+    contract_twoform,
     differential,
     pairing,
     reeb_eta,
     reeb_tau,
+    two_form_omega,
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
 from geokin.fields import (
@@ -37,7 +39,6 @@ from geokin.fields import (
     FieldSpec,
     Gauge,
     catalog,
-    contract_twoform,
     diagnostics,
     divergence,
     exterior_derivative_oneform,
@@ -45,7 +46,6 @@ from geokin.fields import (
     lie_derivative_oneform,
     lie_derivative_twoform,
     make_field,
-    two_form_omega,
     wedge,
 )
 from geokin.flow import IntegratorConfig, integrate, monitored_energy_rate, numeric_divergence

@@ -8,15 +8,16 @@ from geokin.chart import (
     Chart,
     ChartKind,
     canonical_eta,
-    canonical_forms,
     canonical_tau,
     canonical_theta,
+    contract_twoform,
     differential,
     pairing,
     reeb_eta,
     reeb_tau,
+    two_form_omega,
 )
-from geokin.fields import contract_twoform, exterior_derivative_oneform, two_form_omega
+from geokin.fields import exterior_derivative_oneform
 
 
 def test_dimensions():
@@ -91,17 +92,6 @@ def test_canonical_form_components():
     assert [c.to_text(names) for c in theta.components] == ["0", "p1", "p2", "0", "0", "0"]
 
 
-def test_canonical_forms_bundle():
-    s = Chart(ChartKind.SYMPLECTIC, 1)
-    forms = canonical_forms(s)
-    assert forms.tau is None and forms.eta is None
-    assert forms.theta == canonical_theta(s)
-    cc = Chart(ChartKind.COCONTACT, 1)
-    forms = canonical_forms(cc)
-    assert forms.tau == canonical_tau(cc)
-    assert forms.eta == canonical_eta(cc)
-
-
 def test_forms_unavailable_off_chart():
     with pytest.raises(ValueError):
         canonical_tau(Chart(ChartKind.CONTACT, 1))
@@ -146,7 +136,8 @@ def test_d_eta_equals_omega_matrix():
         assert exterior_derivative_oneform(canonical_eta(chart)) == two_form_omega(chart)
     c1 = Chart(ChartKind.CONTACT, 1)
     d_eta = exterior_derivative_oneform(canonical_eta(c1))
-    assert d_eta.components[c1.q_slot(1)][c1.p_slot(1)] == 1
+    assert d_eta.entry(c1.q_slot(1), c1.p_slot(1)) == (1, c1.const(1))
+    assert d_eta.entry(c1.p_slot(1), c1.q_slot(1)) == (-1, c1.const(1))
 
 
 def test_theta_differential_is_minus_omega_convention():

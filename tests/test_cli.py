@@ -607,7 +607,7 @@ def test_grid_past_the_cell_budget_is_refused_without_allocating(tmp_path, capsy
         assert peak < 4 << 20  # a 10**12-cell grid never comes near an allocation
         assert capsys.readouterr().err == (
             "config error at $.initial.grid.axes: the axis sizes multiply to more than "
-            f"{flow.MAX_GRID_CELLS} cells\n")
+            f"{flow.MAX_GRID_VALUES // 2} cells\n")
     assert not (tmp_path / "g.grid").exists()
 
 
@@ -646,14 +646,14 @@ def _wide_chart_config(tmp_path, task, particles, size):
                  f"2500000 particles x 35 values exceed the push budget of "
                  f"{flow.MAX_PUSH_VALUES}; at most {flow.MAX_PUSH_VALUES // 35} on this chart",
                  id="particles"),
-    # 512^2 cells x 34 coordinates: fewer cells than MAX_GRID_CELLS, too many values
+    # 512^2 cells x 34 coordinates: fewer cells than MAX_GRID_VALUES // 2, too many values
     pytest.param("kinetic-grid", 100_000, 512, "$.initial.grid.axes",
                  f"the axis sizes multiply to more than {flow.MAX_GRID_VALUES // 34} cells",
                  id="cells"),
 ])
 def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task, particles,
                                                           size, path, message):
-    assert size ** 2 <= flow.MAX_GRID_CELLS
+    assert size ** 2 <= flow.MAX_GRID_VALUES // 2
     cfg_path = write_config(tmp_path, _wide_chart_config(tmp_path, task, particles, size))
     for command in ("validate", "run"):
         tracemalloc.start()
@@ -696,7 +696,7 @@ def test_the_push_budget_counts_the_seeded_particles(tmp_path, capsys):
 
 
 def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsys):
-    assert flow.MAX_GRID_CELLS >= 10 * 40 ** 3  # the benchmark's largest grid
+    assert flow.MAX_GRID_VALUES // 2 >= 10 * 40 ** 3  # the benchmark's largest grid
     assert flow.MAX_PARTICLES >= 10 * 480 ** 2  # and its largest ensemble
     assert flow.MAX_GRID_VALUES >= 10 * 40 ** 3 * 3  # that grid on its 3-coordinate chart
     assert flow.MAX_PUSH_VALUES >= 10 * 480 ** 2 * 3  # that ensemble: 2 coordinates, a weight
