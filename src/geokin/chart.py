@@ -7,11 +7,13 @@ Coordinate layouts are fixed once and for all (n >= 1 pairs):
     contact       (q1..qn, p1..pn, z)       dim 2n+1
     cocontact     (t, q1..qn, p1..pn, z)    dim 2n+2
 
-Canonical structure in these coordinates: the Liouville form
-Theta = p_i dq^i, the clock form tau = dt, the contact form
-eta = dz - p_i dq^i, and d(eta) = dq^i wedge dp_i (the same matrix as
-the symplectic two-form).  The Reeb fields are d/dt (for tau) and d/dz
-(for eta); their defining contractions are asserted in the test suite.
+Canonical structure in these coordinates: the clock form tau = dt, the
+contact form eta = dz - p_i dq^i, and d(eta) = dq^i wedge dp_i (the
+same matrix as the symplectic two-form).  The Reeb fields are d/dt (for
+tau) and d/dz (for eta); their defining contractions are asserted in the
+test suite.  These constants, and a chart's coordinates and zero, are
+built once per chart and shared (`functools.cache`): they are immutable
+values.
 
 One-forms, vector fields and two-forms share one container: a tuple of
 exact polynomials over the chart's coordinates.  One-forms and vector
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .poly import Poly, Rational, parse
@@ -110,9 +112,11 @@ class Chart:
 
     # polynomial helpers on this chart
 
+    @cache
     def coordinate(self, slot: int) -> Poly:
         return Poly.variable(self.dim, slot)
 
+    @cache
     def zero(self) -> Poly:
         return Poly.zero(self.dim)
 
@@ -252,11 +256,13 @@ def differential(H: Poly, chart: Chart) -> OneFormExpr:
     return OneFormExpr(chart, tuple(H.partial(k) for k in range(chart.dim)))
 
 
+@cache
 def canonical_tau(chart: Chart) -> OneFormExpr:
     """The clock form tau = dt (cosymplectic and cocontact charts)."""
     return OneFormExpr.basis(chart, chart.t_slot)
 
 
+@cache
 def canonical_eta(chart: Chart) -> OneFormExpr:
     """The contact form eta = dz - p_i dq^i (contact and cocontact charts)."""
     comps = [chart.zero() for _ in range(chart.dim)]
@@ -266,14 +272,7 @@ def canonical_eta(chart: Chart) -> OneFormExpr:
     return OneFormExpr(chart, tuple(comps))
 
 
-def canonical_theta(chart: Chart) -> OneFormExpr:
-    """The Liouville form Theta = p_i dq^i (every chart kind)."""
-    comps = [chart.zero() for _ in range(chart.dim)]
-    for i in range(1, chart.n + 1):
-        comps[chart.q_slot(i)] = chart.coordinate(chart.p_slot(i))
-    return OneFormExpr(chart, tuple(comps))
-
-
+@cache
 def two_form_omega(chart: Chart) -> TwoFormExpr:
     """Omega = dq^i wedge dp_i; the symplectic two-form, and d(eta) on z-charts."""
     comps = [chart.zero() for _ in range(TwoFormExpr.size(chart))]
@@ -282,11 +281,13 @@ def two_form_omega(chart: Chart) -> TwoFormExpr:
     return TwoFormExpr(chart, tuple(comps))
 
 
+@cache
 def reeb_tau(chart: Chart) -> VectorFieldExpr:
     """Reeb field of the clock form: d/dt."""
     return VectorFieldExpr.basis(chart, chart.t_slot)
 
 
+@cache
 def reeb_eta(chart: Chart) -> VectorFieldExpr:
     """Reeb field of the contact form: d/dz."""
     return VectorFieldExpr.basis(chart, chart.z_slot)

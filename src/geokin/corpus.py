@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .chart import Chart, OneFormExpr
-from .poly import Poly
+from .poly import MAX_TOTAL_DEGREE, Poly, _unit
 
 
 def random_poly(
@@ -30,21 +30,21 @@ def random_poly(
     `frozen_slots` lists coordinate indices the result must not depend
     on (used for strict rows and reduction chains).
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    free = [i for i in range(dim) if i not in frozen_slots]
+    if not 0 <= degree <= MAX_TOTAL_DEGREE:
+        raise ValueError(f"degree must lie in 0..{MAX_TOTAL_DEGREE}")
+    # the key of each free coordinate: a term's key is the sum of its factors' keys
+    free = [_unit(dim, i) for i in range(dim) if i not in frozen_slots]
     for _ in range(50):
-        out: dict[tuple[int, ...], int] = {}  # numerators over 6, the lcm of 1..3
+        out: dict[int, int] = {}  # numerators over 6, the lcm of 1..3
         for _ in range(rng.randint(1, max(1, terms))):
-            exps = [0] * dim
+            key = 0
             for _ in range(rng.randint(0, degree)):
                 if free:
-                    exps[rng.choice(free)] += 1
+                    key += rng.choice(free)
             num = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
             den = rng.randint(1, 3)
-            key = tuple(exps)
             out[key] = out.get(key, 0) + num * (6 // den)
-        poly = Poly._of(dim, {e: n for e, n in out.items() if n}, 6)
+        poly = Poly._of(dim, {k: n for k, n in out.items() if n}, 6)
         if allow_zero or not poly.is_zero():
             return poly
     raise RuntimeError("failed to draw a nonzero polynomial")

@@ -1,15 +1,31 @@
 """Exact multivariate polynomials with rational coefficients.
 
 A polynomial in d coordinates is stored sparsely as integer numerators
-over one positive denominator: a map from exponent tuples (length d,
-nonnegative ints) to nonzero ints, and the int that divides them all.
-The form is canonical: zero terms are pruned, the denominator and the
-numerators share no common factor, and the zero polynomial is the empty
-map over 1.  So two polynomials are equal iff their maps and
-denominators are equal.  Ring operations run on ints alone (a product
-multiplies numerators and denominators, a sum first scales both sides
-to their common denominator) with one gcd per result; nothing here ever
-rounds.  `terms` shows the coefficients as `fractions.Fraction`s.
+over one positive denominator: a map from exponent keys to nonzero ints,
+and the int that divides them all.  The form is canonical: zero terms
+are pruned, the denominator and the numerators share no common factor,
+and the zero polynomial is the empty map over 1.  So two polynomials are
+equal iff their maps and denominators are equal.  Ring operations run on
+ints alone (a product multiplies numerators and denominators, a sum
+first scales both sides to their common denominator) with one gcd per
+result; nothing here ever rounds.  `terms` shows the coefficients as
+`fractions.Fraction`s.
+
+A term's exponents (e_0, ..., e_{d-1}) are packed into one int key: the
+total degree in the top bits, then one 6-bit slot per coordinate with
+coordinate 0 most significant,
+
+    key = deg << 6d | e_0 << 6(d-1) | ... | e_{d-1}.
+
+So a product's key is the sum of its factors' keys, a term's degree is
+`key >> 6d`, a partial in x^i lowers the key by one unit of slot i and
+one of the degree, and descending key order is the graded-lex term
+order below.  Exponent tuples appear only at the public boundary: the
+constructor, `monomial`, `terms` and `sorted_terms`.  The width rule
+that keeps slots from carrying: the constructor refuses a term past
+`MAX_TOTAL_DEGREE`, and a product is checked against it before it is
+formed, so every stored exponent is at most 24 and the sum of two is
+below 64.
 
 The symbolic layers mostly need sums of products, such as X^k df/dx^k
 or F_q H_p - F_p H_q.  `Poly.sum_of_products(dim, [(c, a, b), ...])`
@@ -30,10 +46,17 @@ it a point's floats, `Poly.eval_array` a sequence of `dim` equal-length
 columns (an (N, dim) array's `.T`, or the columns a solver keeps).
 Floats and columns go through the same float operations in the same
 order, so results are deterministic and bit-identical between the two.
+`partial` is memoised the same way, per instance and coordinate, in the
+`_partials` slot: the symbolic layers take the same partials of the
+same polynomial many times.
 
-Iterated symbolic work (nested brackets, Lie derivatives) can blow up;
-a fixed total-degree cap, `MAX_TOTAL_DEGREE` = 24, turns runaway growth
-into an explicit `DegreeOverflowError` instead of a hang.
+Iterated symbolic work (nested brackets, Lie derivatives) can blow up.
+Two caps turn runaway growth into an explicit error instead of a hang or
+a memory blow-up, both raised before a product does any work: a fixed
+total-degree cap, `MAX_TOTAL_DEGREE` = 24 (`DegreeOverflowError`), and a
+budget of `MAX_PRODUCT_PAIRS` term pairs visited by one product, one
+`sum_of_products` or one power (`ProductBudgetError`, a subclass, so
+every handler of the degree cap covers it).
 """
 
 from __future__ import annotations
@@ -41,27 +64,62 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
 
 MAX_TOTAL_DEGREE = 24
+# Term pairs one product, sum of products or power may visit: far above the
+# largest in the test suite and the benchmark (116), and about 0.4 s of work.
+MAX_PRODUCT_PAIRS = 1_000_000
+_SLOT = 6  # bits per exponent slot; see the width rule in the module docstring
+_MASK = (1 << _SLOT) - 1
 
 
 class DegreeOverflowError(ArithmeticError):
     """Raised when an operation would exceed the degree cap."""
 
 
-def _check_degree(na: dict[Exponents, int], nb: dict[Exponents, int]) -> None:
-    """Raise the cap's `DegreeOverflowError` if the product of terms `na`
-    and `nb` has a term past it, naming the first such term in product
-    order (`na` outer, `nb` inner).  Term by term only when the two total
-    degrees together pass the cap, so that such a term exists."""
-    if na and nb and max(map(sum, na)) + max(map(sum, nb)) > MAX_TOTAL_DEGREE:
-        deg = next(d for ea in na for eb in nb if (d := sum(ea) + sum(eb)) > MAX_TOTAL_DEGREE)
+class ProductBudgetError(DegreeOverflowError):
+    """Raised when a product would visit more term pairs than `MAX_PRODUCT_PAIRS`."""
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The key of exponent tuple `exps` (nonnegative, degree within the cap)."""
+    key = sum(exps)
+    for e in exps:
+        key = key << _SLOT | e
+    return key
+
+
+def _unit(dim: int, index: int) -> int:
+    """The key of coordinate `index` to the first power: one in its slot
+    and one in the degree."""
+    return 1 << _SLOT * dim | 1 << _SLOT * (dim - 1 - index)
+
+
+def _unpack(key: int, dim: int) -> Exponents:
+    return tuple(key >> s & _MASK for s in range(_SLOT * (dim - 1), -1, -_SLOT))
+
+
+def _check_product(dim: int, na: dict[int, int], nb: dict[int, int], pairs: int = 0) -> int:
+    """Check the product of terms `na` and `nb` on `dim` coordinates before
+    it is formed; return `pairs` plus the term pairs it visits.  Raise
+    `ProductBudgetError` if that total passes `MAX_PRODUCT_PAIRS`, and the
+    cap's `DegreeOverflowError` if the product has a term past the cap,
+    naming the first such term in product order (`na` outer, `nb` inner).
+    Term by term only when the two top degrees together pass the cap, so
+    that such a term exists."""
+    pairs += len(na) * len(nb)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ProductBudgetError(f"exact products would visit {pairs} term pairs, past the "
+                                 f"budget of {MAX_PRODUCT_PAIRS}")
+    shift = _SLOT * dim
+    if na and nb and (max(na) >> shift) + (max(nb) >> shift) > MAX_TOTAL_DEGREE:
+        deg = next(d for ka in na for kb in nb if (d := (ka + kb) >> shift) > MAX_TOTAL_DEGREE)
         raise DegreeOverflowError(f"product term degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
+    return pairs
 
 
 class ParseError(ValueError):
@@ -76,27 +134,23 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _term_sort_key(exps: Exponents) -> tuple:
-    # graded lex, descending: highest total degree first, then the term
-    # whose earlier coordinates carry higher exponents.
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 class Poly:
-    """Sparse exact polynomial: int numerators `_num` over one int
-    denominator `_den` > 0, in the canonical form the module describes.
+    """Sparse exact polynomial: int numerators `_num` keyed by packed
+    exponents over one int denominator `_den` > 0, in the canonical form
+    the module describes.
 
     Instances are immutable by convention: no method mutates `_num`
     after construction, and callers must not either.  That is what lets
-    `_kernel` cache the compiled evaluator for the life of the instance.
+    `_kernel` cache the compiled evaluator, and `_partials` the partial
+    derivatives, for the life of the instance.
     """
 
-    __slots__ = ("dim", "_num", "_den", "_kernel")
+    __slots__ = ("dim", "_num", "_den", "_kernel", "_partials")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | None = None):
         if dim < 0:
             raise ValueError("dim must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != dim:
@@ -105,9 +159,12 @@ class Poly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
+                key = _pack([int(e) for e in exps])
+                if key >> _SLOT * dim > MAX_TOTAL_DEGREE:
+                    raise DegreeOverflowError(f"term degree {key >> _SLOT * dim} exceeds cap "
+                                              f"{MAX_TOTAL_DEGREE}")
                 c = Fraction(coeff)
                 if c != 0:
-                    key = tuple(int(e) for e in exps)
                     acc = clean.get(key)
                     c = c if acc is None else acc + c
                     if c == 0:
@@ -118,29 +175,31 @@ class Poly:
         # denominators shares no factor with all the scaled numerators
         den = math.lcm(*(c.denominator for c in clean.values()))
         self.dim = dim
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
         self._kernel = None
+        self._partials = None
 
     @classmethod
-    def _of(cls, dim: int, num: dict[Exponents, int], den: int) -> "Poly":
+    def _of(cls, dim: int, num: dict[int, int], den: int) -> "Poly":
         """Wrap nonzero numerators over `den` > 0, dividing out their
         common factor with `den` (none to divide when `den` is 1)."""
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
-                num = {e: n // g for e, n in num.items()}
+                num = {k: n // g for k, n in num.items()}
                 den //= g
         return cls._wrap(dim, num, den)
 
     @classmethod
-    def _wrap(cls, dim: int, num: dict[Exponents, int], den: int) -> "Poly":
+    def _wrap(cls, dim: int, num: dict[int, int], den: int) -> "Poly":
         """Wrap numerators over `den` that are already canonical."""
         result = cls.__new__(cls)
         result.dim = dim
         result._num = num
         result._den = den
         result._kernel = None
+        result._partials = None
         return result
 
     # -- constructors -------------------------------------------------
@@ -152,14 +211,13 @@ class Poly:
     @classmethod
     def const(cls, dim: int, value: Rational) -> "Poly":
         c = Fraction(value)
-        return cls._of(dim, {(0,) * dim: c.numerator} if c else {}, c.denominator)
+        return cls._of(dim, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
         if not 0 <= index < dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
-        exps = tuple(1 if i == index else 0 for i in range(dim))
-        return cls._of(dim, {exps: 1}, 1)
+        return cls._wrap(dim, {_unit(dim, index): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coeff: Rational = 1) -> "Poly":
@@ -170,8 +228,8 @@ class Poly:
     @property
     def terms(self) -> dict[Exponents, Fraction]:
         """The coefficients as Fractions, in a new dict on every read."""
-        den = self._den
-        return {e: Fraction(n, den) for e, n in self._num.items()}
+        den, dim = self._den, self.dim
+        return {_unpack(k, dim): Fraction(n, den) for k, n in self._num.items()}
 
     def float_coefficients(self) -> list[float]:
         """The coefficients as the kernel reads them (correctly rounded);
@@ -183,23 +241,21 @@ class Poly:
         return not self._num
 
     def is_constant(self) -> bool:
-        return not self._num or (len(self._num) == 1 and (0,) * self.dim in self._num)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return Fraction(self._num.get((0,) * self.dim, 0), self._den)
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._num:
-            return -1
-        return max(sum(e) for e in self._num)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def depends_on(self, index: int) -> bool:
-        return any(exps[index] > 0 for exps in self._num)
+        s = _SLOT * (self.dim - 1 - index)
+        return any(k >> s & _MASK for k in self._num)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        """The terms in graded-lex order: descending keys."""
+        den, dim = self._den, self.dim
+        return [(_unpack(k, dim), Fraction(self._num[k], den))
+                for k in sorted(self._num, reverse=True)]
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -236,53 +292,64 @@ class Poly:
 
     def _sum(self, other: "Poly", sign: int) -> "Poly":
         """self + sign * other, for sign 1 or -1."""
+        if not other._num:  # a new instance over the same canonical numerators
+            return Poly._wrap(self.dim, self._num, self._den)
+        if not self._num:
+            return Poly._wrap(self.dim, other._num, other._den) if sign == 1 else -other
         da, db = self._den, other._den
         if da == db:
             out, den = dict(self._num), da
-            items = other._num.items() if sign == 1 else [(e, -n) for e, n in other._num.items()]
+            items = other._num.items() if sign == 1 else [(k, -n) for k, n in other._num.items()]
         else:
             den = da // math.gcd(da, db) * db
             sa, sb = den // da, sign * (den // db)
-            out = {e: n * sa for e, n in self._num.items()}
-            items = [(e, n * sb) for e, n in other._num.items()]
-        for exps, n in items:
-            acc = out.get(exps)
+            out = {k: n * sa for k, n in self._num.items()}
+            items = [(k, n * sb) for k, n in other._num.items()]
+        for k, n in items:
+            acc = out.get(k)
             if acc is None:
-                out[exps] = n
+                out[k] = n
             elif acc := acc + n:
-                out[exps] = acc
+                out[k] = acc
             else:
-                del out[exps]
+                del out[k]
         return Poly._of(self.dim, out, den)
 
     def __neg__(self) -> "Poly":
         # negated numerators over the same denominator stay canonical
-        return Poly._wrap(self.dim, {e: -n for e, n in self._num.items()}, self._den)
+        return Poly._wrap(self.dim, {k: -n for k, n in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly | Rational") -> "Poly":
         if not isinstance(other, Poly):
             c = Fraction(other)
             if c == 0:
                 return Poly.zero(self.dim)
-            k = c.numerator
-            return Poly._of(self.dim, {e: n * k for e, n in self._num.items()},
+            m = c.numerator
+            return Poly._of(self.dim, {k: n * m for k, n in self._num.items()},
                             self._den * c.denominator)
         other = self._coerce(other)
-        _check_degree(self._num, other._num)
-        out: dict[Exponents, int] = {}
-        for ea, na in self._num.items():
-            for eb, nb in other._num.items():
-                exps = tuple(map(add, ea, eb))
-                acc = out.get(exps)
-                if acc is None:
-                    out[exps] = na * nb
-                elif acc := acc + na * nb:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        return Poly._of(self.dim, out, self._den * other._den)
+        if not (self._num and other._num):
+            return Poly.zero(self.dim)
+        _check_product(self.dim, self._num, other._num)
+        return self._times(other)
 
     __rmul__ = __mul__
+
+    def _times(self, other: "Poly") -> "Poly":
+        """self * other, once `_check_product` has passed it."""
+        out: dict[int, int] = {}
+        nb_items = other._num.items()
+        for ka, na in self._num.items():
+            for kb, nb in nb_items:
+                k = ka + kb
+                acc = out.get(k)
+                if acc is None:
+                    out[k] = na * nb
+                elif acc := acc + na * nb:
+                    out[k] = acc
+                else:
+                    del out[k]
+        return Poly._of(self.dim, out, self._den * other._den)
 
     @classmethod
     def sum_of_products(cls, dim: int,
@@ -295,10 +362,13 @@ class Poly:
         denominator and one gcd for the whole sum instead of one per step:
         every product goes straight into one numerator dict over the lcm
         of the products' denominators.  A product past the degree cap
-        raises the error `a * b` raises, from the first such term.
+        raises the error `a * b` raises, from the first such term; the
+        products together answer to one pair budget, checked before any
+        of them is formed.
         """
         prods = []
         den = 1
+        pairs = 0
         for c, a, b in terms:
             if a.dim != dim or (b is not None and b.dim != dim):
                 raise ValueError(f"dimension mismatch: a term is not on {dim} coordinates")
@@ -307,27 +377,27 @@ class Poly:
             if b is None:
                 d = a._den
             elif b._num:
-                _check_degree(a._num, b._num)
+                pairs = _check_product(dim, a._num, b._num, pairs)
                 d = a._den * b._den
             else:
                 continue
             prods.append((c, a._num, None if b is None else b._num, d))
             den = math.lcm(den, d)
-        out: dict[Exponents, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for c, na, nb, d in prods:
             s = c * (den // d)
             if nb is None:
-                for e, n in na.items():
-                    out[e] = get(e, 0) + s * n
+                for k, n in na.items():
+                    out[k] = get(k, 0) + s * n
                 continue
             nb_items = nb.items()
-            for ea, x in na.items():
+            for ka, x in na.items():
                 x *= s
-                for eb, y in nb_items:
-                    e = tuple(map(add, ea, eb))
-                    out[e] = get(e, 0) + x * y
-        return cls._of(dim, {e: n for e, n in out.items() if n}, den)
+                for kb, y in nb_items:
+                    k = ka + kb
+                    out[k] = get(k, 0) + x * y
+        return cls._of(dim, {k: n for k, n in out.items() if n}, den)
 
     def __truediv__(self, other: Rational) -> "Poly":
         if isinstance(other, Poly):
@@ -338,61 +408,45 @@ class Poly:
         return self * (Fraction(1) / c)
 
     def __pow__(self, exponent: int) -> "Poly":
+        """Repeated squaring; its products answer to one pair budget."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = Poly.const(self.dim, 1)
         base = self
         k = exponent
+        pairs = 0
         while k:
             if k & 1:
-                result = result * base
+                pairs = _check_product(self.dim, result._num, base._num, pairs)
+                result = result._times(base)
             if k > 1:
-                base = base * base
+                pairs = _check_product(self.dim, base._num, base._num, pairs)
+                base = base._times(base)
             k >>= 1
         return result
 
     # -- calculus ------------------------------------------------------
 
     def partial(self, index: int) -> "Poly":
-        """Partial derivative with respect to coordinate `index`.  Lowering
-        one exponent sends distinct terms to distinct terms, so nothing
-        collects."""
+        """Partial derivative with respect to coordinate `index`, taken once
+        per instance and kept in `_partials`.  Lowering one exponent sends
+        distinct terms to distinct terms, so nothing collects."""
         if not 0 <= index < self.dim:
             raise ValueError(f"coordinate index {index} out of range for dim {self.dim}")
-        out: dict[Exponents, int] = {}
-        for exps, n in self._num.items():
-            e = exps[index]
-            if e:
-                out[exps[:index] + (e - 1,) + exps[index + 1:]] = n * e
-        return Poly._of(self.dim, out, self._den)
-
-    def remap(self, new_dim: int, index_map: Mapping[int, int]) -> "Poly":
-        """Reinterpret on a chart with `new_dim` coordinates.
-
-        `index_map` sends old coordinate indices to new ones and must be
-        injective; every coordinate this polynomial actually depends on
-        must be mapped.  Used to compare reductions across chart kinds
-        (for example a time-and-z-independent cocontact Hamiltonian read
-        as a symplectic one).
-        """
-        used = {i for exps in self._num for i, e in enumerate(exps) if e > 0}
-        missing = used - set(index_map)
-        if missing:
-            raise ValueError(f"coordinates {sorted(missing)} are used but not mapped")
-        targets = [index_map[i] for i in sorted(index_map)]
-        if len(set(targets)) != len(targets):
-            raise ValueError("index_map must be injective")
-        out: dict[Exponents, int] = {}
-        for exps, n in self._num.items():
-            new_exps = [0] * new_dim
-            for i, e in enumerate(exps):
+        memo = self._partials
+        if memo is None:
+            memo = self._partials = [None] * self.dim
+        result = memo[index]
+        if result is None:
+            s = _SLOT * (self.dim - 1 - index)
+            unit = _unit(self.dim, index)
+            out: dict[int, int] = {}
+            for k, n in self._num.items():
+                e = k >> s & _MASK
                 if e:
-                    j = index_map[i]
-                    if not 0 <= j < new_dim:
-                        raise ValueError(f"mapped index {j} out of range for dim {new_dim}")
-                    new_exps[j] = e
-            out[tuple(new_exps)] = n  # injective on the used coordinates: no collisions
-        return Poly._wrap(new_dim, out, self._den)
+                    out[k - unit] = n * e
+            result = memo[index] = Poly._of(self.dim, out, self._den)
+        return result
 
     # -- numeric evaluation -------------------------------------------
 

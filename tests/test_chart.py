@@ -7,9 +7,9 @@ import pytest
 from geokin.chart import (
     Chart,
     ChartKind,
+    OneFormExpr,
     canonical_eta,
     canonical_tau,
-    canonical_theta,
     contract_twoform,
     differential,
     pairing,
@@ -18,6 +18,14 @@ from geokin.chart import (
     two_form_omega,
 )
 from geokin.fields import exterior_derivative_oneform
+
+
+def canonical_theta(chart):
+    """The Liouville form Theta = p_i dq^i (every chart kind)."""
+    comps = [chart.zero()] * chart.dim
+    for i in range(1, chart.n + 1):
+        comps[chart.q_slot(i)] = chart.coordinate(chart.p_slot(i))
+    return OneFormExpr(chart, tuple(comps))
 
 
 def test_dimensions():

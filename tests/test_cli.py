@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -183,6 +184,32 @@ def test_degree_overflow_during_a_run_exits_1(tmp_path, capsys):
     assert cli.main(["run", path]) == 1
     err = capsys.readouterr().err
     assert err == "error: product term degree 25 exceeds cap 24\n"
+
+
+@pytest.mark.parametrize("path, power", [("$.hamiltonian", 3), ("$.hamiltonian", 24),
+                                         ("$.initial.density", 24)])
+def test_exact_products_past_the_pair_budget_are_config_errors(tmp_path, capsys, path, power):
+    # the sum of every coordinate of the widest chart, cubed, has 7140 terms, and
+    # its flow diagnostics multiply 595 of them by 7140; to the 24th, the power's
+    # own squarings pass the budget.  Without it, validate took 15 s and 350 MiB.
+    chart = Chart(ChartKind.COCONTACT, 16)
+    big = f"({' + '.join(chart.coord_names)})^{power}"
+    initial = {"point": [0.1] * chart.dim}
+    if path == "$.hamiltonian":
+        cfg = simulate_config(tmp_path, chart={"kind": "cocontact", "n": 16}, hamiltonian=big,
+                              initial=initial)
+    else:
+        cfg = simulate_config(tmp_path, chart={"kind": "cocontact", "n": 16},
+                              hamiltonian="p1^2/2", initial={**initial, "density": big})
+    config = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        start = time.perf_counter()
+        assert cli.main([command, config]) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at {path}: exact products would visit ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
 
 
 def test_chart_n_at_the_bound_is_valid(tmp_path, capsys):

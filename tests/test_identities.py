@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from geokin import poly
 from geokin.chart import Chart, ChartKind
 from geokin.identities import LawReport, _Runner, run_identity_suite, suite_passed
 
@@ -15,11 +16,20 @@ ALL_CHARTS = [
 
 
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=lambda c: f"{c.kind.value}-n{c.n}")
-def test_every_law_passes(chart):
+def test_every_law_passes(chart, monkeypatch):
+    check, biggest = poly._check_product, [0]
+
+    def counted(*args):
+        biggest[0] = max(biggest[0], pairs := check(*args))
+        return pairs
+
+    monkeypatch.setattr(poly, "_check_product", counted)
     reports = run_identity_suite(chart, seed=0, trials=5)
     failures = [r for r in reports if not r.passed]
     assert not failures, "\n".join(f"{r.name}: {r.witness}" for r in failures)
     assert len(reports) >= 15
+    # the suite's largest exact product sits far below the pair budget
+    assert 0 < 100 * biggest[0] <= poly.MAX_PRODUCT_PAIRS
 
 
 def test_law_names_are_unique_and_stable():
@@ -124,6 +134,7 @@ def test_runner_reports_a_crash_on_a_later_draw():
 
 _EXACT_CORE = """
 import random, sys
+from geokin import poly
 from geokin.chart import Chart, ChartKind
 from geokin.corpus import random_hamiltonian, random_one_form
 from geokin.density import intertwine_residual

@@ -10,7 +10,6 @@ from geokin.chart import (
     OneFormExpr,
     canonical_eta,
     canonical_tau,
-    differential,
     pairing,
     reeb_eta,
     reeb_tau,

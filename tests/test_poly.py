@@ -9,13 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geokin.chart import Chart, ChartKind
+from geokin.chart import (
+    Chart,
+    ChartKind,
+    canonical_eta,
+    canonical_tau,
+    pairing,
+    reeb_eta,
+    reeb_tau,
+    two_form_omega,
+)
 from geokin.fields import Family, FieldSpec, Gauge, make_field
+from geokin.musical import flat, sharp
 from geokin.poly import (
     MAX_TOTAL_DEGREE,
     DegreeOverflowError,
     ParseError,
     Poly,
+    ProductBudgetError,
     parse,
 )
 from geokin.corpus import random_poly
@@ -88,17 +99,22 @@ def test_partial_examples():
     assert P("7").partial(0).is_zero()
 
 
+def total_degree(p):
+    """Total degree of `p` from its public terms; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def test_degree_and_dependence():
     p = P("x^2*y + 4")
-    assert p.total_degree() == 3
-    assert Poly.zero(2).total_degree() == -1
+    assert total_degree(p) == 3
+    assert total_degree(Poly.zero(2)) == -1
     assert p.depends_on(0) and p.depends_on(1)
     assert not P("x^2").depends_on(1)
 
 
 def test_degree_cap_is_enforced():
     # the cap of 24 admits degree 24 exactly
-    assert (P("x^12") * P("x^12")).total_degree() == 24
+    assert total_degree(P("x^12") * P("x^12")) == 24
     with pytest.raises(DegreeOverflowError):
         P("x^13") * P("x^12")
 
@@ -290,19 +306,6 @@ class FractionPoly:
             (tuple(x - 1 if j == i else x for j, x in enumerate(exps)), coeff * exps[i])
             for exps, coeff in self.terms.items() if exps[i])
 
-    def remap(self, new_dim, index_map):
-        out = FractionPoly(new_dim, {})
-        for exps, coeff in self.terms.items():
-            new_exps = [0] * new_dim
-            for i, e in enumerate(exps):
-                if e:
-                    new_exps[index_map[i]] = e
-            out = out + FractionPoly(new_dim, {tuple(new_exps): coeff})
-        return out
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def to_text(self, names):
         if not self.terms:
             return "0"
@@ -336,7 +339,6 @@ def assert_matches_reference(p, ref, points):
     names = [f"x{i}" for i in range(p.dim)]
     assert p.terms == ref.terms
     assert p.to_text(names) == ref.to_text(names)
-    assert p.total_degree() == ref.total_degree()
     # canonical: a positive denominator sharing no factor with the numerators,
     # so the same polynomial built from its coefficients is equal and hashes equal
     assert p._den > 0 and math.gcd(p._den, *p._num.values()) == 1 and 0 not in p._num.values()
@@ -369,7 +371,6 @@ def test_integer_numerators_match_the_fraction_reference(data):
         (a, ra), (b, rb) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
         c = data.draw(SMALL_RATIONALS.filter(bool) | st.integers(-3, 3).filter(bool))
         i, k = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, 6))
-        perm = dict(enumerate(data.draw(st.permutations(range(dim)))))
         compute, reference = data.draw(st.sampled_from([
             (lambda: a + b, lambda: ra + rb),
             (lambda: a - b, lambda: ra - rb),
@@ -381,7 +382,6 @@ def test_integer_numerators_match_the_fraction_reference(data):
             (lambda: -a, lambda: -ra),
             (lambda: a.partial(i), lambda: ra.partial(i)),
             (lambda: a ** k, lambda: ra ** k),
-            (lambda: a.remap(dim, perm), lambda: ra.remap(dim, perm)),
         ]))
         if len(a.terms) * len(b.terms) > 400 or len(a.terms) ** k > 4000:
             continue  # keep each example fast; the cap is still reached through degree
@@ -435,16 +435,6 @@ def test_coefficients_outside_float_range_raise_on_first_evaluation():
     with pytest.raises(OverflowError):
         p.eval([1.0])
     assert p._kernel is None
-
-
-def test_remap_between_dimensions():
-    p = P("x^2 + y")  # dims (x, y) -> slots (0, 2) of a 3d chart
-    q = p.remap(3, {0: 0, 1: 2})
-    assert q == parse("a^2 + c", ("a", "b", "c"))
-    with pytest.raises(ValueError):
-        p.remap(3, {0: 0})  # y used but unmapped
-    with pytest.raises(ValueError):
-        p.remap(3, {0: 1, 1: 1})  # not injective
 
 
 def test_print_parse_roundtrip_is_identity():
@@ -611,3 +601,257 @@ def test_corpus_draws_match_the_fraction_reference():
             assert p == q and hash(p) == hash(q) and list(p._num) == list(q._num)
             assert_canonical(p)
         assert ours.getstate() == ref.getstate()  # the same draws, in the same order
+
+
+class TuplePoly:
+    """The integer-numerator ring as `Poly` computed it with exponent-tuple
+    keys: the reference the packed int keys are held to.  The loops are
+    that code's, so the numerator maps come out in the same order and a
+    product past the cap names the same first term."""
+
+    def __init__(self, dim, num, den):
+        self.dim, self.num, self.den = dim, num, den
+
+    @classmethod
+    def of(cls, dim, terms):
+        """Fraction coefficients as numerators over their lcm."""
+        den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+        return cls(dim, {e: int(c * den) for e, c in terms.items() if c}, den)
+
+    def reduced(self, num, den):
+        g = math.gcd(den, *num.values())
+        return TuplePoly(self.dim, {e: n // g for e, n in num.items()}, den // g)
+
+    @staticmethod
+    def check_degree(na, nb):
+        if na and nb and max(map(sum, na)) + max(map(sum, nb)) > MAX_TOTAL_DEGREE:
+            deg = next(d for ea in na for eb in nb if (d := sum(ea) + sum(eb)) > MAX_TOTAL_DEGREE)
+            raise DegreeOverflowError(f"product term degree {deg} exceeds cap {MAX_TOTAL_DEGREE}")
+
+    def sum(self, other, sign):
+        da, db = self.den, other.den
+        if da == db:
+            out, den = dict(self.num), da
+            items = [(e, sign * n) for e, n in other.num.items()]
+        else:
+            den = da // math.gcd(da, db) * db
+            out = {e: n * (den // da) for e, n in self.num.items()}
+            items = [(e, sign * n * (den // db)) for e, n in other.num.items()]
+        for exps, n in items:
+            acc = out.get(exps)
+            if acc is None:
+                out[exps] = n
+            elif acc + n:
+                out[exps] = acc + n
+            else:
+                del out[exps]
+        return self.reduced(out, den)
+
+    def __mul__(self, other):
+        self.check_degree(self.num, other.num)
+        out = {}
+        for ea, na in self.num.items():
+            for eb, nb in other.num.items():
+                exps = tuple(x + y for x, y in zip(ea, eb))
+                acc = out.get(exps, 0) + na * nb
+                if acc:
+                    out[exps] = acc
+                else:
+                    out.pop(exps, None)
+        return self.reduced(out, self.den * other.den)
+
+    def __pow__(self, k):
+        result, base = TuplePoly(self.dim, {(0,) * self.dim: 1}, 1), self
+        while k:
+            if k & 1:
+                result = result * base
+            if k > 1:
+                base = base * base
+            k >>= 1
+        return result
+
+    def partial(self, i):
+        return self.reduced({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: n * exps[i]
+                             for exps, n in self.num.items() if exps[i]}, self.den)
+
+    @staticmethod
+    def sum_of_products(dim, terms):
+        prods, den = [], 1
+        for c, a, b in terms:
+            if not c or not a.num or (b is not None and not b.num):
+                continue
+            if b is not None:
+                TuplePoly.check_degree(a.num, b.num)
+            d = a.den if b is None else a.den * b.den
+            prods.append((c, a.num, None if b is None else b.num, d))
+            den = math.lcm(den, d)
+        out = {}
+        for c, na, nb, d in prods:
+            s = c * (den // d)
+            for ea, x in na.items():
+                for eb, y in ({(0,) * dim: 1} if nb is None else nb).items():
+                    e = tuple(u + v for u, v in zip(ea, eb))
+                    out[e] = out.get(e, 0) + s * x * y
+        return TuplePoly(dim, {}, 1).reduced({e: n for e, n in out.items() if n}, den)
+
+    def sorted_terms(self):
+        return sorted(((e, Fraction(n, self.den)) for e, n in self.num.items()),
+                      key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+
+
+def assert_same_as_tuple_reference(p, ref):
+    """Term for term and in the same order: the packed keys decode to the
+    reference's tuples over the same denominator."""
+    assert p.dim == ref.dim and p._den == ref.den
+    assert list(p.terms.items()) == [(e, Fraction(n, ref.den)) for e, n in ref.num.items()]
+    assert list(p._num.values()) == list(ref.num.values())
+    assert p.sorted_terms() == ref.sorted_terms()
+
+
+@st.composite
+def spread_terms(draw, dim):
+    """Up to four terms of degree <= 12 with one coordinate carrying most of
+    it, so that slots near both ends of the key, and products at the cap,
+    come up."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = [0] * dim
+        for _ in range(draw(st.integers(0, 3))):
+            exps[draw(st.integers(0, dim - 1))] += draw(st.integers(1, 4))
+        terms[tuple(exps)] = draw(SMALL_RATIONALS)
+    return terms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_keys_match_the_tuple_reference(data):
+    def outcome(compute):
+        try:
+            return compute(), None
+        except DegreeOverflowError as exc:
+            return None, str(exc)
+
+    dim = data.draw(st.sampled_from([1, 2, 3, 5, 34]))
+    pool = [(Poly(dim, t), TuplePoly.of(dim, t))
+            for t in data.draw(st.lists(spread_terms(dim), min_size=1, max_size=3))]
+    pool += [(Poly.zero(dim), TuplePoly(dim, {}, 1)),
+             (Poly.variable(dim, dim - 1), TuplePoly.of(dim, {(0,) * (dim - 1) + (1,): 1}))]
+    for p, ref in pool:
+        assert_same_as_tuple_reference(p, ref)
+    for _ in range(data.draw(st.integers(1, 8))):
+        (a, ra), (b, rb) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        c, i, k = data.draw(st.integers(-3, 3)), data.draw(st.integers(0, dim - 1)), data.draw(
+            st.integers(0, 4))
+        compute, reference = data.draw(st.sampled_from([
+            (lambda: a + b, lambda: ra.sum(rb, 1)),
+            (lambda: a - b, lambda: ra.sum(rb, -1)),
+            (lambda: a * b, lambda: ra * rb),
+            (lambda: a ** k, lambda: ra ** k),
+            (lambda: a.partial(i), lambda: ra.partial(i)),
+            (lambda: Poly.sum_of_products(dim, [(c, a, b), (1, b, None), (-c, b, a)]),
+             lambda: TuplePoly.sum_of_products(dim, [(c, ra, rb), (1, rb, None), (-c, rb, ra)])),
+        ]))
+        if len(ra.num) ** max(k, 2) > 2000:
+            continue  # keep each example fast; the cap is still reached through degree
+        (p, error), (ref, ref_error) = outcome(compute), outcome(reference)
+        assert error == ref_error
+        if error is None:
+            assert_same_as_tuple_reference(p, ref)
+            pool.append((p, ref))
+    # equality and hashing follow the terms, whatever the keys
+    for p, ref in pool:
+        for q, ref_q in pool:
+            assert (p == q) == ((ref.num, ref.den) == (ref_q.num, ref_q.den))
+            assert p != q or hash(p) == hash(q)
+        rebuilt = Poly(dim, p.terms)
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def test_the_constructor_refuses_a_term_past_the_degree_cap():
+    for dim, exps in [(1, (25,)), (2, (20, 5)), (34, (0,) * 33 + (25,)),
+                      (34, (1,) * 25 + (0,) * 9)]:
+        for make in (lambda: Poly(dim, {exps: 1}), lambda: Poly.monomial(dim, exps),
+                     lambda: Poly(dim, {exps: 0})):  # any term, even one whose coefficient is 0
+            with pytest.raises(DegreeOverflowError, match="^term degree 25 exceeds cap 24$"):
+                make()
+    assert Poly.monomial(2, (20, 4), 3).terms == {(20, 4): 3}
+    with pytest.raises(ValueError, match="degree must lie in 0..24"):
+        random_poly(random.Random(0), 2, degree=25)
+
+
+def test_a_product_at_the_cap_decodes_at_dim_34():
+    dim = 34
+    a = Poly.monomial(dim, (12,) + (0,) * 33, 2) + Poly.monomial(dim, (0,) * 33 + (1,))
+    b = Poly.monomial(dim, (6,) + (0,) * 16 + (3,) + (0,) * 15 + (3,), Fraction(1, 3))
+    top = (18,) + (0,) * 16 + (3,) + (0,) * 15 + (3,)
+    low = (6,) + (0,) * 16 + (3,) + (0,) * 15 + (4,)
+    for p in (a * b, b * a, Poly.sum_of_products(dim, [(1, a, b)]), a * b * 1):
+        assert p.sorted_terms() == [(top, Fraction(2, 3)), (low, Fraction(1, 3))]
+        assert_same_as_tuple_reference(p, TuplePoly.of(dim, a.terms) * TuplePoly.of(dim, b.terms))
+    p = a * b
+    for i in range(dim):
+        want = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.terms.items() if e[i]}
+        assert p.partial(i).terms == want
+    # every slot at its widest, 24, at both ends of the key and in the middle
+    for i in (0, 17, 33):
+        e = tuple(24 if j == i else 0 for j in range(dim))
+        q = Poly.monomial(dim, e[:i] + (12,) + e[i + 1:]) ** 2
+        assert q.terms == {e: 1} and q.depends_on(i) and not q.depends_on((i + 1) % dim)
+        with pytest.raises(DegreeOverflowError, match="^product term degree 25 exceeds cap 24$"):
+            q * Poly.variable(dim, (i + 5) % dim)
+    names = [f"x{i}" for i in range(dim)]
+    assert parse(p.to_text(names), names) == p
+    point = [1.0 + j / 64 for j in range(dim)]
+    assert struct.pack("<d", p.eval(point)) == struct.pack("<d", reference_walk(p, point))
+
+
+def test_memoised_partials_and_chart_constants_are_never_mutated():
+    chart = Chart(ChartKind.COCONTACT, 2)
+    H = chart.parse("t*q1^2*p2 - z*p1/3 + 5")
+    dH = H.partial(chart.q_slot(1))
+    constants = [two_form_omega(chart), canonical_eta(chart), canonical_tau(chart),
+                 reeb_eta(chart), reeb_tau(chart)]
+    coords = [chart.coordinate(k) for k in range(chart.dim)]
+    polys = [H, dH, chart.zero(), *coords, *(c for x in constants for c in x.components)]
+    before = [(p.terms, p._den) for p in polys]
+    # use every memoised value the ways the layers do: sums, products, powers,
+    # more partials, evaluation, and the contractions that read the constants
+    for p in polys:
+        for q in (p + dH, p - H, -p, p * H, p * Fraction(-2, 3), p ** 2, p.partial(0),
+                  Poly.sum_of_products(chart.dim, [(2, p, dH), (-1, p, None)])):
+            q.partial(chart.z_slot)
+        p.eval([0.5] * chart.dim)
+    for X in (sharp(canonical_eta(chart)), reeb_tau(chart).scaled(H)):
+        flat(X)
+        pairing(canonical_eta(chart).scaled(dH), X)
+    assert [(p.terms, p._den) for p in polys] == before
+    # and each is built once: the same instance comes back
+    assert H.partial(chart.q_slot(1)) is dH
+    assert two_form_omega(Chart(ChartKind.COCONTACT, 2)) is constants[0]
+    assert chart.coordinate(1) is coords[1] and chart.zero() is polys[2]
+    assert Chart(ChartKind.CONTACT, 2).zero() is not chart.zero()
+
+
+def test_exact_products_past_the_pair_budget_are_refused_before_any_work(monkeypatch):
+    x, y = P("x"), P("y")
+    a, b = x + y + 1, x * y - x + 2 * y + 3  # 3 and 4 terms
+    monkeypatch.setattr("geokin.poly.MAX_PRODUCT_PAIRS", 15)
+    assert a * b == P("(x+y+1)*(x*y-x+2*y+3)")
+    assert Poly.sum_of_products(2, [(1, a, b), (5, a, None)]) == a * b + 5 * a
+    assert a ** 2 == a * a  # 3 x 3 for the square, then 1 x 6 onto the unit: 15 pairs
+    monkeypatch.setattr("geokin.poly.MAX_PRODUCT_PAIRS", 14)
+    with pytest.raises(ProductBudgetError, match="visit 15 term pairs, past the budget of 14"):
+        a ** 2  # the power's products add up
+    monkeypatch.setattr("geokin.poly.MAX_PRODUCT_PAIRS", 11)
+
+    def no_work(*args):
+        raise AssertionError("a product past the budget was formed")
+
+    monkeypatch.setattr(Poly, "_times", no_work)
+    for refused, pairs in [(lambda: a * b, 12), (lambda: b * a, 12),
+                           (lambda: Poly.sum_of_products(2, [(1, a, a), (-1, b, y)]), 13)]:
+        with pytest.raises(ProductBudgetError,
+                           match=f"^exact products would visit {pairs} term pairs, "
+                                 f"past the budget of 11$") as err:
+            refused()
+        assert isinstance(err.value, DegreeOverflowError)  # so every cap handler maps it
