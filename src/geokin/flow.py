@@ -12,7 +12,9 @@ After the run two derived channels are filled: the measured energy rate
 
 A non-finite state aborts the run with the last good time and the
 partial trajectory attached to the error; so does exhausting the step
-budget.
+budget.  A span that needs more than `MAX_STEPS` steps of the fixed
+RK4 step, or of the largest RKF45 step `MAX_RK45_STEP`, gets the same
+error before the first step.
 
 The steppers work on a list of coordinates: one Python float each in
 `integrate`, one contiguous numpy column each in the particle push
@@ -36,6 +38,10 @@ from .fields import Dynamics, FieldSpec
 
 METHODS = ("rk4", "rk45")
 MAX_STEPS = 2_000_000  # the step budget of every solver loop
+# The largest RKF45 step, so that a span past MAX_STEPS of them is refused
+# before the first step, as RK4 refuses one.  The largest step tried by any
+# test or seed-0 benchmark run is 0.4 (the benchmark's own is 0.0345).
+MAX_RK45_STEP = 100.0
 # The work budget of one kinetic run: cells x steps (all snapshot segments)
 # on the grid, particles x steps in the push.  At least 10x the largest
 # benchmark or test input (128^2 cells x 250 steps; 10^5 particles x 50
@@ -47,7 +53,10 @@ MAX_WORK = 1_000_000_000
 # weight, 25 trials); `cli` refuses more.  The grid and particle budgets
 # count float64 values, so a chart with more coordinates gets fewer of each.
 MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity grids
-MAX_PUSH_VALUES = 7_500_000  # particles x (dim + 1): one copy of the push state
+# particles x (dim + 1): the push state, the one copy of the ensemble a
+# particle run holds from seeding to its written files, beside one block of
+# `kinetics.PUSH_BLOCK_ROWS` rows of working memory per worker
+MAX_PUSH_VALUES = 7_500_000
 MAX_PARTICLES = MAX_PUSH_VALUES // 3  # the most particles, reached on the two-coordinate charts
 MAX_TRIALS = 1_000
 
@@ -219,6 +228,12 @@ def integrate(
                 raise BlowUpError("non-finite state", times[-1], partial_trajectory())
             record(s, x)
     else:
+        fewest = (s1 - s0) / MAX_RK45_STEP
+        if not fewest <= MAX_STEPS:
+            raise StepBudgetError(
+                f"{fewest:.6g} RKF45 steps of at most {MAX_RK45_STEP} exceed the step "
+                f"budget of {MAX_STEPS}", s0, partial_trajectory(),
+            )
         s = s0
         h = min(config.step, s1 - s0) if s1 > s0 else 0.0
         steps = 0
@@ -228,7 +243,7 @@ def integrate(
                     f"step budget {MAX_STEPS} exhausted", s, partial_trajectory()
                 )
             steps += 1
-            h = min(h, s1 - s)
+            h = min(h, MAX_RK45_STEP, s1 - s)
             try:
                 x_new, err = _rkf45_step(rhs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
@@ -284,45 +299,6 @@ def monitored_energy_rate(traj: Trajectory) -> float:
     if len(measured) < 3:
         return 0.0
     return float(np.max(np.abs(measured[1:-1] - predicted[1:-1])))
-
-
-def numeric_divergence(dyn: Dynamics, x: Sequence[float], h: float = 1e-4) -> float:
-    """Central-difference divergence of the catalog field at x."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for i, comp in enumerate(dyn.field.components):
-        e = np.zeros_like(x)
-        e[i] = h
-        total += (comp.eval(x + e) - comp.eval(x - e)) / (2.0 * h)
-    return total
-
-
-def flow_map_logdet(
-    dyn: Dynamics,
-    x0: Sequence[float],
-    t_span: tuple[float, float],
-    config: IntegratorConfig = IntegratorConfig(),
-    h: float = 1e-6,
-) -> float:
-    """log |det d(flow map)/dx0| by central differences of endpoints.
-
-    Compared in the tests against the time integral of the exact
-    divergence along the center trajectory.  The 2 * dim runs share the
-    field of `dyn` and its compiled kernels.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    dim = dyn.spec.chart.dim
-    jac = np.zeros((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        plus = integrate(dyn, x0 + e, t_span, config).states[-1]
-        minus = integrate(dyn, x0 - e, t_span, config).states[-1]
-        jac[:, i] = (plus - minus) / (2.0 * h)
-    sign, logdet = np.linalg.slogdet(jac)
-    if sign <= 0:
-        raise ArithmeticError("flow map Jacobian lost orientation; window too long?")
-    return float(logdet)
 
 
 def trajectory_csv_lines(traj: Trajectory) -> list[str]:

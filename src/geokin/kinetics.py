@@ -18,15 +18,24 @@ The particle solver takes the initial density in closed form (a `Poly`
 or a callable) plus the grid axes.  It pushes a jittered-lattice
 ensemble along the flow with per-particle weights obeying
 dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
-contraction n+1), then deposits cloud-in-cell.  From seeding to deposit the
-ensemble is one contiguous column per chart coordinate, in chart order,
-plus the weights.  The push state is those dim+1 columns, weight last,
-stepped by `flow`'s RK4 step along one path, in fixed blocks of
-`PUSH_BLOCK_ROWS` rows that the workers (the calling thread or a thread
-pool) map over; a block is a slice (a view, not a copy) of the seeded
-columns.  The survivors are joined column by column once, at the end,
-and the weights that escape are gathered step by step in row order, so
-no result depends on the blocking or the worker count.
+contraction n+1), then deposits cloud-in-cell.  From seeding to the
+written files the ensemble is one contiguous column per chart
+coordinate, in chart order, plus the weights, allocated once by the
+seeding; every pass over it goes in blocks of `PUSH_BLOCK_ROWS` rows, so
+what a run holds past the ensemble is one block's working set per
+worker.  Seeding jitters the lattice and evaluates the weights block by
+block, in the draw order of one whole-column draw.  The push state is
+the dim+1 columns, weight last, stepped by `flow`'s RK4 step along one
+path; the workers (the calling thread or a thread pool) map over the
+blocks, each a slice (a view, not a copy) of the seeded columns, and each
+block writes its survivors back to the front of its own slice, which no
+other block touches.  The survivors are then compacted in place, in
+block order, so the final columns are prefixes of the seeded ones; the
+weights that escape are gathered step by step in row order, so no result
+depends on the blocking or the worker count.  The cloud-in-cell stencil
+walks the corners in its outer loop and the blocks in its inner one,
+which keeps the deposit's additions in the order of one whole-column
+pass, and the file writers format one block at a time.
 
 The grid solver is the independent oracle: from a sampled `GridDensity`,
 method of lines with first-order upwind transport per advecting axis
@@ -38,7 +47,6 @@ guard, through every snapshot time in one call.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -104,29 +112,48 @@ def _cell_centers(axes: Sequence[GridAxis]) -> list[np.ndarray]:
     return [g.ravel() for g in np.meshgrid(*[a.centers() for a in axes], indexing="ij")]
 
 
-def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray], weight: np.ndarray):
-    """The cloud-in-cell stencil: per cell-center corner around the points
-    (one column per axis), yield (flat cell index, weight times corner
-    weight, in-grid mask)."""
+# Rows per block of every pass over an ensemble or a column of points: the
+# seeding, the push, the cloud-in-cell stencil and the file writers.  It
+# sizes the push so that a block's RK4 working set stays in cache: 480^2
+# symplectic particles x 10 steps, one thread on a 2-vCPU x86 host, took
+# 316 ms in 2k-row blocks, 184-200 ms in 8k to 64k, 249 ms whole.  No
+# result depends on it.
+PUSH_BLOCK_ROWS = 16_384
+
+
+def _row_blocks(count: int) -> list[slice]:
+    """`count` rows as consecutive slices of `PUSH_BLOCK_ROWS` rows, in order."""
+    return [slice(lo, min(lo + PUSH_BLOCK_ROWS, count))
+            for lo in range(0, count, PUSH_BLOCK_ROWS)]
+
+
+def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray],
+                 weight: np.ndarray | float):
+    """The cloud-in-cell stencil around points given as one column per
+    axis, with one weight per point or one for all: per cell-center
+    corner, then per block of rows, yield (the block's rows, flat cell
+    index, weight times corner weight, in-grid mask)."""
     shape = tuple(a.size for a in axes)
+    blocks = _row_blocks(len(cols[0]))
     for corner in range(1 << len(axes)):
-        idx = []
-        w = weight
-        valid = np.ones(len(weight), dtype=bool)
-        for k, axis in enumerate(axes):
-            u = (cols[k] - axis.lo) / axis.dx - 0.5
-            i0 = np.floor(u).astype(int)
-            frac = u - i0
-            hi = (corner >> k) & 1
-            i = i0 + hi
-            w = w * (frac if hi else 1.0 - frac)
-            if axis.boundary == "periodic":
-                i = np.mod(i, axis.size)
-            else:
-                valid &= (i >= 0) & (i < axis.size)
-                i = np.clip(i, 0, axis.size - 1)
-            idx.append(i)
-        yield np.ravel_multi_index(idx, shape, mode="clip"), w, valid
+        for rows in blocks:
+            idx = []
+            w = weight if np.ndim(weight) == 0 else weight[rows]
+            valid = np.ones(rows.stop - rows.start, dtype=bool)
+            for k, axis in enumerate(axes):
+                u = (cols[k][rows] - axis.lo) / axis.dx - 0.5
+                i0 = np.floor(u).astype(int)
+                frac = u - i0
+                hi = (corner >> k) & 1
+                i = i0 + hi
+                w = w * (frac if hi else 1.0 - frac)
+                if axis.boundary == "periodic":
+                    i = np.mod(i, axis.size)
+                else:
+                    valid &= (i >= 0) & (i < axis.size)
+                    i = np.clip(i, 0, axis.size - 1)
+                idx.append(i)
+            yield rows, np.ravel_multi_index(idx, shape, mode="clip"), w, valid
 
 
 @dataclass
@@ -179,8 +206,8 @@ class GridDensity:
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[0])
         values = self.values.ravel()
-        for flat, weight, valid in _cic_corners(self.axes, pts.T, np.ones(pts.shape[0])):
-            out += np.where(valid, weight * values[flat], 0.0)
+        for rows, flat, weight, valid in _cic_corners(self.axes, pts.T, 1.0):
+            out[rows] += np.where(valid, weight * values[flat], 0.0)
         return out
 
     def l1_distance(self, other: "GridDensity") -> float:
@@ -395,11 +422,16 @@ def seed_particles(
     rng = np.random.default_rng(seed)
     lattice = _seed_lattice(axes, particle_count)
     cols = _cell_centers(lattice)
+    blocks = _row_blocks(len(cols[0]))
     for col, cell in zip(cols, lattice):
         if cell.size > 1:
-            col += (rng.random(len(col)) - 0.5) * cell.dx
+            for rows in blocks:
+                col[rows] += (rng.random(rows.stop - rows.start) - 0.5) * cell.dx
     vol = math.prod(cell.dx for cell in lattice)
-    return ParticleEnsemble(chart, cols, _evaluate(f0, cols) * vol)
+    weights = np.empty(len(cols[0]))
+    for rows in blocks:
+        weights[rows] = _evaluate(f0, [col[rows] for col in cols]) * vol
+    return ParticleEnsemble(chart, cols, weights)
 
 
 def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity:
@@ -407,17 +439,10 @@ def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity
     axes = tuple(axes)
     grid = GridDensity(ensemble.chart, axes, np.zeros(tuple(a.size for a in axes)))
     acc = np.zeros(grid.values.shape)
-    for flat, weight, valid in _cic_corners(axes, ensemble.columns, ensemble.weights):
+    for _, flat, weight, valid in _cic_corners(axes, ensemble.columns, ensemble.weights):
         np.add.at(acc.ravel(), flat, np.where(valid, weight, 0.0))
     grid.values = acc / grid.cell_volume
     return grid
-
-
-# Rows per push block, so that a block's RK4 working set stays in cache.
-# 480^2 symplectic particles x 10 steps, one thread on a 2-vCPU x86 host:
-# 2k-row blocks 316 ms, 8k to 64k 184-200 ms, the whole ensemble 249 ms.
-# No result depends on it.
-PUSH_BLOCK_ROWS = 16_384
 
 
 def _push_chunk(
@@ -505,10 +530,12 @@ def solve_density_particle(
     drops and reports particles that leave zero-boundary axes, and
     deposits the survivors onto `axes`.  The ensemble is pushed in blocks
     of `PUSH_BLOCK_ROWS` rows, by `threads` workers (one when None or below
-    1) capped at the CPU count; no output, escaped mass included, depends on
-    the blocking or the worker count.  A run of more than `flow.MAX_STEPS`
-    steps, or of more than `flow.MAX_WORK` seeded particles x steps, is
-    refused with ValueError before seeding.  As on the grid, a state that
+    1) capped at the CPU count; each block writes its survivors back into
+    its own rows, and the survivors are compacted in place, so the result's
+    columns are prefixes of the seeded ones.  No output, escaped mass
+    included, depends on the blocking or the worker count.  A run of more
+    than `flow.MAX_STEPS` steps, or of more than `flow.MAX_WORK` seeded
+    particles x steps, is refused with ValueError before seeding.  As on the grid, a state that
     is not finite is refused with StabilityError: the seeded weights before
     the push, each block after its push, and the deposit.
     """
@@ -528,20 +555,32 @@ def solve_density_particle(
     mass_initial = seeded.total_weight()
     workers = min(max(1, threads or 1), os.cpu_count() or 1)
     columns = [*seeded.columns, seeded.weights]
-    blocks = [[c[lo:lo + PUSH_BLOCK_ROWS] for c in columns]
-              for lo in range(0, len(seeded.weights), PUSH_BLOCK_ROWS)]
-    del seeded, columns  # the blocks, views of the seeded columns, now hold the ensemble
-    push = functools.partial(_push_chunk, X=dyn.field, rate=rate, h=h, n_steps=n_steps, axes=axes)
+    del seeded  # `columns` holds the ensemble from here on
+    blocks = _row_blocks(len(columns[-1]))
+
+    def push_back(rows: slice) -> tuple[int, list[tuple[int, np.ndarray]]]:
+        """Push one block and write its survivors to the front of its rows."""
+        block = [c[rows] for c in columns]
+        state, escapes = _push_chunk(block, dyn.field, rate, h, n_steps, axes)
+        for column, pushed in zip(block, state):
+            column[:len(pushed)] = pushed
+        return len(state[-1]), escapes
+
     if workers == 1:
-        parts = list(map(push, blocks))
+        parts = list(map(push_back, blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(push, blocks))
-    del blocks
-    *columns, weights = (np.concatenate(c) for c in zip(*(p[0] for p in parts)))
-    escaped_mass, escaped_count = _gather_escapes([p[1] for p in parts])
+            parts = list(pool.map(push_back, blocks))
+    kept = 0
+    for rows, (count, _) in zip(blocks, parts):  # compact the survivors, in block order
+        if rows.start != kept:
+            for c in columns:
+                c[kept:kept + count] = c[rows.start:rows.start + count]
+        kept += count
+    *columns, weights = (c[:kept] for c in columns)
+    escaped_mass, escaped_count = _gather_escapes([escapes for _, escapes in parts])
     del parts
     final = ParticleEnsemble(chart, columns, weights)
     deposited = deposit(final, axes)
@@ -563,16 +602,17 @@ _GRID_MAGIC = "geokin-grid 1"
 
 
 def write_grid(grid: GridDensity, path: str) -> None:
-    """Self-describing text format; values row-major, one per line."""
+    """Self-describing text format; values row-major, one per line,
+    formatted and written one block of `PUSH_BLOCK_ROWS` values at a time."""
     lines = [_GRID_MAGIC, f"chart {grid.chart.kind.value} {grid.chart.n}"]
     for a in grid.axes:
         lines.append(f"axis {a.name} {a.lo!r} {a.hi!r} {a.size} {a.boundary}")
     flat = grid.values.ravel()
     lines.append(f"values {flat.size}")
-    lines.extend(repr(float(v)) for v in flat)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
+        for rows in _row_blocks(flat.size):
+            fh.write("\n".join(map(repr, flat[rows].tolist())) + "\n")
 
 
 def read_grid(path: str) -> GridDensity:
@@ -623,15 +663,16 @@ def particle_csv_columns(chart: Chart) -> list[str]:
 def write_particles(ensemble: ParticleEnsemble, path: str) -> None:
     """One row per particle, columns in `particle_csv_columns` order
     (q, p, z, t, w), which differs from chart order (t, q, p, z);
-    `read_particles` maps them back."""
+    `read_particles` maps them back.  Rows are formatted and written one
+    block of `PUSH_BLOCK_ROWS` rows at a time."""
     cols = particle_csv_columns(ensemble.chart)
     slot_of = {name: k for k, name in enumerate(ensemble.chart.coord_names)}
-    table = np.column_stack([*(ensemble.columns[slot_of[c]] for c in cols[:-1]),
-                             ensemble.weights])
+    in_csv_order = [*(ensemble.columns[slot_of[c]] for c in cols[:-1]), ensemble.weights]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for rows in _row_blocks(len(ensemble.weights)):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in zip(*(c[rows].tolist() for c in in_csv_order)))
 
 
 def read_particles(chart: Chart, path: str) -> ParticleEnsemble:

@@ -48,7 +48,7 @@ from geokin.fields import (
     make_field,
     wedge,
 )
-from geokin.flow import IntegratorConfig, integrate, monitored_energy_rate, numeric_divergence
+from geokin.flow import IntegratorConfig, integrate, monitored_energy_rate
 from geokin.density import (
     adjudicate_density_coefficients,
     density_coefficients,
@@ -61,6 +61,8 @@ from geokin.kinetics import (
     solve_density_particle,
 )
 from geokin.musical import SharpVariant, flat_sharp_residual, sharp, sharp_flat_residual
+
+from helpers import numeric_divergence
 
 
 def _report(number: int, name: str, failures: list) -> None:

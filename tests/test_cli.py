@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import pytest
 
@@ -12,6 +11,8 @@ from geokin import cli, fields, flow, kinetics
 from geokin.identities import LawReport
 from geokin.kinetics import read_grid, read_particles
 from geokin.chart import Chart, ChartKind
+
+from helpers import traced_peak
 
 
 def write_config(tmp_path, payload, name="scenario.json"):
@@ -509,12 +510,8 @@ def test_kinetic_runs_past_the_work_budget_are_refused_before_stepping(
     path = write_config(tmp_path, cfg)
     assert cli.main(["validate", path]) == 0  # within every config budget
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        assert cli.main(["run", path]) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: cli.main(["run", path]))
+    assert rc == 1
     assert peak < 4 << 20  # the particles were never seeded
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "g.grid").exists()
@@ -546,12 +543,8 @@ def test_grid_snapshots_past_the_value_budget_are_refused_without_allocating(tmp
     cfg["output"] = {"grid": [str(tmp_path / f"snap{k}.grid") for k in range(3)]}
     path = write_config(tmp_path, cfg)
     for command in ("validate", "run"):
-        tracemalloc.start()
-        try:
-            assert cli.main([command, path]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: cli.main([command, path]))
+        assert rc == 2
         assert peak < 4 << 20
         assert capsys.readouterr().err == (
             "config error at $.time.snapshots: 3 snapshots of the grid exceed the budget of "
@@ -625,12 +618,8 @@ def test_grid_past_the_cell_budget_is_refused_without_allocating(tmp_path, capsy
     }
     path = write_config(tmp_path, cfg)
     for command in ("validate", "run"):
-        tracemalloc.start()
-        try:
-            assert cli.main([command, path]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: cli.main([command, path]))
+        assert rc == 2
         assert peak < 4 << 20  # a 10**12-cell grid never comes near an allocation
         assert capsys.readouterr().err == (
             "config error at $.initial.grid.axes: the axis sizes multiply to more than "
@@ -683,12 +672,8 @@ def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task
     assert size ** 2 <= flow.MAX_GRID_VALUES // 2
     cfg_path = write_config(tmp_path, _wide_chart_config(tmp_path, task, particles, size))
     for command in ("validate", "run"):
-        tracemalloc.start()
-        try:
-            assert cli.main([command, cfg_path]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak = traced_peak(lambda: cli.main([command, cfg_path]))
+        assert rc == 2
         assert peak < 4 << 20  # refused before the push state or a grid is allocated
         assert capsys.readouterr().err == f"config error at {path}: {message}\n"
     assert not (tmp_path / "g.grid").exists()
@@ -697,6 +682,26 @@ def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task
 def test_budgets_leave_the_default_particles_on_the_widest_chart(tmp_path, capsys):
     cfg = _wide_chart_config(tmp_path, "kinetic-particle", 100_000, 32)
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+
+
+def test_a_particle_run_holds_one_ensemble_to_its_written_files(tmp_path, capsys):
+    # 480^2 particles: from the config to the deposit and particle files, a
+    # run peaks under 1.5 push states (N x (dim + 1) float64); a writer that
+    # stacks the ensemble into one table alone takes it past 2
+    count = 480 ** 2
+    cfg = _kinetic_config(tmp_path, "kinetic-particle", "p1^2/2 + q1^2/2", 0.1, 0.01)
+    cfg["particles"] = count
+    cfg["initial"]["grid"]["axes"] = [{"lo": -2.0, "hi": 2.0, "size": 64}] * 2
+    cfg["output"]["particles"] = str(tmp_path / "p.csv")
+    path = write_config(tmp_path, cfg)
+    small = write_config(tmp_path, {**cfg, "particles": 1_000}, name="small.json")
+    assert cli.main(["run", small]) == 0  # fill the caches of the exact side
+    capsys.readouterr()
+    rc, peak = traced_peak(lambda: cli.main(["run", path]))
+    assert rc == 0
+    assert f"kinetic-particle: {count} particles" in capsys.readouterr().out
+    assert len(read_particles(Chart(ChartKind.SYMPLECTIC, 1), str(tmp_path / "p.csv")).weights) > 0
+    assert peak <= 1.5 * count * 3 * 8
 
 
 def test_the_push_budget_counts_the_seeded_particles(tmp_path, capsys):

@@ -3,6 +3,7 @@ a bit-identity oracle against the array loop the coordinate-list steps replaced.
 
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -19,13 +20,13 @@ from geokin.flow import (
     IntegratorConfig,
     StepBudgetError,
     Trajectory,
-    flow_map_logdet,
     integrate,
     monitored_energy_rate,
-    numeric_divergence,
     trajectory_csv_lines,
     write_trajectory_csv,
 )
+
+from helpers import flow_map_logdet, numeric_divergence
 
 
 def _spec(kind, n=1, family=Family.HAMILTONIAN, gauge="auto"):
@@ -191,6 +192,35 @@ def test_a_step_count_past_float_range_is_refused():
     H = chart.parse("(q1^2 + p1^2)/2")
     with pytest.raises(StepBudgetError, match="inf RK4 steps exceed the step budget"):
         integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1e300), IntegratorConfig(step=1e-300))
+
+
+@pytest.mark.parametrize("kind, hamiltonian, x0, t_final", [
+    (ChartKind.CONTACT, "z + p1^2/2", [0.1, 0.5, 1.0], 1e300),
+    (ChartKind.SYMPLECTIC, "(q1^2 + p1^2)/2", [0.1, 0.5], 1e12),
+])
+def test_an_rk45_span_past_the_step_budget_is_refused_before_the_first_step(
+        monkeypatch, kind, hamiltonian, x0, t_final):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(flow, "_rkf45_step", no_step)
+    chart, spec = _spec(kind)
+    fewest = t_final / flow.MAX_RK45_STEP
+    message = f"{fewest:.6g} RKF45 steps of at most {flow.MAX_RK45_STEP} exceed the step budget"
+    with pytest.raises(StepBudgetError, match=re.escape(message)):
+        integrate(Dynamics(spec, chart.parse(hamiltonian)), x0, (0.0, t_final),
+                  IntegratorConfig(method="rk45"))
+
+
+def test_rk45_steps_are_capped_at_the_largest_step(monkeypatch):
+    # a linear drift has no error to control: the step grows to the cap and stays
+    chart, spec = _spec(ChartKind.SYMPLECTIC)
+    monkeypatch.setattr(flow, "MAX_RK45_STEP", 0.25)
+    traj = integrate(Dynamics(spec, chart.parse("p1")), [0.0, 0.0], (0.0, 3.0),
+                     IntegratorConfig(method="rk45", step=0.1))
+    steps = np.diff(traj.times)  # 0.1, eleven of 0.25, then the 0.15 left
+    assert len(steps) == 13 and np.allclose(steps[1:-1], 0.25)
+    assert traj.times[-1] == 3.0
 
 
 def test_backward_time_is_rejected():

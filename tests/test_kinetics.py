@@ -12,6 +12,7 @@ import math
 import os
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,8 @@ from geokin.kinetics import (
 )
 from geokin.musical import SharpVariant, sharp
 from geokin.poly import Poly
+
+from helpers import traced_peak
 
 ALL_CHARTS = [Chart(kind, n) for kind in ChartKind for n in (1, 2)]
 
@@ -686,23 +689,16 @@ def test_particle_escape_reporting_balances_mass():
 
 def test_particle_solve_makes_no_extra_copies_of_the_state():
     # 480^2 particles x 10 steps: seeding, push and deposit together peak under
-    # 4.5 push states (N x (dim + 1) float64); an (N, dim) round trip (a stacked
-    # seed matrix, copied push blocks, a stacked final matrix) peaks near 5.6
-    import tracemalloc
-
+    # 1.5 push states (N x (dim + 1) float64), the one ensemble plus a block of
+    # working memory; whole-ensemble temporaries in any of them peak near 4
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -2.0, 2.0, 64), GridAxis("p1", -2.0, 2.0, 64))
     dyn, f0 = _dyn(s, s.parse("p1^2/2")), s.parse("1 + q1^2/4 - p1^2/8")
     solve_density_particle(dyn, f0, 0.1, 0.01, 1_000, axes=axes)  # compile the kernels
     count = 480 ** 2
-    tracemalloc.start()
-    try:
-        res = solve_density_particle(dyn, f0, 0.1, 0.01, count, axes=axes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: solve_density_particle(dyn, f0, 0.1, 0.01, count, axes=axes))
     assert len(res.ensemble.weights) + res.escaped_count == count
-    assert peak < 4.5 * count * (s.dim + 1) * 8
+    assert peak <= 1.5 * count * (s.dim + 1) * 8
 
 
 def test_particle_guard_rejects_oversized_step():
@@ -725,35 +721,62 @@ def _contact_no_escapes():
                                      axes=axes)
 
 
-def _symplectic_escapes():
+def _symplectic_escapes(particle_count=60_000, dt=0.01):
     # about a sixth of the ensemble leaves q1 or p1 over the 50 steps
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -1.0, 1.0, 64), GridAxis("p1", -1.0, 1.0, 64))
     return s, s.parse("p1^2/2 + q1^2/2 + q1*p1/10"), s.parse("1 + q1^2"), dict(
-        t_final=0.5, dt=0.01, particle_count=60_000, seed=3, axes=axes)
+        t_final=0.5, dt=dt, particle_count=particle_count, seed=3, axes=axes)
 
 
-@pytest.mark.parametrize("case", [_contact_no_escapes, _symplectic_escapes],
-                         ids=["contact-no-escapes", "symplectic-escapes"])
-def test_particle_threads_do_not_change_the_answer(monkeypatch, case):
+def _few_symplectic_escapes():
+    # 45^2 particles over 10 steps, 325 of which leave: small enough for 1-row blocks
+    return _symplectic_escapes(particle_count=2_000, dt=0.05)
+
+
+@pytest.mark.parametrize("case, block_rows", [
+    (_contact_no_escapes, (1_000, 25_000, 1_000_000)),
+    (_symplectic_escapes, (1_000, 25_000, 1_000_000)),
+    (_few_symplectic_escapes, (1, 7, 1_000, 1_000_000)),
+], ids=["contact-no-escapes", "symplectic-escapes", "few-symplectic-escapes"])
+def test_particle_threads_do_not_change_the_answer(monkeypatch, tmp_path, case, block_rows):
+    # nor does the block size: every pass over the ensemble, from the seeding
+    # to the written files and the interpolated deposit, goes in row blocks
     chart, H, f0, kw = case()
     monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers on any host
-    one = solve_density_particle(_dyn(chart, H), f0, threads=1, **kw)
-    assert (one.escaped_count > 0) == (case is _symplectic_escapes)
 
-    def assert_same(threads):
-        other = solve_density_particle(_dyn(chart, H), f0, threads=threads, **kw)
-        assert other.deposited.values.tobytes() == one.deposited.values.tobytes()
-        assert other.ensemble.weights.tobytes() == one.ensemble.weights.tobytes()
-        assert struct.pack("<d", other.mass_final) == struct.pack("<d", one.mass_final)
-        assert struct.pack("<d", other.escaped_mass) == struct.pack("<d", one.escaped_mass)
-        assert other.escaped_count == one.escaped_count
+    def outputs(threads):
+        res = solve_density_particle(_dyn(chart, H), f0, threads=threads, **kw)
+        write_grid(res.deposited, str(tmp_path / "deposit.grid"))
+        write_particles(res.ensemble, str(tmp_path / "particles.csv"))
+        inside = np.stack(res.ensemble.columns, axis=1)
+        return {
+            "deposit": res.deposited.values.tobytes(),
+            "columns": [c.tobytes() for c in res.ensemble.columns],
+            "weights": res.ensemble.weights.tobytes(),
+            "mass_final": struct.pack("<d", res.mass_final),
+            "escaped_mass": struct.pack("<d", res.escaped_mass),
+            "escaped_count": res.escaped_count,
+            "grid file": (tmp_path / "deposit.grid").read_bytes(),
+            "particle file": (tmp_path / "particles.csv").read_bytes(),
+            # at the survivors, and at points of which some lie off the grid
+            "interpolated": res.deposited.interpolate(
+                np.concatenate([inside, 1.25 * inside])).tobytes(),
+        }
 
-    assert_same(3)
-    for rows in (1_000, 25_000, 1_000_000):
-        monkeypatch.setattr(kinetics, "PUSH_BLOCK_ROWS", rows)
-        assert_same(1)
-        assert_same(3)
+    one = outputs(1)
+    assert (one["escaped_count"] > 0) == (case is not _contact_no_escapes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # blocks write back into shared columns: interleave often
+    try:
+        for rows in (None, *block_rows):
+            if rows is not None:
+                monkeypatch.setattr(kinetics, "PUSH_BLOCK_ROWS", rows)
+            for threads in (1, 3):
+                other = outputs(threads)
+                assert [key for key in one if other[key] != one[key]] == [], (rows, threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("threads, pool", [(1_000_000, [3]), (None, []), (0, []), (-2, [])],
