@@ -21,7 +21,16 @@ The steppers work on a list of coordinates: one Python float each in
 (`kinetics._push_chunk`), matching the polynomial kernel's own "one
 float or one column per coordinate" contract.  Every update is a
 per-coordinate expression, so floats and columns go through the same
-float operations in the same order.  `Trajectory` still holds arrays.
+float operations in the same order.  The RKF45 step writes out each
+stage state, and the two solutions, as one sum per coordinate over the
+Fehlberg tables, x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right
+with the zero weights left out.
+
+A run grows its times, states and the three evaluated monitor channels
+as arrays of doubles, 8 bytes a value, and `Trajectory` holds numpy
+views of them.  `write_trajectory_csv` formats and writes one block of
+`CSV_BLOCK_ROWS` samples at a time, so a long run's file never sits in
+memory whole.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity gr
 MAX_PUSH_VALUES = 7_500_000
 MAX_PARTICLES = MAX_PUSH_VALUES // 3  # the most particles, reached on the two-coordinate charts
 MAX_TRIALS = 1_000
+CSV_BLOCK_ROWS = 4_096  # samples formatted per write by `write_trajectory_csv`
 
 
 @dataclass(frozen=True)
@@ -106,14 +116,6 @@ class StepBudgetError(IntegrationError):
     pass
 
 
-def _add_scaled(x: list, terms) -> list:
-    """x + c0*k0 + c1*k1 + ..., added left to right per coordinate, for
-    (c, k) in `terms`; a coordinate of x or k is a float or a column."""
-    for c, k in terms:
-        x = [a + c * b for a, b in zip(x, k)]
-    return x
-
-
 def _rk4_step(rhs, x: list, h: float) -> list:
     half, sixth = 0.5 * h, h / 6.0
     k1 = rhs(x)
@@ -137,13 +139,39 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
+# The tables unpacked for the written-out stages of `_rkf45_step`, which
+# has no term for the zero weights B5[1], B4[1] and B4[5].
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = _RKF_A[1:]
+_B51, _B53, _B54, _B55, _B56 = (b for b in _RKF_B5 if b)
+_B41, _B43, _B44, _B45 = (b for b in _RKF_B4 if b)
+
+
 def _rkf45_step(rhs, x: list, h: float):
-    """The fifth-order state and its difference from the fourth-order one."""
-    ks: list = []
-    for row in _RKF_A:
-        ks.append(rhs(_add_scaled(x, [(h * a, k) for a, k in zip(row, ks) if a])))
-    x5 = _add_scaled(x, [(h * b, k) for b, k in zip(_RKF_B5, ks) if b])
-    x4 = _add_scaled(x, [(h * b, k) for b, k in zip(_RKF_B4, ks) if b])
+    """The fifth-order state and its difference from the fourth-order one.
+
+    Each stage state, and each of the two solutions, is one comprehension
+    over coordinates: x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right.
+    """
+    k1 = rhs(x)
+    c1 = h * _A21
+    k2 = rhs([a + c1 * b1 for a, b1 in zip(x, k1)])
+    c1, c2 = h * _A31, h * _A32
+    k3 = rhs([a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(x, k1, k2)])
+    c1, c2, c3 = h * _A41, h * _A42, h * _A43
+    k4 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 for a, b1, b2, b3 in zip(x, k1, k2, k3)])
+    c1, c2, c3, c4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4
+              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+    c1, c2, c3, c4, c5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4 + c5 * b5
+              for a, b1, b2, b3, b4, b5 in zip(x, k1, k2, k3, k4, k5)])
+    c1, c3, c4, c5, c6 = h * _B51, h * _B53, h * _B54, h * _B55, h * _B56
+    x5 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5 + c6 * b6
+          for a, b1, b3, b4, b5, b6 in zip(x, k1, k3, k4, k5, k6)]
+    c1, c3, c4, c5 = h * _B41, h * _B43, h * _B44, h * _B45
+    x4 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5
+          for a, b1, b3, b4, b5 in zip(x, k1, k3, k4, k5)]
     return x5, [a - b for a, b in zip(x5, x4)]
 
 
@@ -186,14 +214,18 @@ def integrate(
         return [c.eval(x) for c in comps]
 
     x = x0.tolist()
-    times = [s0]
-    states = array("d", x)  # row after row, 8 bytes a coordinate
-    ham = [h_eval(x)]
-    pred = [rate_eval(x)]
-    div = [div_eval(x)]
+    # every channel is a growing array of doubles, 8 bytes a value; states
+    # holds one row after another
+    times = array("d", [s0])
+    states = array("d", x)
+    ham = array("d", [h_eval(x)])
+    pred = array("d", [rate_eval(x)])
+    div = array("d", [div_eval(x)])
 
     def partial_trajectory() -> Trajectory:
-        traj = Trajectory(spec, np.array(times), np.array(states).reshape(-1, chart.dim))
+        """The run so far, over views of the channels: called only when the
+        run ends, since a channel with a view cannot grow."""
+        traj = Trajectory(spec, np.frombuffer(times), np.frombuffer(states).reshape(-1, chart.dim))
         _fill_monitors(traj, ham, pred, div)
         return traj
 
@@ -267,9 +299,9 @@ def integrate(
 
 def _fill_monitors(traj: Trajectory, ham, pred, div) -> None:
     times = traj.times
-    h_arr = np.array(ham, dtype=float)
-    pred_arr = np.array(pred, dtype=float)
-    div_arr = np.array(div, dtype=float)
+    h_arr = np.asarray(ham, dtype=float)
+    pred_arr = np.asarray(pred, dtype=float)
+    div_arr = np.asarray(div, dtype=float)
     if len(times) >= 3:
         measured = np.gradient(h_arr, times, edge_order=2)
     elif len(times) == 2:
@@ -301,20 +333,28 @@ def monitored_energy_rate(traj: Trajectory) -> float:
     return float(np.max(np.abs(measured[1:-1] - predicted[1:-1])))
 
 
+def _csv_rows(traj: Trajectory, rows: slice) -> list[str]:
+    """The CSV rows of samples `rows`: s, the state, H, pred_dHds, div."""
+    monitors = [traj.monitors[k][rows] for k in ("hamiltonian", "predicted_dH", "divergence")]
+    block = np.column_stack([traj.times[rows], traj.states[rows], *monitors])
+    # one row's floats at a time: listing the whole block first made the
+    # benchmark's `trajectory` workload about 8% slower (2-vCPU x86 host)
+    return [",".join(map(repr, row.tolist())) for row in block]
+
+
+def _csv_header(traj: Trajectory) -> str:
+    return ",".join(["s", *traj.chart.coord_names, "H", "pred_dHds", "div"])
+
+
 def trajectory_csv_lines(traj: Trajectory) -> list[str]:
     """CSV rows: s, chart coordinates present, H, pred_dHds, div."""
-    chart = traj.chart
-    header = ["s"]
-    header.extend(chart.coord_names)
-    header.extend(["H", "pred_dHds", "div"])
-    lines = [",".join(header)]
-    monitors = [traj.monitors[k] for k in ("hamiltonian", "predicted_dH", "divergence")]
-    for row in np.column_stack([traj.times, traj.states, *monitors]):
-        lines.append(",".join(map(repr, row.tolist())))
-    return lines
+    return [_csv_header(traj), *_csv_rows(traj, slice(None))]
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+    """The lines of `trajectory_csv_lines`, each ended by a newline,
+    formatted and written one block of `CSV_BLOCK_ROWS` samples at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(trajectory_csv_lines(traj)))
-        fh.write("\n")
+        fh.write(_csv_header(traj) + "\n")
+        for lo in range(0, len(traj.times), CSV_BLOCK_ROWS):
+            fh.write("\n".join(_csv_rows(traj, slice(lo, lo + CSV_BLOCK_ROWS))) + "\n")

@@ -39,13 +39,17 @@ Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
 higher exponents.  Numeric evaluation runs one kernel per polynomial:
 straight-line Python source that walks the terms in that fixed order
-with powers built by repeated multiplication, compiled on the first
-evaluation and cached in the instance's `_kernel` slot.  The kernel
-takes one float or one numpy column per coordinate: `Poly.eval` hands
-it a point's floats, `Poly.eval_array` a sequence of `dim` equal-length
-columns (an (N, dim) array's `.T`, or the columns a solver keeps).
-Floats and columns go through the same float operations in the same
-order, so results are deterministic and bit-identical between the two.
+with powers built by repeated multiplication, compiled once, on the
+first evaluation.  The kernel takes one float or one numpy column per
+coordinate.  `Poly.eval` reaches it through a checked scalar entry, a
+straight-line function of the point that depends only on `dim` (its
+source is compiled once per dimension) and closes over the kernel; the
+entry, with the kernel as its `kernel` attribute, is what the
+instance's `_kernel` slot caches.  `Poly.eval_array` hands the kernel a
+sequence of `dim` equal-length columns (an (N, dim) array's `.T`, or
+the columns a solver keeps).  Floats and columns go through the same
+float operations in the same order, so results are deterministic and
+bit-identical between the two.
 `partial` is memoised the same way, per instance and coordinate, in the
 `_partials` slot: the symbolic layers take the same partials of the
 same polynomial many times.
@@ -64,6 +68,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -456,17 +461,14 @@ class Poly:
     def eval(self, point: Sequence[float]) -> float:
         """Evaluate at a point of floats.
 
-        Runs the compiled kernel (see `_compile`), built on the first
-        evaluation and cached in `_kernel`.  Deterministic: terms are
+        Runs the checked scalar entry cached in `_kernel` (see `_compile`),
+        built on the first evaluation: a point of the wrong length, or with
+        a non-finite coordinate, raises ValueError; otherwise the kernel
+        runs on the coordinates as floats.  Deterministic: terms are
         accumulated in graded-lex order with powers built by repeated
         multiplication, so the result does not depend on the call.
         """
-        if len(point) != self.dim:
-            raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        xs = list(map(float, point))
-        if not all(map(math.isfinite, xs)):
-            raise ValueError("non-finite coordinate in evaluation point")
-        return (self._kernel or self._compile())(*xs)
+        return (self._kernel or self._compile())(point)
 
     def eval_array(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized evaluation at N points given as `dim` columns of
@@ -479,24 +481,30 @@ class Poly:
         shape = cols[0].shape if cols else (0,)
         if len(cols) != self.dim or len(shape) != 1 or any(c.shape != shape for c in cols):
             raise ValueError(f"points must have shape ({self.dim}, N): one column per coordinate")
-        total = (self._kernel or self._compile())(*cols)
+        total = (self._kernel or self._compile()).kernel(*cols)
         return total if isinstance(total, np.ndarray) else np.full(shape, total)
 
     def _compile(self):
-        """Build, cache and return the kernel: one float, or one numpy
-        column, per coordinate in; the polynomial's value out.
+        """Build, cache and return the checked scalar entry of the kernel.
 
-        The kernel is straight-line source for the graded-lex walk.  Power
-        e of coordinate i is `p{i}_{e} = p{i}_{e-1} * x{i}`, starting from
-        x{i} itself (1.0 * x is x exactly); each term is the coefficient's
+        The kernel takes one float, or one numpy column, per coordinate
+        and returns the polynomial's value.  It is straight-line source
+        for the graded-lex walk, compiled once per polynomial.  Power e of
+        coordinate i is `p{i}_{e} = p{i}_{e-1} * x{i}`, starting from x{i}
+        itself (1.0 * x is x exactly); each term is the coefficient's
         `repr(float(c))` times its powers, left to right in coordinate
         order; terms are added one by one to `total = 0.0`.  Every float
         operation and its order are fixed by the terms alone, so the
         result is bit-identical for floats and numpy columns, and from
         one call to the next.  Only generated names and float literals
         enter the source.  A coefficient outside float range raises
-        OverflowError here.  Threads that race here (the particle push)
-        build the same kernel, so whichever is cached is right.
+        OverflowError here.
+
+        What is cached in `_kernel` is `_checked_entry(dim)` bound to the
+        kernel: the function `eval` calls, with the kernel itself as its
+        `kernel` attribute, which `eval_array` calls.  Threads that race
+        here (the particle push) build the same kernel, so whichever is
+        cached is right.
         """
         def power(i: int, e: int) -> str:
             return f"x{i}" if e == 1 else f"p{i}_{e}"
@@ -518,7 +526,7 @@ class Poly:
         ])
         namespace: dict = {}
         exec(source, namespace)
-        self._kernel = namespace["kernel"]
+        self._kernel = _checked_entry(self.dim)(namespace["kernel"])
         return self._kernel
 
     # -- printing ------------------------------------------------------
@@ -550,6 +558,41 @@ class Poly:
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.dim)]
         return f"Poly[{self.dim}]({self.to_text(names)})"
+
+
+@cache
+def _checked_entry(dim: int):
+    """The binder of `Poly.eval`'s checked scalar entry on `dim`
+    coordinates, compiled once per dimension: `bind(kernel)` returns a
+    function of one point that checks its length, unpacks its
+    coordinates as floats, refuses a non-finite one and returns
+    `kernel(x0, ..., x{dim-1})`; the kernel is its `kernel` attribute.
+
+    `x - x` is 0.0 for every finite float and NaN for an infinity or a
+    NaN, so one `or` chain of those differences finds any non-finite
+    coordinate.  The messages are those `eval` has always raised.
+    """
+    args = ", ".join(f"x{i}" for i in range(dim))
+    body = [
+        "def bind(kernel):",
+        "    def entry(point):",
+        f"        if len(point) != {dim}:",
+        f"            raise ValueError(f'point has length {{len(point)}}, expected {dim}')",
+    ]
+    if dim:
+        body += [
+            f"        {args}, = map(float, point)",
+            f"        if {' or '.join(f'x{i} - x{i}' for i in range(dim))}:",
+            "            raise ValueError('non-finite coordinate in evaluation point')",
+        ]
+    body += [
+        f"        return kernel({args})",
+        "    entry.kernel = kernel",
+        "    return entry",
+    ]
+    namespace: dict = {}
+    exec("\n".join(body), namespace)
+    return namespace["bind"]
 
 
 # -- parsing -----------------------------------------------------------

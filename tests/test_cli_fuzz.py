@@ -1,26 +1,28 @@
 """No traceback on any input: mutations of one small config per task.
 
-Two strategies draw the configs: single-key mutations of any value, and
-pairs of keys set to extreme values (1e300 bounds, degree-24 terms, dt
-at the CFL edge), since some faults need two keys at once.  Each drawn
-config goes through `geokin validate` and `geokin run`.  Both must end
-in a documented exit code (0 ok, 1 check or solver failure, 2 config
-error), raise nothing out of `cli.main`, and say why in exactly one
-stderr line when they fail.  The bases are small (32-cell axes, 1000
-particles, a few steps), and no drawn value, nor pair, is a size that is
-both legal and large: sizes are small, or past a budget that refuses
-them first.
+Two sources make the configs: single-key mutations of any value, drawn
+by hypothesis, and a fixed walk over every pair of keys set to extreme
+values (1e300 bounds, degree-24 terms, dt at the CFL edge), since some
+faults need two keys at once.  Each config goes through `geokin
+validate` and `geokin run`.  Both must end in a documented exit code (0
+ok, 1 check or solver failure, 2 config error), raise nothing out of
+`cli.main`, and say why in exactly one stderr line when they fail.  The
+bases are small (32-cell axes, 1000 particles, a few steps), and no
+drawn value, nor pair, is a size that is both legal and large: sizes are
+small, or past a budget that refuses them first.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geokin import cli
 
@@ -155,13 +157,20 @@ _EXTREMES = {
 }
 
 
-@st.composite
-def extreme_pairs(draw):
-    cfg = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
-    for path in draw(st.lists(st.sampled_from(list(_EXTREMES)), min_size=2, max_size=2,
-                              unique=True)):
-        _parent(cfg, path)[path[-1]] = draw(st.sampled_from(_EXTREMES[path]))
-    return cfg
+def extreme_pairs():
+    """One config per unordered pair of `_EXTREMES` keys, all 105 of them,
+    in a fixed order: the bases take turns, and each key's values take
+    turns over the pairs that key is in."""
+    uses = dict.fromkeys(_EXTREMES, 0)
+    bases = sorted(BASES)
+    for j, pair in enumerate(itertools.combinations(_EXTREMES, 2)):
+        cfg = copy.deepcopy(BASES[bases[j % len(bases)]])
+        for path in pair:
+            values = _EXTREMES[path]
+            _parent(cfg, path)[path[-1]] = values[uses[path] % len(values)]
+            uses[path] += 1
+        yield pytest.param(cfg, id=f"{cfg['task']}:" + "+".join(".".join(map(str, path))
+                                                                for path in pair))
 
 
 def _main(argv):
@@ -184,10 +193,11 @@ def _rk45_for(t_final):
     return cfg
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=extreme_pairs())
-@example(cfg=_rk45_for(1e300))  # a draw that is rare among the pairs, pinned
+@pytest.mark.parametrize("cfg", [
+    *extreme_pairs(),
+    # pinned: the walk gives the (t_final, method) pair t_final 1e-300
+    pytest.param(_rk45_for(1e300), id="simulate:rk45-t_final-1e300"),
+])
 def test_no_pair_of_extreme_values_ends_in_a_traceback(cfg):
     _validate_and_run(cfg)
 

@@ -25,8 +25,9 @@ from geokin.flow import (
     trajectory_csv_lines,
     write_trajectory_csv,
 )
+from geokin.poly import Poly
 
-from helpers import flow_map_logdet, numeric_divergence
+from helpers import flow_map_logdet, numeric_divergence, traced_peak
 
 
 def _spec(kind, n=1, family=Family.HAMILTONIAN, gauge="auto"):
@@ -223,6 +224,71 @@ def test_rk45_steps_are_capped_at_the_largest_step(monkeypatch):
     assert traj.times[-1] == 3.0
 
 
+def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
+    """The `Poly.eval` budget of `integrate`: 4*dim calls per RK4 step and
+    6*dim per RKF45 attempt, accepted or rejected, plus 3 (H, X(H) and the
+    divergence) per recorded node, the first one included.
+
+    The benchmark's `--trace 1` run bounds `poly.eval.calls` below by 4 x
+    steps (`perfbench/run.py::coverage_problems`), so a change that
+    evaluates the field past `Poly.eval` (ROADMAP item 2's fused kernel)
+    fails here first.  ROADMAP item 1b must move that bench bound to an
+    exact right-hand-side count before such a change lands."""
+    chart, spec = _spec(ChartKind.COCONTACT)
+    dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
+    calls = attempts = 0
+    poly_eval, rkf45_step = Poly.eval, flow._rkf45_step
+
+    def counted_eval(self, point):
+        nonlocal calls
+        calls += 1
+        return poly_eval(self, point)
+
+    def counted_step(rhs, x, h):
+        nonlocal attempts
+        attempts += 1
+        return rkf45_step(rhs, x, h)
+
+    monkeypatch.setattr(Poly, "eval", counted_eval)
+    monkeypatch.setattr(flow, "_rkf45_step", counted_step)
+    x0 = [0.0, 0.3, 0.4, 0.1]
+    traj = integrate(dyn, x0, (0.0, 0.25), IntegratorConfig(step=5e-3))
+    assert calls == 4 * chart.dim * 50 + 3 * len(traj.times) and len(traj.times) == 51
+    calls = 0
+    # a first step far past the tolerance: the controller rejects and shrinks it
+    traj = integrate(dyn, x0, (0.0, 2.0), IntegratorConfig(method="rk45", step=1.0))
+    assert attempts > len(traj.times) - 1
+    assert calls == 6 * chart.dim * attempts + 3 * len(traj.times)
+
+
+def test_a_trajectory_holds_about_eight_bytes_per_sample_per_channel():
+    # time, four coordinates and five monitors: ten channels of float64.
+    # The traced peak is theirs plus np.gradient's temporaries for the
+    # measured energy rate, about 64 B a sample.
+    chart, spec = _spec(ChartKind.COCONTACT)
+    dyn = Dynamics(spec, chart.parse("p1^2/2 + z/3 + t/5"))
+    x0, config = [0.0, 0.3, 0.4, 0.1], IntegratorConfig(step=1e-4)
+    integrate(dyn, x0, (0.0, 1e-3), config)  # compile the kernels outside the trace
+    traj, peak = traced_peak(lambda: integrate(dyn, x0, (0.0, 1.0), config))
+    samples = len(traj.times)
+    assert samples == 10_001
+    assert sum(a.nbytes for a in [traj.times, traj.states, *traj.monitors.values()]) \
+        == 8 * 10 * samples
+    assert peak < 160 * samples
+
+
+def test_csv_export_is_written_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
+    chart, spec = _spec(ChartKind.COCONTACT)
+    dyn = Dynamics(spec, chart.parse("p1^2/2 + z/3 + t/5"))
+    traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0), IntegratorConfig(step=1e-4))
+    monkeypatch.setattr(flow, "CSV_BLOCK_ROWS", 100)
+    path = tmp_path / "traj.csv"
+    _, peak = traced_peak(lambda: write_trajectory_csv(traj, path))
+    text = path.read_text(encoding="utf-8")
+    assert text == "\n".join(trajectory_csv_lines(traj)) + "\n"
+    assert peak < len(text) / 10  # 101 blocks, one of them held at a time
+
+
 def test_backward_time_is_rejected():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
@@ -292,6 +358,46 @@ def reference_rkf45_step(rhs, x, h):
         if b4:
             x4 = x4 + (h * b4) * k
     return x5, x5 - x4
+
+
+# -0.0, subnormals and values whose products leave float range, besides generic ones
+STEP_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, -0.5]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rkf45_step_is_bit_identical_to_the_array_step(data):
+    dim = data.draw(st.integers(2, 34))
+    vector = st.lists(STEP_VALUE, min_size=dim, max_size=dim)
+    x, weights, shifts = data.draw(vector), data.draw(vector), data.draw(vector)
+    h = data.draw(st.one_of(st.sampled_from([1e-12, flow.MAX_RK45_STEP]),
+                            st.floats(1e-12, flow.MAX_RK45_STEP)))
+
+    def field(y):
+        """A linear field that mixes neighbouring coordinates, on floats."""
+        return [w * float(y[(j + 1) % dim]) + v for j, (w, v) in enumerate(zip(weights, shifts))]
+
+    def pack(values):
+        return struct.pack(f"<{dim}d", *values)
+
+    stages, ref_stages = [], []
+
+    def rhs(y):
+        stages.append(pack(y))
+        return field(y)
+
+    def ref_rhs(y):
+        ref_stages.append(pack(y))
+        return np.array(field(y))
+
+    with np.errstate(all="ignore"):
+        want = reference_rkf45_step(ref_rhs, np.array(x), h)
+    got = flow._rkf45_step(rhs, x, h)
+    assert stages == ref_stages  # every stage state, in order
+    assert [pack(v) for v in got] == [pack(v) for v in want]
 
 
 def reference_integrate(spec, H, x0, s1, config):

@@ -248,6 +248,56 @@ def test_kernel_is_bit_identical_to_the_reference_walk(data):
     assert p.eval_array(pts.T).tobytes() == np.array([p.eval(row) for row in pts]).tobytes()
 
 
+def reference_eval(p, point):
+    """`Poly.eval` as the generic wrapper it was before the checked scalar
+    entry: the length check, the float map, the finiteness check and the
+    kernel called on the unpacked floats."""
+    if len(point) != p.dim:
+        raise ValueError(f"point has length {len(point)}, expected {p.dim}")
+    xs = list(map(float, point))
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("non-finite coordinate in evaluation point")
+    return (p._kernel or p._compile()).kernel(*xs)
+
+
+def eval_outcome(evaluate, p, point):
+    """The value's bytes, or the exception's type and message."""
+    try:
+        return struct.pack("<d", evaluate(p, point))
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+# every form a point reaches `eval` in: a list, a tuple, a 1-D array, a row
+# of a 2-D array, numpy scalars, and ints (numpy's and Python's)
+POINT_FORMS = [
+    list,
+    tuple,
+    np.array,
+    lambda xs: np.array([xs, xs])[1],
+    lambda xs: [np.float64(x) for x in xs],
+    lambda xs: np.array([int(x) for x in xs]),
+    lambda xs: [int(x) for x in xs],
+]
+BAD_COORDINATES = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf),
+                   10 ** 400, "1.5", None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_checked_entry_matches_the_generic_wrapper(data):
+    p = data.draw(st.one_of(polys(), st.just(Poly.zero(0)), st.just(Poly.const(0, 3))))
+    xs = data.draw(st.lists(st.one_of(COORDINATES, st.integers(-10 ** 6, 10 ** 6)),
+                            min_size=p.dim, max_size=p.dim))
+    points = [form(xs) for form in POINT_FORMS]
+    points += [xs[:-1], xs + [1.0]] if xs else [[1.0]]  # wrong lengths
+    for slot in range(p.dim):
+        points += [xs[:slot] + [bad] + xs[slot + 1:] for bad in BAD_COORDINATES]
+    for point in points:
+        want = eval_outcome(reference_eval, p, point)
+        assert eval_outcome(Poly.eval, p, point) == want, point
+
+
 class FractionPoly:
     """The exact ring as `Poly` computed it when each coefficient was a
     `Fraction`: the reference the differential test below holds the
