@@ -163,25 +163,38 @@ class _Components:
                            _check_components(self.chart, self.components, self.size(self.chart)))
 
     @classmethod
+    def _of(cls, chart: Chart, components: tuple[Poly, ...]):
+        """An element of `cls` from a tuple of components that the algebra
+        built from checked elements on `chart`, so of the right count and
+        dimension by construction: not checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "chart", chart)
+        object.__setattr__(out, "components", components)
+        return out
+
+    @classmethod
     def basis(cls, chart: Chart, slot: int):
         """The element with component 1 at `slot` and 0 elsewhere."""
         comps = [chart.zero() for _ in range(cls.size(chart))]
         comps[slot] = chart.const(1)
-        return cls(chart, tuple(comps))
+        return cls._of(chart, tuple(comps))
 
     def __add__(self, other):
         if other.chart != self.chart:
             raise ValueError(f"{self._noun} live on different charts")
-        return self._result(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
+        if other._result is not self._result:
+            raise ValueError(f"cannot add {other._noun} to {self._noun}")
+        return self._result._of(self.chart,
+                                tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._result(self.chart, tuple(-a for a in self.components))
+        return self._result._of(self.chart, tuple(-a for a in self.components))
 
     def scaled(self, factor: Poly | Rational):
-        return self._result(self.chart, tuple(a * factor for a in self.components))
+        return self._result._of(self.chart, tuple(a * factor for a in self.components))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.components)
@@ -243,7 +256,7 @@ def contract_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> OneFormExpr:
     if X.chart != B.chart:
         raise ValueError("contraction requires a common chart")
     d = X.chart.dim
-    return OneFormExpr(X.chart, tuple(
+    return OneFormExpr._of(X.chart, tuple(
         Poly.sum_of_products(d, [(e[0], Xj, e[1]) for j, Xj in enumerate(X.components)
                                  if (e := B.entry(j, k))])
         for k in range(d)))
@@ -253,7 +266,7 @@ def differential(H: Poly, chart: Chart) -> OneFormExpr:
     """dH as a one-form on the chart."""
     if H.dim != chart.dim:
         raise ValueError("function dimension does not match chart")
-    return OneFormExpr(chart, tuple(H.partial(k) for k in range(chart.dim)))
+    return OneFormExpr._of(chart, tuple(H.partial(k) for k in range(chart.dim)))
 
 
 @cache
@@ -269,7 +282,7 @@ def canonical_eta(chart: Chart) -> OneFormExpr:
     comps[chart.z_slot] = chart.const(1)
     for i in range(1, chart.n + 1):
         comps[chart.q_slot(i)] = -chart.coordinate(chart.p_slot(i))
-    return OneFormExpr(chart, tuple(comps))
+    return OneFormExpr._of(chart, tuple(comps))
 
 
 @cache
@@ -278,7 +291,7 @@ def two_form_omega(chart: Chart) -> TwoFormExpr:
     comps = [chart.zero() for _ in range(TwoFormExpr.size(chart))]
     for i in range(1, chart.n + 1):
         comps[TwoFormExpr.slot(chart.dim, chart.q_slot(i), chart.p_slot(i))] = chart.const(1)
-    return TwoFormExpr(chart, tuple(comps))
+    return TwoFormExpr._of(chart, tuple(comps))
 
 
 @cache

@@ -91,7 +91,7 @@ def momentum_vlasov_rhs(H: Poly, Pi: OneFormExpr) -> OneFormExpr:
     if not chart.has_z:
         return -lie
     k, Hz = chart.n + 1, H.partial(chart.z_slot)
-    return OneFormExpr(chart, tuple(
+    return OneFormExpr._of(chart, tuple(
         Poly.sum_of_products(chart.dim, [(-1, L_j, None), (k, Pi_j, Hz)])
         for L_j, Pi_j in zip(lie.components, Pi.components)))
 

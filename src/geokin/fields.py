@@ -137,7 +137,7 @@ def make_field(spec: FieldSpec, H: Poly) -> VectorFieldExpr:
         z = chart.z_slot
         comps[z] = Poly.sum_of_products(chart.dim, [
             (1, comps[z], None), (1, _eta_value(spec, H), None), (-1, H.partial(z), None)])
-    return VectorFieldExpr(chart, tuple(comps))
+    return VectorFieldExpr._of(chart, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class Dynamics:
 def exterior_derivative_oneform(alpha: OneFormExpr) -> TwoFormExpr:
     """(d alpha)_{jk} = d_j alpha_k - d_k alpha_j."""
     a = alpha.components
-    return TwoFormExpr(alpha.chart, tuple(
+    return TwoFormExpr._of(alpha.chart, tuple(
         a[k].partial(j) - a[j].partial(k) for j, k in combinations(range(alpha.chart.dim), 2)))
 
 
@@ -220,7 +220,7 @@ def wedge(alpha: OneFormExpr, beta: OneFormExpr) -> TwoFormExpr:
         raise ValueError("wedge requires a common chart")
     d = alpha.chart.dim
     a, b = alpha.components, beta.components
-    return TwoFormExpr(alpha.chart, tuple(
+    return TwoFormExpr._of(alpha.chart, tuple(
         Poly.sum_of_products(d, [(1, a[j], b[k]), (-1, a[k], b[j])])
         for j, k in combinations(range(d), 2)))
 
@@ -232,7 +232,7 @@ def lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExp
     chart = X.chart
     d = chart.dim
     pairs = [(a_i, X_i) for a_i, X_i in zip(alpha.components, X.components) if a_i]
-    return OneFormExpr(chart, tuple(
+    return OneFormExpr._of(chart, tuple(
         Poly.sum_of_products(d, X.derivative_terms(alpha.components[j])
                              + [(1, a_i, X_i.partial(j)) for a_i, X_i in pairs])
         for j in range(d)))
@@ -253,7 +253,7 @@ def lie_derivative_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> TwoFormExpr:
                 if e := B.entry(j, i):
                     terms.append((e[0], e[1], Xi.partial(k)))
         comps.append(Poly.sum_of_products(d, terms))
-    return TwoFormExpr(X.chart, tuple(comps))
+    return TwoFormExpr._of(X.chart, tuple(comps))
 
 
 def divergence(X: VectorFieldExpr) -> Poly:
@@ -270,4 +270,4 @@ def jacobi_lie_bracket(X: VectorFieldExpr, Y: VectorFieldExpr) -> VectorFieldExp
     comps = tuple(
         Poly.sum_of_products(chart.dim, X.derivative_terms(Y_i) + Y.derivative_terms(X_i, -1))
         for X_i, Y_i in zip(X.components, Y.components))
-    return VectorFieldExpr(chart, comps)
+    return VectorFieldExpr._of(chart, comps)

@@ -54,8 +54,8 @@ MAX_RK45_STEP = 100.0
 # The work budget of one kinetic run: cells x steps (all snapshot segments)
 # on the grid, particles x steps in the push.  At least 10x the largest
 # benchmark or test input (128^2 cells x 250 steps; 10^5 particles x 50
-# steps); one core of a 2-vCPU x86 host steps it in about 35 s on the grid
-# and pushes it in about 80 s.
+# steps); one core of a 2-vCPU x86 host steps it in about 25 to 55 s on the
+# grid (a 128^2 grid to a 40^3 one with a source) and pushes it in about 80 s.
 MAX_WORK = 1_000_000_000
 # What one config may ask for, each at least 10x the largest benchmark or
 # test input (64 000 cells of 3 coordinates, 230 400 particles of 2 plus a

@@ -42,7 +42,15 @@ method of lines with first-order upwind transport per advecting axis
 (one difference per cell face, with -v and the wind direction v > 0
 taken once per solve), the pointwise source (n+2) R_eta(H) f (the factor
 is `density.growth_factor`), and SSP-RK3 in time under an explicit CFL
-guard, through every snapshot time in one call.
+guard, through every snapshot time in one call.  It steps in a workspace
+allocated once per call, after every up-front refusal: five flat grid
+arrays (the state and the spare it alternates with, the right-hand side,
+the second stage and one face scratch shared by the axes) and a
+finiteness mask, which every step writes in place.  Along an axis, one
+contiguous subtraction over the flat grid forms every face difference,
+and a multiplication by -v of the forward faces, then one masked by
+v > 0 of the backward ones, picks the upwind face.  Each snapshot owns
+its array: the steps go on in a copy.
 """
 
 from __future__ import annotations
@@ -304,37 +312,60 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     return weight_rate(dyn), vel, active, cfl / rate if rate else math.inf
 
 
-def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, k: int,
-                 axis: GridAxis) -> np.ndarray:
-    """-v * df/dx with first-order upwinding along axis k, given -v and v > 0.
+def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, axis: GridAxis,
+                 stride: int, face: np.ndarray, term: np.ndarray) -> None:
+    """Write -v * df/dx along one axis into `term`, first-order upwinding
+    given -v and v > 0.  Every array is the flat C-order grid; `stride` is
+    the product of the trailing axis sizes, and `face` is scratch.
 
-    One difference per cell face, d[i] = f[i] - f[i-1] for i = 0..size, so
-    cell i's backward difference is d[i] and its forward one d[i+1].  The
-    end faces subtract explicitly, `f[0] - 0.0` and `0.0 - f[-1]` for zero
-    inflow, so signed zeros come out as from a zero-padded array.
+    One contiguous subtraction forms every backward face difference,
+    face[j] = f[j] - f[j - stride]; the first slab along the axis then takes
+    its inflow face, `f[0] - 0.0` (zero inflow) or `f[0] - f[-1]`
+    (periodic), so signed zeros come out as from a zero-padded array.  A
+    cell's forward face is the backward face one stride on, except on the
+    last slab, whose forward face is `0.0 - f[-1]` or the periodic face.
     """
-    def at(index):
-        return (slice(None),) * k + (index,)
-
-    size = values.shape[k]
-    d = np.empty(values.shape[:k] + (size + 1,) + values.shape[k + 1:])
-    np.subtract(values[at(slice(1, None))], values[at(slice(None, -1))],
-                out=d[at(slice(1, size))])
-    if axis.boundary == "periodic":
-        d[at(0)] = d[at(size)] = values[at(0)] - values[at(-1)]
+    s = stride
+    np.subtract(values[s:], values[:-s], out=face[s:])
+    f, faces, terms, nv = (a.reshape(-1, axis.size, s) for a in (values, face, term, negv))
+    periodic = axis.boundary == "periodic"
+    np.subtract(f[:, 0], f[:, -1] if periodic else 0.0, out=faces[:, 0])
+    face /= axis.dx
+    np.multiply(negv[:-s], face[s:], out=term[:-s])  # forward faces, the last slab's mended next
+    if periodic:
+        np.multiply(nv[:, -1], faces[:, 0], out=terms[:, -1])
     else:
-        d[at(0)] = values[at(0)] - 0.0
-        d[at(size)] = 0.0 - values[at(-1)]
-    d /= axis.dx
-    term = np.where(pos, d[at(slice(None, size))], d[at(slice(1, None))])
-    return np.multiply(negv, term, out=term)
+        last = terms[:, -1]
+        np.subtract(0.0, f[:, -1], out=last)
+        last /= axis.dx
+        last *= nv[:, -1]
+    np.multiply(negv, face, out=term, where=pos)  # backward faces where the wind is positive
 
 
-def _ssp_rk3_step(rhs, v: np.ndarray, h: float) -> np.ndarray:
-    """One SSP-RK3 (Shu-Osher) step."""
-    k1 = v + h * rhs(v)
-    k2 = 0.75 * v + 0.25 * (k1 + h * rhs(k1))
-    return v / 3.0 + (2.0 / 3.0) * (k2 + h * rhs(k2))
+def _ssp_rk3_step(rhs, v: np.ndarray, h: float, out: np.ndarray, r: np.ndarray,
+                  k: np.ndarray) -> None:
+    """One SSP-RK3 (Shu-Osher) step from v into `out`, allocating nothing:
+    `rhs(x, r, scratch)` writes the right-hand side at x into r, `k` holds
+    the second stage, and `out` the first until the step's result replaces
+    it.  The values are those of
+    k1 = v + h*rhs(v), k2 = 0.75*v + 0.25*(k1 + h*rhs(k1)) and
+    v/3 + (2/3)*(k2 + h*rhs(k2)), by the same operations in the same order
+    (IEEE addition and multiplication commute, so `r += k1` is k1 + h*r)."""
+    rhs(v, r, k)
+    r *= h
+    np.add(v, r, out=out)  # k1
+    rhs(out, r, k)
+    r *= h
+    r += out
+    r *= 0.25
+    np.multiply(v, 0.75, out=k)
+    k += r  # k2
+    rhs(k, r, out)
+    r *= h
+    r += k
+    r *= 2.0 / 3.0
+    np.divide(v, 3.0, out=out)
+    out += r
 
 
 def solve_density_grid(
@@ -354,7 +385,11 @@ def solve_density_grid(
     steps.  Raises ValueError where `_transport` refuses the setup, any
     segment needs more than `flow.MAX_STEPS` steps or cells x steps over
     all segments exceed `flow.MAX_WORK`, all before the first step, and
-    StabilityError if the requested dt violates the CFL bound.
+    StabilityError if the requested dt violates the CFL bound or a step
+    loses finiteness.  Past those refusals the steps run in a fixed
+    workspace of five grid arrays and a mask, besides -v, v > 0 and the
+    source; each returned grid owns its array, none is written again, and
+    none is f0's.
     """
     chart = dyn.spec.chart
     spans = [b - a for a, b in zip([0.0, *times], times)]
@@ -366,30 +401,40 @@ def solve_density_grid(
                           limit if math.isfinite(limit) else max(span, 1e-3))
               for span in spans]
     _check_work(f0.values.size, "cells", sum(counts))
-    wind = [(k, -vel[k], vel[k] > 0.0, f0.axes[k]) for k in active]
+    shape = f0.values.shape
+    wind = [(-vel[k].ravel(), vel[k].ravel() > 0.0, f0.axes[k], math.prod(shape[k + 1:]))
+            for k in active]
     del vel  # -v and v > 0 are all the steps read
     src = None
     if not rate.is_zero():
-        shape = f0.values.shape
-        src = growth_factor(chart) * rate.eval_array(_cell_centers(f0.axes)).reshape(shape)
+        src = growth_factor(chart) * rate.eval_array(_cell_centers(f0.axes))
+    # the workspace: the state, its spare, the right-hand side, the second
+    # stage and the face scratch, flat, plus the finiteness mask
+    v = f0.values.flatten()
+    spare, r, stage, face = (np.empty_like(v) for _ in range(4))
+    finite = np.empty(v.size, dtype=bool)
 
-    def rhs(values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        for k, negv, pos, axis in wind:
-            out += _upwind_term(values, negv, pos, k, axis)
+    def rhs(values: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+        total = 0.0  # 0.0 + t_1 + t_2 + ... + src*f, summed into `out`
+        for negv, pos, axis, stride in wind:
+            _upwind_term(values, negv, pos, axis, stride, face, term)
+            total = np.add(total, term, out=out)
         if src is not None:
-            out += src * values
-        return out
+            total = np.add(total, np.multiply(src, values, out=term), out=out)
+        if total is not out:  # nothing moves and nothing grows
+            out.fill(0.0)
 
-    v = f0.values.copy()
     grids = []
     for span, n_steps in zip(spans, counts):
         h = span / n_steps if n_steps else 0.0
         for _ in range(n_steps):
-            v = _ssp_rk3_step(rhs, v, h)
-            if not np.all(np.isfinite(v)):
+            _ssp_rk3_step(rhs, v, h, spare, r, stage)
+            v, spare = spare, v
+            if not np.isfinite(v, out=finite).all():
                 raise StabilityError("grid solution lost finiteness; reduce dt")
-        grids.append(GridDensity(chart, f0.axes, v))
+        grids.append(GridDensity(chart, f0.axes, v.reshape(shape)))
+        if len(grids) < len(spans):
+            v = v.copy()  # the snapshot owns its array; the steps go on in a copy
     return grids
 
 

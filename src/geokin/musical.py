@@ -67,7 +67,7 @@ def sharp(alpha: OneFormExpr, variant: SharpVariant = SharpVariant.FULL) -> Vect
         comps[chart.z_slot] = Poly.sum_of_products(chart.dim, pdotalpha)
     if chart.has_time and full:
         comps[chart.t_slot] = alpha.components[chart.t_slot]
-    return VectorFieldExpr(chart, tuple(comps))
+    return VectorFieldExpr._of(chart, tuple(comps))
 
 
 def flat(X: VectorFieldExpr) -> OneFormExpr:

@@ -529,7 +529,12 @@ def test_a_grid_run_past_the_work_budget_is_refused_before_stepping(tmp_path, ca
     path = write_config(tmp_path, cfg)
     assert cli.main(["validate", path]) == 0
     capsys.readouterr()
-    assert cli.main(["run", path]) == 1
+    rc, peak = traced_peak(lambda: cli.main(["run", path]))
+    assert rc == 1
+    # the initial density, the cell centers and the velocities peak at 6.02
+    # grids of 1000^2 float64 values; the grid step's workspace, five more,
+    # must come only after the refusal
+    assert peak < 6.5 * 8 * 1000 ** 2
     assert capsys.readouterr().err == (
         "error: 1000000 cells x 2000000 steps exceed the work budget of 1000000000\n")
     assert not (tmp_path / "g.grid").exists()

@@ -9,10 +9,12 @@ import random
 
 import pytest
 
+from geokin import chart as chart_module
 from geokin.brackets import BracketKind, bracket, canonical_bracket_kind
 from geokin.chart import (
     Chart,
     ChartKind,
+    OneFormExpr,
     TwoFormExpr,
     VectorFieldExpr,
     canonical_eta,
@@ -24,7 +26,8 @@ from geokin.chart import (
     reeb_tau,
     two_form_omega,
 )
-from geokin.corpus import random_hamiltonian
+from geokin.corpus import random_hamiltonian, random_one_form
+from geokin.density import MomentumOneForm, momentum_vlasov_rhs
 from geokin.fields import (
     Family,
     FieldSpec,
@@ -40,7 +43,7 @@ from geokin.fields import (
     make_field,
     wedge,
 )
-from geokin.musical import sharp
+from geokin.musical import SharpVariant, flat, sharp
 from geokin.poly import Poly
 
 ALL_CHARTS = [Chart(kind, n) for kind in ChartKind for n in (1, 2)]
@@ -380,3 +383,55 @@ def test_two_form_validation():
     with pytest.raises(ValueError, match="expected 1 components, got 0"):
         TwoFormExpr(s, ())
     assert TwoFormExpr(s, (s.zero(),)).is_zero()
+
+
+@pytest.mark.parametrize("cls", [OneFormExpr, VectorFieldExpr, TwoFormExpr, MomentumOneForm])
+def test_the_public_constructors_refuse_a_wrong_count_or_dimension(cls):
+    chart = Chart(ChartKind.CONTACT, 1)  # dim 3, and three two-form components
+    right = (chart.zero(),) * cls.size(chart)
+    with pytest.raises(ValueError, match="expected 3 components, got 4"):
+        cls(chart, (*right, chart.zero()))
+    with pytest.raises(ValueError, match="expected 3 components, got 2"):
+        cls(chart, right[1:])
+    with pytest.raises(ValueError, match="component dimension 2 does not match chart dim 3"):
+        cls(chart, (*right[1:], Poly.zero(2)))
+    assert cls(chart, right).is_zero()
+
+
+def test_the_algebra_does_not_recheck_the_tensors_it_builds(monkeypatch):
+    """Sums, negatives, multiples, basis elements and the Cartan and
+    musical layers build from checked tensors, so they skip the component
+    check; each result still has the right count, dimension and type."""
+    calls = []
+    check = chart_module._check_components
+    monkeypatch.setattr(chart_module, "_check_components", lambda *a: calls.append(a) or check(*a))
+    for chart in ALL_CHARTS:
+        rng = random.Random(f"unchecked/{chart.kind.value}/{chart.n}")
+        H = random_hamiltonian(rng, chart)
+        alpha, beta = random_one_form(rng, chart), random_one_form(rng, chart)
+        Pi = MomentumOneForm(chart, alpha.components)
+        calls.clear()
+        X = make_field(FieldSpec(chart, Family.HAMILTONIAN,
+                                 Gauge.ZERO if chart.has_time else None), H)
+        B = exterior_derivative_oneform(alpha)
+        results = [
+            (X, VectorFieldExpr), (B, TwoFormExpr), (differential(H, chart), OneFormExpr),
+            (alpha + beta, OneFormExpr), (alpha - Pi, OneFormExpr), (-B, TwoFormExpr),
+            (B + wedge(alpha, beta), TwoFormExpr), (X.scaled(H), VectorFieldExpr),
+            (Pi.scaled(3), OneFormExpr), (OneFormExpr.basis(chart, 0), OneFormExpr),
+            (TwoFormExpr.basis(chart, 0), TwoFormExpr),
+            (VectorFieldExpr.basis(chart, chart.dim - 1), VectorFieldExpr),
+            (contract_twoform(X, B), OneFormExpr), (flat(X), OneFormExpr),
+            (sharp(alpha), VectorFieldExpr), (sharp(alpha, SharpVariant.BIVECTOR), VectorFieldExpr),
+            (lie_derivative_oneform(X, alpha), OneFormExpr),
+            (lie_derivative_twoform(X, B), TwoFormExpr),
+            (jacobi_lie_bracket(X, sharp(beta)), VectorFieldExpr),
+            (momentum_vlasov_rhs(H, Pi), OneFormExpr),
+        ]
+        assert calls == []
+        with pytest.raises(ValueError, match="cannot add two-forms to one-forms"):
+            alpha + B
+        for result, cls in results:
+            assert type(result) is cls
+            assert check(chart, result.components, cls.size(chart)) == result.components
+            assert type(result.components) is tuple
