@@ -45,6 +45,7 @@ from .kinetics import (
     GridDensity,
     StabilityError,
     _seed_lattice,
+    _step_counts,
     solve_density_grid,
     solve_density_particle,
     write_grid,
@@ -226,7 +227,7 @@ def load_scenario(path: str, task_override: str | None = None) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("$", f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     return Scenario(raw, task_override)
 
@@ -316,8 +317,11 @@ def _run_momentum(s: Scenario) -> int:
 
 
 def _run_kinetic_grid(s: Scenario) -> int:
-    f0 = GridDensity.sample(s.chart, s.axes, s.density)
     snapshots = s.snapshots or [float(s.t_final)]
+    if s.dt is not None:  # a run past the budgets is refused before f0 is sampled
+        _step_counts([b - a for a, b in zip([0.0, *snapshots], snapshots)], s.dt,
+                     math.prod(a.size for a in s.axes), "cells")
+    f0 = GridDensity.sample(s.chart, s.axes, s.density)
     grids = solve_density_grid(s.dynamics, f0, snapshots, dt=s.dt, cfl=float(s.cfl))
     for target, path, grid in zip(snapshots, s.output["grid"], grids):
         write_grid(grid, _prepare(path))

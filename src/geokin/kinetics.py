@@ -10,9 +10,9 @@ of the grid axes, refuses a velocity that is not finite there, a
 collapsed axis with transport across it and an active axis under 32
 cells, and returns the weight rate and the CFL limit.  Both refuse a run
 past `flow.MAX_STEPS` steps, or past `flow.MAX_WORK` cells (or
-particles) x steps, before the first step, and both refuse a state that
-loses finiteness with a `StabilityError`.  Past that setup they share no
-numerics.
+particles) x steps, before the first step; with a given dt, before the
+setup builds any point grid.  Both refuse a state that loses finiteness
+with a `StabilityError`.  Past that setup they share no numerics.
 
 The particle solver takes the initial density in closed form (a `Poly`
 or a callable) plus the grid axes.  It pushes a jittered-lattice
@@ -266,18 +266,24 @@ def _step_count(t_final: float, dt: float) -> int:
     return max(1, math.ceil(steps)) if t_final > 0 else 0
 
 
-def _check_work(size: int, what: str, steps: int) -> None:
-    """Refuse a run of `steps` steps over `size` cells or particles past
-    the work budget, before any work."""
+def _step_counts(spans: Sequence[float], dt: float, size: int, what: str) -> list[int]:
+    """The steps of each span at `dt`, by `_step_count`; a run of them over
+    `size` cells or particles is refused past the work budget, before any
+    work."""
+    counts = [_step_count(span, dt) for span in spans]
+    steps = sum(counts)
     if size * steps > MAX_WORK:
         raise ValueError(f"{size} {what} x {steps} steps exceed the work budget of {MAX_WORK}")
+    return counts
 
 
 def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float],
-               dt: float | None, cfl: float):
+               dt: float | None, cfl: float, size: int, what: str):
     """The setup both solvers share, checked in this order: the chart, the
     row (Hamiltonian/gauge-zero only), the times (each span of time to
-    run), then each axis against the field's velocity at the cell centers.
+    run), with a given `dt` the step and work budgets of a run over `size`
+    cells or particles (`_step_counts`), then each axis against the
+    field's velocity at the cell centers.
 
     Returns (rate, vel, active, limit): the weight rate, each component's
     velocity grid, the active axes, and the CFL limit
@@ -291,6 +297,8 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
                          f"gauge zero only, not {dyn.spec.row_name}")
     if not all(span >= 0 for span in spans) or dt is not None and not dt > 0:
         raise ValueError("need dt > 0 and t_final >= 0, with times in order")
+    if dt is not None:  # refused before any point grid is built
+        _step_counts(spans, dt, size, what)
     shape = tuple(a.size for a in axes)
     pts = _cell_centers(axes)
     vel, active, rate = [], [], 0.0
@@ -393,14 +401,11 @@ def solve_density_grid(
     """
     chart = dyn.spec.chart
     spans = [b - a for a, b in zip([0.0, *times], times)]
-    rate, vel, active, limit = _transport(dyn, f0.axes, spans, dt, cfl)
+    rate, vel, active, limit = _transport(dyn, f0.axes, spans, dt, cfl, f0.values.size, "cells")
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
-    # dt defaults to the CFL limit, or with nothing moving to the span itself
-    counts = [_step_count(span, dt if dt is not None else
-                          limit if math.isfinite(limit) else max(span, 1e-3))
-              for span in spans]
-    _check_work(f0.values.size, "cells", sum(counts))
+    # dt defaults to the CFL limit; with nothing moving it is inf, one step a span
+    counts = _step_counts(spans, dt if dt is not None else limit, f0.values.size, "cells")
     shape = f0.values.shape
     wind = [(-vel[k].ravel(), vel[k].ravel() > 0.0, f0.axes[k], math.prod(shape[k + 1:]))
             for k in active]
@@ -587,12 +592,12 @@ def solve_density_particle(
     chart = dyn.spec.chart
     axes = tuple(axes)
     # particles tolerate larger steps than the grid; guard at 4x CFL
-    rate, _, _, guard = _transport(dyn, axes, (t_final,), dt, 4.0)
+    seeded_count = math.prod(a.size for a in _seed_lattice(axes, particle_count))
+    rate, _, _, guard = _transport(dyn, axes, (t_final,), dt, 4.0, seeded_count,
+                                   "seeded particles")
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
     n_steps = _step_count(t_final, dt)
-    seeded_count = math.prod(a.size for a in _seed_lattice(axes, particle_count))
-    _check_work(seeded_count, "seeded particles", n_steps)
     h = t_final / n_steps if n_steps else 0.0
     seeded = seed_particles(chart, f0, particle_count, seed=seed, axes=axes)
     if not np.isfinite(seeded.weights).all():

@@ -69,7 +69,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -130,8 +130,8 @@ def _check_product(dim: int, na: dict[int, int], nb: dict[int, int], pairs: int 
 class ParseError(ValueError):
     """Syntax or name error while parsing an expression.
 
-    `offset` is the byte offset into the input at which the problem was
-    detected.
+    `offset` is the character offset into the input at which the problem
+    was detected.
     """
 
     def __init__(self, message: str, offset: int) -> None:
@@ -598,58 +598,45 @@ def _checked_entry(dim: int):
 # -- parsing -----------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
+MAX_NESTING = 100  # parentheses a parsed expression may nest
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _scan(text: str) -> Iterator[tuple[str, str, int]]:
+    """The tokens of `text` as (kind, value, offset), in one pass.
 
-    def _skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> tuple[str, str, int]:
-        """Return (kind, value, offset) without consuming.
-
-        kind is one of 'num', 'name', 'op', 'end'.
-        """
-        self._skip_space()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        start = self.pos
-        ch = self.text[start]
+    kind is the character itself for an operator, else 'num', 'name' or
+    'end', which comes last.  A character that starts no token comes last
+    instead, as kind 'bad': the parser can never pass it, and raises its
+    error only on reaching it, after any error before it.
+    """
+    n, i = len(text), 0
+    while True:
+        while i < n and text[i].isspace():
+            i += 1
+        if i >= n:
+            yield ("end", "", i)
+            return
+        ch = text[i]
+        j = i + 1
         if ch in _TOKEN_OPS:
-            return ("op", ch, start)
+            yield (ch, ch, i)
+            i = j
+            continue
         if ch.isdigit() or ch == ".":
-            j = start
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or self.text[j] == "."):
-                if self.text[j] == ".":
-                    if seen_dot:
-                        break
-                    seen_dot = True
+            seen_dot = ch == "."
+            while j < n and (text[j].isdigit() or text[j] == "." and not seen_dot):
+                seen_dot = seen_dot or text[j] == "."
                 j += 1
-            return ("num", self.text[start:j], start)
-        if ch.isalpha() or ch == "_":
-            j = start
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
+            kind = "num"
+        elif ch.isalpha() or ch == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            return ("name", self.text[start:j], start)
-        raise ParseError(f"unexpected character {ch!r}", start)
-
-    def take(self) -> tuple[str, str, int]:
-        kind, value, offset = self.peek()
-        if kind != "end":
-            self.pos = offset + len(value)
-        return (kind, value, offset)
-
-
-def _number_to_fraction(text: str, offset: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad numeric literal {text!r}", offset) from None
+            kind = "name"
+        else:
+            yield ("bad", ch, i)
+            return
+        yield (kind, text[i:j], i)
+        i = j
 
 
 class _Parser:
@@ -659,95 +646,164 @@ class _Parser:
 
     Division is only defined when the divisor reduces to a numeric
     constant; decimal literals convert exactly to rationals.
+
+    A term is carried as one monomial (num, den, key), the coefficient
+    num/den unreduced, for as long as its factors are numbers,
+    coordinates and their powers; a parenthesised factor, or a product
+    or power past the degree cap, falls back to `Poly` arithmetic, which
+    raises the cap's error.  Each finished term is one `Poly`, and an
+    expr is one `Poly.sum_of_products` of its signed terms, taken as a
+    partial sum every 256 terms.  Every step is the one the `Poly` fold
+    would take, in the same order, so the result and the first error are
+    that fold's.  The parser holds one token of lookahead, not a token
+    list, so a long text costs no memory beyond its result and nesting.
     """
 
     def __init__(self, text: str, names: Sequence[str]):
-        self.toks = _Tokenizer(text)
+        self.next_token = _scan(text).__next__
+        self.tok = self.next_token()
         self.names = list(names)
-        self.index = {n: i for i, n in enumerate(self.names)}
         self.dim = len(self.names)
+        self.units = {n: _unit(self.dim, i) for i, n in enumerate(self.names)}
+        self.shift = _SLOT * self.dim
+        self.depth = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        tok = self.tok
+        if tok[0] == "bad":
+            raise ParseError(f"unexpected character {tok[1]!r}", tok[2])
+        return tok
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != "end":
+            self.tok = self.next_token()
+        return tok
+
+    def poly(self, value) -> Poly:
+        """The `Poly` of a monomial; a `Poly` as it is."""
+        if type(value) is not tuple:
+            return value
+        num, den, key = value
+        if not num:
+            return Poly._wrap(self.dim, {}, 1)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return Poly._wrap(self.dim, {key: num // g}, den // g)
+
+    @staticmethod
+    def constant(value):
+        """A constant `Poly` as a monomial; anything else as it is."""
+        if type(value) is not tuple and value.is_constant():
+            c = value.constant_value()
+            return (c.numerator, c.denominator, 0)
+        return value
 
     def parse(self) -> Poly:
         value = self.expr()
-        kind, tok, offset = self.toks.peek()
+        kind, tok, offset = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {tok!r}", offset)
         return value
 
     def expr(self) -> Poly:
-        value = self.term()
-        while True:
-            kind, tok, _ = self.toks.peek()
-            if kind == "op" and tok in "+-":
-                self.toks.take()
-                rhs = self.term()
-                value = value + rhs if tok == "+" else value - rhs
-            else:
-                return value
+        terms = [(1, self.term(), None)]
+        while (kind := self.peek()[0]) == "+" or kind == "-":
+            self.tok = self.next_token()
+            terms.append((1 if kind == "+" else -1, self.term(), None))
+            if len(terms) == 256:
+                terms = [(1, Poly.sum_of_products(self.dim, terms), None)]
+        return terms[0][1] if len(terms) == 1 else Poly.sum_of_products(self.dim, terms)
 
     def term(self) -> Poly:
         value = self.factor()
         while True:
-            kind, tok, offset = self.toks.peek()
-            if kind == "op" and tok == "*":
-                self.toks.take()
-                value = value * self.factor()
-            elif kind == "op" and tok == "/":
-                self.toks.take()
-                _, _, div_offset = self.toks.peek()
-                divisor = self.factor()
-                if not divisor.is_constant():
+            kind = self.peek()[0]
+            if kind == "*":
+                self.tok = self.next_token()
+                rhs = self.factor()
+                if type(value) is tuple and type(rhs) is tuple:
+                    if not (value[0] and rhs[0]):  # zero, with no degree check
+                        value = (0, 1, 0)
+                        continue
+                    if (value[2] + rhs[2]) >> self.shift <= MAX_TOTAL_DEGREE:
+                        value = (value[0] * rhs[0], value[1] * rhs[1], value[2] + rhs[2])
+                        continue
+                value = self.poly(value) * self.poly(rhs)
+            elif kind == "/":
+                self.tok = self.next_token()
+                div_offset = self.peek()[2]
+                divisor = self.constant(self.factor())
+                if type(divisor) is not tuple or divisor[2]:
                     raise ParseError("division is only defined by numeric literals", div_offset)
-                c = divisor.constant_value()
-                if c == 0:
+                num, den, _ = divisor
+                if not num:
                     raise ParseError("division by zero", div_offset)
-                value = value / c
+                if type(value) is tuple:
+                    value = (value[0] * den, value[1] * num, value[2])
+                else:
+                    value = value / Fraction(num, den)
             else:
-                return value
+                return self.poly(value)
 
-    def factor(self) -> Poly:
+    def factor(self):
+        """A monomial (num, den, key), or a `Poly` for a parenthesised atom."""
         sign = 1
-        while True:
-            kind, tok, _ = self.toks.peek()
-            if kind == "op" and tok in "+-":
-                self.toks.take()
-                if tok == "-":
-                    sign = -sign
-            else:
-                break
+        while (kind := self.peek()[0]) == "+" or kind == "-":
+            self.tok = self.next_token()
+            if kind == "-":
+                sign = -sign
         value = self.atom()
-        kind, tok, _ = self.toks.peek()
-        if kind == "op" and tok == "^":
-            self.toks.take()
-            ekind, etok, eoffset = self.toks.take()
+        if self.peek()[0] == "^":
+            self.tok = self.next_token()
+            ekind, etok, eoffset = self.take()
             if ekind != "num" or "." in etok:
                 raise ParseError("exponent must be a nonnegative integer", eoffset)
-            exponent = int(etok)
-            if value.is_constant():
-                # Refuse before computing: the exact power of a constant
-                # grows without bound in memory, long before any float use.
-                c = value.constant_value()
-                bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1
-                if bits * exponent >= sys.float_info.max_exp:
-                    raise ParseError("constant power lies outside float range", eoffset)
-            value = value ** exponent
-        return value if sign == 1 else -value
+            value = self.power(value, int(etok), eoffset)
+        if sign == 1:
+            return value
+        return (-value[0], value[1], value[2]) if type(value) is tuple else -value
 
-    def atom(self) -> Poly:
-        kind, tok, offset = self.toks.take()
+    def power(self, value, exponent: int, offset: int):
+        value = self.constant(value)
+        if type(value) is not tuple:
+            return value ** exponent
+        num, den, key = value  # a literal, a coordinate or a constant: in lowest terms
+        if not key:
+            # Refuse before computing: the exact power of a constant
+            # grows without bound in memory, long before any float use.
+            bits = max(abs(num).bit_length(), den.bit_length()) - 1
+            if bits * exponent >= sys.float_info.max_exp:
+                raise ParseError("constant power lies outside float range", offset)
+        elif (key >> self.shift) * exponent > MAX_TOTAL_DEGREE:
+            return self.poly(value) ** exponent
+        return (num ** exponent, den ** exponent, key * exponent)
+
+    def atom(self):
+        kind, tok, offset = self.take()
         if kind == "num":
-            return Poly.const(self.dim, _number_to_fraction(tok, offset))
+            try:
+                if tok.isdecimal():
+                    return (int(tok), 1, 0)
+                c = Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad numeric literal {tok!r}", offset) from None
+            return (c.numerator, c.denominator, 0)
         if kind == "name":
-            if tok not in self.index:
+            key = self.units.get(tok)
+            if key is None:
                 known = ", ".join(self.names) if self.names else "none"
                 raise ParseError(
                     f"unknown variable {tok!r}; chart coordinates are: {known}", offset
                 )
-            return Poly.variable(self.dim, self.index[tok])
-        if kind == "op" and tok == "(":
+            return (1, 1, key)
+        if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", offset)
+            self.depth += 1
             value = self.expr()
-            ckind, ctok, coffset = self.toks.take()
-            if not (ckind == "op" and ctok == ")"):
+            self.depth -= 1
+            ckind, _, coffset = self.take()
+            if ckind != ")":
                 raise ParseError("expected ')'", coffset)
             return value
         if kind == "end":
@@ -758,10 +814,14 @@ class _Parser:
 def parse(text: str, names: Sequence[str]) -> Poly:
     """Parse an expression over the given coordinate names into a Poly.
 
-    Supports + - * / ^ and parentheses; ^ takes nonnegative integer
-    exponents, / only numeric divisors.  Decimal literals are converted
-    exactly (0.5 becomes 1/2).  Raises ParseError with a byte offset on
-    any syntax or name problem, and on a power of a constant whose
-    numerator or denominator would lie outside float range.
+    Supports + - * / ^ and parentheses, nested at most `MAX_NESTING`
+    (100) deep; ^ takes nonnegative integer exponents, / only numeric
+    divisors.  Decimal literals are converted exactly (0.5 becomes 1/2).
+    One pass scans the text into tokens, each read once; each term is
+    built as one monomial while its factors allow, and each sum in one
+    `Poly.sum_of_products`.  Raises ParseError with a character offset on
+    any syntax or name problem, on parentheses nested too deep, and on a
+    power of a constant whose numerator or denominator would lie outside
+    float range.
     """
     return _Parser(text, names).parse()

@@ -213,6 +213,42 @@ def test_exact_products_past_the_pair_budget_are_config_errors(tmp_path, capsys,
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("path", ["$.hamiltonian", "$.initial.density",
+                                  "$.initial.one_form[1]"])
+def test_deeply_nested_parentheses_are_config_errors(tmp_path, capsys, path):
+    deep = "(" * 10 ** 5 + "q1" + ")" * 10 ** 5
+    if path == "$.hamiltonian":
+        cfg = simulate_config(tmp_path, hamiltonian=deep)
+    elif path == "$.initial.density":
+        cfg = _contact_grid_config(tmp_path)
+        cfg["initial"]["density"] = deep
+    else:
+        cfg = {"chart": {"kind": "contact", "n": 1}, "task": "momentum-check",
+               "hamiltonian": "p1^2/2 + z", "initial": {"one_form": ["p1*z", deep, "q1*p1"]},
+               "output": {"report": str(tmp_path / "mom.txt")}}
+    config = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        start = time.perf_counter()
+        assert cli.main([command, config]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"config error at {path}: parentheses nested deeper than 100 levels (at offset 100) "
+            "on the contact chart\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "scenario.json"]
+
+
+def test_deeply_nested_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"chart": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}")
+    for command in ("validate", "run"):
+        start = time.perf_counter()
+        assert cli.main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error at $: invalid JSON: maximum recursion depth")
+        assert err.count("\n") == 1
+
+
 def test_chart_n_at_the_bound_is_valid(tmp_path, capsys):
     cfg = {"chart": {"kind": "cocontact", "n": 16}, "task": "identity-check",
            "output": {"report": str(tmp_path / "report.json")}}
@@ -531,10 +567,9 @@ def test_a_grid_run_past_the_work_budget_is_refused_before_stepping(tmp_path, ca
     capsys.readouterr()
     rc, peak = traced_peak(lambda: cli.main(["run", path]))
     assert rc == 1
-    # the initial density, the cell centers and the velocities peak at 6.02
-    # grids of 1000^2 float64 values; the grid step's workspace, five more,
-    # must come only after the refusal
-    assert peak < 6.5 * 8 * 1000 ** 2
+    # refused before the initial density, the cell centers, the velocities
+    # and the grid step's workspace: not one grid of 1000^2 float64 values
+    assert peak < 8 * 1000 ** 2
     assert capsys.readouterr().err == (
         "error: 1000000 cells x 2000000 steps exceed the work budget of 1000000000\n")
     assert not (tmp_path / "g.grid").exists()

@@ -22,6 +22,7 @@ from geokin.chart import (
 from geokin.fields import Family, FieldSpec, Gauge, make_field
 from geokin.musical import flat, sharp
 from geokin.poly import (
+    MAX_NESTING,
     MAX_TOTAL_DEGREE,
     DegreeOverflowError,
     ParseError,
@@ -30,6 +31,7 @@ from geokin.poly import (
     parse,
 )
 from geokin.corpus import random_poly
+from helpers import oracle_parse, traced_peak
 
 NAMES2 = ("x", "y")
 
@@ -541,6 +543,153 @@ def test_parse_gates_variables_by_name_set():
 def test_decimal_literals_are_exact():
     assert P("0.125*x") == Poly(2, {(1, 0): Fraction(1, 8)})
     assert P("2.50") == Poly.const(2, Fraction(5, 2))
+
+
+def parse_outcome(parser, text, names):
+    """The Poly `parser` returns, or its exception's type, message and offset."""
+    try:
+        return parser(text, names)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+ORACLE_NAMES = ("t", "q1", "p1", "z")
+GAPS = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def poly_texts(draw):
+    """(names, poly, text): `random_poly(...).to_text` written out again at
+    random, with the same value: random spacing, parentheses around
+    factors, terms and runs of terms, powers split into repeated factors,
+    the denominator divided in at any point of its term, redundant unary
+    signs and decimal literals."""
+    dim = draw(st.integers(1, 4))
+    names = ORACLE_NAMES[:dim]
+    poly = random_poly(random.Random(draw(st.integers(0, 2 ** 32))), dim,
+                       degree=draw(st.integers(0, 6)), terms=draw(st.integers(1, 6)),
+                       allow_zero=True)
+
+    def numeral(n):
+        return draw(st.sampled_from([str(n), f"{n}.0", f"0{n}", f"({n})"]))
+
+    def body(exps, mag):
+        factors = []
+        for name, e in zip(names, exps):
+            if e:
+                split = draw(st.integers(0, e - 1))  # x^e as x^(e - split) * x^split
+                factors += [f"{name}^{e - split}", f"({name})^{split}"] if split else \
+                    [draw(st.sampled_from([name, f"({name})"]) if e == 1 else
+                          st.sampled_from([f"{name}^{e}", f"({name})^{e}", f"({name}^{e})"]))]
+        num, den = mag.numerator, mag.denominator
+        if 10 ** 6 % den == 0 and draw(st.booleans()):  # an exact decimal literal
+            digits = f"{num * 10 ** 6 // den:07d}"
+            factors.append(f"{digits[:-6].lstrip('0')}.{digits[-6:]}")
+        else:
+            if num != 1 or not factors or draw(st.booleans()):
+                factors.append(numeral(num))
+            if den != 1:
+                at = draw(st.integers(1, len(factors)))
+                factors[at - 1] += f"/{numeral(den)}"
+        order = draw(st.permutations(factors))
+        text = "*".join(order)
+        return f"({text})" if draw(st.booleans()) else text
+
+    terms = [("-" if c < 0 else "+", body(e, abs(c))) for e, c in poly.sorted_terms()] or \
+        [("+", "0")]
+    pieces, k = [], 0
+    while k < len(terms):
+        run = draw(st.integers(1, len(terms) - k))
+        group = [draw(st.sampled_from(["", "+", "--"])) + (s if i else s.replace("+", ""))
+                 + " " + t for i, (s, t) in enumerate(terms[k:k + run])]
+        inner = " ".join(group)
+        pieces.append(("+ " if k else "") + (f"({inner})" if run > 1 else inner))
+        k += run
+    text = "".join(draw(GAPS) if ch == " " else ch + draw(GAPS) if ch in "*/^()" else ch
+                   for ch in " ".join(pieces))
+    return names, poly, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sample=poly_texts(), cut=st.integers(0, 10 ** 6), junk=st.sampled_from(
+    [None, "", "(", ")", "$", "^", "^2", "/", "/0", "*", ".", "1.2.3", "x", "\u00b2", "q1^30"]))
+def test_parse_matches_the_oracle_on_written_and_broken_texts(sample, cut, junk):
+    names, poly, text = sample
+    got = parse_outcome(parse, text, names)
+    assert got == poly
+    assert got == parse_outcome(oracle_parse, text, names)
+    if junk is not None:  # splice junk in (or cut the text, for "") at any offset
+        at = cut % (len(text) + 1)
+        broken = text[:at] + junk + (text[at:] if junk else "")
+        assert parse_outcome(parse, broken, names) == parse_outcome(oracle_parse, broken, names)
+
+
+PARSE_EDGE_CASES = [
+    "x + )", "x + ) $", "(q1", "", "q1^30", "q1^20*q1^20", "0*q1^20*q1^20", "q1^20*q1^20*0",
+    "(q1+p1)^25", "(2*q1)^13", "2^5000", "(1/2)^1100", "1^10000000000", "0^0", "q1/(p1-p1)",
+    "1.2.3", "\u00b2 + q1", "\u0663*q1", "7" * 5000, "7" * 5000 + ".5", "q1^" + "1" * 5000,
+    "q1^\u00b2", "q1^1.0", "q1^-1", "q1^", "q1 q1", "q1/p1", "q1/0", "q1/(0*p1)", "q1/(2*p1^0)",
+    "q1/(1/2)/(-3)", "-(-q1)^2", "- -+-q1^2/-2", "(q1^12)^2", "(q1^12)^3", "q1^12^2",
+    "q1^24*0", "0*q1^25", "q1^25*0", "(0*q1)^30", "0^10000000000", "(-1)^10000000000",
+    "(-1/2)^7", "2.5^3", ".5", ".", "5.", "1_000", "q1 + w2", "q1 + _", "q1 $ p1",
+    "((((q1))))^2", "(" * 60 + "q1+p1" + ")" * 60, "q1*(p1+1)*(p1-1)/4 - q1*p1^2/4",
+    "\u00a0q1\u2003+\u3000p1", "q1\u0301", "x", "q1 +", "* q1", "q1 ** 2", "()", "(q1))",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_EDGE_CASES)
+def test_parse_matches_the_oracle_on_edge_cases(text):
+    names = ("q1", "p1")
+    assert parse_outcome(parse, text, names) == parse_outcome(oracle_parse, text, names)
+
+
+def test_parentheses_nest_at_most_max_nesting_deep():
+    def nested(depth):
+        return "(" * depth + "x + 1" + ")" * depth + "^2"
+
+    assert P(nested(MAX_NESTING)) == P("x^2 + 2*x + 1")
+    for depth in (MAX_NESTING + 1, 10 ** 5):
+        with pytest.raises(ParseError, match=f"^parentheses nested deeper than {MAX_NESTING} "
+                                             f"levels .at offset {MAX_NESTING}.$"):
+            P(nested(depth))
+    # siblings do not add up
+    assert P("*".join([nested(MAX_NESTING)] * 3)) == P("(x + 1)^6")
+
+
+def test_a_long_sum_parses_in_memory_bounded_by_its_result():
+    text = " + ".join(["x*y/2"] * 10000)
+    result, peak = traced_peak(lambda: P(text))
+    assert result == P("5000*x*y")
+    assert peak < 1 << 20  # a list of its 60 000 tokens, or a Poly per term, holds megabytes
+
+
+def test_parse_builds_one_poly_per_term(monkeypatch):
+    # the 14-term cocontact n=2 Hamiltonian a `validate` of the benchmark's
+    # short workload parses; one Poly per factor would make over a hundred
+    text = ("1012/1000/2*q1^2 + 1012/1000/2*p1^2 + 277/1000*q1^4 + 102/1000*p1^4 + "
+            "865/1000/2*q2^2 + 865/1000/2*p2^2 + 153/1000*q2^4 + 281/1000*p2^4 + "
+            "53/1000*q1*p1 - 27/1000*q1*q2 + 85/1000*p1*p2 + 33/1000*q1^2*p2 + "
+            "100/1000*q2*p1^2 - 84/1000*t*q1")
+    names = Chart(ChartKind.COCONTACT, 2).coord_names
+    made = []
+    init, wrap = Poly.__init__, Poly._wrap.__func__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    def counted_wrap(cls, *args):
+        made.append(None)
+        return wrap(cls, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(Poly, "_wrap", classmethod(counted_wrap))
+    h = parse(text, names)
+    assert len(h.terms) == 14
+    assert len(made) <= 14 + 2
+    made.clear()
+    assert oracle_parse(text, names) == h
+    assert len(made) > 100
 
 
 def fold_of_products(dim, terms):
