@@ -19,8 +19,11 @@ One-forms, vector fields and two-forms share one container: a tuple of
 exact polynomials over the chart's coordinates.  One-forms and vector
 fields hold one component per coordinate, in chart order.  A two-form
 holds its strict upper triangle B_jk, j < k, in row order, so it is
-antisymmetric by construction; `TwoFormExpr.entry` reads any B_jk with
-its sign.  `pairing` and `contract_twoform` are the two contractions.
+antisymmetric by construction.  Its nonzero index, `TwoFormExpr.columns`,
+lists (i, sign, component) for each B_ik that does not vanish, column by
+column, so the contractions and Lie derivatives walk only nonzero
+entries: Omega has n of them out of d(d-1)/2.  `pairing` and
+`contract_twoform` are the two contractions.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from itertools import combinations
 from typing import Sequence
 
 from .poly import Poly, Rational, parse
@@ -175,7 +179,7 @@ class _Components:
     @classmethod
     def basis(cls, chart: Chart, slot: int):
         """The element with component 1 at `slot` and 0 elsewhere."""
-        comps = [chart.zero() for _ in range(cls.size(chart))]
+        comps = [chart.zero()] * cls.size(chart)
         comps[slot] = chart.const(1)
         return cls._of(chart, tuple(comps))
 
@@ -215,7 +219,10 @@ class VectorFieldExpr(_Components, noun="vector fields"):
 
     def derivative_terms(self, f: Poly, sign: int = 1) -> list[tuple[int, Poly, Poly]]:
         """sign * X(f) as `Poly.sum_of_products` terms (sign, X^k, df/dx^k),
-        one per nonzero component, for sums that hold X(f) among others."""
+        one per nonzero component, for sums that hold X(f) among others;
+        none for a zero f."""
+        if not f:
+            return []
         return [(sign, comp, f.partial(k)) for k, comp in enumerate(self.components) if comp]
 
 
@@ -233,14 +240,18 @@ class TwoFormExpr(_Components, noun="two-forms"):
         """The component index of B_jk, 0 <= j < k < dim."""
         return j * (2 * dim - j - 1) // 2 + k - j - 1
 
-    def entry(self, j: int, k: int) -> tuple[int, Poly] | None:
-        """B_jk as (sign, stored component), None where it vanishes: the
-        sign is -1 below the diagonal, so no negated copy is built."""
-        if j == k:
-            return None
-        sign = 1 if j < k else -1
-        comp = self.components[self.slot(self.chart.dim, min(j, k), max(j, k))]
-        return (sign, comp) if comp else None
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int, Poly], ...], ...]:
+        """The nonzero index, built on first use and kept: for each column
+        k, (i, sign, stored component) for every B_ik != 0 in ascending i.
+        The sign is -1 below the diagonal, so no negated copy is built."""
+        cols: list[list[tuple[int, int, Poly]]] = [[] for _ in range(self.chart.dim)]
+        # row order fills every column in ascending i: rows above k first
+        for (j, k), comp in zip(combinations(range(self.chart.dim), 2), self.components):
+            if comp:
+                cols[k].append((j, 1, comp))
+                cols[j].append((k, -1, comp))
+        return tuple(map(tuple, cols))
 
 
 def pairing(alpha: OneFormExpr, X: VectorFieldExpr) -> Poly:
@@ -255,11 +266,10 @@ def contract_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> OneFormExpr:
     """(i_X B)_k = X^j B_{jk}."""
     if X.chart != B.chart:
         raise ValueError("contraction requires a common chart")
-    d = X.chart.dim
+    Xc = X.components
     return OneFormExpr._of(X.chart, tuple(
-        Poly.sum_of_products(d, [(e[0], Xj, e[1]) for j, Xj in enumerate(X.components)
-                                 if (e := B.entry(j, k))])
-        for k in range(d)))
+        Poly.sum_of_products(X.chart.dim, [(sign, Xc[j], comp) for j, sign, comp in col if Xc[j]])
+        for col in B.columns))
 
 
 def differential(H: Poly, chart: Chart) -> OneFormExpr:
@@ -278,7 +288,7 @@ def canonical_tau(chart: Chart) -> OneFormExpr:
 @cache
 def canonical_eta(chart: Chart) -> OneFormExpr:
     """The contact form eta = dz - p_i dq^i (contact and cocontact charts)."""
-    comps = [chart.zero() for _ in range(chart.dim)]
+    comps = [chart.zero()] * chart.dim
     comps[chart.z_slot] = chart.const(1)
     for i in range(1, chart.n + 1):
         comps[chart.q_slot(i)] = -chart.coordinate(chart.p_slot(i))
@@ -288,7 +298,7 @@ def canonical_eta(chart: Chart) -> OneFormExpr:
 @cache
 def two_form_omega(chart: Chart) -> TwoFormExpr:
     """Omega = dq^i wedge dp_i; the symplectic two-form, and d(eta) on z-charts."""
-    comps = [chart.zero() for _ in range(TwoFormExpr.size(chart))]
+    comps = [chart.zero()] * TwoFormExpr.size(chart)
     for i in range(1, chart.n + 1):
         comps[TwoFormExpr.slot(chart.dim, chart.q_slot(i), chart.p_slot(i))] = chart.const(1)
     return TwoFormExpr._of(chart, tuple(comps))

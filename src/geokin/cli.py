@@ -30,6 +30,7 @@ from .density import intertwine_residual, kinetic_spec, weight_rate
 from .fields import Dynamics, Family, FieldSpec, Gauge, StrictnessError
 from .flow import (
     MAX_GRID_VALUES,
+    MAX_IDENTITY_WORK,
     MAX_PARTICLES,
     MAX_PUSH_VALUES,
     MAX_TRIALS,
@@ -61,6 +62,15 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _check_identity_work(chart: Chart, trials: int, path: str) -> None:
+    """A config error at `path` unless an identity suite of `trials` draws
+    per law on `chart` fits `MAX_IDENTITY_WORK`."""
+    if trials * chart.dim > MAX_IDENTITY_WORK:
+        raise ConfigError(path, f"{trials} trials x {chart.dim} coordinates exceed the identity "
+                                f"budget of {MAX_IDENTITY_WORK}; at most "
+                                f"{MAX_IDENTITY_WORK // chart.dim} on this chart")
 
 
 def _check_float_range(polys) -> None:
@@ -100,6 +110,8 @@ class Scenario:
         self.chart = chart = Chart(ChartKind(cfg["chart"]["kind"]), cfg["chart"]["n"])
         self.seed = cfg["seed"]
         self.trials = cfg["trials"] or (20 if task == "identity-check" else 25)
+        if task == "identity-check":
+            _check_identity_work(chart, self.trials, "$.trials")
         self.threads = cfg["threads"]
         self.particle_count = count = cfg["particles"]
         if count * (chart.dim + 1) > MAX_PUSH_VALUES:
@@ -521,6 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "identity":
             chart = Chart(ChartKind(args.chart), _check(args.n, "--n", "$.chart.n"))
             trials = _check(args.trials, "--trials", "$.trials")
+            _check_identity_work(chart, trials, "--trials")
             return _run_identity(chart, args.seed, trials, args.output)
         if args.command == "validate":
             scenario = load_scenario(args.config)

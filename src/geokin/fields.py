@@ -21,7 +21,9 @@ the eta/tau coefficients of L_X eta, all as exact polynomials.
 solver.  The module also houses the small Cartan toolbox (exterior
 derivative, wedge, Lie derivatives of one- and two-forms, the Lie bracket
 of fields) used to verify the displayed Lie-derivative laws symbolically;
-two-forms and their contraction live in `chart` beside `pairing`.
+two-forms and their contraction live in `chart` beside `pairing`.  The
+toolbox visits only nonzero components: it takes no partial of a zero
+one, and walks a two-form through its nonzero index, `TwoFormExpr.columns`.
 """
 
 from __future__ import annotations
@@ -210,8 +212,10 @@ class Dynamics:
 def exterior_derivative_oneform(alpha: OneFormExpr) -> TwoFormExpr:
     """(d alpha)_{jk} = d_j alpha_k - d_k alpha_j."""
     a = alpha.components
+    zero = alpha.chart.zero()
     return TwoFormExpr._of(alpha.chart, tuple(
-        a[k].partial(j) - a[j].partial(k) for j, k in combinations(range(alpha.chart.dim), 2)))
+        (a[k].partial(j) if a[k] else zero) - (a[j].partial(k) if a[j] else zero)
+        for j, k in combinations(range(alpha.chart.dim), 2)))
 
 
 def wedge(alpha: OneFormExpr, beta: OneFormExpr) -> TwoFormExpr:
@@ -231,7 +235,7 @@ def lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExp
         raise ValueError("Lie derivative requires a common chart")
     chart = X.chart
     d = chart.dim
-    pairs = [(a_i, X_i) for a_i, X_i in zip(alpha.components, X.components) if a_i]
+    pairs = [(a_i, X_i) for a_i, X_i in zip(alpha.components, X.components) if a_i and X_i]
     return OneFormExpr._of(chart, tuple(
         Poly.sum_of_products(d, X.derivative_terms(alpha.components[j])
                              + [(1, a_i, X_i.partial(j)) for a_i, X_i in pairs])
@@ -239,20 +243,23 @@ def lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExp
 
 
 def lie_derivative_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> TwoFormExpr:
-    """(L_X B)_{jk} = X^i d_i B_{jk} + B_{ik} d_j X^i + B_{ji} d_k X^i."""
+    """(L_X B)_{jk} = X^i d_i B_{jk} + B_{ik} d_j X^i + B_{ji} d_k X^i.
+
+    Walks B's nonzero index where X^i != 0: column k gives the B_ik terms,
+    and column j, negated, the B_ji = -B_ij ones.  Sorting the two by
+    (i, then j before k) keeps the terms in the order of the sum over i."""
     if X.chart != B.chart:
         raise ValueError("Lie derivative requires a common chart")
     d = X.chart.dim
+    Xc = X.components
+    cols = [[e for e in col if Xc[e[0]]] for col in B.columns]
     comps = []
     for (j, k), b_jk in zip(combinations(range(d), 2), B.components):
-        terms = X.derivative_terms(b_jk)
-        for i, Xi in enumerate(X.components):
-            if Xi:
-                if e := B.entry(i, k):
-                    terms.append((e[0], e[1], Xi.partial(j)))
-                if e := B.entry(j, i):
-                    terms.append((e[0], e[1], Xi.partial(k)))
-        comps.append(Poly.sum_of_products(d, terms))
+        # (i, p) is unique in the list, so the sort never compares two Polys
+        walk = sorted([(i, j, sign, c) for i, sign, c in cols[k]]
+                      + [(i, k, -sign, c) for i, sign, c in cols[j]])
+        terms = [(sign, c, Xc[i].partial(p)) for i, p, sign, c in walk]
+        comps.append(Poly.sum_of_products(d, X.derivative_terms(b_jk) + terms))
     return TwoFormExpr._of(X.chart, tuple(comps))
 
 

@@ -68,6 +68,14 @@ MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity gr
 MAX_PUSH_VALUES = 7_500_000
 MAX_PARTICLES = MAX_PUSH_VALUES // 3  # the most particles, reached on the two-coordinate charts
 MAX_TRIALS = 1_000
+# The work budget of one identity suite: trials x chart coordinates.  Its
+# cost grows with both, and the cocontact chart, with the most laws, costs
+# most: one core of a 2-vCPU x86 host runs it at about 2.4 ms per trial and
+# coordinate (20 trials at n=16, 34 coordinates: 1.7 s; 1000 at n=1: 9 s).
+# The default 20 trials on the widest chart (20 x 34 = 680) fit 14 times
+# over, the benchmark's largest suite (10 trials x 6 coordinates) 160
+# times; the dearest accepted suite, 294 trials at n=16, takes about 27 s.
+MAX_IDENTITY_WORK = 10_000
 CSV_BLOCK_ROWS = 4_096  # samples formatted per write by `write_trajectory_csv`
 
 

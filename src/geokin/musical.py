@@ -52,7 +52,7 @@ def sharp(alpha: OneFormExpr, variant: SharpVariant = SharpVariant.FULL) -> Vect
     # the bivector variant drops <alpha, R_eta> R_eta and <alpha, R_tau> R_tau:
     # zeta leaves the z-component and the time component stays zero
     full = variant is SharpVariant.FULL
-    comps = [chart.zero() for _ in range(chart.dim)]
+    comps = [chart.zero()] * chart.dim
     zeta = alpha.components[chart.z_slot] if chart.has_z else None
     pdotalpha = [(1, zeta, None)] if zeta is not None and full else []  # (zeta +) alpha^i p_i
     for i in range(1, chart.n + 1):

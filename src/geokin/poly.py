@@ -756,9 +756,13 @@ class _Parser:
         if self.peek()[0] == "^":
             self.tok = self.next_token()
             ekind, etok, eoffset = self.take()
-            if ekind != "num" or "." in etok:
+            if ekind != "num" or not etok.isdecimal():
                 raise ParseError("exponent must be a nonnegative integer", eoffset)
-            value = self.power(value, int(etok), eoffset)
+            try:
+                exponent = int(etok)
+            except ValueError:  # past the interpreter's digit limit for int()
+                raise ParseError(f"exponent of {len(etok)} digits is too long", eoffset) from None
+            value = self.power(value, exponent, eoffset)
         if sign == 1:
             return value
         return (-value[0], value[1], value[2]) if type(value) is tuple else -value
@@ -815,7 +819,8 @@ def parse(text: str, names: Sequence[str]) -> Poly:
     """Parse an expression over the given coordinate names into a Poly.
 
     Supports + - * / ^ and parentheses, nested at most `MAX_NESTING`
-    (100) deep; ^ takes nonnegative integer exponents, / only numeric
+    (100) deep; ^ takes nonnegative integer exponents in decimal digits
+    (of any script, so q1^\u0663 is q1^3; \u00b2 is refused), / only numeric
     divisors.  Decimal literals are converted exactly (0.5 becomes 1/2).
     One pass scans the text into tokens, each read once; each term is
     built as one monomial while its factors allow, and each sum in one

@@ -1,16 +1,21 @@
 """Helpers shared by the tests: a traced allocation peak, the two
-finite-difference oracles the exact divergence is checked against, and
-the reference expression parser `geokin.poly.parse` is checked against."""
+finite-difference oracles the exact divergence is checked against, the
+dense tensor walks the nonzero walks of `chart`, `fields` and `musical`
+are checked against, and the reference expression parser
+`geokin.poly.parse` is checked against."""
 
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from geokin.chart import OneFormExpr, TwoFormExpr, VectorFieldExpr
 from geokin.fields import Dynamics
 from geokin.flow import IntegratorConfig, integrate
+from geokin.musical import SharpVariant
 from geokin.poly import ParseError, Poly
 
 
@@ -62,6 +67,92 @@ def flow_map_logdet(
     if sign <= 0:
         raise ArithmeticError("flow map Jacobian lost orientation; window too long?")
     return float(logdet)
+
+
+# -- the dense tensor walks ----------------------------------------------
+#
+# The tensor layers as they were before they walked only nonzero
+# components: every (i, j, k) read through `entry`, every partial taken,
+# zero or not.  Each sums the same nonzero terms in the same order as its
+# nonzero walk, so results and first errors must agree exactly.
+
+
+def entry(B: TwoFormExpr, j: int, k: int) -> tuple[int, Poly] | None:
+    """B_jk as (sign, stored component), None where it vanishes: the
+    sign is -1 below the diagonal, so no negated copy is built."""
+    if j == k:
+        return None
+    sign = 1 if j < k else -1
+    comp = B.components[TwoFormExpr.slot(B.chart.dim, min(j, k), max(j, k))]
+    return (sign, comp) if comp else None
+
+
+def dense_derivative_terms(X: VectorFieldExpr, f: Poly) -> list[tuple[int, Poly, Poly]]:
+    return [(1, comp, f.partial(k)) for k, comp in enumerate(X.components) if comp]
+
+
+def dense_contract_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> OneFormExpr:
+    """(i_X B)_k = X^j B_{jk}."""
+    d = X.chart.dim
+    return OneFormExpr(X.chart, tuple(
+        Poly.sum_of_products(d, [(e[0], Xj, e[1]) for j, Xj in enumerate(X.components)
+                                 if (e := entry(B, j, k))])
+        for k in range(d)))
+
+
+def dense_exterior_derivative_oneform(alpha: OneFormExpr) -> TwoFormExpr:
+    """(d alpha)_{jk} = d_j alpha_k - d_k alpha_j."""
+    a = alpha.components
+    return TwoFormExpr(alpha.chart, tuple(
+        a[k].partial(j) - a[j].partial(k) for j, k in combinations(range(alpha.chart.dim), 2)))
+
+
+def dense_lie_derivative_oneform(X: VectorFieldExpr, alpha: OneFormExpr) -> OneFormExpr:
+    """(L_X alpha)_j = X^i d_i alpha_j + alpha_i d_j X^i."""
+    d = X.chart.dim
+    pairs = [(a_i, X_i) for a_i, X_i in zip(alpha.components, X.components) if a_i]
+    return OneFormExpr(X.chart, tuple(
+        Poly.sum_of_products(d, dense_derivative_terms(X, alpha.components[j])
+                             + [(1, a_i, X_i.partial(j)) for a_i, X_i in pairs])
+        for j in range(d)))
+
+
+def dense_lie_derivative_twoform(X: VectorFieldExpr, B: TwoFormExpr) -> TwoFormExpr:
+    """(L_X B)_{jk} = X^i d_i B_{jk} + B_{ik} d_j X^i + B_{ji} d_k X^i."""
+    d = X.chart.dim
+    comps = []
+    for (j, k), b_jk in zip(combinations(range(d), 2), B.components):
+        terms = dense_derivative_terms(X, b_jk)
+        for i, Xi in enumerate(X.components):
+            if Xi:
+                if e := entry(B, i, k):
+                    terms.append((e[0], e[1], Xi.partial(j)))
+                if e := entry(B, j, i):
+                    terms.append((e[0], e[1], Xi.partial(k)))
+        comps.append(Poly.sum_of_products(d, terms))
+    return TwoFormExpr(X.chart, tuple(comps))
+
+
+def dense_sharp(alpha: OneFormExpr, variant: SharpVariant = SharpVariant.FULL) -> VectorFieldExpr:
+    """`musical.sharp`, filling every component with a zero of its own first."""
+    chart = alpha.chart
+    full = variant is SharpVariant.FULL
+    comps = [chart.zero() for _ in range(chart.dim)]
+    zeta = alpha.components[chart.z_slot] if chart.has_z else None
+    pdotalpha = [(1, zeta, None)] if zeta is not None and full else []
+    for i in range(1, chart.n + 1):
+        a_q = alpha.components[chart.q_slot(i)]
+        a_p = alpha.components[chart.p_slot(i)]
+        p_i = chart.coordinate(chart.p_slot(i))
+        comps[chart.q_slot(i)] = a_p
+        comps[chart.p_slot(i)] = (-a_q if zeta is None else
+                                  Poly.sum_of_products(chart.dim, [(-1, a_q, None), (-1, p_i, zeta)]))
+        pdotalpha.append((1, a_p, p_i))
+    if chart.has_z:
+        comps[chart.z_slot] = Poly.sum_of_products(chart.dim, pdotalpha)
+    if chart.has_time and full:
+        comps[chart.t_slot] = alpha.components[chart.t_slot]
+    return VectorFieldExpr(chart, tuple(comps))
 
 
 # -- the reference parser ------------------------------------------------
@@ -193,9 +284,12 @@ class OracleParser:
         if kind == "op" and tok == "^":
             self.toks.take()
             ekind, etok, eoffset = self.toks.take()
-            if ekind != "num" or "." in etok:
+            if ekind != "num" or not etok.isdecimal():
                 raise ParseError("exponent must be a nonnegative integer", eoffset)
-            exponent = int(etok)
+            try:
+                exponent = int(etok)
+            except ValueError:
+                raise ParseError(f"exponent of {len(etok)} digits is too long", eoffset) from None
             if value.is_constant():
                 # Refuse before computing: the exact power of a constant
                 # grows without bound in memory, long before any float use.

@@ -18,6 +18,7 @@ from geokin.chart import (
     two_form_omega,
 )
 from geokin.fields import exterior_derivative_oneform
+from helpers import entry
 
 
 def canonical_theta(chart):
@@ -144,8 +145,8 @@ def test_d_eta_equals_omega_matrix():
         assert exterior_derivative_oneform(canonical_eta(chart)) == two_form_omega(chart)
     c1 = Chart(ChartKind.CONTACT, 1)
     d_eta = exterior_derivative_oneform(canonical_eta(c1))
-    assert d_eta.entry(c1.q_slot(1), c1.p_slot(1)) == (1, c1.const(1))
-    assert d_eta.entry(c1.p_slot(1), c1.q_slot(1)) == (-1, c1.const(1))
+    assert entry(d_eta, c1.q_slot(1), c1.p_slot(1)) == (1, c1.const(1))
+    assert entry(d_eta, c1.p_slot(1), c1.q_slot(1)) == (-1, c1.const(1))
 
 
 def test_theta_differential_is_minus_omega_convention():

@@ -129,6 +129,8 @@ def _set(section, key, value):
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^30")),
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="2^2000*q1")),
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="2^5000*q1")),
+    ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^\u00b2")),
+    ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^" + "1" * 5000)),
     ("$.particles", lambda cfg: cfg.update(particles=5)),
     ("$.time.cfl", _set("time", "cfl", -0.5)),
     ("$.time.rel_tol", _set("time", "rel_tol", -1e-8)),
@@ -137,7 +139,8 @@ def _set(section, key, value):
     ("$.chart.n", _set("chart", "n", 10 ** 400)),
     ("$.seed", lambda cfg: cfg.update(seed=-1)),
 ], ids=["trajectory-int", "t-final-inf", "dt-huge-int", "point-inf", "point-bool",
-        "degree-overflow", "coefficient-overflow", "constant-power", "particles-few",
+        "degree-overflow", "coefficient-overflow", "constant-power", "exponent-superscript",
+        "exponent-5000-digits", "particles-few",
         "cfl-negative", "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge",
         "seed-negative"])
 def test_boundary_faults_are_config_errors(tmp_path, capsys, path, mutate):
@@ -773,11 +776,49 @@ def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsy
     assert flow.MAX_GRID_VALUES >= 10 * 40 ** 3 * 3  # that grid on its 3-coordinate chart
     assert flow.MAX_PUSH_VALUES >= 10 * 480 ** 2 * 3  # that ensemble: 2 coordinates, a weight
     assert flow.MAX_TRIALS >= 10 * 25  # the default momentum-check trials
+    # the default identity trials on the widest chart, and the benchmark's largest suite
+    widest = Chart(ChartKind.COCONTACT, cli.MAX_CHART_N).dim
+    assert flow.MAX_IDENTITY_WORK >= 10 * 20 * widest
+    assert flow.MAX_IDENTITY_WORK >= 10 * 10 * Chart(ChartKind.COCONTACT, 2).dim
     assert flow.MAX_WORK >= 10 * 128 ** 2 * 250  # the benchmark's largest grid run
     assert flow.MAX_WORK >= 10 * 100_000 * 50  # the tests' largest particle run
     assert cli.main(["identity", "--chart", "symplectic", "--trials",
                      str(flow.MAX_TRIALS + 1)]) == 2
     assert "config error at --trials: must be between 1 and" in capsys.readouterr().err
+
+
+def test_identity_runs_past_the_work_budget_are_config_errors(tmp_path, capsys):
+    chart = Chart(ChartKind.COCONTACT, cli.MAX_CHART_N)
+    most = flow.MAX_IDENTITY_WORK // chart.dim
+    message = (f"{most + 1} trials x {chart.dim} coordinates exceed the identity budget of "
+               f"{flow.MAX_IDENTITY_WORK}; at most {most} on this chart\n")
+    argv = ["identity", "--chart", "cocontact", "--n", str(chart.n), "--trials", str(most + 1)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error at --trials: {message}"
+    cfg = {"chart": {"kind": "cocontact", "n": chart.n}, "task": "identity-check",
+           "trials": most + 1, "output": {"report": str(tmp_path / "report.json")}}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error at $.trials: {message}"
+    # the budget itself, and the default 20 trials at every n, are accepted
+    cfg["trials"] = most
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    del cfg["trials"]
+    for n in range(1, cli.MAX_CHART_N + 1):
+        cfg["chart"]["n"] = n
+        assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_thousand_identity_trials_on_the_widest_chart_exit_2_at_once():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "geokin.cli", "identity", "--chart", "cocontact",
+                           "--n", "16", "--trials", "1000"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error at --trials: 1000 trials x 34 coordinates")
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("task, builds, diagnoses", [

@@ -634,6 +634,7 @@ PARSE_EDGE_CASES = [
     "(-1/2)^7", "2.5^3", ".5", ".", "5.", "1_000", "q1 + w2", "q1 + _", "q1 $ p1",
     "((((q1))))^2", "(" * 60 + "q1+p1" + ")" * 60, "q1*(p1+1)*(p1-1)/4 - q1*p1^2/4",
     "\u00a0q1\u2003+\u3000p1", "q1\u0301", "x", "q1 +", "* q1", "q1 ** 2", "()", "(q1))",
+    "q1^\u0663", "(q1+p1)^\u00b2", "q1^" + "9" * 4301, "2^" + "0" * 5000 + "3",
 ]
 
 
@@ -641,6 +642,14 @@ PARSE_EDGE_CASES = [
 def test_parse_matches_the_oracle_on_edge_cases(text):
     names = ("q1", "p1")
     assert parse_outcome(parse, text, names) == parse_outcome(oracle_parse, text, names)
+
+
+@pytest.mark.parametrize("exponent", ["\u00b2", "1" * 5000], ids=["superscript", "5000-digit"])
+def test_a_malformed_exponent_is_a_parse_error_at_its_offset(exponent):
+    with pytest.raises(ParseError, match=r"\(at offset 6\)$"):
+        P("y + x^" + exponent)
+    # an Arabic-Indic three is a decimal digit, read as in a literal
+    assert P("x^\u0663") == P("x^3")
 
 
 def test_parentheses_nest_at_most_max_nesting_deep():

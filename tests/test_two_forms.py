@@ -3,7 +3,7 @@
 A `TwoFormExpr` stores only its strict upper triangle.  The references
 below build the whole d x d matrix the way the layer once did: every
 entry from its own formula, summed by plain `+` and `*`, with no use of
-antisymmetry.  Reading a two-form back through `entry` must give the
+antisymmetry.  Reading a two-form back through `helpers.entry` must give the
 reference matrix entry for entry, B_kj = -B_jk and B_jj = 0 included.
 """
 
@@ -22,6 +22,7 @@ from geokin.chart import (
 )
 from geokin.corpus import random_one_form, random_poly
 from geokin.fields import exterior_derivative_oneform, lie_derivative_twoform, wedge
+from helpers import entry
 
 ALL_CHARTS = [Chart(kind, n) for kind in ChartKind for n in (1, 2)]
 
@@ -32,7 +33,7 @@ def full(B):
     rows = [[B.chart.zero()] * d for _ in range(d)]
     for j in range(d):
         for k in range(d):
-            e = B.entry(j, k)
+            e = entry(B, j, k)
             if e is not None:
                 sign, comp = e
                 rows[j][k] = comp if sign == 1 else -comp
@@ -109,10 +110,14 @@ def assert_matches(B, rows):
     got = full(B)
     d = B.chart.dim
     for j in range(d):
-        assert B.entry(j, j) is None
+        assert entry(B, j, j) is None
         for k in range(d):
             assert got[j][k] == rows[j][k], (j, k)
             assert got[k][j] == -got[j][k], (j, k)
+    # the nonzero index lists column k's nonzero entries, in ascending rows
+    for k, col in enumerate(B.columns):
+        assert [i for i, _, _ in col] == [i for i in range(d) if rows[i][k]], k
+        assert all((c if sign == 1 else -c) == rows[i][k] for i, sign, c in col), k
 
 
 @pytest.mark.parametrize("chart", ALL_CHARTS, ids=str)
@@ -159,15 +164,15 @@ def test_entry_reads_each_component_with_its_sign(kind):
     # component idx holds the constant idx + 1, so every read names its slot
     B = TwoFormExpr(chart, tuple(chart.const(idx + 1) for idx in range(TwoFormExpr.size(chart))))
     for idx, (j, k) in enumerate(combinations(range(chart.dim), 2)):
-        assert B.entry(j, k) == (1, chart.const(idx + 1))
-        assert B.entry(k, j) == (-1, chart.const(idx + 1))
-    assert all(B.entry(j, j) is None for j in range(chart.dim))
+        assert entry(B, j, k) == (1, chart.const(idx + 1))
+        assert entry(B, k, j) == (-1, chart.const(idx + 1))
+    assert all(entry(B, j, j) is None for j in range(chart.dim))
 
 
 def test_entry_skips_vanishing_components():
     chart = Chart(ChartKind.CONTACT, 1)
     omega = two_form_omega(chart)
     q, p, z = chart.q_slot(1), chart.p_slot(1), chart.z_slot
-    assert omega.entry(q, p) == (1, chart.const(1))
-    assert omega.entry(p, q) == (-1, chart.const(1))
-    assert omega.entry(q, z) is None and omega.entry(z, p) is None
+    assert entry(omega, q, p) == (1, chart.const(1))
+    assert entry(omega, p, q) == (-1, chart.const(1))
+    assert entry(omega, q, z) is None and entry(omega, z, p) is None
