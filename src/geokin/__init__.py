@@ -12,13 +12,14 @@ rational-coefficient polynomial observables, one module per layer:
 - `corpus`: seeded random observables;
 - `identities`: the seeded exact identity suite;
 - `density`: momentum one-forms and the density law;
+- `budgets`: every run budget, its derivation and its check;
 - `flow`: monitored numeric flows;
 - `kinetics`: the particle and grid solvers of the density law;
 - `cli`: the scenario runner.
 
 Import the module you need (`from geokin import cli`); this package
-imports none of them.  The exact layers, `poly` through `density`,
-load without numpy.
+imports none of them.  The exact layers, `poly` through `density`, and
+`budgets` load without numpy.
 """
 
 __version__ = "0.1.0"

@@ -25,28 +25,16 @@ import random
 import sys
 from functools import reduce
 
+from . import budgets
 from .chart import Chart, ChartKind, OneFormExpr
 from .density import intertwine_residual, kinetic_spec, weight_rate
 from .fields import Dynamics, Family, FieldSpec, Gauge, StrictnessError
-from .flow import (
-    MAX_GRID_VALUES,
-    MAX_IDENTITY_WORK,
-    MAX_PARTICLES,
-    MAX_PUSH_VALUES,
-    MAX_TRIALS,
-    METHODS,
-    IntegrationError,
-    IntegratorConfig,
-    integrate,
-    write_trajectory_csv,
-)
+from .flow import METHODS, IntegrationError, IntegratorConfig, integrate, write_trajectory_csv
 from .identities import run_identity_suite, suite_passed
 from .kinetics import (
     GridAxis,
     GridDensity,
     StabilityError,
-    _seed_lattice,
-    _step_counts,
     solve_density_grid,
     solve_density_particle,
     write_grid,
@@ -66,11 +54,11 @@ class ConfigError(Exception):
 
 def _check_identity_work(chart: Chart, trials: int, path: str) -> None:
     """A config error at `path` unless an identity suite of `trials` draws
-    per law on `chart` fits `MAX_IDENTITY_WORK`."""
-    if trials * chart.dim > MAX_IDENTITY_WORK:
-        raise ConfigError(path, f"{trials} trials x {chart.dim} coordinates exceed the identity "
-                                f"budget of {MAX_IDENTITY_WORK}; at most "
-                                f"{MAX_IDENTITY_WORK // chart.dim} on this chart")
+    per law on `chart` fits its work budget (`budgets.check_identity_work`)."""
+    try:
+        budgets.check_identity_work(trials, chart.dim)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _check_float_range(polys) -> None:
@@ -114,10 +102,11 @@ class Scenario:
             _check_identity_work(chart, self.trials, "$.trials")
         self.threads = cfg["threads"]
         self.particle_count = count = cfg["particles"]
-        if count * (chart.dim + 1) > MAX_PUSH_VALUES:
+        if count * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
             raise ConfigError("$.particles", f"{count} particles x {chart.dim + 1} values exceed "
-                                             f"the push budget of {MAX_PUSH_VALUES}; at most "
-                                             f"{MAX_PUSH_VALUES // (chart.dim + 1)} on this chart")
+                                             f"the push budget of {budgets.MAX_PUSH_VALUES}; at "
+                                             f"most {budgets.MAX_PUSH_VALUES // (chart.dim + 1)} "
+                                             f"on this chart")
         self.output = cfg["output"]
 
         time = cfg["time"]
@@ -182,17 +171,18 @@ class Scenario:
             self._axis(i, name, entry)
             for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
         cells = math.prod(a.size for a in self.axes) if self.axes else 0
-        most = MAX_GRID_VALUES // chart.dim  # cells x dim values for the points and velocities
+        most = budgets.MAX_GRID_VALUES // chart.dim  # cells x dim values: points, velocities
         if cells > most:
             raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
                                                      f"{most} cells")
         if task == "kinetic-particle" and self.axes:
             # the lattice rounds the requested count per axis, so it may seed more
-            seeded = math.prod(a.size for a in _seed_lattice(self.axes, self.particle_count))
-            if seeded * (chart.dim + 1) > MAX_PUSH_VALUES:
+            sizes = [a.size for a in self.axes]
+            seeded = math.prod(budgets.seed_lattice(sizes, self.particle_count))
+            if seeded * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
                 raise ConfigError("$.particles", f"{seeded} seeded particles x {chart.dim + 1} "
                                                  f"values exceed the push budget of "
-                                                 f"{MAX_PUSH_VALUES}")
+                                                 f"{budgets.MAX_PUSH_VALUES}")
 
         if isinstance(self.output["grid"], str):
             self.output["grid"] = [self.output["grid"]]
@@ -202,9 +192,9 @@ class Scenario:
         if task == "kinetic-particle" and count > 1:
             raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
         # the grid solver holds every snapshot until the run ends
-        if task == "kinetic-grid" and count * cells > MAX_GRID_VALUES:
+        if task == "kinetic-grid" and count * cells > budgets.MAX_GRID_VALUES:
             raise ConfigError("$.time.snapshots", f"{count} snapshots of the grid exceed the "
-                                                  f"budget of {MAX_GRID_VALUES} values")
+                                                  f"budget of {budgets.MAX_GRID_VALUES} values")
         if task == "momentum-check" and self.one_form is not None and self.hamiltonian is None:
             raise ConfigError("$.hamiltonian", "required when initial.one_form is given")
 
@@ -331,8 +321,8 @@ def _run_momentum(s: Scenario) -> int:
 def _run_kinetic_grid(s: Scenario) -> int:
     snapshots = s.snapshots or [float(s.t_final)]
     if s.dt is not None:  # a run past the budgets is refused before f0 is sampled
-        _step_counts([b - a for a, b in zip([0.0, *snapshots], snapshots)], s.dt,
-                     math.prod(a.size for a in s.axes), "cells")
+        budgets.step_counts(budgets.snapshot_spans(snapshots), s.dt,
+                            math.prod(a.size for a in s.axes), "cells")
     f0 = GridDensity.sample(s.chart, s.axes, s.density)
     grids = solve_density_grid(s.dynamics, f0, snapshots, dt=s.dt, cfl=float(s.cfl))
     for target, path, grid in zip(snapshots, s.output["grid"], grids):
@@ -387,7 +377,6 @@ TASKS = tuple(TASK_TABLE)
 REQUIRED = object()  # a default: the key must be present
 POSITIVE = "positive"  # a rule: the number must be > 0
 NON_NEGATIVE = "non-negative"  # a rule: the number must be >= 0
-MAX_CHART_N = 16  # the most (q, p) pairs a config or `identity --n` may ask for
 
 
 # JSON type -> (test, what an error says is expected).  A number lies in
@@ -412,7 +401,7 @@ SCHEMA = {
     "$": ("object", REQUIRED, None),
     "$.chart": ("object", REQUIRED, None),
     "$.chart.kind": ("string", REQUIRED, tuple(k.value for k in ChartKind)),
-    "$.chart.n": ("integer", REQUIRED, range(1, MAX_CHART_N + 1)),
+    "$.chart.n": ("integer", REQUIRED, range(1, budgets.MAX_CHART_N + 1)),
     "$.task": ("string", REQUIRED, TASKS),
     "$.hamiltonian": ("string", None, None),
     "$.field": ("object", {}, None),
@@ -439,9 +428,10 @@ SCHEMA = {
     "$.time.rel_tol": ("number", 1e-8, POSITIVE),
     "$.time.abs_tol": ("number", 1e-10, POSITIVE),
     "$.time.snapshots": ("numbers", None, None),
-    "$.particles": ("integer", 100_000, range(1_000, MAX_PARTICLES + 1)),
+    "$.particles": ("integer", 100_000, range(1_000, budgets.MAX_PARTICLES + 1)),
     "$.threads": ("integer", None, POSITIVE),
-    "$.trials": ("integer", None, range(1, MAX_TRIALS + 1)),  # 20 for identity-check, else 25
+    # 20 for identity-check, else 25
+    "$.trials": ("integer", None, range(1, budgets.MAX_TRIALS + 1)),
     "$.output": ("object", {}, None),
     "$.output.trajectory": ("string", None, None),
     "$.output.report": ("string", None, None),

@@ -12,9 +12,10 @@ After the run two derived channels are filled: the measured energy rate
 
 A non-finite state aborts the run with the last good time and the
 partial trajectory attached to the error; so does exhausting the step
-budget.  A span that needs more than `MAX_STEPS` steps of the fixed
-RK4 step, or of the largest RKF45 step `MAX_RK45_STEP`, gets the same
-error before the first step.
+budget.  A span that needs more than `budgets.MAX_STEPS` steps of the
+fixed RK4 step, or of the largest RKF45 step `budgets.MAX_RK45_STEP`,
+gets the same error before the first step.  The step arithmetic is
+this module's own; the budgets are read from `budgets` at each use.
 
 The steppers work on a list of coordinates: one Python float each in
 `integrate`, one contiguous numpy column each in the particle push
@@ -42,40 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import budgets
 from .chart import Chart
 from .fields import Dynamics, FieldSpec
 
 METHODS = ("rk4", "rk45")
-MAX_STEPS = 2_000_000  # the step budget of every solver loop
-# The largest RKF45 step, so that a span past MAX_STEPS of them is refused
-# before the first step, as RK4 refuses one.  The largest step tried by any
-# test or seed-0 benchmark run is 0.4 (the benchmark's own is 0.0345).
-MAX_RK45_STEP = 100.0
-# The work budget of one kinetic run: cells x steps (all snapshot segments)
-# on the grid, particles x steps in the push.  At least 10x the largest
-# benchmark or test input (128^2 cells x 250 steps; 10^5 particles x 50
-# steps); one core of a 2-vCPU x86 host steps it in about 25 to 55 s on the
-# grid (a 128^2 grid to a 40^3 one with a source) and pushes it in about 80 s.
-MAX_WORK = 1_000_000_000
-# What one config may ask for, each at least 10x the largest benchmark or
-# test input (64 000 cells of 3 coordinates, 230 400 particles of 2 plus a
-# weight, 25 trials); `cli` refuses more.  The grid and particle budgets
-# count float64 values, so a chart with more coordinates gets fewer of each.
-MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity grids
-# particles x (dim + 1): the push state, the one copy of the ensemble a
-# particle run holds from seeding to its written files, beside one block of
-# `kinetics.PUSH_BLOCK_ROWS` rows of working memory per worker
-MAX_PUSH_VALUES = 7_500_000
-MAX_PARTICLES = MAX_PUSH_VALUES // 3  # the most particles, reached on the two-coordinate charts
-MAX_TRIALS = 1_000
-# The work budget of one identity suite: trials x chart coordinates.  Its
-# cost grows with both, and the cocontact chart, with the most laws, costs
-# most: one core of a 2-vCPU x86 host runs it at about 2.4 ms per trial and
-# coordinate (20 trials at n=16, 34 coordinates: 1.7 s; 1000 at n=1: 9 s).
-# The default 20 trials on the widest chart (20 x 34 = 680) fit 14 times
-# over, the benchmark's largest suite (10 trials x 6 coordinates) 160
-# times; the dearest accepted suite, 294 trials at n=16, takes about 27 s.
-MAX_IDENTITY_WORK = 10_000
 CSV_BLOCK_ROWS = 4_096  # samples formatted per write by `write_trajectory_csv`
 
 
@@ -247,9 +219,9 @@ def integrate(
     if config.method == "rk4":
         total = s1 - s0
         steps = total / config.step  # inf when a long span meets a tiny step
-        if not steps <= MAX_STEPS:
+        if not steps <= budgets.MAX_STEPS:
             raise StepBudgetError(
-                f"{steps:.6g} RK4 steps exceed the step budget of {MAX_STEPS}", s0,
+                f"{steps:.6g} RK4 steps exceed the step budget of {budgets.MAX_STEPS}", s0,
                 partial_trajectory(),
             )
         n_steps = max(1, round(steps)) if total > 0 else 0
@@ -268,22 +240,22 @@ def integrate(
                 raise BlowUpError("non-finite state", times[-1], partial_trajectory())
             record(s, x)
     else:
-        fewest = (s1 - s0) / MAX_RK45_STEP
-        if not fewest <= MAX_STEPS:
+        fewest = (s1 - s0) / budgets.MAX_RK45_STEP
+        if not fewest <= budgets.MAX_STEPS:
             raise StepBudgetError(
-                f"{fewest:.6g} RKF45 steps of at most {MAX_RK45_STEP} exceed the step "
-                f"budget of {MAX_STEPS}", s0, partial_trajectory(),
+                f"{fewest:.6g} RKF45 steps of at most {budgets.MAX_RK45_STEP} exceed the step "
+                f"budget of {budgets.MAX_STEPS}", s0, partial_trajectory(),
             )
         s = s0
         h = min(config.step, s1 - s0) if s1 > s0 else 0.0
         steps = 0
         while s < s1:
-            if steps >= MAX_STEPS:
+            if steps >= budgets.MAX_STEPS:
                 raise StepBudgetError(
-                    f"step budget {MAX_STEPS} exhausted", s, partial_trajectory()
+                    f"step budget {budgets.MAX_STEPS} exhausted", s, partial_trajectory()
                 )
             steps += 1
-            h = min(h, MAX_RK45_STEP, s1 - s)
+            h = min(h, budgets.MAX_RK45_STEP, s1 - s)
             try:
                 x_new, err = _rkf45_step(rhs, x, h)
             except (ValueError, OverflowError, FloatingPointError):

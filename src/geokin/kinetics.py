@@ -8,9 +8,10 @@ from one setup per call, `_transport`: it checks the chart, the row and
 the times, evaluates the field the `Dynamics` holds at the cell centers
 of the grid axes, refuses a velocity that is not finite there, a
 collapsed axis with transport across it and an active axis under 32
-cells, and returns the weight rate and the CFL limit.  Both refuse a run
-past `flow.MAX_STEPS` steps, or past `flow.MAX_WORK` cells (or
-particles) x steps, before the first step; with a given dt, before the
+cells, and returns the weight rate, the CFL limit and the steps of each
+span.  Both refuse a run past `budgets.MAX_STEPS` steps, or past
+`budgets.MAX_WORK` cells (or seeded particles) x steps, before the first
+step (`budgets.step_counts`, once a call); with a given dt, before the
 setup builds any point grid.  Both refuse a state that loses finiteness
 with a `StabilityError`.  Past that setup they share no numerics.
 
@@ -62,11 +63,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import budgets
 from .chart import Chart, ChartKind, VectorFieldExpr
 from .density import growth_factor, kinetic_spec, weight_rate
 from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
 from .fields import Dynamics
-from .flow import MAX_STEPS, MAX_WORK, _rk4_step
+from .flow import _rk4_step
 from .poly import Poly
 
 
@@ -256,38 +258,19 @@ class ParticleKineticResult:
     escaped_count: int
 
 
-def _step_count(t_final: float, dt: float) -> int:
-    """ceil(t_final / dt) steps, at least one (none for t_final = 0);
-    refused before any work when past the step budget."""
-    ratio = t_final / dt if dt else math.inf  # a CFL limit can underflow to 0.0
-    steps = ratio - 1e-12
-    if not steps <= MAX_STEPS:
-        raise ValueError(f"t_final/dt = {ratio:.6g} steps exceed the budget of {MAX_STEPS}")
-    return max(1, math.ceil(steps)) if t_final > 0 else 0
-
-
-def _step_counts(spans: Sequence[float], dt: float, size: int, what: str) -> list[int]:
-    """The steps of each span at `dt`, by `_step_count`; a run of them over
-    `size` cells or particles is refused past the work budget, before any
-    work."""
-    counts = [_step_count(span, dt) for span in spans]
-    steps = sum(counts)
-    if size * steps > MAX_WORK:
-        raise ValueError(f"{size} {what} x {steps} steps exceed the work budget of {MAX_WORK}")
-    return counts
-
-
 def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float],
                dt: float | None, cfl: float, size: int, what: str):
     """The setup both solvers share, checked in this order: the chart, the
     row (Hamiltonian/gauge-zero only), the times (each span of time to
     run), with a given `dt` the step and work budgets of a run over `size`
-    cells or particles (`_step_counts`), then each axis against the
-    field's velocity at the cell centers.
+    cells or particles (`budgets.step_counts`), then each axis against the
+    field's velocity at the cell centers, then, without a `dt`, the
+    budgets at the CFL limit.
 
-    Returns (rate, vel, active, limit): the weight rate, each component's
-    velocity grid, the active axes, and the CFL limit
-    cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves).
+    Returns (rate, vel, active, limit, counts): the weight rate, each
+    component's velocity grid, the active axes, the CFL limit
+    cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves), and the
+    steps of each span at `dt`, or at the limit when `dt` is None.
     """
     chart = dyn.spec.chart
     if tuple(a.name for a in axes) != chart.coord_names or dyn.H.dim != chart.dim:
@@ -298,7 +281,7 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     if not all(span >= 0 for span in spans) or dt is not None and not dt > 0:
         raise ValueError("need dt > 0 and t_final >= 0, with times in order")
     if dt is not None:  # refused before any point grid is built
-        _step_counts(spans, dt, size, what)
+        counts = budgets.step_counts(spans, dt, size, what)
     shape = tuple(a.size for a in axes)
     pts = _cell_centers(axes)
     vel, active, rate = [], [], 0.0
@@ -317,7 +300,10 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
         else:
             active.append(k)
             rate += speed / axis.dx
-    return weight_rate(dyn), vel, active, cfl / rate if rate else math.inf
+    limit = cfl / rate if rate else math.inf
+    if dt is None:  # dt is the CFL limit; with nothing moving it is inf, one step a span
+        counts = budgets.step_counts(spans, limit, size, what)
+    return weight_rate(dyn), vel, active, limit, counts
 
 
 def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, axis: GridAxis,
@@ -391,8 +377,8 @@ def solve_density_grid(
     time, all held until the call returns.  The setup runs once; each span
     between consecutive times is its own segment of ceil(span/dt) equal
     steps.  Raises ValueError where `_transport` refuses the setup, any
-    segment needs more than `flow.MAX_STEPS` steps or cells x steps over
-    all segments exceed `flow.MAX_WORK`, all before the first step, and
+    segment needs more than `budgets.MAX_STEPS` steps or cells x steps over
+    all segments exceed `budgets.MAX_WORK`, all before the first step, and
     StabilityError if the requested dt violates the CFL bound or a step
     loses finiteness.  Past those refusals the steps run in a fixed
     workspace of five grid arrays and a mask, besides -v, v > 0 and the
@@ -400,12 +386,11 @@ def solve_density_grid(
     none is f0's.
     """
     chart = dyn.spec.chart
-    spans = [b - a for a, b in zip([0.0, *times], times)]
-    rate, vel, active, limit = _transport(dyn, f0.axes, spans, dt, cfl, f0.values.size, "cells")
+    spans = budgets.snapshot_spans(times)
+    rate, vel, active, limit, counts = _transport(dyn, f0.axes, spans, dt, cfl,
+                                                  f0.values.size, "cells")
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
-    # dt defaults to the CFL limit; with nothing moving it is inf, one step a span
-    counts = _step_counts(spans, dt if dt is not None else limit, f0.values.size, "cells")
     shape = f0.values.shape
     wind = [(-vel[k].ravel(), vel[k].ravel() > 0.0, f0.axes[k], math.prod(shape[k + 1:]))
             for k in active]
@@ -443,14 +428,6 @@ def solve_density_grid(
     return grids
 
 
-def _seed_lattice(axes: Sequence[GridAxis], particle_count: int) -> list[GridAxis]:
-    """The lattice `seed_particles` draws on: `particle_count` rounded to a
-    whole number of sites per active axis, one layer on collapsed axes."""
-    active = sum(a.size > 1 for a in axes)
-    per_axis = max(2, int(round(particle_count ** (1.0 / max(1, active)))))
-    return [GridAxis(a.name, a.lo, a.hi, per_axis if a.size > 1 else 1) for a in axes]
-
-
 def seed_particles(
     chart: Chart,
     f0: Density,
@@ -470,7 +447,8 @@ def seed_particles(
     if particle_count < 1_000:
         raise ValueError("particle_count must be at least 1000")
     rng = np.random.default_rng(seed)
-    lattice = _seed_lattice(axes, particle_count)
+    sizes = budgets.seed_lattice([a.size for a in axes], particle_count)
+    lattice = [GridAxis(a.name, a.lo, a.hi, size) for a, size in zip(axes, sizes)]
     cols = _cell_centers(lattice)
     blocks = _row_blocks(len(cols[0]))
     for col, cell in zip(cols, lattice):
@@ -584,7 +562,7 @@ def solve_density_particle(
     its own rows, and the survivors are compacted in place, so the result's
     columns are prefixes of the seeded ones.  No output, escaped mass
     included, depends on the blocking or the worker count.  A run of more
-    than `flow.MAX_STEPS` steps, or of more than `flow.MAX_WORK` seeded
+    than `budgets.MAX_STEPS` steps, or of more than `budgets.MAX_WORK` seeded
     particles x steps, is refused with ValueError before seeding.  As on the grid, a state that
     is not finite is refused with StabilityError: the seeded weights before
     the push, each block after its push, and the deposit.
@@ -592,12 +570,11 @@ def solve_density_particle(
     chart = dyn.spec.chart
     axes = tuple(axes)
     # particles tolerate larger steps than the grid; guard at 4x CFL
-    seeded_count = math.prod(a.size for a in _seed_lattice(axes, particle_count))
-    rate, _, _, guard = _transport(dyn, axes, (t_final,), dt, 4.0, seeded_count,
-                                   "seeded particles")
+    seeded_count = math.prod(budgets.seed_lattice([a.size for a in axes], particle_count))
+    rate, _, _, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0, seeded_count,
+                                               "seeded particles")
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
-    n_steps = _step_count(t_final, dt)
     h = t_final / n_steps if n_steps else 0.0
     seeded = seed_particles(chart, f0, particle_count, seed=seed, axes=axes)
     if not np.isfinite(seeded.weights).all():

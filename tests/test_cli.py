@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from geokin import cli, fields, flow, kinetics
+from geokin import budgets, cli, fields, kinetics
 from geokin.identities import LawReport
 from geokin.kinetics import read_grid, read_particles
 from geokin.chart import Chart, ChartKind
@@ -591,7 +591,7 @@ def test_grid_snapshots_past_the_value_budget_are_refused_without_allocating(tmp
         assert peak < 4 << 20
         assert capsys.readouterr().err == (
             "config error at $.time.snapshots: 3 snapshots of the grid exceed the budget of "
-            f"{flow.MAX_GRID_VALUES} values\n")
+            f"{budgets.MAX_GRID_VALUES} values\n")
     cfg["time"]["snapshots"] = [0.01, 0.02]
     cfg["output"]["grid"] = cfg["output"]["grid"][:2]
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
@@ -666,14 +666,14 @@ def test_grid_past_the_cell_budget_is_refused_without_allocating(tmp_path, capsy
         assert peak < 4 << 20  # a 10**12-cell grid never comes near an allocation
         assert capsys.readouterr().err == (
             "config error at $.initial.grid.axes: the axis sizes multiply to more than "
-            f"{flow.MAX_GRID_VALUES // 2} cells\n")
+            f"{budgets.MAX_GRID_VALUES // 2} cells\n")
     assert not (tmp_path / "g.grid").exists()
 
 
 @pytest.mark.parametrize("key, value, path", [
-    ("particles", flow.MAX_PARTICLES + 1, "$.particles"),
+    ("particles", budgets.MAX_PARTICLES + 1, "$.particles"),
     ("particles", 10 ** 400, "$.particles"),
-    ("trials", flow.MAX_TRIALS + 1, "$.trials"),
+    ("trials", budgets.MAX_TRIALS + 1, "$.trials"),
 ])
 def test_particles_and_trials_past_their_budget_are_config_errors(tmp_path, capsys, key,
                                                                    value, path):
@@ -701,18 +701,18 @@ def _wide_chart_config(tmp_path, task, particles, size):
 
 @pytest.mark.parametrize("task, particles, size, path, message", [
     # 2 500 000 particles x 35 values: about 700 MB for one copy of the push state
-    pytest.param("kinetic-particle", flow.MAX_PARTICLES, 32, "$.particles",
+    pytest.param("kinetic-particle", budgets.MAX_PARTICLES, 32, "$.particles",
                  f"2500000 particles x 35 values exceed the push budget of "
-                 f"{flow.MAX_PUSH_VALUES}; at most {flow.MAX_PUSH_VALUES // 35} on this chart",
+                 f"{budgets.MAX_PUSH_VALUES}; at most {budgets.MAX_PUSH_VALUES // 35} on this chart",
                  id="particles"),
     # 512^2 cells x 34 coordinates: fewer cells than MAX_GRID_VALUES // 2, too many values
     pytest.param("kinetic-grid", 100_000, 512, "$.initial.grid.axes",
-                 f"the axis sizes multiply to more than {flow.MAX_GRID_VALUES // 34} cells",
+                 f"the axis sizes multiply to more than {budgets.MAX_GRID_VALUES // 34} cells",
                  id="cells"),
 ])
 def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task, particles,
                                                           size, path, message):
-    assert size ** 2 <= flow.MAX_GRID_VALUES // 2
+    assert size ** 2 <= budgets.MAX_GRID_VALUES // 2
     cfg_path = write_config(tmp_path, _wide_chart_config(tmp_path, task, particles, size))
     for command in ("validate", "run"):
         rc, peak = traced_peak(lambda: cli.main([command, cfg_path]))
@@ -750,7 +750,7 @@ def test_a_particle_run_holds_one_ensemble_to_its_written_files(tmp_path, capsys
 def test_the_push_budget_counts_the_seeded_particles(tmp_path, capsys):
     # the most particles the push budget allows on cocontact n=1; four active
     # axes round them to a lattice of 35^4 = 1 500 625 sites
-    assert flow.MAX_PUSH_VALUES // 5 == 1_500_000
+    assert budgets.MAX_PUSH_VALUES // 5 == 1_500_000
     cfg = {
         "chart": {"kind": "cocontact", "n": 1},
         "task": "kinetic-particle",
@@ -765,33 +765,34 @@ def test_the_push_budget_counts_the_seeded_particles(tmp_path, capsys):
         assert cli.main([command, write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == (
             f"config error at $.particles: 1500625 seeded particles x 5 values exceed the "
-            f"push budget of {flow.MAX_PUSH_VALUES}\n")
+            f"push budget of {budgets.MAX_PUSH_VALUES}\n")
     cfg["particles"] = 1_400_000  # a 34^4 lattice
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
 
 
 def test_resource_budgets_hold_the_largest_inputs_ten_times_over(tmp_path, capsys):
-    assert flow.MAX_GRID_VALUES // 2 >= 10 * 40 ** 3  # the benchmark's largest grid
-    assert flow.MAX_PARTICLES >= 10 * 480 ** 2  # and its largest ensemble
-    assert flow.MAX_GRID_VALUES >= 10 * 40 ** 3 * 3  # that grid on its 3-coordinate chart
-    assert flow.MAX_PUSH_VALUES >= 10 * 480 ** 2 * 3  # that ensemble: 2 coordinates, a weight
-    assert flow.MAX_TRIALS >= 10 * 25  # the default momentum-check trials
+    assert budgets.MAX_GRID_VALUES // 2 >= 10 * 40 ** 3  # the benchmark's largest grid
+    assert budgets.MAX_PARTICLES >= 10 * 480 ** 2  # and its largest ensemble
+    assert budgets.MAX_GRID_VALUES >= 10 * 40 ** 3 * 3  # that grid on its 3-coordinate chart
+    assert budgets.MAX_PUSH_VALUES >= 10 * 480 ** 2 * 3  # that ensemble: 2 coordinates, a weight
+    assert budgets.MAX_TRIALS >= 10 * 25  # the default momentum-check trials
     # the default identity trials on the widest chart, and the benchmark's largest suite
-    widest = Chart(ChartKind.COCONTACT, cli.MAX_CHART_N).dim
-    assert flow.MAX_IDENTITY_WORK >= 10 * 20 * widest
-    assert flow.MAX_IDENTITY_WORK >= 10 * 10 * Chart(ChartKind.COCONTACT, 2).dim
-    assert flow.MAX_WORK >= 10 * 128 ** 2 * 250  # the benchmark's largest grid run
-    assert flow.MAX_WORK >= 10 * 100_000 * 50  # the tests' largest particle run
+    widest = Chart(ChartKind.COCONTACT, budgets.MAX_CHART_N).dim
+    assert budgets.MAX_IDENTITY_WORK >= 10 * 20 * widest
+    assert budgets.MAX_IDENTITY_WORK >= 10 * 10 * Chart(ChartKind.COCONTACT, 2).dim
+    assert budgets.MAX_WORK >= 10 * 128 ** 2 * 250  # the benchmark's largest grid run
+    assert budgets.MAX_WORK >= 10 * 100_000 * 50  # the tests' largest particle run
+    assert budgets.MAX_STEPS >= 10 * 10_000  # the longest loop of a test or benchmark run
     assert cli.main(["identity", "--chart", "symplectic", "--trials",
-                     str(flow.MAX_TRIALS + 1)]) == 2
+                     str(budgets.MAX_TRIALS + 1)]) == 2
     assert "config error at --trials: must be between 1 and" in capsys.readouterr().err
 
 
 def test_identity_runs_past_the_work_budget_are_config_errors(tmp_path, capsys):
-    chart = Chart(ChartKind.COCONTACT, cli.MAX_CHART_N)
-    most = flow.MAX_IDENTITY_WORK // chart.dim
+    chart = Chart(ChartKind.COCONTACT, budgets.MAX_CHART_N)
+    most = budgets.MAX_IDENTITY_WORK // chart.dim
     message = (f"{most + 1} trials x {chart.dim} coordinates exceed the identity budget of "
-               f"{flow.MAX_IDENTITY_WORK}; at most {most} on this chart\n")
+               f"{budgets.MAX_IDENTITY_WORK}; at most {most} on this chart\n")
     argv = ["identity", "--chart", "cocontact", "--n", str(chart.n), "--trials", str(most + 1)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error at --trials: {message}"
@@ -803,7 +804,7 @@ def test_identity_runs_past_the_work_budget_are_config_errors(tmp_path, capsys):
     cfg["trials"] = most
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     del cfg["trials"]
-    for n in range(1, cli.MAX_CHART_N + 1):
+    for n in range(1, budgets.MAX_CHART_N + 1):
         cfg["chart"]["n"] = n
         assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     assert not (tmp_path / "report.json").exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from geokin import flow
+from geokin import budgets, flow
 from geokin.chart import Chart, ChartKind
 from geokin.corpus import random_hamiltonian
 from geokin.fields import Dynamics, Family, FieldSpec, Gauge, catalog, diagnostics, make_field
@@ -180,7 +180,7 @@ def test_blow_up_reports_last_good_state():
 def test_step_budget_is_enforced(monkeypatch):
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
-    monkeypatch.setattr(flow, "MAX_STEPS", 10)
+    monkeypatch.setattr(budgets, "MAX_STEPS", 10)
     for method in flow.METHODS:
         with pytest.raises(StepBudgetError) as err:
             integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1.0),
@@ -206,8 +206,8 @@ def test_an_rk45_span_past_the_step_budget_is_refused_before_the_first_step(
 
     monkeypatch.setattr(flow, "_rkf45_step", no_step)
     chart, spec = _spec(kind)
-    fewest = t_final / flow.MAX_RK45_STEP
-    message = f"{fewest:.6g} RKF45 steps of at most {flow.MAX_RK45_STEP} exceed the step budget"
+    fewest = t_final / budgets.MAX_RK45_STEP
+    message = f"{fewest:.6g} RKF45 steps of at most {budgets.MAX_RK45_STEP} exceed the step budget"
     with pytest.raises(StepBudgetError, match=re.escape(message)):
         integrate(Dynamics(spec, chart.parse(hamiltonian)), x0, (0.0, t_final),
                   IntegratorConfig(method="rk45"))
@@ -216,7 +216,7 @@ def test_an_rk45_span_past_the_step_budget_is_refused_before_the_first_step(
 def test_rk45_steps_are_capped_at_the_largest_step(monkeypatch):
     # a linear drift has no error to control: the step grows to the cap and stays
     chart, spec = _spec(ChartKind.SYMPLECTIC)
-    monkeypatch.setattr(flow, "MAX_RK45_STEP", 0.25)
+    monkeypatch.setattr(budgets, "MAX_RK45_STEP", 0.25)
     traj = integrate(Dynamics(spec, chart.parse("p1")), [0.0, 0.0], (0.0, 3.0),
                      IntegratorConfig(method="rk45", step=0.1))
     steps = np.diff(traj.times)  # 0.1, eleven of 0.25, then the 0.15 left
@@ -373,8 +373,8 @@ def test_rkf45_step_is_bit_identical_to_the_array_step(data):
     dim = data.draw(st.integers(2, 34))
     vector = st.lists(STEP_VALUE, min_size=dim, max_size=dim)
     x, weights, shifts = data.draw(vector), data.draw(vector), data.draw(vector)
-    h = data.draw(st.one_of(st.sampled_from([1e-12, flow.MAX_RK45_STEP]),
-                            st.floats(1e-12, flow.MAX_RK45_STEP)))
+    h = data.draw(st.one_of(st.sampled_from([1e-12, budgets.MAX_RK45_STEP]),
+                            st.floats(1e-12, budgets.MAX_RK45_STEP)))
 
     def field(y):
         """A linear field that mixes neighbouring coordinates, on floats."""

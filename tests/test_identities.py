@@ -134,7 +134,7 @@ def test_runner_reports_a_crash_on_a_later_draw():
 
 _EXACT_CORE = """
 import random, sys
-from geokin import poly
+from geokin import budgets, poly
 from geokin.chart import Chart, ChartKind
 from geokin.corpus import random_hamiltonian, random_one_form
 from geokin.density import intertwine_residual
@@ -151,7 +151,8 @@ assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 
 def test_the_exact_core_runs_without_numpy():
     """The identity suite and the density law import and run without numpy,
-    in a fresh interpreter that has loaded nothing else."""
+    and so do the run budgets, in a fresh interpreter that has loaded
+    nothing else."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _EXACT_CORE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)

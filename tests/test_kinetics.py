@@ -28,7 +28,7 @@ from geokin.chart import (
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
 from geokin.fields import Dynamics, Family, FieldSpec, Gauge, divergence, make_field
-from geokin import cli, kinetics
+from geokin import budgets, cli, kinetics
 from geokin.density import (
     MomentumOneForm,
     adjudicate_density_coefficients,
@@ -637,7 +637,7 @@ def test_the_work_budget_counts_the_seeded_particles(monkeypatch):
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
     f0 = _gauss((0.0, 0.0), (0.5, 0.5))
     assert len(seed_particles(s, f0, 1057, axes=axes).weights) == 33 ** 2
-    monkeypatch.setattr(kinetics, "MAX_WORK", 1057 * 10)
+    monkeypatch.setattr(budgets, "MAX_WORK", 1057 * 10)
     with pytest.raises(ValueError, match="1089 seeded particles x 10 steps exceed"):
         solve_density_particle(_dyn(s, s.parse("p1^2/2")), f0, t_final=0.1, dt=0.01,
                                particle_count=1057, axes=axes)
@@ -894,6 +894,17 @@ def test_each_solver_call_runs_the_shared_setup_once(monkeypatch, tmp_path, run)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("run, dt", [("grid", None), ("grid", 0.01), ("particle", 0.01)])
+def test_each_solver_call_counts_its_steps_once(monkeypatch, run, dt):
+    # one span, one step count, whether dt is given or the CFL limit
+    calls = []
+    count = budgets.step_count
+    monkeypatch.setattr(budgets, "step_count", lambda *a: calls.append(a) or count(*a))
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+    _solve(run, _dyn(_SYM, _SYM.parse("p1^2/2")), axes, _gauss((0.0, 0.0), (0.5, 0.5)), 0.04, dt)
+    assert len(calls) == 1
+
+
 def test_solver_terms_are_the_density_law():
     """The solvers' hand-coded terms against the exact law, on random (H, f).
 
@@ -1043,7 +1054,7 @@ def reference_solve_grid(chart, H, f0, t_final, dt, cfl):
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
     if t_final == 0:
         return GridDensity(chart, f0.axes, f0.values.copy())
-    n_steps = kinetics._step_count(t_final, dt)
+    n_steps = budgets.step_count(t_final, dt)
     h = t_final / n_steps
     src = None
     if source is not None and not source.is_zero():
