@@ -97,14 +97,15 @@ def bracket(chart: Chart, kind: BracketKind, F: Poly, H: Poly) -> Poly:
     terms = []
     # each first partial once: the p-partials feed the drift and Reeb terms too
     ps = [chart.p_slot(i) for i in range(1, chart.n + 1)]
-    Fp = [F.partial(pi) for pi in ps]
-    Hp = [H.partial(pi) for pi in ps]
+    partial = chart.partial
+    Fp = [partial(F, pi) for pi in ps]
+    Hp = [partial(H, pi) for pi in ps]
     for i, (Fpi, Hpi) in enumerate(zip(Fp, Hp), 1):
         qi = chart.q_slot(i)
-        terms += [(1, F.partial(qi), Hpi), (-1, Fpi, H.partial(qi))]
+        terms += [(1, partial(F, qi), Hpi), (-1, Fpi, partial(H, qi))]
     if kind.is_almost_poisson:
         z = chart.z_slot
-        Fz, Hz = F.partial(z), H.partial(z)
+        Fz, Hz = partial(F, z), partial(H, z)
         for pi, Fpi, Hpi in zip(ps, Fp, Hp):
             drift = Poly.sum_of_products(dim, [(1, Fz, Hpi), (-1, Fpi, Hz)])
             terms.append((1, chart.coordinate(pi), drift))
@@ -114,7 +115,7 @@ def bracket(chart: Chart, kind: BracketKind, F: Poly, H: Poly) -> Poly:
         pcoords = [chart.coordinate(pi) for pi in ps]
         pFp = Poly.sum_of_products(dim, [(1, p, Fpi) for p, Fpi in zip(pcoords, Fp)])
         pHp = Poly.sum_of_products(dim, [(1, p, Hpi) for p, Hpi in zip(pcoords, Hp)])
-        terms += [(1, F - pFp, H.partial(z)), (-1, H - pHp, F.partial(z))]
+        terms += [(1, F - pFp, partial(H, z)), (-1, H - pHp, partial(F, z))]
     return Poly.sum_of_products(dim, terms)
 
 

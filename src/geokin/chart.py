@@ -124,6 +124,10 @@ class Chart:
     def zero(self) -> Poly:
         return Poly.zero(self.dim)
 
+    def partial(self, f: Poly, slot: int) -> Poly:
+        """df/dx^slot; the cached zero, with no derivative taken, when f is zero."""
+        return f.partial(slot) if f else self.zero()
+
     def const(self, value: Rational) -> Poly:
         return Poly.const(self.dim, value)
 
@@ -276,6 +280,8 @@ def differential(H: Poly, chart: Chart) -> OneFormExpr:
     """dH as a one-form on the chart."""
     if H.dim != chart.dim:
         raise ValueError("function dimension does not match chart")
+    if not H:
+        return OneFormExpr._of(chart, (chart.zero(),) * chart.dim)
     return OneFormExpr._of(chart, tuple(H.partial(k) for k in range(chart.dim)))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .chart import Chart, OneFormExpr
-from .poly import MAX_TOTAL_DEGREE, Poly, _unit
+from .poly import MAX_TOTAL_DEGREE, Poly, unit_key
 
 
 def random_poly(
@@ -33,7 +33,7 @@ def random_poly(
     if not 0 <= degree <= MAX_TOTAL_DEGREE:
         raise ValueError(f"degree must lie in 0..{MAX_TOTAL_DEGREE}")
     # the key of each free coordinate: a term's key is the sum of its factors' keys
-    free = [_unit(dim, i) for i in range(dim) if i not in frozen_slots]
+    free = [unit_key(dim, i) for i in range(dim) if i not in frozen_slots]
     for _ in range(50):
         out: dict[int, int] = {}  # numerators over 6, the lcm of 1..3
         for _ in range(rng.randint(1, max(1, terms))):

@@ -4,34 +4,40 @@ Two integrators: classic fixed-step RK4 and adaptive RKF45 (Fehlberg
 pair, fifth-order propagation, step control on the embedded error).
 Each entry point takes a `fields.Dynamics` and shares its field and
 diagnostics, and their compiled kernels, with every run it is given to.
-Both integrators record, at every accepted node, the Hamiltonian value,
-the exact predicted energy rate X(H) and the exact local divergence.
-After the run two derived channels are filled: the measured energy rate
-(central differences of the H channel) and a log-volume estimate
-(trapezoidal time integral of the divergence).
+A run records s and the state at every accepted node.  When it ends,
+the Hamiltonian value, the exact predicted energy rate X(H) and the
+exact local divergence are evaluated at every recorded node, with
+`Poly.eval_array` on one block of `CSV_BLOCK_ROWS` nodes at a time,
+bit-identical to `Poly.eval` node by node; their kernels are compiled
+before the first step, so a coefficient past float range raises there.
+Then two derived channels are filled: the measured energy rate (central
+differences of the H channel) and a log-volume estimate (trapezoidal
+time integral of the divergence).
 
 A non-finite state aborts the run with the last good time and the
-partial trajectory attached to the error; so does exhausting the step
-budget.  A span that needs more than `budgets.MAX_STEPS` steps of the
-fixed RK4 step, or of the largest RKF45 step `budgets.MAX_RK45_STEP`,
-gets the same error before the first step.  The step arithmetic is
-this module's own; the budgets are read from `budgets` at each use.
+partial trajectory, monitors included, attached to the error; so does
+exhausting the step budget.  A span that needs more than
+`budgets.MAX_STEPS` steps of the fixed RK4 step, or of the largest RKF45
+step `budgets.MAX_RK45_STEP`, gets the same error before the first step.
+The step arithmetic is this module's own; the budgets are read from
+`budgets` at each use.
 
-The steppers work on a list of coordinates: one Python float each in
-`integrate`, one contiguous numpy column each in the particle push
-(`kinetics._push_chunk`), matching the polynomial kernel's own "one
-float or one column per coordinate" contract.  Every update is a
-per-coordinate expression, so floats and columns go through the same
-float operations in the same order.  The RKF45 step writes out each
-stage state, and the two solutions, as one sum per coordinate over the
-Fehlberg tables, x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right
-with the zero weights left out.
+The steppers are straight-line code, generated once per state length
+(`rk4_stepper`, which the particle push `kinetics._push_chunk` shares,
+and `_rkf45_stepper`).  They work on a list of coordinates: one Python
+float each in `integrate`, one contiguous numpy column each in the push,
+matching the polynomial kernel's own "one float or one column per
+coordinate" contract.  x and each stage unpack into names, and every
+stage state and solution is one expression per coordinate, so floats and
+columns go through the same float operations in the same order.  The
+RKF45 step writes each as one sum over the Fehlberg tables,
+x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right with the zero
+weights left out.
 
-A run grows its times, states and the three evaluated monitor channels
-as arrays of doubles, 8 bytes a value, and `Trajectory` holds numpy
-views of them.  `write_trajectory_csv` formats and writes one block of
-`CSV_BLOCK_ROWS` samples at a time, so a long run's file never sits in
-memory whole.
+A run grows its times and states as arrays of doubles, 8 bytes a value,
+and `Trajectory` holds numpy views of them beside the monitor channels.
+`write_trajectory_csv` formats and writes one block of `CSV_BLOCK_ROWS`
+samples at a time, so a long run's file never sits in memory whole.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -96,16 +103,6 @@ class StepBudgetError(IntegrationError):
     pass
 
 
-def _rk4_step(rhs, x: list, h: float) -> list:
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = rhs(x)
-    k2 = rhs([a + half * b for a, b in zip(x, k1)])
-    k3 = rhs([a + half * b for a, b in zip(x, k2)])
-    k4 = rhs([a + h * b for a, b in zip(x, k3)])
-    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-
-
 # Fehlberg 4(5) coefficients, classic values.
 _RKF_A = (
     (),
@@ -118,41 +115,91 @@ _RKF_A = (
 _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
+# The names the generated RKF45 step reads the tables by: `_A{s}{j}` weighs
+# stage j in stage state s, `_B5{j}` and `_B4{j}` weigh it in the two
+# solutions.  The zero weights B5[1], B4[1] and B4[5] get no name and no term.
+_RKF_NAMES = {
+    **{f"_A{s}{j}": a for s, row in enumerate(_RKF_A, 1) for j, a in enumerate(row, 1) if a},
+    **{f"_B5{j}": b for j, b in enumerate(_RKF_B5, 1) if b},
+    **{f"_B4{j}": b for j, b in enumerate(_RKF_B4, 1) if b},
+}
 
-# The tables unpacked for the written-out stages of `_rkf45_step`, which
-# has no term for the zero weights B5[1], B4[1] and B4[5].
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65) = _RKF_A[1:]
-_B51, _B53, _B54, _B55, _B56 = (b for b in _RKF_B5 if b)
-_B41, _B43, _B44, _B45 = (b for b in _RKF_B4 if b)
+
+def _targets(prefix: str, n: int) -> str:
+    """`{prefix}0, {prefix}1, ..., `: the names n values unpack into."""
+    return "".join(f"{prefix}{i}, " for i in range(n))
 
 
-def _rkf45_step(rhs, x: list, h: float):
-    """The fifth-order state and its difference from the fourth-order one.
+def _define(lines: list[str], namespace: dict):
+    """Compile the generated `def step` in `lines` over `namespace`."""
+    namespace = dict(namespace)
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
-    Each stage state, and each of the two solutions, is one comprehension
-    over coordinates: x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right.
+
+@cache
+def rk4_stepper(n: int):
+    """The classic RK4 step on a state of `n` coordinates, generated once
+    per length: `step(rhs, x, h)` returns the new state as a list.
+
+    x and each stage k unpack into names; each stage state, and the
+    solution, is one expression per coordinate: x + half*k, x + h*k, then
+    x + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), with half = 0.5*h and
+    sixth = h/6.0.  Only generated names and float literals enter the
+    source.  The push's pool threads that race on a cold cache build the
+    same step, so whichever is cached is right.
     """
-    k1 = rhs(x)
-    c1 = h * _A21
-    k2 = rhs([a + c1 * b1 for a, b1 in zip(x, k1)])
-    c1, c2 = h * _A31, h * _A32
-    k3 = rhs([a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(x, k1, k2)])
-    c1, c2, c3 = h * _A41, h * _A42, h * _A43
-    k4 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 for a, b1, b2, b3 in zip(x, k1, k2, k3)])
-    c1, c2, c3, c4 = h * _A51, h * _A52, h * _A53, h * _A54
-    k5 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4
-              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-    c1, c2, c3, c4, c5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    k6 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4 + c5 * b5
-              for a, b1, b2, b3, b4, b5 in zip(x, k1, k2, k3, k4, k5)])
-    c1, c3, c4, c5, c6 = h * _B51, h * _B53, h * _B54, h * _B55, h * _B56
-    x5 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5 + c6 * b6
-          for a, b1, b3, b4, b5, b6 in zip(x, k1, k3, k4, k5, k6)]
-    c1, c3, c4, c5 = h * _B41, h * _B43, h * _B44, h * _B45
-    x4 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5
-          for a, b1, b3, b4, b5 in zip(x, k1, k3, k4, k5)]
-    return x5, [a - b for a, b in zip(x5, x4)]
+    def stage_state(c: str, s: int) -> str:
+        return ", ".join(f"x{i} + {c} * k{s}_{i}" for i in range(n))
+
+    solution = ", ".join(f"x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
+                         for i in range(n))
+    return _define([
+        "def step(rhs, x, h):",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        f"    {_targets('x', n)}= x",
+        f"    {_targets('k1_', n)}= rhs(x)",
+        f"    {_targets('k2_', n)}= rhs([{stage_state('half', 1)}])",
+        f"    {_targets('k3_', n)}= rhs([{stage_state('half', 2)}])",
+        f"    {_targets('k4_', n)}= rhs([{stage_state('h', 3)}])",
+        f"    return [{solution}]",
+    ], {})
+
+
+@cache
+def _rkf45_stepper(n: int):
+    """The Fehlberg step on a state of `n` coordinates, generated once per
+    length: `step(rhs, x, h)` returns the fifth-order state and its
+    difference from the fourth-order one, as two lists.
+
+    x and each stage k unpack into names.  Each stage state, and each of
+    the two solutions, is one sum per coordinate over the tables,
+    x + c1*k1 + c2*k2 + ..., added left to right, with c_j = h times the
+    table's weight of stage j; the difference is x5 - x4 per coordinate.
+    Only generated names and the table names of `_RKF_NAMES` enter the
+    source.
+    """
+    def sums(weights: list[int]) -> list[str]:
+        return [" + ".join([f"x{i}", *(f"c{j} * k{j}_{i}" for j in weights)]) for i in range(n)]
+
+    def coefficients(table: str, weights: list[int]) -> str:
+        return (f"    {', '.join(f'c{j}' for j in weights)} = "
+                f"{', '.join(f'h * {table}{j}' for j in weights)}")
+
+    lines = ["def step(rhs, x, h):", f"    {_targets('x', n)}= x",
+             f"    {_targets('k1_', n)}= rhs(x)"]
+    for s, row in enumerate(_RKF_A[1:], 2):
+        weights = [j for j, a in enumerate(row, 1) if a]
+        lines += [coefficients(f"_A{s}", weights),
+                  f"    {_targets(f'k{s}_', n)}= rhs([{', '.join(sums(weights))}])"]
+    fifth = [j for j, b in enumerate(_RKF_B5, 1) if b]
+    fourth = [j for j, b in enumerate(_RKF_B4, 1) if b]
+    lines += [coefficients("_B5", fifth),
+              *(f"    y{i} = {total}" for i, total in enumerate(sums(fifth))),
+              coefficients("_B4", fourth),
+              f"    return [{_targets('y', n)}], "
+              f"[{', '.join(f'y{i} - ({total})' for i, total in enumerate(sums(fourth)))}]"]
+    return _define(lines, _RKF_NAMES)
 
 
 def _error_norm(err: list, x: list, x_new: list, abs_tol: float, rel_tol: float) -> float:
@@ -188,33 +235,28 @@ def integrate(
     if s1 < s0:
         raise ValueError("backward integration is not supported; swap the span")
     comps, diag = dyn.field.components, dyn.diagnostics
-    h_eval, rate_eval, div_eval = dyn.H.eval, diag.dH_along_flow.eval, diag.divergence.eval
+    monitors = (dyn.H, diag.dH_along_flow, diag.divergence)
 
     def rhs(x: list[float]) -> list[float]:
         return [c.eval(x) for c in comps]
 
     x = x0.tolist()
-    # every channel is a growing array of doubles, 8 bytes a value; states
-    # holds one row after another
+    for poly in monitors:
+        poly.eval(x)  # compiles its kernel: a coefficient past float range raises here
+    # s and the state at every accepted node, as growing arrays of doubles,
+    # 8 bytes a value; states holds one row after another
     times = array("d", [s0])
     states = array("d", x)
-    ham = array("d", [h_eval(x)])
-    pred = array("d", [rate_eval(x)])
-    div = array("d", [div_eval(x)])
 
     def partial_trajectory() -> Trajectory:
-        """The run so far, over views of the channels: called only when the
-        run ends, since a channel with a view cannot grow."""
+        """The run so far, over views of the channels, with its monitors:
+        called only when the run ends, since a channel with a view cannot grow."""
         traj = Trajectory(spec, np.frombuffer(times), np.frombuffer(states).reshape(-1, chart.dim))
-        _fill_monitors(traj, ham, pred, div)
+        # a monitor past float range is inf, as `Poly.eval` gives, and the
+        # channels derived from it NaN: numpy's warnings about them are off
+        with np.errstate(all="ignore"):
+            _fill_monitors(traj, *_evaluate_monitors(monitors, traj.states))
         return traj
-
-    def record(s: float, y: list[float]) -> None:
-        times.append(s)
-        states.extend(y)
-        ham.append(h_eval(y))
-        pred.append(rate_eval(y))
-        div.append(div_eval(y))
 
     if config.method == "rk4":
         total = s1 - s0
@@ -226,19 +268,19 @@ def integrate(
             )
         n_steps = max(1, round(steps)) if total > 0 else 0
         h = total / n_steps if n_steps else 0.0
-        s = s0
+        step = rk4_stepper(chart.dim)
         for k in range(n_steps):
             try:
-                x = _rk4_step(rhs, x, h)
+                x = step(rhs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
                 raise BlowUpError(
                     "state left the representable range mid-step", times[-1],
                     partial_trajectory(),
                 ) from None
-            s = s0 + (k + 1) * h
             if not all(map(math.isfinite, x)):
                 raise BlowUpError("non-finite state", times[-1], partial_trajectory())
-            record(s, x)
+            times.append(s0 + (k + 1) * h)
+            states.extend(x)
     else:
         fewest = (s1 - s0) / budgets.MAX_RK45_STEP
         if not fewest <= budgets.MAX_STEPS:
@@ -249,6 +291,7 @@ def integrate(
         s = s0
         h = min(config.step, s1 - s0) if s1 > s0 else 0.0
         steps = 0
+        step = _rkf45_stepper(chart.dim)
         while s < s1:
             if steps >= budgets.MAX_STEPS:
                 raise StepBudgetError(
@@ -257,7 +300,7 @@ def integrate(
             steps += 1
             h = min(h, budgets.MAX_RK45_STEP, s1 - s)
             try:
-                x_new, err = _rkf45_step(rhs, x, h)
+                x_new, err = step(rhs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
                 raise BlowUpError(
                     "state left the representable range mid-step", s, partial_trajectory()
@@ -268,13 +311,27 @@ def integrate(
             if err_norm <= 1.0:
                 s = s + h
                 x = x_new
-                record(s, x)
+                times.append(s)
+                states.extend(x)
             factor = 0.9 * (err_norm ** -0.2) if err_norm > 0 else 5.0
             h = h * min(5.0, max(0.2, factor))
             if h <= 0 or not math.isfinite(h):
                 raise BlowUpError("step size collapsed", s, partial_trajectory())
 
     return partial_trajectory()
+
+
+def _evaluate_monitors(monitors: Sequence, states: np.ndarray) -> list[np.ndarray]:
+    """Each monitor polynomial at every row of `states`, by `Poly.eval_array`
+    on one block of `CSV_BLOCK_ROWS` rows at a time: bit-identical to
+    `Poly.eval` row by row."""
+    channels = [np.empty(len(states)) for _ in monitors]
+    for lo in range(0, len(states), CSV_BLOCK_ROWS):
+        rows = slice(lo, lo + CSV_BLOCK_ROWS)
+        columns = states[rows].T
+        for poly, channel in zip(monitors, channels):
+            channel[rows] = poly.eval_array(columns)
+    return channels
 
 
 def _fill_monitors(traj: Trajectory, ham, pred, div) -> None:

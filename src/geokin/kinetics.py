@@ -68,7 +68,7 @@ from .chart import Chart, ChartKind, VectorFieldExpr
 from .density import growth_factor, kinetic_spec, weight_rate
 from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
 from .fields import Dynamics
-from .flow import _rk4_step
+from .flow import rk4_stepper
 from .poly import Poly
 
 
@@ -502,10 +502,11 @@ def _push_chunk(
             dy[dim] = src_eval(x) * y[dim]
         return dy
 
+    rk4_step = rk4_stepper(dim + 1)
     escapes = []
     with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
         for step in range(n_steps):
-            state = _rk4_step(rhs, state, h)
+            state = rk4_step(rhs, state, h)
             alive = np.ones(len(state[dim]), dtype=bool)
             for k, axis in enumerate(axes):
                 if axis.boundary == "periodic":

@@ -98,7 +98,7 @@ def _pack(exps: Sequence[int]) -> int:
     return key
 
 
-def _unit(dim: int, index: int) -> int:
+def unit_key(dim: int, index: int) -> int:
     """The key of coordinate `index` to the first power: one in its slot
     and one in the degree."""
     return 1 << _SLOT * dim | 1 << _SLOT * (dim - 1 - index)
@@ -222,7 +222,7 @@ class Poly:
     def variable(cls, dim: int, index: int) -> "Poly":
         if not 0 <= index < dim:
             raise ValueError(f"variable index {index} out of range for dim {dim}")
-        return cls._wrap(dim, {_unit(dim, index): 1}, 1)
+        return cls._wrap(dim, {unit_key(dim, index): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps: Sequence[int], coeff: Rational = 1) -> "Poly":
@@ -444,7 +444,7 @@ class Poly:
         result = memo[index]
         if result is None:
             s = _SLOT * (self.dim - 1 - index)
-            unit = _unit(self.dim, index)
+            unit = unit_key(self.dim, index)
             out: dict[int, int] = {}
             for k, n in self._num.items():
                 e = k >> s & _MASK
@@ -664,7 +664,7 @@ class _Parser:
         self.tok = self.next_token()
         self.names = list(names)
         self.dim = len(self.names)
-        self.units = {n: _unit(self.dim, i) for i, n in enumerate(self.names)}
+        self.units = {n: unit_key(self.dim, i) for i, n in enumerate(self.names)}
         self.shift = _SLOT * self.dim
         self.depth = 0
 

@@ -1,6 +1,7 @@
 """Helpers shared by the tests: a traced allocation peak, the two
 finite-difference oracles the exact divergence is checked against, the
-dense tensor walks the nonzero walks of `chart`, `fields` and `musical`
+comprehension RK4 and RKF45 steps the generated steppers of `flow` are
+checked against, the dense tensor walks the nonzero walks of `chart`, `fields` and `musical`
 are checked against, and the reference expression parser
 `geokin.poly.parse` is checked against."""
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from geokin.chart import OneFormExpr, TwoFormExpr, VectorFieldExpr
 from geokin.fields import Dynamics
-from geokin.flow import IntegratorConfig, integrate
+from geokin.flow import _RKF_A, _RKF_B4, _RKF_B5, IntegratorConfig, integrate
 from geokin.musical import SharpVariant
 from geokin.poly import ParseError, Poly
 
@@ -67,6 +68,53 @@ def flow_map_logdet(
     if sign <= 0:
         raise ArithmeticError("flow map Jacobian lost orientation; window too long?")
     return float(logdet)
+
+
+# -- the comprehension steppers ---------------------------------------------
+#
+# `flow`'s RK4 and RKF45 steps as they were before they were generated per
+# state length: one comprehension over zipped coordinates per stage state
+# and per solution, with the same float operations in the same order.
+
+
+def comprehension_rk4_step(rhs, x: list, h: float) -> list:
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = rhs(x)
+    k2 = rhs([a + half * b for a, b in zip(x, k1)])
+    k3 = rhs([a + half * b for a, b in zip(x, k2)])
+    k4 = rhs([a + h * b for a, b in zip(x, k3)])
+    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = _RKF_A[1:]
+_B51, _B53, _B54, _B55, _B56 = (b for b in _RKF_B5 if b)
+_B41, _B43, _B44, _B45 = (b for b in _RKF_B4 if b)
+
+
+def comprehension_rkf45_step(rhs, x: list, h: float):
+    """The fifth-order state and its difference from the fourth-order one."""
+    k1 = rhs(x)
+    c1 = h * _A21
+    k2 = rhs([a + c1 * b1 for a, b1 in zip(x, k1)])
+    c1, c2 = h * _A31, h * _A32
+    k3 = rhs([a + c1 * b1 + c2 * b2 for a, b1, b2 in zip(x, k1, k2)])
+    c1, c2, c3 = h * _A41, h * _A42, h * _A43
+    k4 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 for a, b1, b2, b3 in zip(x, k1, k2, k3)])
+    c1, c2, c3, c4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4
+              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+    c1, c2, c3, c4, c5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = rhs([a + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4 + c5 * b5
+              for a, b1, b2, b3, b4, b5 in zip(x, k1, k2, k3, k4, k5)])
+    c1, c3, c4, c5, c6 = h * _B51, h * _B53, h * _B54, h * _B55, h * _B56
+    x5 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5 + c6 * b6
+          for a, b1, b3, b4, b5, b6 in zip(x, k1, k3, k4, k5, k6)]
+    c1, c3, c4, c5 = h * _B41, h * _B43, h * _B44, h * _B45
+    x4 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5
+          for a, b1, b3, b4, b5 in zip(x, k1, k3, k4, k5)]
+    return x5, [a - b for a, b in zip(x5, x4)]
 
 
 # -- the dense tensor walks ----------------------------------------------

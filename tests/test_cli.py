@@ -495,7 +495,7 @@ def test_kinetic_runs_past_the_step_budget_are_refused_before_stepping(tmp_path,
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(kinetics, "_rk4_step", no_step)  # the particle push
+    monkeypatch.setattr(kinetics, "rk4_stepper", lambda n: no_step)  # the particle push
     monkeypatch.setattr(kinetics, "_ssp_rk3_step", no_step)  # the grid step
     path = write_config(tmp_path, _kinetic_config(tmp_path, task, "p1^2/2", 1e9, 0.01))
     assert cli.main(["run", path]) == 1
@@ -541,7 +541,7 @@ def test_kinetic_runs_past_the_work_budget_are_refused_before_stepping(
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(kinetics, "_rk4_step", no_step)  # the particle push
+    monkeypatch.setattr(kinetics, "rk4_stepper", lambda n: no_step)  # the particle push
     monkeypatch.setattr(kinetics, "_ssp_rk3_step", no_step)  # the grid step
     cfg = _kinetic_config(tmp_path, task, "p1^2/2", t_final, dt)
     cfg["particles"] = particles

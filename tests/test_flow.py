@@ -1,10 +1,14 @@
-"""Integrator tests: pinned trajectories, convergence order, monitors, and
-a bit-identity oracle against the array loop the coordinate-list steps replaced."""
+"""Integrator tests: pinned trajectories, convergence order, monitors, a
+bit-identity oracle against the array loop the coordinate-list steps
+replaced, and one against the comprehension steps the generated steppers
+replaced."""
 
 import math
 import random
 import re
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +31,13 @@ from geokin.flow import (
 )
 from geokin.poly import Poly
 
-from helpers import flow_map_logdet, numeric_divergence, traced_peak
+from helpers import (
+    comprehension_rk4_step,
+    comprehension_rkf45_step,
+    flow_map_logdet,
+    numeric_divergence,
+    traced_peak,
+)
 
 
 def _spec(kind, n=1, family=Family.HAMILTONIAN, gauge="auto"):
@@ -204,7 +214,7 @@ def test_an_rk45_span_past_the_step_budget_is_refused_before_the_first_step(
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(flow, "_rkf45_step", no_step)
+    monkeypatch.setattr(flow, "_rkf45_stepper", lambda n: no_step)
     chart, spec = _spec(kind)
     fewest = t_final / budgets.MAX_RK45_STEP
     message = f"{fewest:.6g} RKF45 steps of at most {budgets.MAX_RK45_STEP} exceed the step budget"
@@ -225,40 +235,57 @@ def test_rk45_steps_are_capped_at_the_largest_step(monkeypatch):
 
 
 def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
-    """The `Poly.eval` budget of `integrate`: 4*dim calls per RK4 step and
-    6*dim per RKF45 attempt, accepted or rejected, plus 3 (H, X(H) and the
-    divergence) per recorded node, the first one included.
+    """The evaluation budget of `integrate`.  `Poly.eval`: 4*dim calls per
+    RK4 step and 6*dim per RKF45 attempt, accepted or rejected, plus 3 up
+    front, which compile the kernels of H, X(H) and the divergence before
+    the first step.  `Poly.eval_array`: those 3 monitors once per block of
+    `CSV_BLOCK_ROWS` recorded nodes, after the run.
 
     The benchmark's `--trace 1` run bounds `poly.eval.calls` below by 4 x
-    steps (`perfbench/run.py::coverage_problems`), so a change that
-    evaluates the field past `Poly.eval` (ROADMAP item 2's fused kernel)
-    fails here first.  ROADMAP item 1b must move that bench bound to an
-    exact right-hand-side count before such a change lands."""
+    steps (`perfbench/run.py::coverage_problems`).  The monitors already
+    evaluate past `Poly.eval`; a change that evaluates the field past it
+    too (ROADMAP item 2's fused kernel) fails here first.  ROADMAP item 1b
+    must move that bench bound to an exact right-hand-side count before
+    such a change lands."""
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
-    calls = attempts = 0
-    poly_eval, rkf45_step = Poly.eval, flow._rkf45_step
+    calls = array_calls = attempts = 0
+    poly_eval, poly_eval_array, rkf45_stepper = Poly.eval, Poly.eval_array, flow._rkf45_stepper
 
     def counted_eval(self, point):
         nonlocal calls
         calls += 1
         return poly_eval(self, point)
 
-    def counted_step(rhs, x, h):
-        nonlocal attempts
-        attempts += 1
-        return rkf45_step(rhs, x, h)
+    def counted_eval_array(self, columns):
+        nonlocal array_calls
+        array_calls += 1
+        return poly_eval_array(self, columns)
+
+    def counted_stepper(n):
+        step = rkf45_stepper(n)
+
+        def counted_step(rhs, x, h):
+            nonlocal attempts
+            attempts += 1
+            return step(rhs, x, h)
+        return counted_step
 
     monkeypatch.setattr(Poly, "eval", counted_eval)
-    monkeypatch.setattr(flow, "_rkf45_step", counted_step)
+    monkeypatch.setattr(Poly, "eval_array", counted_eval_array)
+    monkeypatch.setattr(flow, "_rkf45_stepper", counted_stepper)
+    monkeypatch.setattr(flow, "CSV_BLOCK_ROWS", 16)
     x0 = [0.0, 0.3, 0.4, 0.1]
     traj = integrate(dyn, x0, (0.0, 0.25), IntegratorConfig(step=5e-3))
-    assert calls == 4 * chart.dim * 50 + 3 * len(traj.times) and len(traj.times) == 51
-    calls = 0
+    assert len(traj.times) == 51  # four blocks of 16 nodes, the last one short
+    assert calls == 4 * chart.dim * 50 + 3
+    assert array_calls == 3 * 4
+    calls = array_calls = 0
     # a first step far past the tolerance: the controller rejects and shrinks it
     traj = integrate(dyn, x0, (0.0, 2.0), IntegratorConfig(method="rk45", step=1.0))
     assert attempts > len(traj.times) - 1
-    assert calls == 6 * chart.dim * attempts + 3 * len(traj.times)
+    assert calls == 6 * chart.dim * attempts + 3
+    assert array_calls == 3 * -(-len(traj.times) // 16)
 
 
 def test_a_trajectory_holds_about_eight_bytes_per_sample_per_channel():
@@ -395,7 +422,7 @@ def test_rkf45_step_is_bit_identical_to_the_array_step(data):
 
     with np.errstate(all="ignore"):
         want = reference_rkf45_step(ref_rhs, np.array(x), h)
-    got = flow._rkf45_step(rhs, x, h)
+    got = flow._rkf45_stepper(dim)(rhs, x, h)
     assert stages == ref_stages  # every stage state, in order
     assert [pack(v) for v in got] == [pack(v) for v in want]
 
@@ -512,3 +539,185 @@ def test_integrate_is_bit_identical_to_the_array_loop(kind, method, data):
     for name, channel in ref.monitors.items():
         assert traj.monitors[name].tobytes() == channel.tobytes(), name
     assert trajectory_csv_lines(traj) == ref_lines
+
+
+# -- the generated steppers against the comprehension steps they replaced --
+
+
+# ±0.0, subnormals, ±inf, NaN and values whose products leave float range,
+# besides any float
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan,
+                     1e300, -1e300, 1.0, -0.5]),
+    st.floats(),
+)
+STEPPERS = [(flow.rk4_stepper, comprehension_rk4_step),
+            (flow._rkf45_stepper, comprehension_rkf45_step)]
+
+
+def as_bytes(result) -> list[bytes]:
+    """A state, or an RKF45 step's (state, error) pair, one coordinate at a
+    time as bytes, so that -0.0 and NaN count.  Every NaN is written as the
+    one quiet NaN: when both operands of a float add or multiply are NaN,
+    CPython 3.11 returns one or the other depending on whether the
+    interpreter has specialised the instruction yet, so a NaN's sign is not
+    fixed by the float operations alone."""
+    values = [*result[0], *result[1]] if isinstance(result, tuple) else result
+    return [np.where(np.isnan(v), math.nan, v).astype(float).tobytes() for v in values]
+
+
+def mixing_field(weights, shifts, zero=frozenset()):
+    """A linear field that mixes neighbouring coordinates, with the scalar
+    0.0 for each component in `zero`, as the particle push passes it."""
+    n = len(weights)
+
+    def field(y):
+        return [0.0 if j in zero else w * y[(j + 1) % n] + v
+                for j, (w, v) in enumerate(zip(weights, shifts))]
+    return field
+
+
+def recorded(field, stages: list):
+    def rhs(y):
+        stages.append(as_bytes(y))
+        return field(y)
+    return rhs
+
+
+def assert_steppers_match_the_comprehension_steps(n, field, x, h):
+    for stepper, oracle in STEPPERS:
+        stages, want_stages = [], []
+        got = stepper(n)(recorded(field, stages), x, h)
+        want = oracle(recorded(field, want_stages), x, h)
+        assert stages == want_stages, oracle.__name__  # every stage state, in order
+        assert as_bytes(got) == as_bytes(want), oracle.__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generated_steppers_are_bit_identical_to_the_comprehension_steps(data):
+    n = data.draw(st.integers(1, 35))  # cocontact n=16 has 34 coordinates, its push 35
+    vector = st.lists(ANY_FLOAT, min_size=n, max_size=n)
+    field = mixing_field(data.draw(vector), data.draw(vector))
+    assert_steppers_match_the_comprehension_steps(n, field, data.draw(vector), data.draw(ANY_FLOAT))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generated_steppers_are_bit_identical_on_numpy_columns(data):
+    n, rows = data.draw(st.integers(1, 35)), data.draw(st.integers(0, 4))
+    column = st.lists(ANY_FLOAT, min_size=rows, max_size=rows).map(np.array)
+    vector = st.lists(ANY_FLOAT, min_size=n, max_size=n)
+    zero = frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    field = mixing_field(data.draw(vector), data.draw(vector), zero)
+    x = [data.draw(column) for _ in range(n)]
+    with np.errstate(all="ignore"):
+        assert_steppers_match_the_comprehension_steps(n, field, x, data.draw(ANY_FLOAT))
+
+
+def test_threads_racing_on_a_cold_cache_step_alike():
+    n, h = 9, 0.1
+    x = [0.1 * (i - 4) for i in range(n)]
+    field = mixing_field([1.5 - 0.25 * i for i in range(n)], [0.01 * i for i in range(n)])
+    for stepper, oracle in STEPPERS:
+        stepper.cache_clear()
+        barrier, results = threading.Barrier(2), [None, None]
+
+        def run(slot):
+            barrier.wait()
+            results[slot] = as_bytes(stepper(n)(field, x, h))
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results[0] == results[1] == as_bytes(oracle(field, x, h)), oracle.__name__
+
+
+# -- the monitors, evaluated per block after the run --------------------------
+
+
+def assert_monitors_are_per_sample_evals(dyn, traj):
+    """H, X(H) and div equal `Poly.eval` sample by sample, byte for byte."""
+    diag = dyn.diagnostics
+    for name, poly in [("hamiltonian", dyn.H), ("predicted_dH", diag.dH_along_flow),
+                       ("divergence", diag.divergence)]:
+        want = np.array([poly.eval(row) for row in traj.states.tolist()], dtype=float)
+        assert traj.monitors[name].tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+@pytest.mark.parametrize("kind", list(ChartKind))
+def test_monitors_are_per_sample_evaluations_on_every_row(kind, method):
+    chart = Chart(kind, 2)
+    rng = random.Random(5)
+    for spec in catalog(chart):
+        dyn = Dynamics(spec, random_hamiltonian(rng, chart, z_free=spec.family is Family.STRICT))
+        try:
+            traj = integrate(dyn, [0.1] * chart.dim, (0.0, 0.2),
+                             IntegratorConfig(method=method, step=1e-2))
+        except BlowUpError as err:
+            traj = err.partial
+        assert len(traj.times) > 1, spec.row_name
+        assert_monitors_are_per_sample_evals(dyn, traj)
+
+
+def test_monitors_of_a_run_longer_than_a_block_are_per_sample_evaluations():
+    chart, spec = _spec(ChartKind.COCONTACT)
+    dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
+    traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0), IntegratorConfig(step=1e-4))
+    assert len(traj.times) > 2 * flow.CSV_BLOCK_ROWS  # two whole blocks and a short one
+    assert_monitors_are_per_sample_evals(dyn, traj)
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+def test_monitors_of_a_blown_up_run_are_per_sample_evaluations(method):
+    chart, spec = _spec(ChartKind.SYMPLECTIC)
+    dyn = Dynamics(spec, chart.parse("q1^3 * p1"))
+    with pytest.raises(BlowUpError) as err:
+        integrate(dyn, [1.0, 0.2], (0.0, 1.0), IntegratorConfig(method=method, step=1e-3))
+    assert len(err.value.partial.times) > 1
+    assert_monitors_are_per_sample_evals(dyn, err.value.partial)
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+def test_monitors_of_a_run_past_the_step_budget_are_per_sample_evaluations(monkeypatch, method):
+    # rk4 is refused before its first step; rk45 runs out after ten attempts
+    chart, spec = _spec(ChartKind.COCONTACT)
+    dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
+    monkeypatch.setattr(budgets, "MAX_STEPS", 10)
+    with pytest.raises(StepBudgetError) as err:
+        integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0),
+                  IntegratorConfig(method=method, step=1e-3, rel_tol=1e-12, abs_tol=1e-14))
+    samples = len(err.value.partial.times)
+    assert samples == 1 if method == "rk4" else 1 < samples <= 11
+    assert_monitors_are_per_sample_evals(dyn, err.value.partial)
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+def test_an_out_of_range_monitor_coefficient_raises_before_the_first_step(monkeypatch, method):
+    # the field of H = 2^600 z has coefficients in float range; X(H) = -2^1200 z has not
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(flow, "rk4_stepper", lambda n: no_step)
+    monkeypatch.setattr(flow, "_rkf45_stepper", lambda n: no_step)
+    chart, spec = _spec(ChartKind.CONTACT)
+    dyn = Dynamics(spec, chart.parse("2^600*z"))
+    assert all(c.eval([0.0, 0.1, 0.1]) for c in dyn.field.components[1:])
+    with pytest.raises(OverflowError):
+        integrate(dyn, [0.0, 0.1, 0.1], (0.0, 1.0), IntegratorConfig(method=method))
+
+
+def test_a_monitor_past_float_range_is_inf_and_prints_nothing(capfd):
+    # H = q1^2/10^10 is 1e390 at q1 = 1e200, while the flow (p1 falls at 2e190) stays finite
+    chart, spec = _spec(ChartKind.SYMPLECTIC)
+    dyn = Dynamics(spec, chart.parse("q1^2/10^10"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(dyn, [1e200, 0.0], (0.0, 0.01), IntegratorConfig(step=1e-3))
+    assert np.all(traj.monitors["hamiltonian"] == math.inf)
+    assert np.all(np.isnan(traj.monitors["measured_dH"]))
+    assert_monitors_are_per_sample_evals(dyn, traj)
+    assert capfd.readouterr() == ("", "")

@@ -1,4 +1,5 @@
-"""Every imported name is used where it is imported.
+"""Every imported name is used where it is imported, and no `src/` module
+imports another's private name.
 
 An import that nothing references is dead code that still costs a load
 and misleads a reader about what a module depends on.  The scan is over
@@ -7,6 +8,10 @@ or `from ... import` must appear as a name elsewhere in the same file, or
 in its `__all__`.  An import kept on purpose for another reader (such as
 a binding the benchmark's tracer wraps) says so with the usual
 `# noqa: F401` on its line.
+
+A name with a leading underscore is its module's own: a second module that
+needs it needs it under a public name, so the scan of `src/` refuses
+`from .<module> import _<name>`, relative or through `geokin`.
 """
 
 import ast
@@ -48,3 +53,33 @@ def test_no_file_imports_a_name_it_never_references():
     unused = {str(path.relative_to(ROOT)): names for path in files
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Each `from <module> import <name>` in `source` that takes a private
+    name from a geokin module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "geokin"):
+            module = "." * node.level + (node.module or "")
+            found += [f"from {module} import {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_the_scan_sees_a_private_import():
+    assert private_imports("from .flow import rk4_stepper, _rkf45_stepper\n"
+                           "from geokin.poly import _SLOT\nfrom . import _hidden\n") == [
+        "from . import _hidden", "from .flow import _rkf45_stepper",
+        "from geokin.poly import _SLOT"]
+    assert private_imports("from __future__ import annotations\nfrom os import _exit\n"
+                           "from .poly import Poly\n") == []
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    found = {str(path.relative_to(ROOT)): names for path in files
+             if (names := private_imports(path.read_text()))}
+    assert found == {}

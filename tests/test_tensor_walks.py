@@ -15,6 +15,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geokin.brackets import BracketKind, bracket
 from geokin.chart import (
     Chart,
     ChartKind,
@@ -30,8 +31,13 @@ from geokin.chart import (
     two_form_omega,
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
+from geokin.density import momentum_map
 from geokin.fields import (
+    Family,
+    Gauge,
     catalog,
+    diagnostics,
+    divergence,
     exterior_derivative_oneform,
     lie_derivative_oneform,
     lie_derivative_twoform,
@@ -236,3 +242,36 @@ def test_the_walks_take_no_partial_of_a_zero_polynomial(monkeypatch):
     taken.update(all=0, zero=0)
     dense_lie_derivative_twoform(X, omega)
     assert taken["zero"] > 145
+
+
+def test_no_caller_takes_a_partial_of_a_zero_polynomial(monkeypatch):
+    """`differential`, `divergence`, `bracket`, `diagnostics`, `momentum_map`
+    and `make_field` put the chart's cached zero where a partial of a zero
+    polynomial would go, and agree with the closed forms."""
+    taken = {"all": 0, "zero": 0}
+    partial = Poly.partial
+
+    def counted(self, index):
+        taken["all"] += 1
+        taken["zero"] += not self
+        return partial(self, index)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    rng = random.Random(21)
+    for chart in CHARTS:
+        zero = chart.zero()
+        assert differential(zero, chart).components == (zero,) * chart.dim
+        for spec in catalog(chart):
+            # gauge zero leaves X^t zero; a t-free H leaves H_t zero under gauge grad H
+            H = random_poly(rng, chart.dim, frozen_slots=(
+                *((chart.z_slot,) if spec.family is Family.STRICT else ()),
+                *((chart.t_slot,) if spec.gauge is Gauge.GRAD_H else ())))
+            assert divergence(make_field(spec, H)) == diagnostics(spec, H).divergence
+            assert divergence(make_field(spec, zero)) == diagnostics(spec, zero).divergence == zero
+        H = random_hamiltonian(rng, chart)
+        for kind in BracketKind:
+            if kind.chart_kind is chart.kind:
+                assert bracket(chart, kind, zero, H) == bracket(chart, kind, H, zero) == zero
+        assert momentum_map(OneFormExpr(chart, (zero,) * chart.dim)) == zero
+        assert taken["zero"] == 0, chart
+    assert taken["all"] > 0
