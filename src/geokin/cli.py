@@ -102,7 +102,7 @@ class Scenario:
             _check_identity_work(chart, self.trials, "$.trials")
         self.threads = cfg["threads"]
         self.particle_count = count = cfg["particles"]
-        if count * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
+        if task == "kinetic-particle" and count * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
             raise ConfigError("$.particles", f"{count} particles x {chart.dim + 1} values exceed "
                                              f"the push budget of {budgets.MAX_PUSH_VALUES}; at "
                                              f"most {budgets.MAX_PUSH_VALUES // (chart.dim + 1)} "
@@ -524,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
             chart = Chart(ChartKind(args.chart), _check(args.n, "--n", "$.chart.n"))
             trials = _check(args.trials, "--trials", "$.trials")
             _check_identity_work(chart, trials, "--trials")
-            return _run_identity(chart, args.seed, trials, args.output)
+            return _run_identity(chart, _check(args.seed, "--seed", "$.seed"), trials, args.output)
         if args.command == "validate":
             scenario = load_scenario(args.config)
             print("ok")

@@ -1,18 +1,18 @@
-"""Trajectory integration for catalog fields, with monitor channels.
+"""Trajectory integration for catalog fields, with monitor channels,
+and the row blocks and CSV writer every pass over rows shares.
 
 Two integrators: classic fixed-step RK4 and adaptive RKF45 (Fehlberg
 pair, fifth-order propagation, step control on the embedded error).
 Each entry point takes a `fields.Dynamics` and shares its field and
 diagnostics, and their compiled kernels, with every run it is given to.
 A run records s and the state at every accepted node.  When it ends,
-the Hamiltonian value, the exact predicted energy rate X(H) and the
-exact local divergence are evaluated at every recorded node, with
-`Poly.eval_array` on one block of `CSV_BLOCK_ROWS` nodes at a time,
+the three monitor channels, the Hamiltonian value, the exact predicted
+energy rate X(H) and the exact local divergence, are evaluated at every
+recorded node, with `Poly.eval_array` on one block of rows at a time,
 bit-identical to `Poly.eval` node by node; their kernels are compiled
 before the first step, so a coefficient past float range raises there.
-Then two derived channels are filled: the measured energy rate (central
-differences of the H channel) and a log-volume estimate (trapezoidal
-time integral of the divergence).
+`monitored_energy_rate` measures the energy rate from the H channel
+when it is asked to.
 
 A non-finite state aborts the run with the last good time and the
 partial trajectory, monitors included, attached to the error; so does
@@ -35,16 +35,18 @@ x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right with the zero
 weights left out.
 
 A run grows its times and states as arrays of doubles, 8 bytes a value,
-and `Trajectory` holds numpy views of them beside the monitor channels.
-`write_trajectory_csv` formats and writes one block of `CSV_BLOCK_ROWS`
-samples at a time, so a long run's file never sits in memory whole.
+and `Trajectory` holds numpy views of them beside the three monitor
+channels.  Every pass over rows, here and in `kinetics`, walks them in
+the blocks of `row_blocks`, `BLOCK_ROWS` rows each, read at each use;
+`write_csv` formats and writes one block at a time, so a long run's file
+never sits in memory whole, and both CSV formats go through it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -55,7 +57,23 @@ from .chart import Chart
 from .fields import Dynamics, FieldSpec
 
 METHODS = ("rk4", "rk45")
-CSV_BLOCK_ROWS = 4_096  # samples formatted per write by `write_trajectory_csv`
+
+# Rows per block of every pass over rows: the monitors and the CSV writer
+# here; the seeding, the push and the cloud-in-cell stencil in `kinetics`,
+# and its grid writer.  No result depends on it.  A block's RK4 working set
+# should stay in cache: 480^2 symplectic particles x 10 steps, one thread
+# on a 2-vCPU x86 host, took 141 ms in 2k-row blocks, 80 ms in 8k, 76 ms
+# in 16k and 132 ms in 64k.  What a pass holds past its output grows with
+# it: three block-sized arrays while a monitor kernel runs, and one Python
+# float per value while the CSV writer formats a block.  At 16k those took
+# `integrate`'s peak on a 2e4-step cocontact n=1 run to 84 B a sample
+# (66 B of channels), against 74.5 B at 8k.
+BLOCK_ROWS = 8_192
+
+
+def row_blocks(count: int) -> list[slice]:
+    """`count` rows as consecutive slices of `BLOCK_ROWS` rows, in order."""
+    return [slice(lo, min(lo + BLOCK_ROWS, count)) for lo in range(0, count, BLOCK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,7 @@ class Trajectory:
     spec: FieldSpec
     times: np.ndarray
     states: np.ndarray  # shape (len(times), chart.dim)
-    monitors: dict[str, np.ndarray] = field(default_factory=dict)
+    monitors: dict[str, np.ndarray]  # hamiltonian, predicted_dH, divergence: one value a sample
 
     @property
     def chart(self) -> Chart:
@@ -235,13 +253,14 @@ def integrate(
     if s1 < s0:
         raise ValueError("backward integration is not supported; swap the span")
     comps, diag = dyn.field.components, dyn.diagnostics
-    monitors = (dyn.H, diag.dH_along_flow, diag.divergence)
+    monitors = {"hamiltonian": dyn.H, "predicted_dH": diag.dH_along_flow,
+                "divergence": diag.divergence}
 
     def rhs(x: list[float]) -> list[float]:
         return [c.eval(x) for c in comps]
 
     x = x0.tolist()
-    for poly in monitors:
+    for poly in monitors.values():
         poly.eval(x)  # compiles its kernel: a coefficient past float range raises here
     # s and the state at every accepted node, as growing arrays of doubles,
     # 8 bytes a value; states holds one row after another
@@ -251,12 +270,12 @@ def integrate(
     def partial_trajectory() -> Trajectory:
         """The run so far, over views of the channels, with its monitors:
         called only when the run ends, since a channel with a view cannot grow."""
-        traj = Trajectory(spec, np.frombuffer(times), np.frombuffer(states).reshape(-1, chart.dim))
-        # a monitor past float range is inf, as `Poly.eval` gives, and the
-        # channels derived from it NaN: numpy's warnings about them are off
+        rows = np.frombuffer(states).reshape(-1, chart.dim)
+        # a monitor past float range is inf, as `Poly.eval` gives: numpy's
+        # warnings about it are off
         with np.errstate(all="ignore"):
-            _fill_monitors(traj, *_evaluate_monitors(monitors, traj.states))
-        return traj
+            channels = _evaluate_monitors(monitors, rows)
+        return Trajectory(spec, np.frombuffer(times), rows, channels)
 
     if config.method == "rk4":
         total = s1 - s0
@@ -321,77 +340,43 @@ def integrate(
     return partial_trajectory()
 
 
-def _evaluate_monitors(monitors: Sequence, states: np.ndarray) -> list[np.ndarray]:
-    """Each monitor polynomial at every row of `states`, by `Poly.eval_array`
-    on one block of `CSV_BLOCK_ROWS` rows at a time: bit-identical to
-    `Poly.eval` row by row."""
-    channels = [np.empty(len(states)) for _ in monitors]
-    for lo in range(0, len(states), CSV_BLOCK_ROWS):
-        rows = slice(lo, lo + CSV_BLOCK_ROWS)
+def _evaluate_monitors(monitors: dict, states: np.ndarray) -> dict[str, np.ndarray]:
+    """Each monitor polynomial, by name, at every row of `states`, by
+    `Poly.eval_array` on one block of `row_blocks` at a time:
+    bit-identical to `Poly.eval` row by row."""
+    channels = {name: np.empty(len(states)) for name in monitors}
+    for rows in row_blocks(len(states)):
         columns = states[rows].T
-        for poly, channel in zip(monitors, channels):
-            channel[rows] = poly.eval_array(columns)
+        for name, poly in monitors.items():
+            channels[name][rows] = poly.eval_array(columns)
     return channels
 
 
-def _fill_monitors(traj: Trajectory, ham, pred, div) -> None:
-    times = traj.times
-    h_arr = np.asarray(ham, dtype=float)
-    pred_arr = np.asarray(pred, dtype=float)
-    div_arr = np.asarray(div, dtype=float)
-    if len(times) >= 3:
-        measured = np.gradient(h_arr, times, edge_order=2)
-    elif len(times) == 2:
-        slope = (h_arr[1] - h_arr[0]) / (times[1] - times[0])
-        measured = np.array([slope, slope])
-    else:
-        measured = np.zeros_like(h_arr)
-    log_vol = np.zeros_like(div_arr)
-    if len(times) > 1 and np.all(np.isfinite(div_arr)):
-        dt = np.diff(times)
-        log_vol[1:] = np.cumsum(0.5 * (div_arr[1:] + div_arr[:-1]) * dt)
-    elif not np.all(np.isfinite(div_arr)):
-        log_vol[:] = math.nan
-    traj.monitors = {
-        "hamiltonian": h_arr,
-        "predicted_dH": pred_arr,
-        "measured_dH": measured,
-        "divergence": div_arr,
-        "log_volume": log_vol,
-    }
-
-
 def monitored_energy_rate(traj: Trajectory) -> float:
-    """Max |measured - predicted| energy rate over interior nodes."""
-    measured = traj.monitors["measured_dH"]
-    predicted = traj.monitors["predicted_dH"]
-    if len(measured) < 3:
+    """Max |measured - predicted| energy rate over interior nodes; 0.0
+    under three samples.  The measured rate is the central difference of
+    the H channel over s (`np.gradient`, second order at the ends), NaN
+    where H is not finite, with numpy's warnings off."""
+    if len(traj.times) < 3:
         return 0.0
-    return float(np.max(np.abs(measured[1:-1] - predicted[1:-1])))
+    with np.errstate(all="ignore"):
+        measured = np.gradient(traj.monitors["hamiltonian"], traj.times, edge_order=2)
+        return float(np.max(np.abs(measured[1:-1] - traj.monitors["predicted_dH"][1:-1])))
 
 
-def _csv_rows(traj: Trajectory, rows: slice) -> list[str]:
-    """The CSV rows of samples `rows`: s, the state, H, pred_dHds, div."""
-    monitors = [traj.monitors[k][rows] for k in ("hamiltonian", "predicted_dH", "divergence")]
-    block = np.column_stack([traj.times[rows], traj.states[rows], *monitors])
-    # one row's floats at a time: listing the whole block first made the
-    # benchmark's `trajectory` workload about 8% slower (2-vCPU x86 host)
-    return [",".join(map(repr, row.tolist())) for row in block]
-
-
-def _csv_header(traj: Trajectory) -> str:
-    return ",".join(["s", *traj.chart.coord_names, "H", "pred_dHds", "div"])
-
-
-def trajectory_csv_lines(traj: Trajectory) -> list[str]:
-    """CSV rows: s, chart coordinates present, H, pred_dHds, div."""
-    return [_csv_header(traj), *_csv_rows(traj, slice(None))]
+def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """A CSV file: the `header` names, then one row per index of the float
+    `columns`, each value by `repr`, formatted and written one block of
+    `row_blocks` at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for rows in row_blocks(len(columns[0])):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in zip(*(c[rows].tolist() for c in columns)))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """The lines of `trajectory_csv_lines`, each ended by a newline,
-    formatted and written one block of `CSV_BLOCK_ROWS` samples at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_header(traj) + "\n")
-        for lo in range(0, len(traj.times), CSV_BLOCK_ROWS):
-            fh.write("\n".join(_csv_rows(traj, slice(lo, lo + CSV_BLOCK_ROWS))) + "\n")
+    """One row per sample: s, the chart coordinates, H, pred_dHds, div."""
+    monitors = [traj.monitors[k] for k in ("hamiltonian", "predicted_dH", "divergence")]
+    write_csv(path, ["s", *traj.chart.coord_names, "H", "pred_dHds", "div"],
+              [traj.times, *traj.states.T, *monitors])

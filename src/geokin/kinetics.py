@@ -8,8 +8,9 @@ from one setup per call, `_transport`: it checks the chart, the row and
 the times, evaluates the field the `Dynamics` holds at the cell centers
 of the grid axes, refuses a velocity that is not finite there, a
 collapsed axis with transport across it and an active axis under 32
-cells, and returns the weight rate, the CFL limit and the steps of each
-span.  Both refuse a run past `budgets.MAX_STEPS` steps, or past
+cells, and returns the weight rate, the cell centers (the grid solver's
+source is evaluated on them), the CFL limit and the steps of each span.
+Both refuse a run past `budgets.MAX_STEPS` steps, or past
 `budgets.MAX_WORK` cells (or seeded particles) x steps, before the first
 step (`budgets.step_counts`, once a call); with a given dt, before the
 setup builds any point grid.  Both refuse a state that loses finiteness
@@ -22,8 +23,8 @@ dw/ds = R_eta(H) w (the material growth rate n+2 minus the volume
 contraction n+1), then deposits cloud-in-cell.  From seeding to the
 written files the ensemble is one contiguous column per chart
 coordinate, in chart order, plus the weights, allocated once by the
-seeding; every pass over it goes in blocks of `PUSH_BLOCK_ROWS` rows, so
-what a run holds past the ensemble is one block's working set per
+seeding; every pass over it goes in the row blocks of `flow.row_blocks`,
+so what a run holds past the ensemble is one block's working set per
 worker.  Seeding jitters the lattice and evaluates the weights block by
 block, in the draw order of one whole-column draw.  The push state is
 the dim+1 columns, weight last, stepped by `flow`'s RK4 step along one
@@ -36,7 +37,8 @@ weights that escape are gathered step by step in row order, so no result
 depends on the blocking or the worker count.  The cloud-in-cell stencil
 walks the corners in its outer loop and the blocks in its inner one,
 which keeps the deposit's additions in the order of one whole-column
-pass, and the file writers format one block at a time.
+pass, and the file writers format one block at a time; the particle CSV
+goes through `flow.write_csv`, as the trajectory CSV does.
 
 The grid solver is the independent oracle: from a sampled `GridDensity`,
 method of lines with first-order upwind transport per advecting axis
@@ -68,7 +70,7 @@ from .chart import Chart, ChartKind, VectorFieldExpr
 from .density import growth_factor, kinetic_spec, weight_rate
 from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
 from .fields import Dynamics
-from .flow import rk4_stepper
+from .flow import rk4_stepper, row_blocks, write_csv
 from .poly import Poly
 
 
@@ -122,21 +124,6 @@ def _cell_centers(axes: Sequence[GridAxis]) -> list[np.ndarray]:
     return [g.ravel() for g in np.meshgrid(*[a.centers() for a in axes], indexing="ij")]
 
 
-# Rows per block of every pass over an ensemble or a column of points: the
-# seeding, the push, the cloud-in-cell stencil and the file writers.  It
-# sizes the push so that a block's RK4 working set stays in cache: 480^2
-# symplectic particles x 10 steps, one thread on a 2-vCPU x86 host, took
-# 316 ms in 2k-row blocks, 184-200 ms in 8k to 64k, 249 ms whole.  No
-# result depends on it.
-PUSH_BLOCK_ROWS = 16_384
-
-
-def _row_blocks(count: int) -> list[slice]:
-    """`count` rows as consecutive slices of `PUSH_BLOCK_ROWS` rows, in order."""
-    return [slice(lo, min(lo + PUSH_BLOCK_ROWS, count))
-            for lo in range(0, count, PUSH_BLOCK_ROWS)]
-
-
 def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray],
                  weight: np.ndarray | float):
     """The cloud-in-cell stencil around points given as one column per
@@ -144,7 +131,7 @@ def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray],
     corner, then per block of rows, yield (the block's rows, flat cell
     index, weight times corner weight, in-grid mask)."""
     shape = tuple(a.size for a in axes)
-    blocks = _row_blocks(len(cols[0]))
+    blocks = row_blocks(len(cols[0]))
     for corner in range(1 << len(axes)):
         for rows in blocks:
             idx = []
@@ -267,8 +254,9 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     field's velocity at the cell centers, then, without a `dt`, the
     budgets at the CFL limit.
 
-    Returns (rate, vel, active, limit, counts): the weight rate, each
-    component's velocity grid, the active axes, the CFL limit
+    Returns (rate, pts, vel, active, limit, counts): the weight rate, the
+    cell centers (`_cell_centers`), each component's velocity grid, the
+    active axes, the CFL limit
     cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves), and the
     steps of each span at `dt`, or at the limit when `dt` is None.
     """
@@ -303,7 +291,7 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     limit = cfl / rate if rate else math.inf
     if dt is None:  # dt is the CFL limit; with nothing moving it is inf, one step a span
         counts = budgets.step_counts(spans, limit, size, what)
-    return weight_rate(dyn), vel, active, limit, counts
+    return weight_rate(dyn), pts, vel, active, limit, counts
 
 
 def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, axis: GridAxis,
@@ -387,17 +375,16 @@ def solve_density_grid(
     """
     chart = dyn.spec.chart
     spans = budgets.snapshot_spans(times)
-    rate, vel, active, limit, counts = _transport(dyn, f0.axes, spans, dt, cfl,
-                                                  f0.values.size, "cells")
+    rate, pts, vel, active, limit, counts = _transport(dyn, f0.axes, spans, dt, cfl,
+                                                       f0.values.size, "cells")
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
+    src = None if rate.is_zero() else growth_factor(chart) * rate.eval_array(pts)
+    del pts  # the source is all that reads the cell centers
     shape = f0.values.shape
     wind = [(-vel[k].ravel(), vel[k].ravel() > 0.0, f0.axes[k], math.prod(shape[k + 1:]))
             for k in active]
     del vel  # -v and v > 0 are all the steps read
-    src = None
-    if not rate.is_zero():
-        src = growth_factor(chart) * rate.eval_array(_cell_centers(f0.axes))
     # the workspace: the state, its spare, the right-hand side, the second
     # stage and the face scratch, flat, plus the finiteness mask
     v = f0.values.flatten()
@@ -450,7 +437,7 @@ def seed_particles(
     sizes = budgets.seed_lattice([a.size for a in axes], particle_count)
     lattice = [GridAxis(a.name, a.lo, a.hi, size) for a, size in zip(axes, sizes)]
     cols = _cell_centers(lattice)
-    blocks = _row_blocks(len(cols[0]))
+    blocks = row_blocks(len(cols[0]))
     for col, cell in zip(cols, lattice):
         if cell.size > 1:
             for rows in blocks:
@@ -557,8 +544,8 @@ def solve_density_particle(
     4x the CFL limit), it seeds weights from f0 exactly, pushes along the
     field of `dyn` with the weight ODE dw/ds = R_eta(H) w,
     drops and reports particles that leave zero-boundary axes, and
-    deposits the survivors onto `axes`.  The ensemble is pushed in blocks
-    of `PUSH_BLOCK_ROWS` rows, by `threads` workers (one when None or below
+    deposits the survivors onto `axes`.  The ensemble is pushed in the
+    blocks of `flow.row_blocks`, by `threads` workers (one when None or below
     1) capped at the CPU count; each block writes its survivors back into
     its own rows, and the survivors are compacted in place, so the result's
     columns are prefixes of the seeded ones.  No output, escaped mass
@@ -572,8 +559,8 @@ def solve_density_particle(
     axes = tuple(axes)
     # particles tolerate larger steps than the grid; guard at 4x CFL
     seeded_count = math.prod(budgets.seed_lattice([a.size for a in axes], particle_count))
-    rate, _, _, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0, seeded_count,
-                                               "seeded particles")
+    rate, _, _, _, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0,
+                                                  seeded_count, "seeded particles")
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
     h = t_final / n_steps if n_steps else 0.0
@@ -584,7 +571,7 @@ def solve_density_particle(
     workers = min(max(1, threads or 1), os.cpu_count() or 1)
     columns = [*seeded.columns, seeded.weights]
     del seeded  # `columns` holds the ensemble from here on
-    blocks = _row_blocks(len(columns[-1]))
+    blocks = row_blocks(len(columns[-1]))
 
     def push_back(rows: slice) -> tuple[int, list[tuple[int, np.ndarray]]]:
         """Push one block and write its survivors to the front of its rows."""
@@ -631,7 +618,7 @@ _GRID_MAGIC = "geokin-grid 1"
 
 def write_grid(grid: GridDensity, path: str) -> None:
     """Self-describing text format; values row-major, one per line,
-    formatted and written one block of `PUSH_BLOCK_ROWS` values at a time."""
+    formatted and written one block of `flow.row_blocks` at a time."""
     lines = [_GRID_MAGIC, f"chart {grid.chart.kind.value} {grid.chart.n}"]
     for a in grid.axes:
         lines.append(f"axis {a.name} {a.lo!r} {a.hi!r} {a.size} {a.boundary}")
@@ -639,7 +626,7 @@ def write_grid(grid: GridDensity, path: str) -> None:
     lines.append(f"values {flat.size}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-        for rows in _row_blocks(flat.size):
+        for rows in row_blocks(flat.size):
             fh.write("\n".join(map(repr, flat[rows].tolist())) + "\n")
 
 
@@ -691,16 +678,10 @@ def particle_csv_columns(chart: Chart) -> list[str]:
 def write_particles(ensemble: ParticleEnsemble, path: str) -> None:
     """One row per particle, columns in `particle_csv_columns` order
     (q, p, z, t, w), which differs from chart order (t, q, p, z);
-    `read_particles` maps them back.  Rows are formatted and written one
-    block of `PUSH_BLOCK_ROWS` rows at a time."""
+    `read_particles` maps them back; written by `flow.write_csv`."""
     cols = particle_csv_columns(ensemble.chart)
     slot_of = {name: k for k, name in enumerate(ensemble.chart.coord_names)}
-    in_csv_order = [*(ensemble.columns[slot_of[c]] for c in cols[:-1]), ensemble.weights]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rows in _row_blocks(len(ensemble.weights)):
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in zip(*(c[rows].tolist() for c in in_csv_order)))
+    write_csv(path, cols, [*(ensemble.columns[slot_of[c]] for c in cols[:-1]), ensemble.weights])
 
 
 def read_particles(chart: Chart, path: str) -> ParticleEnsemble:

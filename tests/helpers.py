@@ -1,10 +1,15 @@
-"""Helpers shared by the tests: a traced allocation peak, the two
-finite-difference oracles the exact divergence is checked against, the
-comprehension RK4 and RKF45 steps the generated steppers of `flow` are
-checked against, the dense tensor walks the nonzero walks of `chart`, `fields` and `musical`
-are checked against, and the reference expression parser
-`geokin.poly.parse` is checked against."""
+"""Helpers shared by the tests: a traced allocation peak, a scan of the
+names a module assigns at its top level, the two finite-difference
+oracles the exact divergence is checked against and the log-volume
+integral of the divergence channel, the comprehension RK4 and RKF45
+steps the generated steppers of `flow` are checked against, the two CSV
+writers `flow.write_csv` is checked against, the dense tensor walks the
+nonzero walks of `chart`, `fields` and `musical` are checked against,
+and the reference expression parser `geokin.poly.parse` is checked
+against."""
 
+import ast
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +20,8 @@ import numpy as np
 
 from geokin.chart import OneFormExpr, TwoFormExpr, VectorFieldExpr
 from geokin.fields import Dynamics
-from geokin.flow import _RKF_A, _RKF_B4, _RKF_B5, IntegratorConfig, integrate
+from geokin.flow import _RKF_A, _RKF_B4, _RKF_B5, IntegratorConfig, Trajectory, integrate
+from geokin.kinetics import ParticleEnsemble, particle_csv_columns
 from geokin.musical import SharpVariant
 from geokin.poly import ParseError, Poly
 
@@ -29,6 +35,22 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def top_level_assignments(source: str) -> list[str]:
+    """The names a module assigns at its top level, in order, once per
+    assignment: plain, annotated and augmented, tuple targets included."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            names.extend(name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+    return names
 
 
 def numeric_divergence(dyn: Dynamics, x: Sequence[float], h: float = 1e-4) -> float:
@@ -68,6 +90,19 @@ def flow_map_logdet(
     if sign <= 0:
         raise ArithmeticError("flow map Jacobian lost orientation; window too long?")
     return float(logdet)
+
+
+def log_volume(traj: Trajectory) -> np.ndarray:
+    """The log-volume estimate at each sample: the trapezoidal integral
+    over s of the divergence channel, from 0 at the first sample; NaN
+    throughout when a divergence is not finite."""
+    times, div = traj.times, traj.monitors["divergence"]
+    out = np.zeros_like(div)
+    if not np.all(np.isfinite(div)):
+        out[:] = math.nan
+    elif len(times) > 1:
+        out[1:] = np.cumsum(0.5 * (div[1:] + div[:-1]) * np.diff(times))
+    return out
 
 
 # -- the comprehension steppers ---------------------------------------------
@@ -115,6 +150,43 @@ def comprehension_rkf45_step(rhs, x: list, h: float):
     x4 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5
           for a, b1, b3, b4, b5 in zip(x, k1, k3, k4, k5)]
     return x5, [a - b for a, b in zip(x5, x4)]
+
+
+# -- the CSV writers --------------------------------------------------------
+#
+# `flow.write_trajectory_csv` and `kinetics.write_particles` as they were
+# before both went through `flow.write_csv`: a stacked block formatted row
+# by row, and zipped column lists, each with its own block size.
+
+ORACLE_TRAJECTORY_BLOCK_ROWS = 4_096
+ORACLE_PARTICLE_BLOCK_ROWS = 16_384
+
+
+def _oracle_csv_rows(traj: Trajectory, rows: slice) -> list[str]:
+    """The CSV rows of samples `rows`: s, the state, H, pred_dHds, div."""
+    monitors = [traj.monitors[k][rows] for k in ("hamiltonian", "predicted_dH", "divergence")]
+    block = np.column_stack([traj.times[rows], traj.states[rows], *monitors])
+    return [",".join(map(repr, row.tolist())) for row in block]
+
+
+def oracle_write_trajectory_csv(traj: Trajectory, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["s", *traj.chart.coord_names, "H", "pred_dHds", "div"]) + "\n")
+        for lo in range(0, len(traj.times), ORACLE_TRAJECTORY_BLOCK_ROWS):
+            rows = slice(lo, lo + ORACLE_TRAJECTORY_BLOCK_ROWS)
+            fh.write("\n".join(_oracle_csv_rows(traj, rows)) + "\n")
+
+
+def oracle_write_particles(ensemble: ParticleEnsemble, path) -> None:
+    cols = particle_csv_columns(ensemble.chart)
+    slot_of = {name: k for k, name in enumerate(ensemble.chart.coord_names)}
+    in_csv_order = [*(ensemble.columns[slot_of[c]] for c in cols[:-1]), ensemble.weights]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for lo in range(0, len(ensemble.weights), ORACLE_PARTICLE_BLOCK_ROWS):
+            rows = slice(lo, min(lo + ORACLE_PARTICLE_BLOCK_ROWS, len(ensemble.weights)))
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in zip(*(c[rows].tolist() for c in in_csv_order)))
 
 
 # -- the dense tensor walks ----------------------------------------------

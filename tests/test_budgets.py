@@ -12,6 +12,8 @@ adjudication's sample count in `density`.
 import ast
 from pathlib import Path
 
+from helpers import top_level_assignments
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "geokin"
 
 ALGORITHM_LIMITS = {
@@ -22,19 +24,7 @@ ALGORITHM_LIMITS = {
 
 def max_assignments(source: str) -> list[str]:
     """The `MAX_*` names a module assigns at its top level."""
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            for name in ast.walk(target):
-                if isinstance(name, ast.Name) and name.id.startswith("MAX_"):
-                    names.append(name.id)
-    return names
+    return [name for name in top_level_assignments(source) if name.startswith("MAX_")]
 
 
 def budget_imports(source: str) -> list[str]:

@@ -58,6 +58,13 @@ def test_identity_rejects_bad_n(capsys, n):
     assert "config error at --n: must be between 1 and 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-3", "-1"])
+def test_identity_rejects_a_negative_seed(capsys, seed):
+    # the flag is checked by the config's `$.seed` row
+    assert cli.main(["identity", "--chart", "symplectic", "--seed", seed]) == 2
+    assert capsys.readouterr().err == "config error at --seed: must be non-negative\n"
+
+
 def test_identity_failure_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_identity_suite",
@@ -720,6 +727,33 @@ def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task
         assert peak < 4 << 20  # refused before the push state or a grid is allocated
         assert capsys.readouterr().err == f"config error at {path}: {message}\n"
     assert not (tmp_path / "g.grid").exists()
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_the_push_budget_answers_for_particle_runs_alone(tmp_path, capsys, task):
+    # 300 000 particles x 35 values on cocontact n=16 are past the push
+    # budget; only a kinetic-particle run pushes them
+    chart = {"kind": "cocontact", "n": 16}
+    cfg = {
+        "simulate": {"chart": chart, "task": task, "hamiltonian": "p1^2/2",
+                     "initial": {"point": [0.1] * 34}, "time": {"t_final": 0.1},
+                     "output": {"trajectory": str(tmp_path / "traj.csv")}},
+        "kinetic-grid": _wide_chart_config(tmp_path, task, 100_000, 32),
+        "kinetic-particle": _wide_chart_config(tmp_path, task, 100_000, 32),
+        "identity-check": {"chart": chart, "task": task,
+                           "output": {"report": str(tmp_path / "report.json")}},
+        "momentum-check": {"chart": chart, "task": task,
+                           "output": {"report": str(tmp_path / "report.txt")}},
+    }[task]
+    cfg["particles"] = 300_000
+    if task == "kinetic-particle":
+        assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error at $.particles: 300000 particles x 35 values exceed the push budget "
+            f"of {budgets.MAX_PUSH_VALUES}; at most {budgets.MAX_PUSH_VALUES // 35} on this chart\n")
+    else:
+        assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok\ntask: {task}\n")
 
 
 def test_budgets_leave_the_default_particles_on_the_widest_chart(tmp_path, capsys):

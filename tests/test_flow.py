@@ -1,6 +1,7 @@
 """Integrator tests: pinned trajectories, convergence order, monitors, a
 bit-identity oracle against the array loop the coordinate-list steps
-replaced, and one against the comprehension steps the generated steppers
+replaced, one against the comprehension steps the generated steppers
+replaced, and a byte oracle against the CSV writer `flow.write_csv`
 replaced."""
 
 import math
@@ -26,7 +27,6 @@ from geokin.flow import (
     Trajectory,
     integrate,
     monitored_energy_rate,
-    trajectory_csv_lines,
     write_trajectory_csv,
 )
 from geokin.poly import Poly
@@ -35,7 +35,9 @@ from helpers import (
     comprehension_rk4_step,
     comprehension_rkf45_step,
     flow_map_logdet,
+    log_volume,
     numeric_divergence,
+    oracle_write_trajectory_csv,
     traced_peak,
 )
 
@@ -131,7 +133,7 @@ def test_monitor_channels_match_closed_forms():
     assert np.max(np.abs(traj.monitors["predicted_dH"] + z)) < 1e-12
     # div = -(n+1) H_z = -2 everywhere
     assert np.max(np.abs(traj.monitors["divergence"] + 2.0)) < 1e-12
-    assert np.max(np.abs(traj.monitors["log_volume"] + 2.0 * traj.times)) < 1e-10
+    assert np.max(np.abs(log_volume(traj) + 2.0 * traj.times)) < 1e-10
 
 
 def test_numeric_divergence_matches_symbolic():
@@ -239,7 +241,7 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     RK4 step and 6*dim per RKF45 attempt, accepted or rejected, plus 3 up
     front, which compile the kernels of H, X(H) and the divergence before
     the first step.  `Poly.eval_array`: those 3 monitors once per block of
-    `CSV_BLOCK_ROWS` recorded nodes, after the run.
+    `flow.BLOCK_ROWS` recorded nodes, after the run.
 
     The benchmark's `--trace 1` run bounds `poly.eval.calls` below by 4 x
     steps (`perfbench/run.py::coverage_problems`).  The monitors already
@@ -274,7 +276,7 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     monkeypatch.setattr(Poly, "eval", counted_eval)
     monkeypatch.setattr(Poly, "eval_array", counted_eval_array)
     monkeypatch.setattr(flow, "_rkf45_stepper", counted_stepper)
-    monkeypatch.setattr(flow, "CSV_BLOCK_ROWS", 16)
+    monkeypatch.setattr(flow, "BLOCK_ROWS", 16)
     x0 = [0.0, 0.3, 0.4, 0.1]
     traj = integrate(dyn, x0, (0.0, 0.25), IntegratorConfig(step=5e-3))
     assert len(traj.times) == 51  # four blocks of 16 nodes, the last one short
@@ -289,9 +291,9 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
 
 
 def test_a_trajectory_holds_about_eight_bytes_per_sample_per_channel():
-    # time, four coordinates and five monitors: ten channels of float64.
-    # The traced peak is theirs plus np.gradient's temporaries for the
-    # measured energy rate, about 64 B a sample.
+    # time, four coordinates and three monitors: eight channels of float64.
+    # The traced peak is theirs plus the growth slack of the recording
+    # arrays and one block's monitor temporaries: 85 B a sample measured.
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + z/3 + t/5"))
     x0, config = [0.0, 0.3, 0.4, 0.1], IntegratorConfig(step=1e-4)
@@ -300,19 +302,20 @@ def test_a_trajectory_holds_about_eight_bytes_per_sample_per_channel():
     samples = len(traj.times)
     assert samples == 10_001
     assert sum(a.nbytes for a in [traj.times, traj.states, *traj.monitors.values()]) \
-        == 8 * 10 * samples
-    assert peak < 160 * samples
+        == 8 * 8 * samples
+    assert peak < 100 * samples
 
 
 def test_csv_export_is_written_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + z/3 + t/5"))
     traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0), IntegratorConfig(step=1e-4))
-    monkeypatch.setattr(flow, "CSV_BLOCK_ROWS", 100)
+    monkeypatch.setattr(flow, "BLOCK_ROWS", 100)
     path = tmp_path / "traj.csv"
     _, peak = traced_peak(lambda: write_trajectory_csv(traj, path))
+    oracle_write_trajectory_csv(traj, tmp_path / "oracle.csv")
     text = path.read_text(encoding="utf-8")
-    assert text == "\n".join(trajectory_csv_lines(traj)) + "\n"
+    assert text == (tmp_path / "oracle.csv").read_text(encoding="utf-8")
     assert peak < len(text) / 10  # 101 blocks, one of them held at a time
 
 
@@ -327,15 +330,15 @@ def test_csv_export_layout_and_determinism(tmp_path):
     chart, spec = _spec(ChartKind.COCONTACT)
     H = chart.parse("p1^2/2 + z/3 + t/5")
     traj = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
-    lines = trajectory_csv_lines(traj)
+    p1 = tmp_path / "a.csv"
+    p2 = tmp_path / "b.csv"
+    write_trajectory_csv(traj, p1)
+    lines = p1.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "s,t,q1,p1,z,H,pred_dHds,div"
     assert len(lines) == 1 + len(traj.times)
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 0.0 and float(first[4]) == 0.1
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    write_trajectory_csv(traj, p1)
     traj2 = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
     write_trajectory_csv(traj2, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -447,10 +450,11 @@ def reference_integrate(spec, H, x0, s1, config):
     if found is None:
         return None
     times, states = found
-    traj = Trajectory(spec, np.array(times), np.array(states))
-    flow._fill_monitors(traj, [h_eval(y) for y in states], [rate_eval(y) for y in states],
-                        [div_eval(y) for y in states])
-    lines = [trajectory_csv_lines(traj)[0]]
+    traj = Trajectory(spec, np.array(times), np.array(states), {
+        name: np.array([evaluate(y) for y in states], dtype=float)
+        for name, evaluate in [("hamiltonian", h_eval), ("predicted_dH", rate_eval),
+                           ("divergence", div_eval)]})
+    lines = [",".join(["s", *spec.chart.coord_names, "H", "pred_dHds", "div"])]
     for k in range(len(traj.times)):
         row = [repr(float(traj.times[k]))]
         row.extend(repr(float(v)) for v in traj.states[k])
@@ -513,7 +517,7 @@ COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1.0, 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(list(ChartKind)), method=st.sampled_from(flow.METHODS),
        data=st.data())
-def test_integrate_is_bit_identical_to_the_array_loop(kind, method, data):
+def test_integrate_is_bit_identical_to_the_array_loop(tmp_path_factory, kind, method, data):
     chart = Chart(kind, data.draw(st.integers(1, 4)))  # dim 8 and up sums the norm pairwise
     spec = data.draw(st.sampled_from(catalog(chart)))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
@@ -538,7 +542,9 @@ def test_integrate_is_bit_identical_to_the_array_loop(kind, method, data):
     assert traj.monitors.keys() == ref.monitors.keys()
     for name, channel in ref.monitors.items():
         assert traj.monitors[name].tobytes() == channel.tobytes(), name
-    assert trajectory_csv_lines(traj) == ref_lines
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_text(encoding="utf-8") == "\n".join(ref_lines) + "\n"
 
 
 # -- the generated steppers against the comprehension steps they replaced --
@@ -635,7 +641,14 @@ def test_threads_racing_on_a_cold_cache_step_alike():
         assert results[0] == results[1] == as_bytes(oracle(field, x, h)), oracle.__name__
 
 
-# -- the monitors, evaluated per block after the run --------------------------
+# -- the monitors, evaluated per block after the run, and the CSV writer ------
+
+
+def assert_written_as_before(traj, directory):
+    """`write_trajectory_csv` writes the bytes of the writer it replaced."""
+    write_trajectory_csv(traj, directory / "new.csv")
+    oracle_write_trajectory_csv(traj, directory / "old.csv")
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
 
 
 def assert_monitors_are_per_sample_evals(dyn, traj):
@@ -649,7 +662,7 @@ def assert_monitors_are_per_sample_evals(dyn, traj):
 
 @pytest.mark.parametrize("method", flow.METHODS)
 @pytest.mark.parametrize("kind", list(ChartKind))
-def test_monitors_are_per_sample_evaluations_on_every_row(kind, method):
+def test_monitors_are_per_sample_evaluations_on_every_row(tmp_path, kind, method):
     chart = Chart(kind, 2)
     rng = random.Random(5)
     for spec in catalog(chart):
@@ -661,28 +674,43 @@ def test_monitors_are_per_sample_evaluations_on_every_row(kind, method):
             traj = err.partial
         assert len(traj.times) > 1, spec.row_name
         assert_monitors_are_per_sample_evals(dyn, traj)
+        assert_written_as_before(traj, tmp_path)
 
 
-def test_monitors_of_a_run_longer_than_a_block_are_per_sample_evaluations():
+def test_monitors_of_a_run_longer_than_a_block_are_per_sample_evaluations(monkeypatch):
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
+    monkeypatch.setattr(flow, "BLOCK_ROWS", 4_096)
     traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0), IntegratorConfig(step=1e-4))
-    assert len(traj.times) > 2 * flow.CSV_BLOCK_ROWS  # two whole blocks and a short one
+    assert len(traj.times) > 2 * flow.BLOCK_ROWS  # two whole blocks and a short one
     assert_monitors_are_per_sample_evals(dyn, traj)
 
 
 @pytest.mark.parametrize("method", flow.METHODS)
-def test_monitors_of_a_blown_up_run_are_per_sample_evaluations(method):
+def test_a_run_of_several_blocks_is_written_as_before(monkeypatch, tmp_path, method):
+    chart, spec = _spec(ChartKind.COCONTACT, n=2)
+    dyn = Dynamics(spec, chart.parse("p1^2/2 + q2^2/2 + z/3 + t*q1/5"))
+    monkeypatch.setattr(flow, "BLOCK_ROWS", 16)
+    traj = integrate(dyn, [0.0, 0.3, -0.2, 0.4, -0.0, 0.1], (0.0, 2.0),
+                     IntegratorConfig(method=method, step=2e-2, rel_tol=1e-12, abs_tol=1e-14))
+    assert len(traj.times) > 4 * flow.BLOCK_ROWS  # whole blocks and a short one
+    assert_written_as_before(traj, tmp_path)
+
+
+@pytest.mark.parametrize("method", flow.METHODS)
+def test_monitors_of_a_blown_up_run_are_per_sample_evaluations(tmp_path, method):
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     dyn = Dynamics(spec, chart.parse("q1^3 * p1"))
     with pytest.raises(BlowUpError) as err:
         integrate(dyn, [1.0, 0.2], (0.0, 1.0), IntegratorConfig(method=method, step=1e-3))
     assert len(err.value.partial.times) > 1
     assert_monitors_are_per_sample_evals(dyn, err.value.partial)
+    assert_written_as_before(err.value.partial, tmp_path)
 
 
 @pytest.mark.parametrize("method", flow.METHODS)
-def test_monitors_of_a_run_past_the_step_budget_are_per_sample_evaluations(monkeypatch, method):
+def test_monitors_of_a_run_past_the_step_budget_are_per_sample_evaluations(monkeypatch, tmp_path,
+                                                                            method):
     # rk4 is refused before its first step; rk45 runs out after ten attempts
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
@@ -693,6 +721,7 @@ def test_monitors_of_a_run_past_the_step_budget_are_per_sample_evaluations(monke
     samples = len(err.value.partial.times)
     assert samples == 1 if method == "rk4" else 1 < samples <= 11
     assert_monitors_are_per_sample_evals(dyn, err.value.partial)
+    assert_written_as_before(err.value.partial, tmp_path)
 
 
 @pytest.mark.parametrize("method", flow.METHODS)
@@ -717,7 +746,8 @@ def test_a_monitor_past_float_range_is_inf_and_prints_nothing(capfd):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(dyn, [1e200, 0.0], (0.0, 0.01), IntegratorConfig(step=1e-3))
+        rate = monitored_energy_rate(traj)  # central differences of inf are NaN
     assert np.all(traj.monitors["hamiltonian"] == math.inf)
-    assert np.all(np.isnan(traj.monitors["measured_dH"]))
+    assert math.isnan(rate)
     assert_monitors_are_per_sample_evals(dyn, traj)
     assert capfd.readouterr() == ("", "")

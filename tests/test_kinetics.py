@@ -28,7 +28,7 @@ from geokin.chart import (
 )
 from geokin.corpus import random_hamiltonian, random_one_form, random_poly
 from geokin.fields import Dynamics, Family, FieldSpec, Gauge, divergence, make_field
-from geokin import budgets, cli, kinetics
+from geokin import budgets, cli, flow, kinetics
 from geokin.density import (
     MomentumOneForm,
     adjudicate_density_coefficients,
@@ -60,7 +60,7 @@ from geokin.kinetics import (
 from geokin.musical import SharpVariant, sharp
 from geokin.poly import Poly
 
-from helpers import traced_peak
+from helpers import oracle_write_particles, traced_peak
 
 ALL_CHARTS = [Chart(kind, n) for kind in ChartKind for n in (1, 2)]
 
@@ -490,6 +490,27 @@ def test_particle_csv_roundtrip(tmp_path):
         read_particles(Chart(ChartKind.CONTACT, 2), str(path))
 
 
+# ±0.0, subnormals and values at the ends of float range, besides generic ones
+_CSV_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e300, -1.0, 0.1]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 50], ids=["empty", "one-row", "several-blocks"])
+@pytest.mark.parametrize("kind", list(ChartKind))
+def test_particles_are_written_as_before(monkeypatch, tmp_path, kind, rows):
+    # 50 rows in blocks of 16: three whole blocks and a short one
+    monkeypatch.setattr(flow, "BLOCK_ROWS", 16)
+    chart = Chart(kind, 2)
+    rng = np.random.default_rng(rows)
+    pool = np.array(_CSV_VALUES + list(rng.standard_normal(4)))
+    table = pool[rng.integers(len(pool), size=(chart.dim + 1, rows))]
+    table[:, :1] = pool[:chart.dim + 1, None]  # every column starts with a signed or tiny zero
+    ens = ParticleEnsemble(chart, list(table[:-1]), table[-1])
+    write_particles(ens, str(tmp_path / "new.csv"))
+    oracle_write_particles(ens, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert len((tmp_path / "new.csv").read_text().splitlines()) == 1 + rows
+
+
 # -- grid solver -------------------------------------------------------
 
 
@@ -771,7 +792,7 @@ def test_particle_threads_do_not_change_the_answer(monkeypatch, tmp_path, case, 
     try:
         for rows in (None, *block_rows):
             if rows is not None:
-                monkeypatch.setattr(kinetics, "PUSH_BLOCK_ROWS", rows)
+                monkeypatch.setattr(flow, "BLOCK_ROWS", rows)
             for threads in (1, 3):
                 other = outputs(threads)
                 assert [key for key in one if other[key] != one[key]] == [], (rows, threads)
@@ -1207,6 +1228,21 @@ def test_the_grid_step_is_bit_identical_at_every_stride(active, boundaries):
         got = solve_density_grid(_dyn(chart, H), f0, times)
         want = reference_snapshots(chart, H, f0, times, None)
     assert [g.values.tobytes() for g in got] == [w.values.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("kind", [ChartKind.CONTACT, ChartKind.COCONTACT])
+def test_a_grid_solve_builds_its_cell_centers_once(monkeypatch, kind):
+    # the setup's velocities and the source share one build of the cell centers
+    chart = Chart(kind, 1)
+    axes = tuple(GridAxis(name, -2.0, 2.0, 1 if name == "t" else 32) for name in chart.coord_names)
+    f0 = GridDensity.sample(chart, axes, chart.parse("1 + q1^2*p1^2/10"))
+    dyn = _dyn(chart, chart.parse("p1^2/2 + q1^2/2 + z/5"))
+    assert not weight_rate(dyn).is_zero()  # a source, evaluated on the cell centers
+    calls = []
+    build = kinetics._cell_centers
+    monkeypatch.setattr(kinetics, "_cell_centers", lambda axes: calls.append(axes) or build(axes))
+    solve_density_grid(dyn, f0, [0.004], 0.002)
+    assert calls == [axes]
 
 
 def test_the_grid_solve_holds_a_fixed_number_of_grid_arrays():
