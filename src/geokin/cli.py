@@ -102,6 +102,8 @@ class Scenario:
             _check_identity_work(chart, self.trials, "$.trials")
         self.threads = cfg["threads"]
         self.particle_count = count = cfg["particles"]
+        if task == "kinetic-particle" and not 1_000 <= count <= budgets.MAX_PARTICLES:
+            raise ConfigError("$.particles", f"must be between 1000 and {budgets.MAX_PARTICLES}")
         if task == "kinetic-particle" and count * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
             raise ConfigError("$.particles", f"{count} particles x {chart.dim + 1} values exceed "
                                              f"the push budget of {budgets.MAX_PUSH_VALUES}; at "
@@ -428,7 +430,7 @@ SCHEMA = {
     "$.time.rel_tol": ("number", 1e-8, POSITIVE),
     "$.time.abs_tol": ("number", 1e-10, POSITIVE),
     "$.time.snapshots": ("numbers", None, None),
-    "$.particles": ("integer", 100_000, range(1_000, budgets.MAX_PARTICLES + 1)),
+    "$.particles": ("integer", 100_000, None),  # kinetic-particle: 1000 to MAX_PARTICLES
     "$.threads": ("integer", None, POSITIVE),
     # 20 for identity-check, else 25
     "$.trials": ("integer", None, range(1, budgets.MAX_TRIALS + 1)),

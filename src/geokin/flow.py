@@ -9,8 +9,8 @@ A run records s and the state at every accepted node.  When it ends,
 the three monitor channels, the Hamiltonian value, the exact predicted
 energy rate X(H) and the exact local divergence, are evaluated at every
 recorded node, with `Poly.eval_array` on one block of rows at a time,
-bit-identical to `Poly.eval` node by node; their kernels are compiled
-before the first step, so a coefficient past float range raises there.
+bit-identical to `Poly.eval` node by node; their coefficients are
+checked before the first step, so one past float range raises there.
 `monitored_energy_rate` measures the energy rate from the H channel
 when it is asked to.
 
@@ -22,17 +22,18 @@ step `budgets.MAX_RK45_STEP`, gets the same error before the first step.
 The step arithmetic is this module's own; the budgets are read from
 `budgets` at each use.
 
-The steppers are straight-line code, generated once per state length
-(`rk4_stepper`, which the particle push `kinetics._push_chunk` shares,
-and `_rkf45_stepper`).  They work on a list of coordinates: one Python
-float each in `integrate`, one contiguous numpy column each in the push,
-matching the polynomial kernel's own "one float or one column per
-coordinate" contract.  x and each stage unpack into names, and every
-stage state and solution is one expression per coordinate, so floats and
-columns go through the same float operations in the same order.  The
-RKF45 step writes each as one sum over the Fehlberg tables,
-x + (h*a1)*k1 + (h*a2)*k2 + ..., added left to right with the zero
-weights left out.
+The steppers and the RKF45 error norm are straight-line code, generated
+once per state length (`rk4_stepper`, which the particle push
+`kinetics._push_chunk` shares, `_rkf45_stepper` and `_error_norm`).  A
+step works on a list of coordinates, one Python float each in
+`integrate` and one numpy column each in the push, and takes one
+evaluator per coordinate: `integrate` passes each component's
+`Poly.eval`, two Python frames a call, the push callables on columns.
+x and each stage unpack into names, and every stage state and solution
+is one expression per coordinate, so floats and columns go through the
+same float operations in the same order.  The RKF45 step writes each as
+one sum over the Fehlberg tables, x + (h*a1)*k1 + (h*a2)*k2 + ...,
+added left to right with the zero weights left out.
 
 A run grows its times and states as arrays of doubles, 8 bytes a value,
 and `Trajectory` holds numpy views of them beside the three monitor
@@ -148,38 +149,49 @@ def _targets(prefix: str, n: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(n))
 
 
+def _stage(s: int, n: int, state: str | None = None) -> list[str]:
+    """Stage s: x, or the list `state` as y, handed to f0, ..., f{n-1} in
+    turn for the rates k{s}_i.  y goes once they are in: holding it into
+    the next stage made the benchmark's particle pushes 25-50% slower."""
+    if state is None:
+        return [f"    k{s}_{i} = f{i}(x)" for i in range(n)]
+    return [f"    y = {state}", *(f"    k{s}_{i} = f{i}(y)" for i in range(n)), "    del y"]
+
+
 def _define(lines: list[str], namespace: dict):
-    """Compile the generated `def step` in `lines` over `namespace`."""
+    """Compile the function whose `def` opens `lines`, over `namespace`."""
     namespace = dict(namespace)
     exec("\n".join(lines), namespace)
-    return namespace["step"]
+    return namespace[lines[0][len("def "):lines[0].index("(")]]
 
 
 @cache
 def rk4_stepper(n: int):
     """The classic RK4 step on a state of `n` coordinates, generated once
-    per length: `step(rhs, x, h)` returns the new state as a list.
+    per length: `step(fs, x, h)` returns the new state as a list; fs[i]
+    maps a whole stage state to the rate of coordinate i.
 
-    x and each stage k unpack into names; each stage state, and the
-    solution, is one expression per coordinate: x + half*k, x + h*k, then
+    Each stage state is one list of one expression per coordinate,
+    x + half*k, then x + h*k, and the solution is
     x + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), with half = 0.5*h and
     sixth = h/6.0.  Only generated names and float literals enter the
     source.  The push's pool threads that race on a cold cache build the
     same step, so whichever is cached is right.
     """
     def stage_state(c: str, s: int) -> str:
-        return ", ".join(f"x{i} + {c} * k{s}_{i}" for i in range(n))
+        return f"[{', '.join(f'x{i} + {c} * k{s}_{i}' for i in range(n))}]"
 
     solution = ", ".join(f"x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
                          for i in range(n))
     return _define([
-        "def step(rhs, x, h):",
+        "def step(fs, x, h):",
+        f"    {_targets('f', n)}= fs",
         "    half, sixth = 0.5 * h, h / 6.0",
         f"    {_targets('x', n)}= x",
-        f"    {_targets('k1_', n)}= rhs(x)",
-        f"    {_targets('k2_', n)}= rhs([{stage_state('half', 1)}])",
-        f"    {_targets('k3_', n)}= rhs([{stage_state('half', 2)}])",
-        f"    {_targets('k4_', n)}= rhs([{stage_state('h', 3)}])",
+        *_stage(1, n),
+        *_stage(2, n, stage_state("half", 1)),
+        *_stage(3, n, stage_state("half", 2)),
+        *_stage(4, n, stage_state("h", 3)),
         f"    return [{solution}]",
     ], {})
 
@@ -187,12 +199,12 @@ def rk4_stepper(n: int):
 @cache
 def _rkf45_stepper(n: int):
     """The Fehlberg step on a state of `n` coordinates, generated once per
-    length: `step(rhs, x, h)` returns the fifth-order state and its
-    difference from the fourth-order one, as two lists.
+    length: `step(fs, x, h)`, fs as `rk4_stepper` takes it, returns the
+    fifth-order state and its difference from the fourth-order one.
 
-    x and each stage k unpack into names.  Each stage state, and each of
-    the two solutions, is one sum per coordinate over the tables,
-    x + c1*k1 + c2*k2 + ..., added left to right, with c_j = h times the
+    Each stage state, and each of the two solutions, is one sum per
+    coordinate over the tables, x + c1*k1 + c2*k2 + ..., added left to
+    right, with c_j = h times the
     table's weight of stage j; the difference is x5 - x4 per coordinate.
     Only generated names and the table names of `_RKF_NAMES` enter the
     source.
@@ -204,12 +216,12 @@ def _rkf45_stepper(n: int):
         return (f"    {', '.join(f'c{j}' for j in weights)} = "
                 f"{', '.join(f'h * {table}{j}' for j in weights)}")
 
-    lines = ["def step(rhs, x, h):", f"    {_targets('x', n)}= x",
-             f"    {_targets('k1_', n)}= rhs(x)"]
+    lines = ["def step(fs, x, h):", f"    {_targets('f', n)}= fs",
+             f"    {_targets('x', n)}= x", *_stage(1, n)]
     for s, row in enumerate(_RKF_A[1:], 2):
         weights = [j for j, a in enumerate(row, 1) if a]
         lines += [coefficients(f"_A{s}", weights),
-                  f"    {_targets(f'k{s}_', n)}= rhs([{', '.join(sums(weights))}])"]
+                  *_stage(s, n, f"[{', '.join(sums(weights))}]")]
     fifth = [j for j, b in enumerate(_RKF_B5, 1) if b]
     fourth = [j for j, b in enumerate(_RKF_B4, 1) if b]
     lines += [coefficients("_B5", fifth),
@@ -220,14 +232,39 @@ def _rkf45_stepper(n: int):
     return _define(lines, _RKF_NAMES)
 
 
-def _error_norm(err: list, x: list, x_new: list, abs_tol: float, rel_tol: float) -> float:
-    """RMS of err scaled by abs_tol + rel_tol * max(|x|, |x_new|) per coordinate.
+def _pairwise_sum(terms: list[str]) -> str:
+    """The sum of `terms` with the additions of `np.add.reduce` on float64:
+    left to right under 8 terms; up to 128, eight running sums in strides
+    of 8, added in pairs, then the tail; past 128, two halves split at a
+    multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        return " + ".join(terms)
+    if n <= 128:
+        body = n - n % 8
+        runs = [f"({' + '.join(terms[j:body:8])})" for j in range(8)]
+        pairs = [f"({runs[j]} + {runs[j + 1]})" for j in range(0, 8, 2)]
+        return " + ".join([f"(({pairs[0]} + {pairs[1]}) + ({pairs[2]} + {pairs[3]}))",
+                           *terms[body:]])
+    half = n // 2 - n // 2 % 8
+    return f"({_pairwise_sum(terms[:half])}) + ({_pairwise_sum(terms[half:])})"
 
-    The sum is np.mean's own, np.add.reduce: numpy adds pairwise from
-    eight terms on, so a Python sum would move the bytes.
-    """
-    ratios = [e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, x, x_new)]
-    return math.sqrt(float(np.add.reduce(np.array([r * r for r in ratios]))) / len(ratios))
+
+@cache
+def _error_norm(n: int):
+    """The RKF45 error norm on `n` coordinates, generated once per length:
+    `norm(err, x, x_new, abs_tol, rel_tol)`, the RMS of err scaled by
+    abs_tol + rel_tol * max(|x|, |x_new|) per coordinate, its squares r*r
+    added as np.mean adds them (`_pairwise_sum`).  Only generated names
+    and int literals enter the source."""
+    return _define([
+        "def norm(err, x, x_new, abs_tol, rel_tol):",
+        f"    {_targets('e', n)}= err",
+        f"    {_targets('a', n)}= x",
+        f"    {_targets('b', n)}= x_new",
+        *(f"    r{i} = e{i} / (abs_tol + rel_tol * max(abs(a{i}), abs(b{i})))" for i in range(n)),
+        f"    return sqrt(({_pairwise_sum([f'r{i} * r{i}' for i in range(n)])}) / {n})",
+    ], {"sqrt": math.sqrt})
 
 
 def integrate(
@@ -256,12 +293,10 @@ def integrate(
     monitors = {"hamiltonian": dyn.H, "predicted_dH": diag.dH_along_flow,
                 "divergence": diag.divergence}
 
-    def rhs(x: list[float]) -> list[float]:
-        return [c.eval(x) for c in comps]
-
-    x = x0.tolist()
+    fs = tuple(c.eval for c in comps)
     for poly in monitors.values():
-        poly.eval(x)  # compiles its kernel: a coefficient past float range raises here
+        poly.float_coefficients()  # a coefficient past float range raises here
+    x = x0.tolist()
     # s and the state at every accepted node, as growing arrays of doubles,
     # 8 bytes a value; states holds one row after another
     times = array("d", [s0])
@@ -290,7 +325,7 @@ def integrate(
         step = rk4_stepper(chart.dim)
         for k in range(n_steps):
             try:
-                x = step(rhs, x, h)
+                x = step(fs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
                 raise BlowUpError(
                     "state left the representable range mid-step", times[-1],
@@ -310,7 +345,7 @@ def integrate(
         s = s0
         h = min(config.step, s1 - s0) if s1 > s0 else 0.0
         steps = 0
-        step = _rkf45_stepper(chart.dim)
+        step, error_norm = _rkf45_stepper(chart.dim), _error_norm(chart.dim)
         while s < s1:
             if steps >= budgets.MAX_STEPS:
                 raise StepBudgetError(
@@ -319,14 +354,14 @@ def integrate(
             steps += 1
             h = min(h, budgets.MAX_RK45_STEP, s1 - s)
             try:
-                x_new, err = step(rhs, x, h)
+                x_new, err = step(fs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
                 raise BlowUpError(
                     "state left the representable range mid-step", s, partial_trajectory()
                 ) from None
             if not all(map(math.isfinite, x_new)):
                 raise BlowUpError("non-finite state", s, partial_trajectory())
-            err_norm = _error_norm(err, x, x_new, config.abs_tol, config.rel_tol)
+            err_norm = error_norm(err, x, x_new, config.abs_tol, config.rel_tol)
             if err_norm <= 1.0:
                 s = s + h
                 x = x_new

@@ -186,10 +186,6 @@ class GridDensity:
     def total_mass(self) -> float:
         return float(self.values.sum()) * self.cell_volume
 
-    def points(self) -> np.ndarray:
-        """Cell centers as an (N, dim) array in C order."""
-        return np.stack(_cell_centers(self.axes), axis=1)
-
     @classmethod
     def sample(cls, chart: Chart, axes: Sequence[GridAxis], func: Density) -> "GridDensity":
         axes = tuple(axes)
@@ -206,14 +202,6 @@ class GridDensity:
         for rows, flat, weight, valid in _cic_corners(self.axes, pts.T, 1.0):
             out[rows] += np.where(valid, weight * values[flat], 0.0)
         return out
-
-    def l1_distance(self, other: "GridDensity") -> float:
-        if self.values.shape != other.values.shape:
-            raise ValueError("grids are not comparable")
-        return float(np.abs(self.values - other.values).sum()) * self.cell_volume
-
-    def l1_norm(self) -> float:
-        return float(np.abs(self.values).sum()) * self.cell_volume
 
 
 @dataclass
@@ -471,29 +459,24 @@ def _push_chunk(
     """RK4 on one block held as dim+1 contiguous columns, weight last: X
     moves the positions, dw/ds = rate * w; rows leaving a zero-boundary
     axis are dropped.  Returns the surviving columns and, for each step
-    that dropped rows, (step, their weights in row order).  A component
-    that is identically zero contributes the scalar 0.0 (x + c*0.0 is what
-    a zero column gives).  Raises StabilityError if a column, or an escaped
-    weight, is not finite after the push; numpy's warnings are off, since
-    that check decides."""
+    that dropped rows, (step, their weights in row order).  A column's
+    rate is its component's `eval_array` on the positions, or the rate
+    times the weight; where that is identically zero, the scalar 0.0 (x +
+    c*0.0 is what a zero column gives).  Raises StabilityError if a
+    column, or an escaped weight, is not finite after the push; numpy's
+    warnings are off, since that check decides."""
     dim = len(axes)
-    moving = [(k, c.eval_array) for k, c in enumerate(X.components) if not c.is_zero()]
-    src_eval = None if rate.is_zero() else rate.eval_array
 
-    def rhs(y: list[np.ndarray]) -> list:
-        x = y[:dim]
-        dy: list = [0.0] * (dim + 1)
-        for k, eval_array in moving:
-            dy[k] = eval_array(x)
-        if src_eval is not None:
-            dy[dim] = src_eval(x) * y[dim]
-        return dy
+    def zero(y: list) -> float:
+        return 0.0
 
+    fs = [zero if c.is_zero() else (lambda y, f=c.eval_array: f(y[:dim])) for c in X.components]
+    fs.append(zero if rate.is_zero() else lambda y: rate.eval_array(y[:dim]) * y[dim])
     rk4_step = rk4_stepper(dim + 1)
     escapes = []
     with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
         for step in range(n_steps):
-            state = rk4_step(rhs, state, h)
+            state = rk4_step(fs, state, h)
             alive = np.ones(len(state[dim]), dtype=bool)
             for k, axis in enumerate(axes):
                 if axis.boundary == "periodic":

@@ -37,19 +37,15 @@ raises the same degree-cap error from the same term.
 
 Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
-higher exponents.  Numeric evaluation runs one kernel per polynomial:
-straight-line Python source that walks the terms in that fixed order
-with powers built by repeated multiplication, compiled once, on the
-first evaluation.  The kernel takes one float or one numpy column per
-coordinate.  `Poly.eval` reaches it through a checked scalar entry, a
-straight-line function of the point that depends only on `dim` (its
-source is compiled once per dimension) and closes over the kernel; the
-entry, with the kernel as its `kernel` attribute, is what the
-instance's `_kernel` slot caches.  `Poly.eval_array` hands the kernel a
-sequence of `dim` equal-length columns (an (N, dim) array's `.T`, or
-the columns a solver keeps).  Floats and columns go through the same
-float operations in the same order, so results are deterministic and
-bit-identical between the two.
+higher exponents.  Numeric evaluation runs straight-line Python source
+that walks the terms in that fixed order with powers built by repeated
+multiplication, in two forms per polynomial, each compiled on its first
+use.  `Poly.eval` runs a checked scalar entry that checks and unpacks
+the point and then walks, two Python frames a call; `Poly.eval_array`
+runs an array kernel on a sequence of `dim` equal-length columns (an
+(N, dim) array's `.T`, or the columns a solver keeps).  Floats and
+columns go through the same float operations in the same order, so
+results are deterministic and bit-identical between the two.
 `partial` is memoised the same way, per instance and coordinate, in the
 `_partials` slot: the symbolic layers take the same partials of the
 same polynomial many times.
@@ -68,7 +64,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -146,11 +141,11 @@ class Poly:
 
     Instances are immutable by convention: no method mutates `_num`
     after construction, and callers must not either.  That is what lets
-    `_kernel` cache the compiled evaluator, and `_partials` the partial
-    derivatives, for the life of the instance.
+    `_entry` and `_kernel` cache the compiled evaluators, and `_partials`
+    the partial derivatives, for the life of the instance.
     """
 
-    __slots__ = ("dim", "_num", "_den", "_kernel", "_partials")
+    __slots__ = ("dim", "_num", "_den", "_entry", "_kernel", "_partials")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Rational] | None = None):
         if dim < 0:
@@ -182,7 +177,7 @@ class Poly:
         self.dim = dim
         self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
-        self._kernel = None
+        self._entry = self._kernel = None
         self._partials = None
 
     @classmethod
@@ -203,7 +198,7 @@ class Poly:
         result.dim = dim
         result._num = num
         result._den = den
-        result._kernel = None
+        result._entry = result._kernel = None
         result._partials = None
         return result
 
@@ -461,14 +456,14 @@ class Poly:
     def eval(self, point: Sequence[float]) -> float:
         """Evaluate at a point of floats.
 
-        Runs the checked scalar entry cached in `_kernel` (see `_compile`),
+        Runs the checked scalar entry cached in `_entry` (see `_compile`),
         built on the first evaluation: a point of the wrong length, or with
-        a non-finite coordinate, raises ValueError; otherwise the kernel
-        runs on the coordinates as floats.  Deterministic: terms are
+        a non-finite coordinate, raises ValueError; otherwise the walk runs
+        on the coordinates as floats.  Deterministic: terms are
         accumulated in graded-lex order with powers built by repeated
         multiplication, so the result does not depend on the call.
         """
-        return (self._kernel or self._compile())(point)
+        return (self._entry or self._compile("entry"))(point)
 
     def eval_array(self, columns: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized evaluation at N points given as `dim` columns of
@@ -481,43 +476,54 @@ class Poly:
         shape = cols[0].shape if cols else (0,)
         if len(cols) != self.dim or len(shape) != 1 or any(c.shape != shape for c in cols):
             raise ValueError(f"points must have shape ({self.dim}, N): one column per coordinate")
-        total = (self._kernel or self._compile()).kernel(*cols)
+        total = (self._kernel or self._compile("array"))(*cols)
         return total if isinstance(total, np.ndarray) else np.full(shape, total)
 
-    def _compile(self):
-        """Build, cache and return the checked scalar entry of the kernel.
+    def _compile(self, kind: str):
+        """Build, cache and return the "entry" that `eval` runs (`_entry`)
+        or the "array" kernel that `eval_array` runs (`_kernel`).
 
-        The kernel takes one float, or one numpy column, per coordinate
-        and returns the polynomial's value.  It is straight-line source
-        for the graded-lex walk, compiled once per polynomial.  Power e of
+        Both are straight-line source for the graded-lex walk.  Power e of
         coordinate i is `p{i}_{e} = p{i}_{e-1} * x{i}`, starting from x{i}
         itself (1.0 * x is x exactly); each term is the coefficient's
         `repr(float(c))` times its powers, left to right in coordinate
-        order; terms are added one by one to `total = 0.0`.  Every float
-        operation and its order are fixed by the terms alone, so the
-        result is bit-identical for floats and numpy columns, and from
-        one call to the next.  Only generated names and float literals
-        enter the source.  A coefficient outside float range raises
-        OverflowError here.
+        order; terms are added one by one to `total = 0.0`.  So the result
+        is bit-identical for floats and numpy columns, between the two,
+        and from one call to the next.  The kernel takes x0, ...,
+        x{dim-1}, one float or one column each.  The entry takes a point,
+        checks its length, unpacks it with `float` and refuses a
+        non-finite coordinate with one `or` chain of `x - x`, which is 0.0
+        for a finite float and NaN otherwise; its messages are those
+        `eval` has always raised.
 
-        What is cached in `_kernel` is `_checked_entry(dim)` bound to the
-        kernel: the function `eval` calls, with the kernel itself as its
-        `kernel` attribute, which `eval_array` calls.  Threads that race
-        here (the particle push) build the same kernel, so whichever is
-        cached is right.
+        Only generated names and float literals enter the source.  A
+        coefficient outside float range raises OverflowError here, and
+        nothing is cached.  Threads that race here (the particle push)
+        build the same function, so whichever is cached is right.
         """
         def power(i: int, e: int) -> str:
             return f"x{i}" if e == 1 else f"p{i}_{e}"
 
-        top = [0] * self.dim
+        dim = self.dim
+        top = [0] * dim
         terms = []
         for exps, coeff in self.sorted_terms():
             factors = [power(i, e) for i, e in enumerate(exps) if e]
             terms.append(f"    total += {' * '.join([repr(float(coeff))] + factors)}")
             top = [max(t, e) for t, e in zip(top, exps)]
-        args = ", ".join(f"x{i}" for i in range(self.dim))
+        args = ", ".join(f"x{i}" for i in range(dim))
+        if kind == "array":
+            head = [f"def evaluate({args}):"]
+        else:
+            head = ["def evaluate(point):",
+                    f"    if len(point) != {dim}:",
+                    f"        raise ValueError(f'point has length {{len(point)}}, expected {dim}')"]
+            if dim:
+                head += [f"    {args}, = map(float, point)",
+                         f"    if {' or '.join(f'x{i} - x{i}' for i in range(dim))}:",
+                         "        raise ValueError('non-finite coordinate in evaluation point')"]
         source = "\n".join([
-            f"def kernel({args}):",
+            *head,
             *(f"    {power(i, e)} = {power(i, e - 1)} * x{i}"
               for i, t in enumerate(top) for e in range(2, t + 1)),
             "    total = 0.0",
@@ -526,8 +532,9 @@ class Poly:
         ])
         namespace: dict = {}
         exec(source, namespace)
-        self._kernel = _checked_entry(self.dim)(namespace["kernel"])
-        return self._kernel
+        evaluate = namespace["evaluate"]
+        setattr(self, "_kernel" if kind == "array" else "_entry", evaluate)
+        return evaluate
 
     # -- printing ------------------------------------------------------
 
@@ -558,41 +565,6 @@ class Poly:
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.dim)]
         return f"Poly[{self.dim}]({self.to_text(names)})"
-
-
-@cache
-def _checked_entry(dim: int):
-    """The binder of `Poly.eval`'s checked scalar entry on `dim`
-    coordinates, compiled once per dimension: `bind(kernel)` returns a
-    function of one point that checks its length, unpacks its
-    coordinates as floats, refuses a non-finite one and returns
-    `kernel(x0, ..., x{dim-1})`; the kernel is its `kernel` attribute.
-
-    `x - x` is 0.0 for every finite float and NaN for an infinity or a
-    NaN, so one `or` chain of those differences finds any non-finite
-    coordinate.  The messages are those `eval` has always raised.
-    """
-    args = ", ".join(f"x{i}" for i in range(dim))
-    body = [
-        "def bind(kernel):",
-        "    def entry(point):",
-        f"        if len(point) != {dim}:",
-        f"            raise ValueError(f'point has length {{len(point)}}, expected {dim}')",
-    ]
-    if dim:
-        body += [
-            f"        {args}, = map(float, point)",
-            f"        if {' or '.join(f'x{i} - x{i}' for i in range(dim))}:",
-            "            raise ValueError('non-finite coordinate in evaluation point')",
-        ]
-    body += [
-        f"        return kernel({args})",
-        "    entry.kernel = kernel",
-        "    return entry",
-    ]
-    namespace: dict = {}
-    exec("\n".join(body), namespace)
-    return namespace["bind"]
 
 
 # -- parsing -----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Helpers shared by the tests: a traced allocation peak, a scan of the
 names a module assigns at its top level, the two finite-difference
 oracles the exact divergence is checked against and the log-volume
-integral of the divergence channel, the comprehension RK4 and RKF45
-steps the generated steppers of `flow` are checked against, the two CSV
-writers `flow.write_csv` is checked against, the dense tensor walks the
-nonzero walks of `chart`, `fields` and `musical` are checked against,
-and the reference expression parser `geokin.poly.parse` is checked
-against."""
+integral of the divergence channel, a grid's cell centers and its L1
+measures, the comprehension RK4 and RKF45 steps and the array error
+norm the generated steppers and norm of `flow` are checked against, the
+two CSV writers `flow.write_csv` is checked against, the dense tensor
+walks the nonzero walks of `chart`, `fields` and `musical` are checked
+against, and the reference expression parser `geokin.poly.parse` is
+checked against."""
 
 import ast
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from geokin.chart import OneFormExpr, TwoFormExpr, VectorFieldExpr
 from geokin.fields import Dynamics
 from geokin.flow import _RKF_A, _RKF_B4, _RKF_B5, IntegratorConfig, Trajectory, integrate
-from geokin.kinetics import ParticleEnsemble, particle_csv_columns
+from geokin.kinetics import GridDensity, ParticleEnsemble, particle_csv_columns
 from geokin.musical import SharpVariant
 from geokin.poly import ParseError, Poly
 
@@ -105,11 +106,32 @@ def log_volume(traj: Trajectory) -> np.ndarray:
     return out
 
 
-# -- the comprehension steppers ---------------------------------------------
+# -- grid measures ----------------------------------------------------------
+
+
+def grid_points(grid: GridDensity) -> np.ndarray:
+    """The grid's cell centers as an (N, dim) array in C order."""
+    mesh = np.meshgrid(*[a.centers() for a in grid.axes], indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def l1_norm(grid: GridDensity) -> float:
+    return float(np.abs(grid.values).sum()) * grid.cell_volume
+
+
+def l1_distance(grid: GridDensity, other: GridDensity) -> float:
+    if grid.values.shape != other.values.shape:
+        raise ValueError("grids are not comparable")
+    return float(np.abs(grid.values - other.values).sum()) * grid.cell_volume
+
+
+# -- the comprehension steppers and the array error norm ------------------
 #
 # `flow`'s RK4 and RKF45 steps as they were before they were generated per
 # state length: one comprehension over zipped coordinates per stage state
-# and per solution, with the same float operations in the same order.
+# and per solution, with the same float operations in the same order, each
+# stage through one `rhs` call that returns every rate.  And the RKF45 error
+# norm as it was before it was generated per length, summed by numpy.
 
 
 def comprehension_rk4_step(rhs, x: list, h: float) -> list:
@@ -150,6 +172,13 @@ def comprehension_rkf45_step(rhs, x: list, h: float):
     x4 = [a + c1 * b1 + c3 * b3 + c4 * b4 + c5 * b5
           for a, b1, b3, b4, b5 in zip(x, k1, k3, k4, k5)]
     return x5, [a - b for a, b in zip(x5, x4)]
+
+
+def array_error_norm(err: list, x: list, x_new: list, abs_tol: float, rel_tol: float) -> float:
+    """RMS of err scaled by abs_tol + rel_tol * max(|x|, |x_new|) per
+    coordinate, its squares summed by np.add.reduce, np.mean's own sum."""
+    ratios = [e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, x, x_new)]
+    return math.sqrt(float(np.add.reduce(np.array([r * r for r in ratios]))) / len(ratios))
 
 
 # -- the CSV writers --------------------------------------------------------

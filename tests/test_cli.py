@@ -11,6 +11,7 @@ from geokin import budgets, cli, fields, kinetics
 from geokin.identities import LawReport
 from geokin.kinetics import read_grid, read_particles
 from geokin.chart import Chart, ChartKind
+from geokin.poly import Poly
 
 from helpers import traced_peak
 
@@ -138,7 +139,7 @@ def _set(section, key, value):
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="2^5000*q1")),
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^\u00b2")),
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^" + "1" * 5000)),
-    ("$.particles", lambda cfg: cfg.update(particles=5)),
+    ("$.particles", lambda cfg: cfg.update(particles=1500.0)),  # every task type-checks it
     ("$.time.cfl", _set("time", "cfl", -0.5)),
     ("$.time.rel_tol", _set("time", "rel_tol", -1e-8)),
     ("$.time.abs_tol", _set("time", "abs_tol", -1e-10)),
@@ -147,7 +148,7 @@ def _set(section, key, value):
     ("$.seed", lambda cfg: cfg.update(seed=-1)),
 ], ids=["trajectory-int", "t-final-inf", "dt-huge-int", "point-inf", "point-bool",
         "degree-overflow", "coefficient-overflow", "constant-power", "exponent-superscript",
-        "exponent-5000-digits", "particles-few",
+        "exponent-5000-digits", "particles-float",
         "cfl-negative", "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge",
         "seed-negative"])
 def test_boundary_faults_are_config_errors(tmp_path, capsys, path, mutate):
@@ -687,6 +688,54 @@ def test_particles_and_trials_past_their_budget_are_config_errors(tmp_path, caps
     cfg = _contact_grid_config(tmp_path, task="kinetic-particle", **{key: value})
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: must be between ")
+
+
+def test_particles_are_range_checked_for_kinetic_particle_alone(tmp_path, capsys):
+    # a task that does not read the key takes any count; kinetic-particle takes its range
+    cfg = simulate_config(tmp_path, particles=500)
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.startswith("ok\n")
+    cfg = _contact_grid_config(tmp_path, task="kinetic-particle", particles=500)
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error at $.particles: must be between 1000 and {budgets.MAX_PARTICLES}\n")
+
+
+def compiles_of_a_run(monkeypatch, cfg_path):
+    """Load and run the scenario at `cfg_path`; return it and the
+    (polynomial, kind) of every `Poly._compile` call the two made."""
+    compiled, compile_ = [], Poly._compile
+
+    def counted(self, kind):
+        compiled.append((self, kind))
+        return compile_(self, kind)
+
+    monkeypatch.setattr(Poly, "_compile", counted)
+    scenario = cli.load_scenario(cfg_path)
+    assert cli.run_scenario(scenario) == 0
+    assert len({(id(poly), kind) for poly, kind in compiled}) == len(compiled)  # none twice
+    return scenario, compiled
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_simulate_run_compiles_each_evaluator_once(tmp_path, monkeypatch, method):
+    # the field's checked entries for the steps, the monitors' array kernels after them
+    cfg = simulate_config(tmp_path, hamiltonian="z + p1^2/2 + q1^2/2",
+                          time={"t_final": 0.1, "dt": 0.01, "method": method})
+    scenario, compiled = compiles_of_a_run(monkeypatch, write_config(tmp_path, cfg))
+    dyn = scenario.dynamics
+    monitors = [dyn.H, dyn.diagnostics.dH_along_flow, dyn.diagnostics.divergence]
+    assert {id(poly) for poly, kind in compiled if kind == "entry"} == \
+        {id(c) for c in dyn.field.components}
+    assert {id(poly) for poly, kind in compiled if kind == "array"} == set(map(id, monitors))
+
+
+def test_a_kinetic_particle_run_compiles_array_kernels_alone(tmp_path, monkeypatch):
+    cfg = _contact_grid_config(tmp_path, task="kinetic-particle", particles=1000)
+    scenario, compiled = compiles_of_a_run(monkeypatch, write_config(tmp_path, cfg))
+    assert {kind for _, kind in compiled} == {"array"}
+    moving = [c for c in scenario.dynamics.field.components if not c.is_zero()]
+    assert {id(c) for c in moving} <= {id(poly) for poly, _ in compiled}
 
 
 def _wide_chart_config(tmp_path, task, particles, size):

@@ -1,8 +1,8 @@
 """Integrator tests: pinned trajectories, convergence order, monitors, a
 bit-identity oracle against the array loop the coordinate-list steps
-replaced, one against the comprehension steps the generated steppers
-replaced, and a byte oracle against the CSV writer `flow.write_csv`
-replaced."""
+replaced, one against the comprehension steps and the array error norm
+the generated steppers and norm replaced, and a byte oracle against the
+CSV writer `flow.write_csv` replaced."""
 
 import math
 import random
@@ -32,6 +32,7 @@ from geokin.flow import (
 from geokin.poly import Poly
 
 from helpers import (
+    array_error_norm,
     comprehension_rk4_step,
     comprehension_rkf45_step,
     flow_map_logdet,
@@ -238,15 +239,16 @@ def test_rk45_steps_are_capped_at_the_largest_step(monkeypatch):
 
 def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     """The evaluation budget of `integrate`.  `Poly.eval`: 4*dim calls per
-    RK4 step and 6*dim per RKF45 attempt, accepted or rejected, plus 3 up
-    front, which compile the kernels of H, X(H) and the divergence before
-    the first step.  `Poly.eval_array`: those 3 monitors once per block of
+    RK4 step and 6*dim per RKF45 attempt, accepted or rejected, each a
+    field component's, and none besides: the monitors H, X(H) and the
+    divergence have their coefficients checked before the first step, not
+    evaluated.  `Poly.eval_array`: those 3 monitors once per block of
     `flow.BLOCK_ROWS` recorded nodes, after the run.
 
     The benchmark's `--trace 1` run bounds `poly.eval.calls` below by 4 x
     steps (`perfbench/run.py::coverage_problems`).  The monitors already
     evaluate past `Poly.eval`; a change that evaluates the field past it
-    too (ROADMAP item 2's fused kernel) fails here first.  ROADMAP item 1b
+    too (ROADMAP item 4's fused step) fails here first.  ROADMAP item 1b
     must move that bench bound to an exact right-hand-side count before
     such a change lands."""
     chart, spec = _spec(ChartKind.COCONTACT)
@@ -267,10 +269,10 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     def counted_stepper(n):
         step = rkf45_stepper(n)
 
-        def counted_step(rhs, x, h):
+        def counted_step(fs, x, h):
             nonlocal attempts
             attempts += 1
-            return step(rhs, x, h)
+            return step(fs, x, h)
         return counted_step
 
     monkeypatch.setattr(Poly, "eval", counted_eval)
@@ -280,13 +282,13 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     x0 = [0.0, 0.3, 0.4, 0.1]
     traj = integrate(dyn, x0, (0.0, 0.25), IntegratorConfig(step=5e-3))
     assert len(traj.times) == 51  # four blocks of 16 nodes, the last one short
-    assert calls == 4 * chart.dim * 50 + 3
+    assert calls == 4 * chart.dim * 50
     assert array_calls == 3 * 4
     calls = array_calls = 0
     # a first step far past the tolerance: the controller rejects and shrinks it
     traj = integrate(dyn, x0, (0.0, 2.0), IntegratorConfig(method="rk45", step=1.0))
     assert attempts > len(traj.times) - 1
-    assert calls == 6 * chart.dim * attempts + 3
+    assert calls == 6 * chart.dim * attempts
     assert array_calls == 3 * -(-len(traj.times) // 16)
 
 
@@ -413,11 +415,7 @@ def test_rkf45_step_is_bit_identical_to_the_array_step(data):
     def pack(values):
         return struct.pack(f"<{dim}d", *values)
 
-    stages, ref_stages = [], []
-
-    def rhs(y):
-        stages.append(pack(y))
-        return field(y)
+    calls, ref_stages = [], []
 
     def ref_rhs(y):
         ref_stages.append(pack(y))
@@ -425,8 +423,8 @@ def test_rkf45_step_is_bit_identical_to_the_array_step(data):
 
     with np.errstate(all="ignore"):
         want = reference_rkf45_step(ref_rhs, np.array(x), h)
-    got = flow._rkf45_stepper(dim)(rhs, x, h)
-    assert stages == ref_stages  # every stage state, in order
+    got = flow._rkf45_stepper(dim)(recorded_evaluators(per_coordinate(field, dim), calls), x, h)
+    assert [pack(y) for y in stage_states(calls, dim)] == ref_stages  # every stage, in order
     assert [pack(v) for v in got] == [pack(v) for v in want]
 
 
@@ -506,7 +504,7 @@ def test_error_norm_is_bit_identical_to_the_array_norm(data):
     scale = abs_tol + rel_tol * np.maximum(np.abs(np.array(x)), np.abs(np.array(x_new)))
     with np.errstate(over="ignore"):
         want = math.sqrt(float(np.mean((np.array(err) / scale) ** 2)))
-    got = flow._error_norm(err, x, x_new, abs_tol, rel_tol)
+    got = flow._error_norm(dim)(err, x, x_new, abs_tol, rel_tol)
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
@@ -547,7 +545,7 @@ def test_integrate_is_bit_identical_to_the_array_loop(tmp_path_factory, kind, me
     assert path.read_text(encoding="utf-8") == "\n".join(ref_lines) + "\n"
 
 
-# -- the generated steppers against the comprehension steps they replaced --
+# -- the generated steppers and norm against the oracles they replaced -----
 
 
 # ±0.0, subnormals, ±inf, NaN and values whose products leave float range,
@@ -583,6 +581,37 @@ def mixing_field(weights, shifts, zero=frozenset()):
     return field
 
 
+def per_coordinate(field, n: int) -> tuple:
+    """`field`, one function of a state that returns every rate, as one
+    evaluator per coordinate: the form the generated steps take."""
+    return tuple((lambda y, j=j: field(y)[j]) for j in range(n))
+
+
+def recorded_evaluators(evaluators, calls: list) -> tuple:
+    """Each evaluator, appending (its coordinate, the state it was handed)
+    to `calls` before it runs."""
+    def record(j, evaluate):
+        def recording(y):
+            calls.append((j, y))
+            return evaluate(y)
+        return recording
+    return tuple(record(j, evaluate) for j, evaluate in enumerate(evaluators))
+
+
+def stage_states(calls: list, n: int) -> list:
+    """The stage states of one generated step's recorded `calls`, in order,
+    after checking that each was one list, handed to the evaluators in
+    coordinate order: to all `n` of them, or, in a stage that raised, to
+    those before and at the one that raised."""
+    states = []
+    for lo in range(0, len(calls), n):
+        stage = calls[lo:lo + n]
+        assert [j for j, _ in stage] == list(range(len(stage)))
+        assert isinstance(stage[0][1], list) and all(y is stage[0][1] for _, y in stage)
+        states.append(stage[0][1])
+    return states
+
+
 def recorded(field, stages: list):
     def rhs(y):
         stages.append(as_bytes(y))
@@ -590,13 +619,29 @@ def recorded(field, stages: list):
     return rhs
 
 
-def assert_steppers_match_the_comprehension_steps(n, field, x, h):
+def step_outcome(step):
+    """`step()` as bytes, or the type and message of the error it raised."""
+    try:
+        return as_bytes(step())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_steps_match(n, evaluators, field, x, h):
+    """Each generated step on `evaluators` against its comprehension step
+    on `field`, the same rates as one function: every stage state, in
+    order, and the result or the error, byte for byte.  Returns the
+    outcomes."""
+    outcomes = []
     for stepper, oracle in STEPPERS:
-        stages, want_stages = [], []
-        got = stepper(n)(recorded(field, stages), x, h)
-        want = oracle(recorded(field, want_stages), x, h)
-        assert stages == want_stages, oracle.__name__  # every stage state, in order
-        assert as_bytes(got) == as_bytes(want), oracle.__name__
+        calls, want_stages = [], []
+        got = step_outcome(lambda: stepper(n)(recorded_evaluators(evaluators, calls), x, h))
+        want = step_outcome(lambda: oracle(recorded(field, want_stages), x, h))
+        assert [as_bytes(y) for y in stage_states(calls, n)] == want_stages, oracle.__name__
+        assert got == want, oracle.__name__
+        outcomes.append(got)
+    return outcomes
+
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -605,7 +650,7 @@ def test_generated_steppers_are_bit_identical_to_the_comprehension_steps(data):
     n = data.draw(st.integers(1, 35))  # cocontact n=16 has 34 coordinates, its push 35
     vector = st.lists(ANY_FLOAT, min_size=n, max_size=n)
     field = mixing_field(data.draw(vector), data.draw(vector))
-    assert_steppers_match_the_comprehension_steps(n, field, data.draw(vector), data.draw(ANY_FLOAT))
+    assert_steps_match(n, per_coordinate(field, n), field, data.draw(vector), data.draw(ANY_FLOAT))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -618,7 +663,7 @@ def test_generated_steppers_are_bit_identical_on_numpy_columns(data):
     field = mixing_field(data.draw(vector), data.draw(vector), zero)
     x = [data.draw(column) for _ in range(n)]
     with np.errstate(all="ignore"):
-        assert_steppers_match_the_comprehension_steps(n, field, x, data.draw(ANY_FLOAT))
+        assert_steps_match(n, per_coordinate(field, n), field, x, data.draw(ANY_FLOAT))
 
 
 def test_threads_racing_on_a_cold_cache_step_alike():
@@ -631,7 +676,7 @@ def test_threads_racing_on_a_cold_cache_step_alike():
 
         def run(slot):
             barrier.wait()
-            results[slot] = as_bytes(stepper(n)(field, x, h))
+            results[slot] = as_bytes(stepper(n)(per_coordinate(field, n), x, h))
 
         threads = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
         for thread in threads:
@@ -639,6 +684,73 @@ def test_threads_racing_on_a_cold_cache_step_alike():
         for thread in threads:
             thread.join()
         assert results[0] == results[1] == as_bytes(oracle(field, x, h)), oracle.__name__
+
+
+def catalog_steps_match(kind, n, spec_index, seed, x, h):
+    """The steps `integrate` takes on a random catalog field: each
+    component's `Poly.eval`, zero components included, against the
+    comprehension steps on the list of them.  Returns the outcomes."""
+    chart = Chart(kind, n)
+    specs = catalog(chart)
+    spec = specs[spec_index % len(specs)]
+    H = random_hamiltonian(random.Random(seed), chart, degree=4, terms=4,
+                           z_free=spec.family is Family.STRICT)
+    comps = make_field(spec, H).components
+    return assert_steps_match(chart.dim, [c.eval for c in comps],
+                              lambda y: [c.eval(y) for c in comps], x, h)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(ChartKind)), data=st.data())
+def test_generated_steppers_match_the_comprehension_steps_on_catalog_fields(kind, data):
+    n = data.draw(st.integers(1, 2))
+    dim = Chart(kind, n).dim
+    x = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e100, -1e100]),
+                                     st.floats(-2.0, 2.0)), min_size=dim, max_size=dim))
+    # the large steps take a stage state past float range, where the
+    # entry of the first component refuses it
+    h = data.draw(st.sampled_from([1e-3, 0.1, 1e100, 1e300]))
+    catalog_steps_match(kind, n, data.draw(st.integers(0, 99)), data.draw(st.integers(0, 2 ** 32)),
+                        x, h)
+
+
+@pytest.mark.parametrize("kind", list(ChartKind))
+def test_a_stage_past_float_range_is_refused_as_the_comprehension_step_refuses_it(kind):
+    dim = Chart(kind, 1).dim
+    for outcome in catalog_steps_match(kind, 1, 0, 7, [1e200] * dim, 1e200):
+        assert outcome == (ValueError, "non-finite coordinate in evaluation point")
+
+
+# ±0.0, subnormals, ±inf, NaN, and values whose squares or ratios leave float
+# range, besides any float
+NORM_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan,
+                     1e200, -1e200, 1e300, 1.0, -0.5]),
+    st.floats(),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generated_error_norm_is_bit_identical_to_the_array_norm(data):
+    n = data.draw(st.integers(1, 40))
+    vector = st.lists(NORM_VALUE, min_size=n, max_size=n)
+    err, x, x_new = data.draw(vector), data.draw(vector), data.draw(vector)
+    abs_tol = data.draw(st.sampled_from([5e-324, 1e-300, 1e-10, 1.0]))
+    rel_tol = data.draw(st.sampled_from([0.0, 1e-8, 0.5, 1e300]))
+    with np.errstate(all="ignore"):
+        want = array_error_norm(err, x, x_new, abs_tol, rel_tol)
+    assert as_bytes([flow._error_norm(n)(err, x, x_new, abs_tol, rel_tol)]) == as_bytes([want])
+
+
+def test_generated_error_norm_adds_in_numpy_order_at_every_length():
+    # past 128 terms numpy splits the sum in two halves at a multiple of 8
+    rng = random.Random(3)
+    for n in range(1, 300):
+        err = [rng.choice([1e16, 1.0, rng.random(), 3e-9]) * rng.choice([1, -1]) for _ in range(n)]
+        zeros = [0.0] * n
+        want = array_error_norm(err, zeros, zeros, 1.0, 0.0)
+        assert flow._error_norm(n)(err, zeros, zeros, 1.0, 0.0) == want, n
 
 
 # -- the monitors, evaluated per block after the run, and the CSV writer ------

@@ -253,13 +253,13 @@ def test_kernel_is_bit_identical_to_the_reference_walk(data):
 def reference_eval(p, point):
     """`Poly.eval` as the generic wrapper it was before the checked scalar
     entry: the length check, the float map, the finiteness check and the
-    kernel called on the unpacked floats."""
+    array kernel called on the unpacked floats."""
     if len(point) != p.dim:
         raise ValueError(f"point has length {len(point)}, expected {p.dim}")
     xs = list(map(float, point))
     if not all(map(math.isfinite, xs)):
         raise ValueError("non-finite coordinate in evaluation point")
-    return (p._kernel or p._compile()).kernel(*xs)
+    return (p._kernel or p._compile("array"))(*xs)
 
 
 def eval_outcome(evaluate, p, point):
@@ -460,14 +460,16 @@ def test_canonical_form_makes_equality_structural():
 
 def test_kernel_is_built_once_and_the_checks_still_fire():
     p = P("x^3*y - 2*y^2 + 1/3")
-    assert p._kernel is None  # nothing is compiled before the first evaluation
+    assert p._entry is p._kernel is None  # nothing is compiled before the first evaluation
     first = p.eval([0.5, -1.5])
-    kernel = p._kernel
-    assert kernel is not None
+    entry = p._entry
+    assert entry is not None and p._kernel is None  # `eval` compiles the entry alone
     p.eval([2.0, 3.0])
     p.eval_array(np.ones((4, 2)).T)
-    assert p._kernel is kernel and p.eval([0.5, -1.5]) == first
-    assert (p + 0)._kernel is None  # a new polynomial compiles its own
+    kernel = p._kernel
+    assert kernel is not None
+    assert p._entry is entry and p.eval([0.5, -1.5]) == first
+    assert (p + 0)._entry is (p + 0)._kernel is None  # a new polynomial compiles its own
     for bad in ([1.0], [1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="expected 2"):
             p.eval(bad)
@@ -479,14 +481,16 @@ def test_kernel_is_built_once_and_the_checks_still_fire():
             p.eval_array(bad)
     columns = [np.array([0.5, 2.0]), np.array([-1.5, 3.0])]  # a list of columns, or an array's .T
     assert p.eval_array(columns).tolist() == [first, p.eval([2.0, 3.0])]
-    assert p._kernel is kernel
+    assert p._entry is entry and p._kernel is kernel
 
 
 def test_coefficients_outside_float_range_raise_on_first_evaluation():
     p = Poly(1, {(1,): Fraction(10 ** 400)})
     with pytest.raises(OverflowError):
         p.eval([1.0])
-    assert p._kernel is None
+    with pytest.raises(OverflowError):
+        p.eval_array([np.ones(2)])
+    assert p._entry is p._kernel is None
 
 
 def test_print_parse_roundtrip_is_identity():
