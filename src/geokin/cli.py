@@ -231,6 +231,8 @@ def load_scenario(path: str, task_override: str | None = None) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("$", f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("$", f"config is not UTF-8: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     return Scenario(raw, task_override)

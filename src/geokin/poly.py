@@ -40,8 +40,9 @@ highest total degree first, ties broken by earlier coordinates carrying
 higher exponents.  Numeric evaluation runs straight-line Python source
 that walks the terms in that fixed order with powers built by repeated
 multiplication, in two forms per polynomial, each compiled on its first
-use.  `Poly.eval` runs a checked scalar entry that checks and unpacks
-the point and then walks, two Python frames a call; `Poly.eval_array`
+use.  `Poly.eval` runs a checked scalar entry that checks the point's
+length, unpacks it, converts each coordinate with one `float()`, checks
+it is finite and then walks, two Python frames a call; `Poly.eval_array`
 runs an array kernel on a sequence of `dim` equal-length columns (an
 (N, dim) array's `.T`, or the columns a solver keeps).  Floats and
 columns go through the same float operations in the same order, so
@@ -491,10 +492,13 @@ class Poly:
         is bit-identical for floats and numpy columns, between the two,
         and from one call to the next.  The kernel takes x0, ...,
         x{dim-1}, one float or one column each.  The entry takes a point,
-        checks its length, unpacks it with `float` and refuses a
-        non-finite coordinate with one `or` chain of `x - x`, which is 0.0
-        for a finite float and NaN otherwise; its messages are those
-        `eval` has always raised.
+        checks its length, unpacks it as it stands (`x0, x1, = point`),
+        converts each coordinate with one `float()` in coordinate order
+        (cheaper than draining a `map(float, point)` iterator, with the
+        same conversions and errors) and refuses a non-finite coordinate
+        with one `or` chain of `x - x`, which is 0.0 for a finite float
+        and NaN otherwise; its messages are those `eval` has always
+        raised.
 
         Only generated names and float literals enter the source.  A
         coefficient outside float range raises OverflowError here, and
@@ -519,7 +523,8 @@ class Poly:
                     f"    if len(point) != {dim}:",
                     f"        raise ValueError(f'point has length {{len(point)}}, expected {dim}')"]
             if dim:
-                head += [f"    {args}, = map(float, point)",
+                head += [f"    {args}, = point",
+                         *(f"    x{i} = float(x{i})" for i in range(dim)),
                          f"    if {' or '.join(f'x{i} - x{i}' for i in range(dim))}:",
                          "        raise ValueError('non-finite coordinate in evaluation point')"]
         source = "\n".join([

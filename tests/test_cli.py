@@ -260,6 +260,19 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe\x00x", b'{"task": "validate", "chart": "\xc3("}'],
+                         ids=["leading", "inside-a-string"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(raw)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at $: config is not UTF-8: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_chart_n_at_the_bound_is_valid(tmp_path, capsys):
     cfg = {"chart": {"kind": "cocontact", "n": 16}, "task": "identity-check",
            "output": {"report": str(tmp_path / "report.json")}}

@@ -1,5 +1,6 @@
 """Exact polynomial layer: ring behavior, calculus, parsing, printing."""
 
+import itertools
 import math
 import random
 import struct
@@ -270,19 +271,38 @@ def eval_outcome(evaluate, p, point):
         return type(exc), str(exc)
 
 
+class FloatSub(float):
+    pass
+
+
+class FloatReturnsText:
+    """`float()` of this raises TypeError: `__float__` returns a str."""
+
+    def __float__(self):
+        return "1.0"
+
+
 # every form a point reaches `eval` in: a list, a tuple, a 1-D array, a row
-# of a 2-D array, numpy scalars, and ints (numpy's and Python's)
+# of a 2-D array, numpy scalars, ints (numpy's and Python's), Fractions,
+# bools, a float subclass, and a str of digits (one character a coordinate)
 POINT_FORMS = [
     list,
     tuple,
     np.array,
     lambda xs: np.array([xs, xs])[1],
     lambda xs: [np.float64(x) for x in xs],
+    lambda xs: [np.float32(x) for x in xs],
     lambda xs: np.array([int(x) for x in xs]),
     lambda xs: [int(x) for x in xs],
+    lambda xs: [Fraction(x) for x in xs],
+    lambda xs: [bool(x) for x in xs],
+    lambda xs: [FloatSub(x) for x in xs],
+    lambda xs: "".join(str(int(abs(x)) % 10) for x in xs),
 ]
+# each raises in `float()` (OverflowError, ValueError, TypeError) or is not finite
 BAD_COORDINATES = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf),
-                   10 ** 400, "1.5", None]
+                   np.float32(math.inf), 10 ** 400, Fraction(10 ** 400, 3), "1.5", "x1", None,
+                   [1.0], FloatReturnsText()]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -295,9 +315,23 @@ def test_checked_entry_matches_the_generic_wrapper(data):
     points += [xs[:-1], xs + [1.0]] if xs else [[1.0]]  # wrong lengths
     for slot in range(p.dim):
         points += [xs[:slot] + [bad] + xs[slot + 1:] for bad in BAD_COORDINATES]
+    if p.dim >= 2:  # two bad coordinates: the first in coordinate order raises, also
+        # a TypeError ([1.0], None, ...) after a coordinate that converts ("1.5")
+        points += [[first] + xs[1:-1] + [last] for first in BAD_COORDINATES
+                   for last in BAD_COORDINATES]
     for point in points:
         want = eval_outcome(reference_eval, p, point)
         assert eval_outcome(Poly.eval, p, point) == want, point
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_the_checked_entry_refers_to_no_global_but_len_float_and_valueerror(dim):
+    # a dense polynomial: every monomial of total degree up to 3
+    dense = Poly(dim, {exps: Fraction(k + 1, 3) for k, exps in enumerate(
+        e for e in itertools.product(range(4), repeat=dim) if sum(e) <= 3)})
+    for p in (Poly.zero(dim), Poly.const(dim, Fraction(-7, 2)), dense):
+        names = set(p._compile("entry").__code__.co_names)
+        assert names <= {"len", "float", "ValueError"}, names
 
 
 class FractionPoly:
