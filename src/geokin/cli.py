@@ -11,8 +11,9 @@ identical for identical (config, seed) pairs.  Exit status: 0 on
 success, 1 when a check fails, a solver aborts or an output cannot be
 written, 2 on config errors.
 
-The config is declared once: `SCHEMA` types every key, and `TASK_TABLE`
-gives each task's required paths and its runner.
+The config is declared once: `SCHEMA` types every key and names the
+tasks that read it, whose rules and value checks apply to those tasks
+alone; `TASK_TABLE` gives each task's required paths and its runner.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import os
 import random
 import sys
-from functools import reduce
+from functools import partial, reduce
 
 from . import budgets
 from .chart import Chart, ChartKind, OneFormExpr
@@ -61,20 +62,13 @@ def _check_identity_work(chart: Chart, trials: int, path: str) -> None:
         raise ConfigError(path, str(exc)) from None
 
 
-def _check_float_range(polys) -> None:
-    """Raise OverflowError if a coefficient would not convert to a float,
-    as a kernel does when first evaluated."""
-    for poly in polys:
-        poly.float_coefficients()
-
-
 def _parse_expr(chart: Chart, text: str | None, path: str) -> Poly | None:
     """Parse an expression field; every way it can fail names `path`."""
     if text is None:
         return None
     try:
         poly = chart.parse(text)
-        _check_float_range([poly])
+        poly.float_coefficients()  # OverflowError, as a kernel raises when first evaluated
     except (ParseError, DegreeOverflowError) as exc:
         raise ConfigError(path, f"{exc} on the {chart.kind.value} chart") from None
     except OverflowError:
@@ -93,8 +87,9 @@ class Scenario:
     def __init__(self, raw: dict, task_override: str | None = None):
         if task_override is not None and isinstance(raw, dict):
             raw = {**raw, "task": task_override}
-        cfg = _check(raw, "$", "$")
+        cfg = _check(raw, "$", "$", raw.get("task") if isinstance(raw, dict) else None)
         self.task = task = cfg["task"]
+        reads = partial(_reads, task)  # the value checks below apply to a key's readers
         self.chart = chart = Chart(ChartKind(cfg["chart"]["kind"]), cfg["chart"]["n"])
         self.seed = cfg["seed"]
         self.trials = cfg["trials"] or (20 if task == "identity-check" else 25)
@@ -102,18 +97,11 @@ class Scenario:
             _check_identity_work(chart, self.trials, "$.trials")
         self.threads = cfg["threads"]
         self.particle_count = count = cfg["particles"]
-        if task == "kinetic-particle" and not 1_000 <= count <= budgets.MAX_PARTICLES:
-            raise ConfigError("$.particles", f"must be between 1000 and {budgets.MAX_PARTICLES}")
-        if task == "kinetic-particle" and count * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
-            raise ConfigError("$.particles", f"{count} particles x {chart.dim + 1} values exceed "
-                                             f"the push budget of {budgets.MAX_PUSH_VALUES}; at "
-                                             f"most {budgets.MAX_PUSH_VALUES // (chart.dim + 1)} "
-                                             f"on this chart")
         self.output = cfg["output"]
 
         time = cfg["time"]
         snapshots = time["snapshots"]
-        if snapshots is not None:
+        if snapshots is not None and reads("$.time.snapshots"):
             if snapshots[0] <= 0 or any(b <= a for a, b in zip(snapshots, snapshots[1:])):
                 raise ConfigError("$.time.snapshots", "must be positive and strictly increasing")
             if time["t_final"] is not None and snapshots[-1] != time["t_final"]:
@@ -127,27 +115,28 @@ class Scenario:
                 raise ConfigError(path, f"required for task {task}")
         for path in ("$.initial.point", "$.initial.one_form", "$.initial.grid.axes"):
             entries = _at(cfg, path)
-            if entries is not None and len(entries) != chart.dim:
+            if entries is not None and reads(path) and len(entries) != chart.dim:
                 raise ConfigError(path, f"need one entry per chart coordinate "
                                         f"({', '.join(chart.coord_names)}); got {len(entries)}")
 
-        self.hamiltonian = _parse_expr(chart, cfg["hamiltonian"], "$.hamiltonian")
-        gauge = cfg["field"]["gauge"]
-        if gauge is not None and not chart.has_time:
-            raise ConfigError("$.field.gauge", f"{chart.kind.value} charts carry no time gauge")
-        try:
-            self.field = FieldSpec(chart, Family(cfg["field"]["family"]),
-                                   Gauge(gauge or "zero") if chart.has_time else None)
-        except ValueError as exc:
-            raise ConfigError("$.field", str(exc)) from None
-        if task in _KINETIC_TASKS and self.field != kinetic_spec(chart):
-            raise ConfigError("$.field", f"the kinetic tasks carry densities along the "
-                                         f"hamiltonian field with gauge zero only, not "
-                                         f"{self.field.row_name}")
-        H = self.hamiltonian
-        # the run's one build of its field (and diagnostics), handed to its solver
-        self.dynamics = dyn = None if H is None else Dynamics(self.field, H)
-        if dyn is not None:
+        self.hamiltonian = H = _parse_expr(chart, cfg["hamiltonian"], "$.hamiltonian")
+        self.field = self.dynamics = None
+        if reads("$.field"):  # each task that reads it requires the hamiltonian
+            gauge = cfg["field"]["gauge"]
+            if gauge is not None and not chart.has_time:
+                raise ConfigError("$.field.gauge",
+                                  f"{chart.kind.value} charts carry no time gauge")
+            try:
+                self.field = FieldSpec(chart, Family(cfg["field"]["family"]),
+                                       Gauge(gauge or "zero") if chart.has_time else None)
+            except ValueError as exc:
+                raise ConfigError("$.field", str(exc)) from None
+            if task in _KINETIC_TASKS and self.field != kinetic_spec(chart):
+                raise ConfigError("$.field", f"the kinetic tasks carry densities along the "
+                                             f"hamiltonian field with gauge zero only, not "
+                                             f"{self.field.row_name}")
+            # the run's one build of its field (and diagnostics), handed to its solver
+            self.dynamics = dyn = Dynamics(self.field, H)
             # surface strictness, and degree or float overflow in what a solver
             # evaluates, before any solver runs
             try:
@@ -156,7 +145,8 @@ class Scenario:
                     evaluated.append(weight_rate(dyn))
                 if task == "simulate":
                     evaluated += [dyn.diagnostics.dH_along_flow, dyn.diagnostics.divergence]
-                _check_float_range(evaluated)
+                for poly in evaluated:
+                    poly.float_coefficients()
             except (StrictnessError, DegreeOverflowError) as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
             except OverflowError:
@@ -166,10 +156,11 @@ class Scenario:
         initial = cfg["initial"]
         self.point = [float(v) for v in initial["point"]] if initial["point"] else None
         self.density = _parse_expr(chart, initial["density"], "$.initial.density")
-        self.one_form = None if initial["one_form"] is None else OneFormExpr(chart, tuple(
-            _parse_expr(chart, text, f"$.initial.one_form[{i}]")
-            for i, text in enumerate(initial["one_form"])))
-        self.axes = None if initial["grid"] is None else tuple(
+        one_form = tuple(_parse_expr(chart, text, f"$.initial.one_form[{i}]")
+                         for i, text in enumerate(initial["one_form"] or ()))
+        self.one_form = (OneFormExpr(chart, one_form) if one_form and reads("$.initial.one_form")
+                         else None)
+        self.axes = None if initial["grid"] is None or not reads("$.initial.grid") else tuple(
             self._axis(i, name, entry)
             for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
         cells = math.prod(a.size for a in self.axes) if self.axes else 0
@@ -177,14 +168,13 @@ class Scenario:
         if cells > most:
             raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
                                                      f"{most} cells")
-        if task == "kinetic-particle" and self.axes:
-            # the lattice rounds the requested count per axis, so it may seed more
-            sizes = [a.size for a in self.axes]
-            seeded = math.prod(budgets.seed_lattice(sizes, self.particle_count))
-            if seeded * (chart.dim + 1) > budgets.MAX_PUSH_VALUES:
-                raise ConfigError("$.particles", f"{seeded} seeded particles x {chart.dim + 1} "
-                                                 f"values exceed the push budget of "
-                                                 f"{budgets.MAX_PUSH_VALUES}")
+        if task == "kinetic-particle":  # the lattice rounds the count per axis, maybe up
+            seeded = math.prod(budgets.seed_lattice([a.size for a in self.axes], count))
+            values, most = chart.dim + 1, budgets.MAX_PUSH_VALUES
+            if seeded * values > most:
+                raise ConfigError("$.particles", f"{seeded} seeded particles x {values} values "
+                                                 f"exceed the push budget of {most}; at most "
+                                                 f"{most // values} on this chart")
 
         if isinstance(self.output["grid"], str):
             self.output["grid"] = [self.output["grid"]]
@@ -197,7 +187,7 @@ class Scenario:
         if task == "kinetic-grid" and count * cells > budgets.MAX_GRID_VALUES:
             raise ConfigError("$.time.snapshots", f"{count} snapshots of the grid exceed the "
                                                   f"budget of {budgets.MAX_GRID_VALUES} values")
-        if task == "momentum-check" and self.one_form is not None and self.hamiltonian is None:
+        if self.one_form is not None and self.hamiltonian is None:  # only momentum-check has one
             raise ConfigError("$.hamiltonian", "required when initial.one_form is given")
 
     @staticmethod
@@ -233,7 +223,7 @@ def load_scenario(path: str, task_override: str | None = None) -> Scenario:
         raise ConfigError("$", f"cannot read config: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError("$", f"config is not UTF-8: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # nested too deep, or an int past 4300 digits
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     return Scenario(raw, task_override)
 
@@ -359,6 +349,8 @@ def _run_kinetic_particle(s: Scenario) -> int:
 # -- the two tables ----------------------------------------------------
 
 _KINETIC_TASKS = ("kinetic-grid", "kinetic-particle")
+_FIELD_TASKS = ("simulate",) + _KINETIC_TASKS  # the tasks that build a field and step it
+_REPORT_TASKS = ("identity-check", "momentum-check")
 _KINETIC = ("$.hamiltonian", "$.initial.grid", "$.initial.density", "$.time.t_final",
             "$.output.grid")
 
@@ -399,49 +391,51 @@ _TYPES = {
               and all(isinstance(p, str) for p in v), "a path or a list of paths"),
 }
 
-# config path -> (JSON type, default, rule).  A rule is POSITIVE,
-# NON_NEGATIVE, a range or a tuple of choices.  `.*` is each entry of a list.
+# config path -> (JSON type, default, rule, readers).  A rule is POSITIVE,
+# NON_NEGATIVE, a range or a tuple of choices; it applies to the tasks that
+# read the key, every task when readers is None.  `.*` is each list entry.
 SCHEMA = {
-    "$": ("object", REQUIRED, None),
-    "$.chart": ("object", REQUIRED, None),
-    "$.chart.kind": ("string", REQUIRED, tuple(k.value for k in ChartKind)),
-    "$.chart.n": ("integer", REQUIRED, range(1, budgets.MAX_CHART_N + 1)),
-    "$.task": ("string", REQUIRED, TASKS),
-    "$.hamiltonian": ("string", None, None),
-    "$.field": ("object", {}, None),
-    "$.field.family": ("string", "hamiltonian", tuple(f.value for f in Family)),
-    "$.field.gauge": ("string", None, tuple(g.value for g in Gauge)),  # zero if the chart has t
-    "$.initial": ("object", {}, None),
-    "$.initial.point": ("numbers", None, None),
-    "$.initial.grid": ("object", None, None),
-    "$.initial.grid.axes": ("list", REQUIRED, None),
-    "$.initial.grid.axes.*": ("object", REQUIRED, None),
-    "$.initial.grid.axes.*.name": ("string", None, None),  # the coordinate at this position
-    "$.initial.grid.axes.*.lo": ("number", REQUIRED, None),
-    "$.initial.grid.axes.*.hi": ("number", REQUIRED, None),
-    "$.initial.grid.axes.*.size": ("integer", REQUIRED, None),
-    "$.initial.grid.axes.*.boundary": ("string", "zero", None),
-    "$.initial.density": ("string", None, None),
-    "$.initial.one_form": ("list", None, None),
-    "$.initial.one_form.*": ("string", REQUIRED, None),
-    "$.time": ("object", {}, None),
-    "$.time.t_final": ("number", None, POSITIVE),
-    "$.time.dt": ("number", None, POSITIVE),
-    "$.time.cfl": ("number", 0.9, POSITIVE),
-    "$.time.method": ("string", "rk4", METHODS),
-    "$.time.rel_tol": ("number", 1e-8, POSITIVE),
-    "$.time.abs_tol": ("number", 1e-10, POSITIVE),
-    "$.time.snapshots": ("numbers", None, None),
-    "$.particles": ("integer", 100_000, None),  # kinetic-particle: 1000 to MAX_PARTICLES
-    "$.threads": ("integer", None, POSITIVE),
+    "$": ("object", REQUIRED, None, None),
+    "$.chart": ("object", REQUIRED, None, None),
+    "$.chart.kind": ("string", REQUIRED, tuple(k.value for k in ChartKind), None),
+    "$.chart.n": ("integer", REQUIRED, range(1, budgets.MAX_CHART_N + 1), None),
+    "$.task": ("string", REQUIRED, TASKS, None),
+    "$.hamiltonian": ("string", None, None, _FIELD_TASKS + ("momentum-check",)),
+    "$.field": ("object", {}, None, _FIELD_TASKS),
+    "$.field.family": ("string", "hamiltonian", tuple(f.value for f in Family), _FIELD_TASKS),
+    "$.field.gauge": ("string", None, tuple(g.value for g in Gauge), _FIELD_TASKS),
+    "$.initial": ("object", {}, None, None),
+    "$.initial.point": ("numbers", None, None, ("simulate",)),
+    "$.initial.grid": ("object", None, None, _KINETIC_TASKS),
+    "$.initial.grid.axes": ("list", REQUIRED, None, _KINETIC_TASKS),
+    "$.initial.grid.axes.*": ("object", REQUIRED, None, _KINETIC_TASKS),
+    "$.initial.grid.axes.*.name": ("string", None, None, _KINETIC_TASKS),
+    "$.initial.grid.axes.*.lo": ("number", REQUIRED, None, _KINETIC_TASKS),
+    "$.initial.grid.axes.*.hi": ("number", REQUIRED, None, _KINETIC_TASKS),
+    "$.initial.grid.axes.*.size": ("integer", REQUIRED, None, _KINETIC_TASKS),
+    "$.initial.grid.axes.*.boundary": ("string", "zero", None, _KINETIC_TASKS),
+    "$.initial.density": ("string", None, None, _KINETIC_TASKS),
+    "$.initial.one_form": ("list", None, None, ("momentum-check",)),
+    "$.initial.one_form.*": ("string", REQUIRED, None, ("momentum-check",)),
+    "$.time": ("object", {}, None, _FIELD_TASKS),
+    "$.time.t_final": ("number", None, POSITIVE, _FIELD_TASKS),
+    "$.time.dt": ("number", None, POSITIVE, _FIELD_TASKS),
+    "$.time.cfl": ("number", 0.9, POSITIVE, ("kinetic-grid",)),
+    "$.time.method": ("string", "rk4", METHODS, ("simulate",)),
+    "$.time.rel_tol": ("number", 1e-8, POSITIVE, ("simulate",)),
+    "$.time.abs_tol": ("number", 1e-10, POSITIVE, ("simulate",)),
+    "$.time.snapshots": ("numbers", None, None, _FIELD_TASKS),  # simulate: through t_final
+    "$.particles": ("integer", 100_000, range(1_000, budgets.MAX_PARTICLES + 1),
+                    ("kinetic-particle",)),
+    "$.threads": ("integer", None, POSITIVE, ("kinetic-particle",)),
     # 20 for identity-check, else 25
-    "$.trials": ("integer", None, range(1, budgets.MAX_TRIALS + 1)),
-    "$.output": ("object", {}, None),
-    "$.output.trajectory": ("string", None, None),
-    "$.output.report": ("string", None, None),
-    "$.output.grid": ("paths", None, None),
-    "$.output.particles": ("string", None, None),
-    "$.seed": ("integer", 0, NON_NEGATIVE),
+    "$.trials": ("integer", None, range(1, budgets.MAX_TRIALS + 1), _REPORT_TASKS),
+    "$.output": ("object", {}, None, None),
+    "$.output.trajectory": ("string", None, None, ("simulate",)),
+    "$.output.report": ("string", None, None, _REPORT_TASKS),
+    "$.output.grid": ("paths", None, None, _KINETIC_TASKS),
+    "$.output.particles": ("string", None, None, ("kinetic-particle",)),
+    "$.seed": ("integer", 0, NON_NEGATIVE, _REPORT_TASKS + ("kinetic-particle",)),
 }
 
 # object path -> {key: its path}, in declaration order
@@ -449,10 +443,15 @@ _SECTIONS = {section: {path.rpartition(".")[2]: path for path in SCHEMA
                        if path.rpartition(".")[0] == section} for section in SCHEMA}
 
 
-def _check(value, path: str, key: str):
-    """`value` checked against the schema row `key`, with errors at `path`;
-    an object comes back with every key of its section, defaults filled in."""
-    kind, _, rule = SCHEMA[key]
+def _reads(task, key: str) -> bool:
+    """Whether `task` reads the config key `key`, by its schema row."""
+    return SCHEMA[key][3] is None or task in SCHEMA[key][3]
+
+
+def _check(value, path: str, key: str, task):
+    """`value` checked against the schema row `key` for `task`, with errors at
+    `path`; an object comes back with every key of its section, defaults filled in."""
+    kind, rule = SCHEMA[key][0], SCHEMA[key][2] if _reads(task, key) else None
     test, want = _TYPES[kind]
     if not test(value):
         raise ConfigError(path, f"expected {want}, got {value!r:.60}")
@@ -465,7 +464,7 @@ def _check(value, path: str, key: str):
     if isinstance(rule, range) and value not in rule:
         raise ConfigError(path, f"must be between {rule.start} and {rule[-1]}")
     if kind == "list":
-        return [_check(v, f"{path}[{i}]", f"{key}.*") for i, v in enumerate(value)]
+        return [_check(v, f"{path}[{i}]", f"{key}.*", task) for i, v in enumerate(value)]
     if kind != "object":
         return value
     section = _SECTIONS[key]
@@ -474,13 +473,13 @@ def _check(value, path: str, key: str):
             raise ConfigError(f"{path}.{name}", f"unknown key; allowed: {', '.join(section)}")
     out = {}
     for name, sub_key in section.items():
-        default = SCHEMA[sub_key][1]
+        default, where = SCHEMA[sub_key][1], f"{path}.{name}"
         if name in value:
-            out[name] = _check(value[name], f"{path}.{name}", sub_key)
+            out[name] = _check(value[name], where, sub_key, task)
         elif default is REQUIRED:
-            raise ConfigError(f"{path}.{name}", "required field is missing")
+            raise ConfigError(where, "required field is missing")
         else:
-            out[name] = _check(default, f"{path}.{name}", sub_key) if default == {} else default
+            out[name] = _check(default, where, sub_key, task) if default == {} else default
     return out
 
 
@@ -525,10 +524,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "identity":
-            chart = Chart(ChartKind(args.chart), _check(args.n, "--n", "$.chart.n"))
-            trials = _check(args.trials, "--trials", "$.trials")
+            check = partial(_check, task="identity-check")
+            chart = Chart(ChartKind(args.chart), check(args.n, "--n", "$.chart.n"))
+            trials = check(args.trials, "--trials", "$.trials")
             _check_identity_work(chart, trials, "--trials")
-            return _run_identity(chart, _check(args.seed, "--seed", "$.seed"), trials, args.output)
+            return _run_identity(chart, check(args.seed, "--seed", "$.seed"), trials, args.output)
         if args.command == "validate":
             scenario = load_scenario(args.config)
             print("ok")

@@ -95,8 +95,8 @@ class GridAxis:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("axis size must be at least 1")
-        if not self.hi > self.lo:
-            raise ValueError(f"axis {self.name}: hi must exceed lo")
+        if not 0.0 < self.dx < math.inf:  # (hi - lo) / size may underflow or overflow
+            raise ValueError(f"axis {self.name}: hi must exceed lo by a finite nonzero cell width")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"axis {self.name}: boundary must be one of {_BOUNDARIES}")
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,13 @@ def test_identity_subcommand_all_pass(tmp_path, capsys):
 def test_identity_rejects_bad_n(capsys, n):
     assert cli.main(["identity", "--chart", "contact", "--n", str(n)]) == 2
     assert "config error at --n: must be between 1 and 16" in capsys.readouterr().err
+
+
+def test_identity_rejects_zero_trials(capsys):
+    # the flag is checked by the config's `$.trials` row, as identity-check reads it
+    assert cli.main(["identity", "--chart", "contact", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error at --trials: must be between 1 and {budgets.MAX_TRIALS}\n")
 
 
 @pytest.mark.parametrize("seed", ["-3", "-1"])
@@ -119,7 +127,7 @@ def test_strict_family_with_z_hamiltonian_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_nonpositive_threads_are_config_errors(tmp_path, capsys, threads):
-    cfg = simulate_config(tmp_path, threads=threads)
+    cfg = task_config(tmp_path, "kinetic-particle", threads=threads)
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
     assert "config error at $.threads:" in capsys.readouterr().err
 
@@ -140,23 +148,44 @@ def _set(section, key, value):
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^\u00b2")),
     ("$.hamiltonian", lambda cfg: cfg.update(hamiltonian="q1^" + "1" * 5000)),
     ("$.particles", lambda cfg: cfg.update(particles=1500.0)),  # every task type-checks it
-    ("$.time.cfl", _set("time", "cfl", -0.5)),
     ("$.time.rel_tol", _set("time", "rel_tol", -1e-8)),
     ("$.time.abs_tol", _set("time", "abs_tol", -1e-10)),
     ("$.chart.n", _set("chart", "n", 17)),
     ("$.chart.n", _set("chart", "n", 10 ** 400)),
-    ("$.seed", lambda cfg: cfg.update(seed=-1)),
 ], ids=["trajectory-int", "t-final-inf", "dt-huge-int", "point-inf", "point-bool",
         "degree-overflow", "coefficient-overflow", "constant-power", "exponent-superscript",
         "exponent-5000-digits", "particles-float",
-        "cfl-negative", "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge",
-        "seed-negative"])
+        "rel-tol-negative", "abs-tol-negative", "n-past-bound", "n-huge"])
 def test_boundary_faults_are_config_errors(tmp_path, capsys, path, mutate):
     cfg = simulate_config(tmp_path)
     mutate(cfg)
     assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
     assert f"config error at {path}:" in capsys.readouterr().err
     assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("task, path, value", [
+    ("kinetic-grid", "$.time.cfl", -0.5),
+    ("identity-check", "$.seed", -1),
+], ids=["cfl-negative", "seed-negative"])
+def test_boundary_faults_of_the_tasks_that_read_them_are_config_errors(tmp_path, capsys, task,
+                                                                       path, value):
+    cfg = task_config(tmp_path, task)
+    set_path(cfg, path, value)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scenario.json"]  # nothing written
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.load raises a plain ValueError for it, not a JSONDecodeError
+    path = tmp_path / "scenario.json"
+    path.write_text('{"chart": ' + "9" * 5000 + "}")
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at $: invalid JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind, field, hamiltonian", [
@@ -636,6 +665,106 @@ def _contact_grid_config(tmp_path, **overrides):
     return cfg
 
 
+def task_config(tmp_path, task, **overrides):
+    """A small valid contact n=1 config for `task`."""
+    if task == "simulate":
+        return simulate_config(tmp_path, **overrides)
+    if task in ("kinetic-grid", "kinetic-particle"):
+        return _contact_grid_config(tmp_path, task=task, **overrides)
+    cfg = {"chart": {"kind": "contact", "n": 1}, "task": task, "trials": 2,
+           "output": {"report": str(tmp_path / "report.txt")}}
+    cfg.update(overrides)
+    return cfg
+
+
+def set_path(cfg, path, value):
+    """Set the config key at JSON `path`, making its sections on the way."""
+    *sections, key = path.split(".")[1:]
+    for name in sections:
+        cfg = cfg.setdefault(name, {})
+    cfg[key] = value
+
+
+_FIELD_READERS = ("simulate", "kinetic-grid", "kinetic-particle")
+# A value past the rule of each key that only some tasks read, and those
+# tasks, as their runners read the config.  The rules of the schema rows
+# and the value checks of `cli.Scenario` both apply to a key's readers alone.
+_PAST_THEIR_RULES = [
+    ("$.field.family", "lagrangian", _FIELD_READERS),
+    ("$.field.gauge", "one", _FIELD_READERS),  # contact charts carry no time gauge
+    ("$.initial.point", [0.0], ("simulate",)),
+    ("$.initial.one_form", ["q1"], ("momentum-check",)),
+    ("$.initial.grid.axes", [{"lo": 0.0, "hi": 1.0, "size": 1}],
+     ("kinetic-grid", "kinetic-particle")),
+    ("$.time.t_final", -1.0, _FIELD_READERS),
+    ("$.time.dt", 0.0, _FIELD_READERS),
+    ("$.time.cfl", -0.5, ("kinetic-grid",)),
+    ("$.time.method", "euler", ("simulate",)),
+    ("$.time.rel_tol", -1e-8, ("simulate",)),
+    ("$.time.abs_tol", 0.0, ("simulate",)),
+    ("$.time.snapshots", [0.2, 0.1], _FIELD_READERS),
+    ("$.particles", 500, ("kinetic-particle",)),
+    ("$.threads", 0, ("kinetic-particle",)),
+    ("$.trials", 0, ("identity-check", "momentum-check")),
+    ("$.seed", -1, ("identity-check", "momentum-check", "kinetic-particle")),
+]
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_a_rule_applies_to_the_tasks_that_read_its_key(tmp_path, capsys, task):
+    # every schema rule that some task skips is among them
+    scoped = {path for path, (_, _, rule, readers) in cli.SCHEMA.items()
+              if rule is not None and readers is not None}
+    assert scoped <= {path for path, _, _ in _PAST_THEIR_RULES}
+    for path, value, readers in _PAST_THEIR_RULES:
+        cfg = task_config(tmp_path, task)
+        set_path(cfg, path, value)
+        code = cli.main(["validate", write_config(tmp_path, cfg)])
+        out, err = capsys.readouterr()
+        if task in readers:
+            assert (code, err.partition(": ")[0]) == (2, f"config error at {path}"), path
+        else:
+            assert (code, out.partition("\n")[0], err) == (0, "ok", ""), path
+
+
+def _readme_config_rules():
+    """Config path -> the rule cell of its row in README's config table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| section | key | type | default | rule |\n|---|---|---|---|---|\n"
+    rules = {}
+    for row in readme.split(header)[1].split("\n\n")[0].splitlines():
+        section, keys, _, _, rule = (cell.strip() for cell in row.strip("|").split("|"))
+        section = "$.initial.grid.axes.*" if section == "axis" else section.strip("`")
+        for key in keys.split(","):
+            rules[f"{section}.{key.strip().strip('`')}"] = rule
+    return rules
+
+
+def test_the_readme_config_table_names_each_key_and_its_readers():
+    rules = _readme_config_rules()
+    leaves = {path for path, (kind, *_) in cli.SCHEMA.items()
+              if kind != "object" and not path.endswith("*")}
+    assert leaves <= set(rules)
+    for path, rule in rules.items():
+        readers = cli.SCHEMA[path][3]  # a KeyError: the table documents no key
+        if readers is not None:
+            assert {task for task in cli.TASKS if f"`{task}`" in rule} == set(readers), path
+
+
+@pytest.mark.parametrize("task", ["kinetic-grid", "kinetic-particle"])
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-1.7e308, 1.7e308)],
+                         ids=["width-underflows", "width-overflows"])
+def test_a_cell_width_outside_float_range_is_a_config_error(tmp_path, capsys, task, lo, hi):
+    cfg = task_config(tmp_path, task, particles=1000)
+    cfg["initial"]["grid"]["axes"][0] = {"lo": lo, "hi": hi, "size": 32}
+    path = write_config(tmp_path, cfg)
+    for command in ("validate", "run"):
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err == ("config error at $.initial.grid.axes[0]: axis q1: "
+                                           "hi must exceed lo by a finite nonzero cell width\n")
+    assert not (tmp_path / "g.grid").exists()
+
+
 @pytest.mark.parametrize("task", ["kinetic-grid", "kinetic-particle"])
 @pytest.mark.parametrize("kind, field", [
     ("contact", {"family": "energy"}),
@@ -698,7 +827,9 @@ def test_grid_past_the_cell_budget_is_refused_without_allocating(tmp_path, capsy
 ])
 def test_particles_and_trials_past_their_budget_are_config_errors(tmp_path, capsys, key,
                                                                    value, path):
-    cfg = _contact_grid_config(tmp_path, task="kinetic-particle", **{key: value})
+    # each on a task that reads it
+    task = "identity-check" if key == "trials" else "kinetic-particle"
+    cfg = task_config(tmp_path, task, **{key: value})
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error at {path}: must be between ")
 
@@ -770,8 +901,9 @@ def _wide_chart_config(tmp_path, task, particles, size):
 
 @pytest.mark.parametrize("task, particles, size, path, message", [
     # 2 500 000 particles x 35 values: about 700 MB for one copy of the push state
+    # (1581^2 seeded)
     pytest.param("kinetic-particle", budgets.MAX_PARTICLES, 32, "$.particles",
-                 f"2500000 particles x 35 values exceed the push budget of "
+                 f"2499561 seeded particles x 35 values exceed the push budget of "
                  f"{budgets.MAX_PUSH_VALUES}; at most {budgets.MAX_PUSH_VALUES // 35} on this chart",
                  id="particles"),
     # 512^2 cells x 34 coordinates: fewer cells than MAX_GRID_VALUES // 2, too many values
@@ -793,8 +925,8 @@ def test_budgets_count_coordinates_not_particles_or_cells(tmp_path, capsys, task
 
 @pytest.mark.parametrize("task", cli.TASKS)
 def test_the_push_budget_answers_for_particle_runs_alone(tmp_path, capsys, task):
-    # 300 000 particles x 35 values on cocontact n=16 are past the push
-    # budget; only a kinetic-particle run pushes them
+    # 300 000 particles (548^2 = 300 304 seeded) x 35 values on cocontact
+    # n=16 are past the push budget; only a kinetic-particle run pushes them
     chart = {"kind": "cocontact", "n": 16}
     cfg = {
         "simulate": {"chart": chart, "task": task, "hamiltonian": "p1^2/2",
@@ -811,8 +943,9 @@ def test_the_push_budget_answers_for_particle_runs_alone(tmp_path, capsys, task)
     if task == "kinetic-particle":
         assert cli.main(["validate", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == (
-            f"config error at $.particles: 300000 particles x 35 values exceed the push budget "
-            f"of {budgets.MAX_PUSH_VALUES}; at most {budgets.MAX_PUSH_VALUES // 35} on this chart\n")
+            f"config error at $.particles: 300304 seeded particles x 35 values exceed the push "
+            f"budget of {budgets.MAX_PUSH_VALUES}; at most {budgets.MAX_PUSH_VALUES // 35} on "
+            f"this chart\n")
     else:
         assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
         assert capsys.readouterr().out.startswith(f"ok\ntask: {task}\n")
@@ -861,7 +994,7 @@ def test_the_push_budget_counts_the_seeded_particles(tmp_path, capsys):
         assert cli.main([command, write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == (
             f"config error at $.particles: 1500625 seeded particles x 5 values exceed the "
-            f"push budget of {budgets.MAX_PUSH_VALUES}\n")
+            f"push budget of {budgets.MAX_PUSH_VALUES}; at most 1500000 on this chart\n")
     cfg["particles"] = 1_400_000  # a 34^4 lattice
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
 

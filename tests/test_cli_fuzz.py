@@ -96,7 +96,7 @@ _OF_TYPE = {
 def _values_for(path, current):
     """Values of the key's own type (its schema choices too), or anything."""
     key = "$" + "".join(f".{'*' if isinstance(k, int) else k}" for k in path)
-    kind, _, rule = cli.SCHEMA.get(key, (None, None, None))
+    kind, _, rule, _ = cli.SCHEMA.get(key, (None,) * 4)
     if kind is None and isinstance(current, (int, float)) and not isinstance(current, bool):
         kind = "number"
     typed = _OF_TYPE.get(kind, _ANY)

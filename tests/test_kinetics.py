@@ -476,6 +476,21 @@ def test_grid_file_rejects_garbage(tmp_path):
         read_grid(str(truncated))
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-1.7e308, 1.7e308)],
+                         ids=["width-underflows", "width-overflows"])
+def test_grid_axes_refuse_a_cell_width_outside_float_range(tmp_path, lo, hi):
+    # hi > lo, but (hi - lo) / size rounds to 0.0 or overflows to inf
+    message = "axis q1: hi must exceed lo by a finite nonzero cell width"
+    with pytest.raises(ValueError, match=message):
+        GridAxis("q1", lo, hi, 32)
+    # nor does a grid file with such an axis read back
+    path = tmp_path / "wide.grid"
+    path.write_text(f"geokin-grid 1\nchart symplectic 1\naxis q1 {lo!r} {hi!r} 32 zero\n"
+                    f"axis p1 0.0 1.0 1 zero\nvalues 32\n" + "0.0\n" * 32)
+    with pytest.raises(ValueError, match=message):
+        read_grid(str(path))
+
+
 def test_particle_csv_roundtrip(tmp_path):
     cc = Chart(ChartKind.COCONTACT, 2)
     assert particle_csv_columns(cc) == ["q1", "q2", "p1", "p2", "z", "t", "w"]
