@@ -38,7 +38,7 @@ MAX_WORK = 1_000_000_000
 MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity grids
 # particles x (dim + 1): the push state, the one copy of the ensemble a
 # particle run holds from seeding to its written files, beside one block of
-# `flow.BLOCK_ROWS` rows of working memory per worker
+# `flow.BLOCK_ROWS` rows of working memory
 MAX_PUSH_VALUES = 7_500_000
 MAX_PARTICLES = MAX_PUSH_VALUES // 3  # the most particles, reached on the two-coordinate charts
 MAX_TRIALS = 1_000

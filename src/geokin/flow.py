@@ -87,7 +87,7 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.step <= 0:
+        if not self.step > 0:  # NaN too
             raise ValueError("step must be positive")
         if not (self.abs_tol > 0 and self.rel_tol >= 0):  # the rk45 error scale divides
             raise ValueError("need abs_tol > 0 and rel_tol >= 0")
@@ -175,8 +175,8 @@ def rk4_stepper(n: int):
     x + half*k, then x + h*k, and the solution is
     x + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), with half = 0.5*h and
     sixth = h/6.0.  Only generated names and float literals enter the
-    source.  The push's pool threads that race on a cold cache build the
-    same step, so whichever is cached is right.
+    source.  Threads that race on a cold cache build the same step, so
+    whichever is cached is right.
     """
     def stage_state(c: str, s: int) -> str:
         return f"[{', '.join(f'x{i} + {c} * k{s}_{i}' for i in range(n))}]"

@@ -4,11 +4,11 @@ flow, by particles and on a grid, with their file formats.
 The law they carry, and what they read off it (the row, the weight rate
 R_eta(H) and the grid's growth factor), lives in `density`.  Both solvers
 take a `fields.Dynamics` of that row, built once by the caller, and start
-from one setup per call, `_transport`: it checks the chart, the row and
-the times, evaluates the field the `Dynamics` holds at the cell centers
-of the grid axes, refuses a velocity that is not finite there, a
-collapsed axis with transport across it and an active axis under 32
-cells, and returns the weight rate, the cell centers (the grid solver's
+from one setup per call, `_transport`: it checks the chart, the row, the
+times and the CFL number, evaluates the field the `Dynamics` holds at the
+cell centers of the grid axes, refuses a velocity that is not finite
+there, a collapsed axis with transport across it and an active axis
+under 32 cells, and returns the weight rate, the cell centers (the grid solver's
 source is evaluated on them), the CFL limit and the steps of each span.
 Both refuse a run past `budgets.MAX_STEPS` steps, or past
 `budgets.MAX_WORK` cells (or seeded particles) x steps, before the first
@@ -24,17 +24,16 @@ contraction n+1), then deposits cloud-in-cell.  From seeding to the
 written files the ensemble is one contiguous column per chart
 coordinate, in chart order, plus the weights, allocated once by the
 seeding; every pass over it goes in the row blocks of `flow.row_blocks`,
-so what a run holds past the ensemble is one block's working set per
-worker.  Seeding jitters the lattice and evaluates the weights block by
-block, in the draw order of one whole-column draw.  The push state is
-the dim+1 columns, weight last, stepped by `flow`'s RK4 step along one
-path; the workers (the calling thread or a thread pool) map over the
-blocks, each a slice (a view, not a copy) of the seeded columns, and each
-block writes its survivors back to the front of its own slice, which no
-other block touches.  The survivors are then compacted in place, in
-block order, so the final columns are prefixes of the seeded ones; the
+so what a run holds past the ensemble is one block's working set.
+Seeding jitters the lattice and evaluates the weights block by block, in
+the draw order of one whole-column draw.  The push state is the dim+1
+columns, weight last, stepped by `flow`'s RK4 step along one path; the
+calling thread pushes the blocks one after another, each a slice (a
+view, not a copy) of the seeded columns, and writes each block's
+survivors straight after those of the blocks before it, in rows no later
+block reads.  So the final columns are prefixes of the seeded ones; the
 weights that escape are gathered step by step in row order, so no result
-depends on the blocking or the worker count.  The cloud-in-cell stencil
+depends on the blocking.  The cloud-in-cell stencil
 walks the corners in its outer loop and the blocks in its inner one,
 which keeps the deposit's additions in the order of one whole-column
 pass, and the file writers format one block at a time; the particle CSV
@@ -59,7 +58,6 @@ its array: the steps go on in a copy.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -237,10 +235,10 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
                dt: float | None, cfl: float, size: int, what: str):
     """The setup both solvers share, checked in this order: the chart, the
     row (Hamiltonian/gauge-zero only), the times (each span of time to
-    run), with a given `dt` the step and work budgets of a run over `size`
-    cells or particles (`budgets.step_counts`), then each axis against the
-    field's velocity at the cell centers, then, without a `dt`, the
-    budgets at the CFL limit.
+    run), the CFL number, with a given `dt` the step and work budgets of a
+    run over `size` cells or particles (`budgets.step_counts`), then each
+    axis against the field's velocity at the cell centers, then, without a
+    `dt`, the budgets at the CFL limit.
 
     Returns (rate, pts, vel, active, limit, counts): the weight rate, the
     cell centers (`_cell_centers`), each component's velocity grid, the
@@ -256,6 +254,8 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
                          f"gauge zero only, not {dyn.spec.row_name}")
     if not all(span >= 0 for span in spans) or dt is not None and not dt > 0:
         raise ValueError("need dt > 0 and t_final >= 0, with times in order")
+    if not cfl > 0:
+        raise ValueError(f"need cfl > 0, not {cfl!r}")
     if dt is not None:  # refused before any point grid is built
         counts = budgets.step_counts(spans, dt, size, what)
     shape = tuple(a.size for a in axes)
@@ -474,7 +474,7 @@ def _push_chunk(
     fs.append(zero if rate.is_zero() else lambda y: rate.eval_array(y[:dim]) * y[dim])
     rk4_step = rk4_stepper(dim + 1)
     escapes = []
-    with np.errstate(all="ignore"):  # pool threads do not inherit the caller's state
+    with np.errstate(all="ignore"):  # the finiteness check below decides
         for step in range(n_steps):
             state = rk4_step(fs, state, h)
             alive = np.ones(len(state[dim]), dtype=bool)
@@ -515,7 +515,6 @@ def solve_density_particle(
     dt: float,
     particle_count: int,
     seed: int = 0,
-    threads: int | None = None,
     *,
     axes: Sequence[GridAxis],
 ) -> ParticleKineticResult:
@@ -527,12 +526,11 @@ def solve_density_particle(
     4x the CFL limit), it seeds weights from f0 exactly, pushes along the
     field of `dyn` with the weight ODE dw/ds = R_eta(H) w,
     drops and reports particles that leave zero-boundary axes, and
-    deposits the survivors onto `axes`.  The ensemble is pushed in the
-    blocks of `flow.row_blocks`, by `threads` workers (one when None or below
-    1) capped at the CPU count; each block writes its survivors back into
-    its own rows, and the survivors are compacted in place, so the result's
-    columns are prefixes of the seeded ones.  No output, escaped mass
-    included, depends on the blocking or the worker count.  A run of more
+    deposits the survivors onto `axes`.  The ensemble is pushed on the
+    calling thread, one block of `flow.row_blocks` after another, and each
+    block's survivors are compacted in place behind those of the blocks
+    before it, so the result's columns are prefixes of the seeded ones.
+    No output, escaped mass included, depends on the blocking.  A run of more
     than `budgets.MAX_STEPS` steps, or of more than `budgets.MAX_WORK` seeded
     particles x steps, is refused with ValueError before seeding.  As on the grid, a state that
     is not finite is refused with StabilityError: the seeded weights before
@@ -551,35 +549,20 @@ def solve_density_particle(
     if not np.isfinite(seeded.weights).all():
         raise StabilityError("the seeded weights are not finite; f0 overflows on the grid")
     mass_initial = seeded.total_weight()
-    workers = min(max(1, threads or 1), os.cpu_count() or 1)
     columns = [*seeded.columns, seeded.weights]
     del seeded  # `columns` holds the ensemble from here on
-    blocks = row_blocks(len(columns[-1]))
-
-    def push_back(rows: slice) -> tuple[int, list[tuple[int, np.ndarray]]]:
-        """Push one block and write its survivors to the front of its rows."""
-        block = [c[rows] for c in columns]
-        state, escapes = _push_chunk(block, dyn.field, rate, h, n_steps, axes)
-        for column, pushed in zip(block, state):
-            column[:len(pushed)] = pushed
-        return len(state[-1]), escapes
-
-    if workers == 1:
-        parts = list(map(push_back, blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(push_back, blocks))
-    kept = 0
-    for rows, (count, _) in zip(blocks, parts):  # compact the survivors, in block order
-        if rows.start != kept:
-            for c in columns:
-                c[kept:kept + count] = c[rows.start:rows.start + count]
-        kept += count
+    kept, per_block = 0, []
+    for rows in row_blocks(len(columns[-1])):  # survivors compacted in place, in block order
+        state, escapes = _push_chunk([c[rows] for c in columns], dyn.field, rate, h, n_steps,
+                                     axes)
+        for column, pushed in zip(columns, state):
+            column[kept:kept + len(pushed)] = pushed
+        kept += len(state[-1])
+        per_block.append(escapes)
+        del state, pushed  # else they stay alive through the next block's push
     *columns, weights = (c[:kept] for c in columns)
-    escaped_mass, escaped_count = _gather_escapes([escapes for _, escapes in parts])
-    del parts
+    escaped_mass, escaped_count = _gather_escapes(per_block)
+    del per_block
     final = ParticleEnsemble(chart, columns, weights)
     deposited = deposit(final, axes)
     if not np.isfinite(deposited.values).all():
@@ -618,7 +601,7 @@ def read_grid(path: str) -> GridDensity:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != _GRID_MAGIC:
         raise ValueError(f"{path}: not a geokin grid file")
-    fields = lines[1].split()
+    fields = lines[1].split() if len(lines) > 1 else []
     if len(fields) != 3 or fields[0] != "chart":
         raise ValueError(f"{path}:2: expected 'chart <kind> <n>'")
     chart = Chart(ChartKind(fields[1]), int(fields[2]))
@@ -632,9 +615,10 @@ def read_grid(path: str) -> GridDensity:
             GridAxis(parts[1], float(parts[2]), float(parts[3]), int(parts[4]), parts[5])
         )
         row += 1
-    if row >= len(lines) or not lines[row].startswith("values "):
+    fields = lines[row].split() if row < len(lines) else []
+    if len(fields) != 2 or fields[0] != "values":
         raise ValueError(f"{path}:{row + 1}: expected 'values <count>'")
-    count = int(lines[row].split()[1])
+    count = int(fields[1])
     data = lines[row + 1 : row + 1 + count]
     if len(data) != count:
         raise ValueError(f"{path}: expected {count} values, found {len(data)}")

@@ -502,8 +502,8 @@ class Poly:
 
         Only generated names and float literals enter the source.  A
         coefficient outside float range raises OverflowError here, and
-        nothing is cached.  Threads that race here (the particle push)
-        build the same function, so whichever is cached is right.
+        nothing is cached.  Threads that race here build the same
+        function, so whichever is cached is right.
         """
         def power(i: int, e: int) -> str:
             return f"x{i}" if e == 1 else f"p{i}_{e}"

@@ -132,6 +132,26 @@ def test_nonpositive_threads_are_config_errors(tmp_path, capsys, threads):
     assert "config error at $.threads:" in capsys.readouterr().err
 
 
+def test_threads_are_checked_then_ignored(tmp_path, capsys):
+    # the push runs on the calling thread: any positive count gives the same bytes
+    def run(threads):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        cfg = task_config(tmp_path, "kinetic-particle", threads=threads, particles=2_000,
+                          output={"grid": str(out / "g.grid"),
+                                  "particles": str(out / "p.csv")})
+        code = cli.main(["run", write_config(tmp_path, cfg)])
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        return code, stdout, (out / "g.grid").read_bytes(), (out / "p.csv").read_bytes()
+
+    one = run(1)
+    assert one[0] == 0 and "kinetic-particle:" in one[1]
+    assert run(4) == one
+    cfg = task_config(tmp_path, "kinetic-particle", threads=0)
+    assert cli.main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "config error at $.threads:" in capsys.readouterr().err
+
+
 def _set(section, key, value):
     return lambda cfg: cfg[section].update({key: value})
 
@@ -1080,7 +1100,7 @@ def test_each_run_builds_its_field_once(tmp_path, monkeypatch, task, builds, dia
 @pytest.mark.parametrize("case", ["seeded", "pushed"])
 def test_a_particle_overflow_exits_1_with_one_stderr_line(tmp_path, case):
     """In a subprocess, because pytest captures warnings: numpy's overflow
-    warnings, raised in the pool threads too, must not reach stderr."""
+    warnings must not reach stderr."""
     if case == "seeded":
         chart, hamiltonian, density = {"kind": "symplectic", "n": 1}, "p1^2/2", "q1^24"
         axes = [{"lo": -1e20, "hi": 1e20, "size": 32}, {"lo": -2.0, "hi": 2.0, "size": 32}]
@@ -1089,7 +1109,7 @@ def test_a_particle_overflow_exits_1_with_one_stderr_line(tmp_path, case):
         axes = [{"lo": -1.0, "hi": 1.0, "size": 32}, {"lo": -1e-3, "hi": 1e-3, "size": 1},
                 {"lo": -1e-3, "hi": 1e-3, "size": 1}]
     cfg = {"chart": chart, "task": "kinetic-particle", "hamiltonian": hamiltonian,
-           "particles": 1000, "threads": 2,
+           "particles": 1000,
            "initial": {"grid": {"axes": axes}, "density": density},
            "time": {"t_final": 1.0, "dt": 1.0},
            "output": {"grid": str(tmp_path / "g.grid")}}

@@ -363,6 +363,13 @@ def test_integrator_config_refuses_a_tolerance_the_error_scale_cannot_divide_by(
     IntegratorConfig(method="rk45", rel_tol=0.0)  # absolute control alone is fine
 
 
+@pytest.mark.parametrize("method", flow.METHODS)
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan])
+def test_integrator_config_refuses_a_step_that_is_not_positive(method, step):
+    with pytest.raises(ValueError, match="step must be positive"):
+        IntegratorConfig(method=method, step=step)
+
+
 # -- bit-identity oracle: the array loop the coordinate-list steps replaced --
 
 

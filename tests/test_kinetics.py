@@ -11,8 +11,8 @@ import json
 import math
 import os
 import random
+import re
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -476,6 +476,19 @@ def test_grid_file_rejects_garbage(tmp_path):
         read_grid(str(truncated))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("geokin-grid 1\n", 2),
+    ("geokin-grid 1\nchart symplectic 1\naxis q1 0.0 1.0 1 zero\naxis p1 0.0 1.0 1 zero\n"
+     "values \n0.5\n", 5),
+    ("geokin-grid 1\nchart symplectic 1\naxis q1 0.0 1.0 1 zero\naxis p1 0.0 1.0 1 zero\n", 5),
+], ids=["ends-after-magic", "values-without-count", "no-values-line"])
+def test_a_truncated_grid_file_names_its_path_and_line(tmp_path, text, line):
+    path = tmp_path / "short.grid"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: expected"):
+        read_grid(str(path))
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-1.7e308, 1.7e308)],
                          ids=["width-underflows", "width-overflows"])
 def test_grid_axes_refuse_a_cell_width_outside_float_range(tmp_path, lo, hi):
@@ -775,14 +788,13 @@ def _few_symplectic_escapes():
     (_symplectic_escapes, (1_000, 25_000, 1_000_000)),
     (_few_symplectic_escapes, (1, 7, 1_000, 1_000_000)),
 ], ids=["contact-no-escapes", "symplectic-escapes", "few-symplectic-escapes"])
-def test_particle_threads_do_not_change_the_answer(monkeypatch, tmp_path, case, block_rows):
-    # nor does the block size: every pass over the ensemble, from the seeding
-    # to the written files and the interpolated deposit, goes in row blocks
+def test_particle_blocking_does_not_change_the_answer(monkeypatch, tmp_path, case, block_rows):
+    # every pass over the ensemble, from the seeding to the written files and
+    # the interpolated deposit, goes in row blocks; none moves a byte
     chart, H, f0, kw = case()
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers on any host
 
-    def outputs(threads):
-        res = solve_density_particle(_dyn(chart, H), f0, threads=threads, **kw)
+    def outputs():
+        res = solve_density_particle(_dyn(chart, H), f0, **kw)
         write_grid(res.deposited, str(tmp_path / "deposit.grid"))
         write_particles(res.ensemble, str(tmp_path / "particles.csv"))
         inside = np.stack(res.ensemble.columns, axis=1)
@@ -800,61 +812,34 @@ def test_particle_threads_do_not_change_the_answer(monkeypatch, tmp_path, case, 
                 np.concatenate([inside, 1.25 * inside])).tobytes(),
         }
 
-    one = outputs(1)
+    one = outputs()
     assert (one["escaped_count"] > 0) == (case is not _contact_no_escapes)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # blocks write back into shared columns: interleave often
-    try:
-        for rows in (None, *block_rows):
-            if rows is not None:
-                monkeypatch.setattr(flow, "BLOCK_ROWS", rows)
-            for threads in (1, 3):
-                other = outputs(threads)
-                assert [key for key in one if other[key] != one[key]] == [], (rows, threads)
-    finally:
-        sys.setswitchinterval(interval)
+    for rows in block_rows:
+        monkeypatch.setattr(flow, "BLOCK_ROWS", rows)
+        other = outputs()
+        assert [key for key in one if other[key] != one[key]] == [], rows
 
 
-@pytest.mark.parametrize("threads, pool", [(1_000_000, [3]), (None, []), (0, []), (-2, [])],
-                         ids=["huge", "none", "zero", "negative"])
-def test_thread_pool_is_capped_at_cpu_count(monkeypatch, threads, pool):
-    # a huge `threads` asks for no more workers than CPUs; None or below 1 means one
-    import concurrent.futures
+def test_the_particle_push_starts_no_thread(monkeypatch):
+    # the blocks are pushed on the calling thread, and nothing else imports a pool
+    import ast
+    import inspect
+    import threading
 
-    requested = []
+    def refuse(self):
+        raise AssertionError("the particle solver started a thread")
 
-    class InlineExecutor:
-        """Runs every job on the calling thread; records the pool size asked for."""
-
-        def __init__(self, max_workers=None):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args, **kwargs):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args, **kwargs))
-            return future
-
-        def map(self, fn, *iterables):
-            return [fn(*args) for args in zip(*iterables)]
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    s = Chart(ChartKind.SYMPLECTIC, 1)
-    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
-    kw = dict(t_final=0.04, dt=0.02, particle_count=1_000, seed=3, axes=axes)
-    f0 = _gauss((0.0, 0.0), (0.5, 0.5))
-    H = s.parse("p1^2/2 + q1^2/2")
-    one = solve_density_particle(_dyn(s, H), f0, threads=1, **kw)
-    assert requested == []
-    capped = solve_density_particle(_dyn(s, H), f0, threads=threads, **kw)
-    assert requested == pool
-    assert np.array_equal(one.deposited.values, capped.deposited.values)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(flow, "BLOCK_ROWS", 1_000)  # several blocks, some with escapes
+    chart, H, f0, kw = _symplectic_escapes(particle_count=10_000)
+    res = solve_density_particle(_dyn(chart, H), f0, **kw)
+    assert res.escaped_count > 0
+    assert "threads" not in inspect.signature(solve_density_particle).parameters
+    tree = ast.parse(inspect.getsource(kinetics))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"os", "concurrent.futures", "threading"}, imported
 
 
 # -- the setup both solvers share --------------------------------------
@@ -907,6 +892,16 @@ def test_both_solvers_refuse_bad_times(solver, t_final, dt):
     with pytest.raises(ValueError, match=r"need dt > 0 and t_final >= 0"):
         _solve(solver, _dyn(_SYM, _SYM.parse("p1^2/2")), axes, _gauss((0.0, 0.0), (0.5, 0.5)),
                t_final, dt)
+
+
+@pytest.mark.parametrize("cfl", [-0.5, 0.0, math.nan])
+def test_the_grid_solver_refuses_a_cfl_that_is_not_positive(monkeypatch, cfl):
+    # before any grid is built: a negative CFL number would give one step over the whole span
+    monkeypatch.setattr(kinetics, "_cell_centers", None)
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
+    f0 = GridDensity(_SYM, axes, np.ones((32, 32)))
+    with pytest.raises(ValueError, match=r"need cfl > 0, not"):
+        solve_density_grid(_dyn(_SYM, _SYM.parse("p1^2/2")), f0, [1.0], cfl=cfl)
 
 
 @pytest.mark.parametrize("run", ["grid", "particle", "grid-3-snapshots"])
