@@ -4,6 +4,7 @@ Four chart kinds (symplectic, cosymplectic, contact, cocontact) with
 rational-coefficient polynomial observables, one module per layer:
 
 - `poly`: exact polynomials and their compiled numeric kernels;
+- `codegen`: the generated evaluators, RK steps and error norm;
 - `chart`: charts, one-forms, vector fields, two-forms and the canonical
   forms;
 - `musical`: the musical isomorphisms;

@@ -2,9 +2,11 @@
 and the row blocks and CSV writer every pass over rows shares.
 
 Two integrators: classic fixed-step RK4 and adaptive RKF45 (Fehlberg
-pair, fifth-order propagation, step control on the embedded error).
-Each entry point takes a `fields.Dynamics` and shares its field and
-diagnostics, and their compiled kernels, with every run it is given to.
+pair, fifth-order propagation, step control on the embedded error), each
+a straight-line step of `codegen` on a list of floats, handed each field
+component's `Poly.eval`, two Python frames a call.  Each entry point
+takes a `fields.Dynamics` and shares its field and diagnostics, and
+their compiled kernels, with every run it is given to.
 A run records s and the state at every accepted node.  When it ends,
 the three monitor channels, the Hamiltonian value, the exact predicted
 energy rate X(H) and the exact local divergence, are evaluated at every
@@ -18,22 +20,8 @@ A non-finite state aborts the run with the last good time and the
 partial trajectory, monitors included, attached to the error; so does
 exhausting the step budget.  A span that needs more than
 `budgets.MAX_STEPS` steps of the fixed RK4 step, or of the largest RKF45
-step `budgets.MAX_RK45_STEP`, gets the same error before the first step.
-The step arithmetic is this module's own; the budgets are read from
-`budgets` at each use.
-
-The steppers and the RKF45 error norm are straight-line code, generated
-once per state length (`rk4_stepper`, which the particle push
-`kinetics._push_chunk` shares, `_rkf45_stepper` and `_error_norm`).  A
-step works on a list of coordinates, one Python float each in
-`integrate` and one numpy column each in the push, and takes one
-evaluator per coordinate: `integrate` passes each component's
-`Poly.eval`, two Python frames a call, the push callables on columns.
-x and each stage unpack into names, and every stage state and solution
-is one expression per coordinate, so floats and columns go through the
-same float operations in the same order.  The RKF45 step writes each as
-one sum over the Fehlberg tables, x + (h*a1)*k1 + (h*a2)*k2 + ...,
-added left to right with the zero weights left out.
+step `budgets.MAX_RK45_STEP`, gets the same error before the first step;
+the budgets are read from `budgets` at each use.
 
 A run grows its times and states as arrays of doubles, 8 bytes a value,
 and `Trajectory` holds numpy views of them beside the three monitor
@@ -48,13 +36,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from . import budgets
 from .chart import Chart
+from .codegen import error_norm, rk4_stepper, rkf45_stepper
 from .fields import Dynamics, FieldSpec
 
 METHODS = ("rk4", "rk45")
@@ -120,151 +108,6 @@ class BlowUpError(IntegrationError):
 
 class StepBudgetError(IntegrationError):
     pass
-
-
-# Fehlberg 4(5) coefficients, classic values.
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-
-# The names the generated RKF45 step reads the tables by: `_A{s}{j}` weighs
-# stage j in stage state s, `_B5{j}` and `_B4{j}` weigh it in the two
-# solutions.  The zero weights B5[1], B4[1] and B4[5] get no name and no term.
-_RKF_NAMES = {
-    **{f"_A{s}{j}": a for s, row in enumerate(_RKF_A, 1) for j, a in enumerate(row, 1) if a},
-    **{f"_B5{j}": b for j, b in enumerate(_RKF_B5, 1) if b},
-    **{f"_B4{j}": b for j, b in enumerate(_RKF_B4, 1) if b},
-}
-
-
-def _targets(prefix: str, n: int) -> str:
-    """`{prefix}0, {prefix}1, ..., `: the names n values unpack into."""
-    return "".join(f"{prefix}{i}, " for i in range(n))
-
-
-def _stage(s: int, n: int, state: str | None = None) -> list[str]:
-    """Stage s: x, or the list `state` as y, handed to f0, ..., f{n-1} in
-    turn for the rates k{s}_i.  y goes once they are in: holding it into
-    the next stage made the benchmark's particle pushes 25-50% slower."""
-    if state is None:
-        return [f"    k{s}_{i} = f{i}(x)" for i in range(n)]
-    return [f"    y = {state}", *(f"    k{s}_{i} = f{i}(y)" for i in range(n)), "    del y"]
-
-
-def _define(lines: list[str], namespace: dict):
-    """Compile the function whose `def` opens `lines`, over `namespace`."""
-    namespace = dict(namespace)
-    exec("\n".join(lines), namespace)
-    return namespace[lines[0][len("def "):lines[0].index("(")]]
-
-
-@cache
-def rk4_stepper(n: int):
-    """The classic RK4 step on a state of `n` coordinates, generated once
-    per length: `step(fs, x, h)` returns the new state as a list; fs[i]
-    maps a whole stage state to the rate of coordinate i.
-
-    Each stage state is one list of one expression per coordinate,
-    x + half*k, then x + h*k, and the solution is
-    x + sixth*(((k1 + 2.0*k2) + 2.0*k3) + k4), with half = 0.5*h and
-    sixth = h/6.0.  Only generated names and float literals enter the
-    source.  Threads that race on a cold cache build the same step, so
-    whichever is cached is right.
-    """
-    def stage_state(c: str, s: int) -> str:
-        return f"[{', '.join(f'x{i} + {c} * k{s}_{i}' for i in range(n))}]"
-
-    solution = ", ".join(f"x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
-                         for i in range(n))
-    return _define([
-        "def step(fs, x, h):",
-        f"    {_targets('f', n)}= fs",
-        "    half, sixth = 0.5 * h, h / 6.0",
-        f"    {_targets('x', n)}= x",
-        *_stage(1, n),
-        *_stage(2, n, stage_state("half", 1)),
-        *_stage(3, n, stage_state("half", 2)),
-        *_stage(4, n, stage_state("h", 3)),
-        f"    return [{solution}]",
-    ], {})
-
-
-@cache
-def _rkf45_stepper(n: int):
-    """The Fehlberg step on a state of `n` coordinates, generated once per
-    length: `step(fs, x, h)`, fs as `rk4_stepper` takes it, returns the
-    fifth-order state and its difference from the fourth-order one.
-
-    Each stage state, and each of the two solutions, is one sum per
-    coordinate over the tables, x + c1*k1 + c2*k2 + ..., added left to
-    right, with c_j = h times the
-    table's weight of stage j; the difference is x5 - x4 per coordinate.
-    Only generated names and the table names of `_RKF_NAMES` enter the
-    source.
-    """
-    def sums(weights: list[int]) -> list[str]:
-        return [" + ".join([f"x{i}", *(f"c{j} * k{j}_{i}" for j in weights)]) for i in range(n)]
-
-    def coefficients(table: str, weights: list[int]) -> str:
-        return (f"    {', '.join(f'c{j}' for j in weights)} = "
-                f"{', '.join(f'h * {table}{j}' for j in weights)}")
-
-    lines = ["def step(fs, x, h):", f"    {_targets('f', n)}= fs",
-             f"    {_targets('x', n)}= x", *_stage(1, n)]
-    for s, row in enumerate(_RKF_A[1:], 2):
-        weights = [j for j, a in enumerate(row, 1) if a]
-        lines += [coefficients(f"_A{s}", weights),
-                  *_stage(s, n, f"[{', '.join(sums(weights))}]")]
-    fifth = [j for j, b in enumerate(_RKF_B5, 1) if b]
-    fourth = [j for j, b in enumerate(_RKF_B4, 1) if b]
-    lines += [coefficients("_B5", fifth),
-              *(f"    y{i} = {total}" for i, total in enumerate(sums(fifth))),
-              coefficients("_B4", fourth),
-              f"    return [{_targets('y', n)}], "
-              f"[{', '.join(f'y{i} - ({total})' for i, total in enumerate(sums(fourth)))}]"]
-    return _define(lines, _RKF_NAMES)
-
-
-def _pairwise_sum(terms: list[str]) -> str:
-    """The sum of `terms` with the additions of `np.add.reduce` on float64:
-    left to right under 8 terms; up to 128, eight running sums in strides
-    of 8, added in pairs, then the tail; past 128, two halves split at a
-    multiple of 8."""
-    n = len(terms)
-    if n < 8:
-        return " + ".join(terms)
-    if n <= 128:
-        body = n - n % 8
-        runs = [f"({' + '.join(terms[j:body:8])})" for j in range(8)]
-        pairs = [f"({runs[j]} + {runs[j + 1]})" for j in range(0, 8, 2)]
-        return " + ".join([f"(({pairs[0]} + {pairs[1]}) + ({pairs[2]} + {pairs[3]}))",
-                           *terms[body:]])
-    half = n // 2 - n // 2 % 8
-    return f"({_pairwise_sum(terms[:half])}) + ({_pairwise_sum(terms[half:])})"
-
-
-@cache
-def _error_norm(n: int):
-    """The RKF45 error norm on `n` coordinates, generated once per length:
-    `norm(err, x, x_new, abs_tol, rel_tol)`, the RMS of err scaled by
-    abs_tol + rel_tol * max(|x|, |x_new|) per coordinate, its squares r*r
-    added as np.mean adds them (`_pairwise_sum`).  Only generated names
-    and int literals enter the source."""
-    return _define([
-        "def norm(err, x, x_new, abs_tol, rel_tol):",
-        f"    {_targets('e', n)}= err",
-        f"    {_targets('a', n)}= x",
-        f"    {_targets('b', n)}= x_new",
-        *(f"    r{i} = e{i} / (abs_tol + rel_tol * max(abs(a{i}), abs(b{i})))" for i in range(n)),
-        f"    return sqrt(({_pairwise_sum([f'r{i} * r{i}' for i in range(n)])}) / {n})",
-    ], {"sqrt": math.sqrt})
 
 
 def integrate(
@@ -345,7 +188,7 @@ def integrate(
         s = s0
         h = min(config.step, s1 - s0) if s1 > s0 else 0.0
         steps = 0
-        step, error_norm = _rkf45_stepper(chart.dim), _error_norm(chart.dim)
+        step, norm = rkf45_stepper(chart.dim), error_norm(chart.dim)
         while s < s1:
             if steps >= budgets.MAX_STEPS:
                 raise StepBudgetError(
@@ -361,7 +204,7 @@ def integrate(
                 ) from None
             if not all(map(math.isfinite, x_new)):
                 raise BlowUpError("non-finite state", s, partial_trajectory())
-            err_norm = error_norm(err, x, x_new, config.abs_tol, config.rel_tol)
+            err_norm = norm(err, x, x_new, config.abs_tol, config.rel_tol)
             if err_norm <= 1.0:
                 s = s + h
                 x = x_new

@@ -27,7 +27,7 @@ seeding; every pass over it goes in the row blocks of `flow.row_blocks`,
 so what a run holds past the ensemble is one block's working set.
 Seeding jitters the lattice and evaluates the weights block by block, in
 the draw order of one whole-column draw.  The push state is the dim+1
-columns, weight last, stepped by `flow`'s RK4 step along one path; the
+columns, weight last, stepped by `codegen`'s RK4 step along one path; the
 calling thread pushes the blocks one after another, each a slice (a
 view, not a copy) of the seeded columns, and writes each block's
 survivors straight after those of the blocks before it, in rows no later
@@ -65,10 +65,11 @@ import numpy as np
 
 from . import budgets
 from .chart import Chart, ChartKind, VectorFieldExpr
+from .codegen import rk4_stepper
 from .density import growth_factor, kinetic_spec, weight_rate
 from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
 from .fields import Dynamics
-from .flow import rk4_stepper, row_blocks, write_csv
+from .flow import row_blocks, write_csv
 from .poly import Poly
 
 
@@ -596,6 +597,14 @@ def write_grid(grid: GridDensity, path: str) -> None:
             fh.write("\n".join(map(repr, flat[rows].tolist())) + "\n")
 
 
+def _at(path: str, line: int, read: Callable, *args):
+    """`read(*args)`, with its ValueError raised again naming `path:line`."""
+    try:
+        return read(*args)
+    except ValueError as err:
+        raise ValueError(f"{path}:{line}: {err}") from None
+
+
 def read_grid(path: str) -> GridDensity:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -604,26 +613,26 @@ def read_grid(path: str) -> GridDensity:
     fields = lines[1].split() if len(lines) > 1 else []
     if len(fields) != 3 or fields[0] != "chart":
         raise ValueError(f"{path}:2: expected 'chart <kind> <n>'")
-    chart = Chart(ChartKind(fields[1]), int(fields[2]))
+    chart = _at(path, 2, lambda: Chart(ChartKind(fields[1]), int(fields[2])))
     axes = []
     row = 2
     while row < len(lines) and lines[row].startswith("axis "):
         parts = lines[row].split()
         if len(parts) != 6:
             raise ValueError(f"{path}:{row + 1}: malformed axis line")
-        axes.append(
-            GridAxis(parts[1], float(parts[2]), float(parts[3]), int(parts[4]), parts[5])
-        )
+        axes.append(_at(path, row + 1, lambda: GridAxis(
+            parts[1], float(parts[2]), float(parts[3]), int(parts[4]), parts[5])))
         row += 1
     fields = lines[row].split() if row < len(lines) else []
     if len(fields) != 2 or fields[0] != "values":
         raise ValueError(f"{path}:{row + 1}: expected 'values <count>'")
-    count = int(fields[1])
+    count, shape = _at(path, row + 1, int, fields[1]), tuple(a.size for a in axes)
+    if count != math.prod(shape):
+        raise ValueError(f"{path}:{row + 1}: {count} values do not fill axes of sizes {shape}")
     data = lines[row + 1 : row + 1 + count]
     if len(data) != count:
-        raise ValueError(f"{path}: expected {count} values, found {len(data)}")
-    values = np.array([float(v) for v in data])
-    shape = tuple(a.size for a in axes)
+        raise ValueError(f"{path}:{row + 1}: expected {count} values, found {len(data)}")
+    values = np.array([_at(path, k, float, v) for k, v in enumerate(data, row + 2)])
     return GridDensity(chart, tuple(axes), values.reshape(shape))
 
 
@@ -651,14 +660,23 @@ def write_particles(ensemble: ParticleEnsemble, path: str) -> None:
     write_csv(path, cols, [*(ensemble.columns[slot_of[c]] for c in cols[:-1]), ensemble.weights])
 
 
+def _floats(values: list[str], count: int) -> list[float]:
+    if len(values) != count:
+        raise ValueError(f"expected {count} values, found {len(values)}")
+    return [float(v) for v in values]
+
+
 def read_particles(chart: Chart, path: str) -> ParticleEnsemble:
+    """The ensemble `write_particles` wrote; a row of the wrong length, or
+    with a value that is not a float, raises ValueError naming `path:line`."""
     expected = particle_csv_columns(chart)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header != expected:
             raise ValueError(f"{path}: header {header} does not match {expected}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows]) if rows else np.zeros((0, len(expected)))
+        rows = [_at(path, k, _floats, line.strip().split(","), len(expected))
+                for k, line in enumerate(fh, 2) if line.strip()]
+    data = np.array(rows) if rows else np.zeros((0, len(expected)))
     *table, weights = data.T.copy()  # one contiguous column per CSV column
     index_of = {name: k for k, name in enumerate(expected)}
     return ParticleEnsemble(chart, [table[index_of[name]] for name in chart.coord_names], weights)

@@ -37,16 +37,12 @@ raises the same degree-cap error from the same term.
 
 Term order everywhere (printing, evaluation) is graded lexicographic,
 highest total degree first, ties broken by earlier coordinates carrying
-higher exponents.  Numeric evaluation runs straight-line Python source
-that walks the terms in that fixed order with powers built by repeated
-multiplication, in two forms per polynomial, each compiled on its first
-use.  `Poly.eval` runs a checked scalar entry that checks the point's
-length, unpacks it, converts each coordinate with one `float()`, checks
-it is finite and then walks, two Python frames a call; `Poly.eval_array`
-runs an array kernel on a sequence of `dim` equal-length columns (an
-(N, dim) array's `.T`, or the columns a solver keeps).  Floats and
-columns go through the same float operations in the same order, so
-results are deterministic and bit-identical between the two.
+higher exponents.  Numeric evaluation runs the straight-line walk of
+the terms in that order that `codegen.evaluator` generates, in two forms
+per polynomial, each compiled on its first use: `Poly.eval` runs a
+checked scalar entry, two Python frames a call, and `Poly.eval_array` an
+array kernel on `dim` equal-length columns (an (N, dim) array's `.T`, or
+the columns a solver keeps), bit-identical to it row by row.
 `partial` is memoised the same way, per instance and coordinate, in the
 `_partials` slot: the symbolic layers take the same partials of the
 same polynomial many times.
@@ -66,6 +62,8 @@ import math
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from . import codegen
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -455,15 +453,9 @@ class Poly:
         return self.eval(point)
 
     def eval(self, point: Sequence[float]) -> float:
-        """Evaluate at a point of floats.
-
-        Runs the checked scalar entry cached in `_entry` (see `_compile`),
-        built on the first evaluation: a point of the wrong length, or with
-        a non-finite coordinate, raises ValueError; otherwise the walk runs
-        on the coordinates as floats.  Deterministic: terms are
-        accumulated in graded-lex order with powers built by repeated
-        multiplication, so the result does not depend on the call.
-        """
+        """Evaluate at a point of floats, by the checked scalar entry cached
+        in `_entry` (see `_compile`): a point of the wrong length, or with a
+        non-finite coordinate, raises ValueError."""
         return (self._entry or self._compile("entry"))(point)
 
     def eval_array(self, columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -481,63 +473,11 @@ class Poly:
         return total if isinstance(total, np.ndarray) else np.full(shape, total)
 
     def _compile(self, kind: str):
-        """Build, cache and return the "entry" that `eval` runs (`_entry`)
-        or the "array" kernel that `eval_array` runs (`_kernel`).
-
-        Both are straight-line source for the graded-lex walk.  Power e of
-        coordinate i is `p{i}_{e} = p{i}_{e-1} * x{i}`, starting from x{i}
-        itself (1.0 * x is x exactly); each term is the coefficient's
-        `repr(float(c))` times its powers, left to right in coordinate
-        order; terms are added one by one to `total = 0.0`.  So the result
-        is bit-identical for floats and numpy columns, between the two,
-        and from one call to the next.  The kernel takes x0, ...,
-        x{dim-1}, one float or one column each.  The entry takes a point,
-        checks its length, unpacks it as it stands (`x0, x1, = point`),
-        converts each coordinate with one `float()` in coordinate order
-        (cheaper than draining a `map(float, point)` iterator, with the
-        same conversions and errors) and refuses a non-finite coordinate
-        with one `or` chain of `x - x`, which is 0.0 for a finite float
-        and NaN otherwise; its messages are those `eval` has always
-        raised.
-
-        Only generated names and float literals enter the source.  A
-        coefficient outside float range raises OverflowError here, and
-        nothing is cached.  Threads that race here build the same
-        function, so whichever is cached is right.
-        """
-        def power(i: int, e: int) -> str:
-            return f"x{i}" if e == 1 else f"p{i}_{e}"
-
-        dim = self.dim
-        top = [0] * dim
-        terms = []
-        for exps, coeff in self.sorted_terms():
-            factors = [power(i, e) for i, e in enumerate(exps) if e]
-            terms.append(f"    total += {' * '.join([repr(float(coeff))] + factors)}")
-            top = [max(t, e) for t, e in zip(top, exps)]
-        args = ", ".join(f"x{i}" for i in range(dim))
-        if kind == "array":
-            head = [f"def evaluate({args}):"]
-        else:
-            head = ["def evaluate(point):",
-                    f"    if len(point) != {dim}:",
-                    f"        raise ValueError(f'point has length {{len(point)}}, expected {dim}')"]
-            if dim:
-                head += [f"    {args}, = point",
-                         *(f"    x{i} = float(x{i})" for i in range(dim)),
-                         f"    if {' or '.join(f'x{i} - x{i}' for i in range(dim))}:",
-                         "        raise ValueError('non-finite coordinate in evaluation point')"]
-        source = "\n".join([
-            *head,
-            *(f"    {power(i, e)} = {power(i, e - 1)} * x{i}"
-              for i, t in enumerate(top) for e in range(2, t + 1)),
-            "    total = 0.0",
-            *terms,
-            "    return total",
-        ])
-        namespace: dict = {}
-        exec(source, namespace)
-        evaluate = namespace["evaluate"]
+        """Build, cache and return `codegen.evaluator`'s "entry" for `eval`
+        (`_entry`) or "array" kernel for `eval_array` (`_kernel`).  A
+        coefficient past float range raises OverflowError there and nothing
+        is cached; racing threads build the same function."""
+        evaluate = codegen.evaluator(self.dim, self.sorted_terms(), kind)
         setattr(self, "_kernel" if kind == "array" else "_entry", evaluate)
         return evaluate
 

@@ -3,7 +3,7 @@ names a module assigns at its top level, the two finite-difference
 oracles the exact divergence is checked against and the log-volume
 integral of the divergence channel, a grid's cell centers and its L1
 measures, the comprehension RK4 and RKF45 steps and the array error
-norm the generated steppers and norm of `flow` are checked against, the
+norm the generated steppers and norm of `codegen` are checked against, the
 two CSV writers `flow.write_csv` is checked against, the dense tensor
 walks the nonzero walks of `chart`, `fields` and `musical` are checked
 against, and the reference expression parser `geokin.poly.parse` is
@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from geokin.chart import OneFormExpr, TwoFormExpr, VectorFieldExpr
+from geokin.codegen import _RKF_A, _RKF_B4, _RKF_B5
 from geokin.fields import Dynamics
-from geokin.flow import _RKF_A, _RKF_B4, _RKF_B5, IntegratorConfig, Trajectory, integrate
+from geokin.flow import IntegratorConfig, Trajectory, integrate
 from geokin.kinetics import GridDensity, ParticleEnsemble, particle_csv_columns
 from geokin.musical import SharpVariant
 from geokin.poly import ParseError, Poly

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from geokin import budgets, flow
+from geokin import budgets, codegen, flow
 from geokin.chart import Chart, ChartKind
 from geokin.corpus import random_hamiltonian
 from geokin.fields import Dynamics, Family, FieldSpec, Gauge, catalog, diagnostics, make_field
@@ -217,7 +217,7 @@ def test_an_rk45_span_past_the_step_budget_is_refused_before_the_first_step(
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran")
 
-    monkeypatch.setattr(flow, "_rkf45_stepper", lambda n: no_step)
+    monkeypatch.setattr(flow, "rkf45_stepper", lambda n: no_step)
     chart, spec = _spec(kind)
     fewest = t_final / budgets.MAX_RK45_STEP
     message = f"{fewest:.6g} RKF45 steps of at most {budgets.MAX_RK45_STEP} exceed the step budget"
@@ -254,7 +254,7 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
     calls = array_calls = attempts = 0
-    poly_eval, poly_eval_array, rkf45_stepper = Poly.eval, Poly.eval_array, flow._rkf45_stepper
+    poly_eval, poly_eval_array, rkf45_stepper = Poly.eval, Poly.eval_array, flow.rkf45_stepper
 
     def counted_eval(self, point):
         nonlocal calls
@@ -277,7 +277,7 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
 
     monkeypatch.setattr(Poly, "eval", counted_eval)
     monkeypatch.setattr(Poly, "eval_array", counted_eval_array)
-    monkeypatch.setattr(flow, "_rkf45_stepper", counted_stepper)
+    monkeypatch.setattr(flow, "rkf45_stepper", counted_stepper)
     monkeypatch.setattr(flow, "BLOCK_ROWS", 16)
     x0 = [0.0, 0.3, 0.4, 0.1]
     traj = integrate(dyn, x0, (0.0, 0.25), IntegratorConfig(step=5e-3))
@@ -383,7 +383,7 @@ def reference_rk4_step(rhs, x, h):
 
 def reference_rkf45_step(rhs, x, h):
     ks = []
-    for row in flow._RKF_A:
+    for row in codegen._RKF_A:
         xi = x.copy()
         for a, k in zip(row, ks):
             if a:
@@ -391,7 +391,7 @@ def reference_rkf45_step(rhs, x, h):
         ks.append(rhs(xi))
     x5 = x.copy()
     x4 = x.copy()
-    for b5, b4, k in zip(flow._RKF_B5, flow._RKF_B4, ks):
+    for b5, b4, k in zip(codegen._RKF_B5, codegen._RKF_B4, ks):
         if b5:
             x5 = x5 + (h * b5) * k
         if b4:
@@ -430,7 +430,7 @@ def test_rkf45_step_is_bit_identical_to_the_array_step(data):
 
     with np.errstate(all="ignore"):
         want = reference_rkf45_step(ref_rhs, np.array(x), h)
-    got = flow._rkf45_stepper(dim)(recorded_evaluators(per_coordinate(field, dim), calls), x, h)
+    got = codegen.rkf45_stepper(dim)(recorded_evaluators(per_coordinate(field, dim), calls), x, h)
     assert [pack(y) for y in stage_states(calls, dim)] == ref_stages  # every stage, in order
     assert [pack(v) for v in got] == [pack(v) for v in want]
 
@@ -511,7 +511,7 @@ def test_error_norm_is_bit_identical_to_the_array_norm(data):
     scale = abs_tol + rel_tol * np.maximum(np.abs(np.array(x)), np.abs(np.array(x_new)))
     with np.errstate(over="ignore"):
         want = math.sqrt(float(np.mean((np.array(err) / scale) ** 2)))
-    got = flow._error_norm(dim)(err, x, x_new, abs_tol, rel_tol)
+    got = codegen.error_norm(dim)(err, x, x_new, abs_tol, rel_tol)
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
@@ -562,8 +562,8 @@ ANY_FLOAT = st.one_of(
                      1e300, -1e300, 1.0, -0.5]),
     st.floats(),
 )
-STEPPERS = [(flow.rk4_stepper, comprehension_rk4_step),
-            (flow._rkf45_stepper, comprehension_rkf45_step)]
+STEPPERS = [(codegen.rk4_stepper, comprehension_rk4_step),
+            (codegen.rkf45_stepper, comprehension_rkf45_step)]
 
 
 def as_bytes(result) -> list[bytes]:
@@ -747,7 +747,7 @@ def test_generated_error_norm_is_bit_identical_to_the_array_norm(data):
     rel_tol = data.draw(st.sampled_from([0.0, 1e-8, 0.5, 1e300]))
     with np.errstate(all="ignore"):
         want = array_error_norm(err, x, x_new, abs_tol, rel_tol)
-    assert as_bytes([flow._error_norm(n)(err, x, x_new, abs_tol, rel_tol)]) == as_bytes([want])
+    assert as_bytes([codegen.error_norm(n)(err, x, x_new, abs_tol, rel_tol)]) == as_bytes([want])
 
 
 def test_generated_error_norm_adds_in_numpy_order_at_every_length():
@@ -757,7 +757,7 @@ def test_generated_error_norm_adds_in_numpy_order_at_every_length():
         err = [rng.choice([1e16, 1.0, rng.random(), 3e-9]) * rng.choice([1, -1]) for _ in range(n)]
         zeros = [0.0] * n
         want = array_error_norm(err, zeros, zeros, 1.0, 0.0)
-        assert flow._error_norm(n)(err, zeros, zeros, 1.0, 0.0) == want, n
+        assert codegen.error_norm(n)(err, zeros, zeros, 1.0, 0.0) == want, n
 
 
 # -- the monitors, evaluated per block after the run, and the CSV writer ------
@@ -850,7 +850,7 @@ def test_an_out_of_range_monitor_coefficient_raises_before_the_first_step(monkey
         raise AssertionError("a step ran")
 
     monkeypatch.setattr(flow, "rk4_stepper", lambda n: no_step)
-    monkeypatch.setattr(flow, "_rkf45_stepper", lambda n: no_step)
+    monkeypatch.setattr(flow, "rkf45_stepper", lambda n: no_step)
     chart, spec = _spec(ChartKind.CONTACT)
     dyn = Dynamics(spec, chart.parse("2^600*z"))
     assert all(c.eval([0.0, 0.1, 0.1]) for c in dyn.field.components[1:])

@@ -134,7 +134,7 @@ def test_runner_reports_a_crash_on_a_later_draw():
 
 _EXACT_CORE = """
 import random, sys
-from geokin import budgets, poly
+from geokin import budgets, codegen, poly
 from geokin.chart import Chart, ChartKind
 from geokin.corpus import random_hamiltonian, random_one_form
 from geokin.density import intertwine_residual
@@ -145,14 +145,20 @@ for kind in ChartKind:
 chart, rng = Chart(ChartKind.COCONTACT, 1), random.Random(0)
 H, Pi = random_hamiltonian(rng, chart), random_one_form(rng, chart)
 assert intertwine_residual(H, Pi).is_zero()
+p = poly.Poly(2, {(1, 2): 3})
+assert p.eval([1.0, 2.0]) == 12.0 and p._compile("array")(1.0, 2.0) == 12.0
+ones = [lambda y: 1.0, lambda y: 1.0]
+assert codegen.rk4_stepper(2)(ones, [0.0, 0.0], 0.5) == [0.5, 0.5]
+x5, err = codegen.rkf45_stepper(2)(ones, [0.0, 0.0], 0.5)
+assert codegen.error_norm(2)(err, [0.0, 0.0], x5, 1.0, 0.0) < 1e-15
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 """
 
 
 def test_the_exact_core_runs_without_numpy():
     """The identity suite and the density law import and run without numpy,
-    and so do the run budgets, in a fresh interpreter that has loaded
-    nothing else."""
+    and so do the run budgets and every generated function of `codegen`,
+    in a fresh interpreter that has loaded nothing else."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _EXACT_CORE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
