@@ -149,17 +149,16 @@ def _check_components(chart: Chart, components: Sequence[Poly], size: int) -> tu
 @dataclass(frozen=True)
 class _Components:
     """Components with the linear algebra every exact tensor shares: one
-    per coordinate in chart order unless a subclass overrides `size`.  A
-    subclass passing `noun=` names its errors and types its results: a sum
-    of `MomentumOneForm`s is a `OneFormExpr`."""
+    per coordinate in chart order unless a subclass overrides `size`.  Each
+    subclass passes a `noun=` that names its errors; a sum, negative or
+    multiple has the class of its operands."""
 
     chart: Chart
     components: tuple[Poly, ...]
 
-    def __init_subclass__(cls, noun: str = "", **kwargs) -> None:
+    def __init_subclass__(cls, noun: str, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if noun:
-            cls._noun, cls._result = noun, cls
+        cls._noun = noun
 
     @staticmethod
     def size(chart: Chart) -> int:
@@ -190,19 +189,18 @@ class _Components:
     def __add__(self, other):
         if other.chart != self.chart:
             raise ValueError(f"{self._noun} live on different charts")
-        if other._result is not self._result:
+        if type(other) is not type(self):
             raise ValueError(f"cannot add {other._noun} to {self._noun}")
-        return self._result._of(self.chart,
-                                tuple(a + b for a, b in zip(self.components, other.components)))
+        return self._of(self.chart, tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._result._of(self.chart, tuple(-a for a in self.components))
+        return self._of(self.chart, tuple(-a for a in self.components))
 
     def scaled(self, factor: Poly | Rational):
-        return self._result._of(self.chart, tuple(a * factor for a in self.components))
+        return self._of(self.chart, tuple(a * factor for a in self.components))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.components)

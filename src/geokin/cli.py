@@ -180,6 +180,15 @@ class Scenario:
         count = len(self.snapshots) if self.snapshots else 1
         if task in _KINETIC_TASKS and len(self.output["grid"]) != count:
             raise ConfigError("$.output.grid", f"expected {count} paths, one per snapshot")
+        if task in _KINETIC_TASKS:  # a later file at an earlier one's path would replace it
+            outputs = [(f"$.output.grid[{k}]", p) for k, p in enumerate(self.output["grid"])]
+            if task == "kinetic-particle" and self.output["particles"]:
+                outputs.append(("$.output.particles", self.output["particles"]))
+            written = set()
+            for where, target in outputs:
+                if (full := os.path.abspath(target)) in written:
+                    raise ConfigError(where, f"{target!r} is already an output of this run")
+                written.add(full)
         if task == "kinetic-particle" and count > 1:
             raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
         # the grid solver holds every snapshot until the run ends

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .brackets import bracket, canonical_bracket_kind
 from .chart import Chart, OneFormExpr, pairing
@@ -44,21 +43,6 @@ from .fields import (Dynamics, Family, FieldSpec, Gauge, divergence, lie_derivat
                      make_field)
 from .musical import SharpVariant, sharp
 from .poly import Poly
-
-
-class MomentumOneForm(OneFormExpr):
-    """A one-form designated as a dual-space element.
-
-    With validate=True, membership is asserted: the associated density
-    must not vanish identically unless the form itself is zero.
-    """
-
-    def __init__(self, chart: Chart, components: Sequence[Poly], validate: bool = False):
-        super().__init__(chart, tuple(components))
-        if validate and not self.is_zero() and momentum_map(self).is_zero():
-            raise ValueError(
-                "one-form lies outside the dual space: its density vanishes identically"
-            )
 
 
 def momentum_map(Pi: OneFormExpr) -> Poly:

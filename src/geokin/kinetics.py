@@ -1,5 +1,6 @@
 """Kinetic solvers: a density carried along the Hamiltonian/gauge-zero
-flow, by particles and on a grid, with their file formats.
+flow, by particles and on a grid, and the writers of their grid and
+particle files (nothing in geokin reads those files back).
 
 The law they carry, and what they read off it (the row, the weight rate
 R_eta(H) and the grid's growth factor), lives in `density`.  Both solvers
@@ -64,7 +65,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import budgets
-from .chart import Chart, ChartKind, VectorFieldExpr
+from .chart import Chart, VectorFieldExpr
 from .codegen import rk4_stepper
 from .density import growth_factor, kinetic_spec, weight_rate
 from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
@@ -194,7 +195,10 @@ class GridDensity:
         return grid
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation; zero outside zero-boundary axes."""
+        """Multilinear interpolation; zero outside zero-boundary axes.  No
+        CLI path calls it; it stays as the deposit's adjoint, as the way to
+        seed a density known only on a grid, and because perfbench's tracer
+        wraps it by name."""
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[0])
         values = self.values.ravel()
@@ -584,8 +588,9 @@ _GRID_MAGIC = "geokin-grid 1"
 
 
 def write_grid(grid: GridDensity, path: str) -> None:
-    """Self-describing text format; values row-major, one per line,
-    formatted and written one block of `flow.row_blocks` at a time."""
+    """Self-describing text format, specified in README; values row-major,
+    one per line, formatted and written one block of `flow.row_blocks` at a
+    time."""
     lines = [_GRID_MAGIC, f"chart {grid.chart.kind.value} {grid.chart.n}"]
     for a in grid.axes:
         lines.append(f"axis {a.name} {a.lo!r} {a.hi!r} {a.size} {a.boundary}")
@@ -595,45 +600,6 @@ def write_grid(grid: GridDensity, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
         for rows in row_blocks(flat.size):
             fh.write("\n".join(map(repr, flat[rows].tolist())) + "\n")
-
-
-def _at(path: str, line: int, read: Callable, *args):
-    """`read(*args)`, with its ValueError raised again naming `path:line`."""
-    try:
-        return read(*args)
-    except ValueError as err:
-        raise ValueError(f"{path}:{line}: {err}") from None
-
-
-def read_grid(path: str) -> GridDensity:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != _GRID_MAGIC:
-        raise ValueError(f"{path}: not a geokin grid file")
-    fields = lines[1].split() if len(lines) > 1 else []
-    if len(fields) != 3 or fields[0] != "chart":
-        raise ValueError(f"{path}:2: expected 'chart <kind> <n>'")
-    chart = _at(path, 2, lambda: Chart(ChartKind(fields[1]), int(fields[2])))
-    axes = []
-    row = 2
-    while row < len(lines) and lines[row].startswith("axis "):
-        parts = lines[row].split()
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{row + 1}: malformed axis line")
-        axes.append(_at(path, row + 1, lambda: GridAxis(
-            parts[1], float(parts[2]), float(parts[3]), int(parts[4]), parts[5])))
-        row += 1
-    fields = lines[row].split() if row < len(lines) else []
-    if len(fields) != 2 or fields[0] != "values":
-        raise ValueError(f"{path}:{row + 1}: expected 'values <count>'")
-    count, shape = _at(path, row + 1, int, fields[1]), tuple(a.size for a in axes)
-    if count != math.prod(shape):
-        raise ValueError(f"{path}:{row + 1}: {count} values do not fill axes of sizes {shape}")
-    data = lines[row + 1 : row + 1 + count]
-    if len(data) != count:
-        raise ValueError(f"{path}:{row + 1}: expected {count} values, found {len(data)}")
-    values = np.array([_at(path, k, float, v) for k, v in enumerate(data, row + 2)])
-    return GridDensity(chart, tuple(axes), values.reshape(shape))
 
 
 def particle_csv_columns(chart: Chart) -> list[str]:
@@ -653,30 +619,8 @@ def particle_csv_columns(chart: Chart) -> list[str]:
 
 def write_particles(ensemble: ParticleEnsemble, path: str) -> None:
     """One row per particle, columns in `particle_csv_columns` order
-    (q, p, z, t, w), which differs from chart order (t, q, p, z);
-    `read_particles` maps them back; written by `flow.write_csv`."""
+    (q, p, z, t, w), which differs from chart order (t, q, p, z); written
+    by `flow.write_csv`.  README specifies the format."""
     cols = particle_csv_columns(ensemble.chart)
     slot_of = {name: k for k, name in enumerate(ensemble.chart.coord_names)}
     write_csv(path, cols, [*(ensemble.columns[slot_of[c]] for c in cols[:-1]), ensemble.weights])
-
-
-def _floats(values: list[str], count: int) -> list[float]:
-    if len(values) != count:
-        raise ValueError(f"expected {count} values, found {len(values)}")
-    return [float(v) for v in values]
-
-
-def read_particles(chart: Chart, path: str) -> ParticleEnsemble:
-    """The ensemble `write_particles` wrote; a row of the wrong length, or
-    with a value that is not a float, raises ValueError naming `path:line`."""
-    expected = particle_csv_columns(chart)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != expected:
-            raise ValueError(f"{path}: header {header} does not match {expected}")
-        rows = [_at(path, k, _floats, line.strip().split(","), len(expected))
-                for k, line in enumerate(fh, 2) if line.strip()]
-    data = np.array(rows) if rows else np.zeros((0, len(expected)))
-    *table, weights = data.T.copy()  # one contiguous column per CSV column
-    index_of = {name: k for k, name in enumerate(expected)}
-    return ParticleEnsemble(chart, [table[index_of[name]] for name in chart.coord_names], weights)

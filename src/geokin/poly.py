@@ -449,9 +449,6 @@ class Poly:
 
     # -- numeric evaluation -------------------------------------------
 
-    def __call__(self, point: Sequence[float]) -> float:
-        return self.eval(point)
-
     def eval(self, point: Sequence[float]) -> float:
         """Evaluate at a point of floats, by the checked scalar entry cached
         in `_entry` (see `_compile`): a point of the wrong length, or with a

@@ -27,7 +27,7 @@ from geokin.chart import (
     two_form_omega,
 )
 from geokin.corpus import random_hamiltonian, random_one_form
-from geokin.density import MomentumOneForm, momentum_vlasov_rhs
+from geokin.density import momentum_vlasov_rhs
 from geokin.fields import (
     Family,
     FieldSpec,
@@ -385,7 +385,7 @@ def test_two_form_validation():
     assert TwoFormExpr(s, (s.zero(),)).is_zero()
 
 
-@pytest.mark.parametrize("cls", [OneFormExpr, VectorFieldExpr, TwoFormExpr, MomentumOneForm])
+@pytest.mark.parametrize("cls", [OneFormExpr, VectorFieldExpr, TwoFormExpr])
 def test_the_public_constructors_refuse_a_wrong_count_or_dimension(cls):
     chart = Chart(ChartKind.CONTACT, 1)  # dim 3, and three two-form components
     right = (chart.zero(),) * cls.size(chart)
@@ -409,7 +409,7 @@ def test_the_algebra_does_not_recheck_the_tensors_it_builds(monkeypatch):
         rng = random.Random(f"unchecked/{chart.kind.value}/{chart.n}")
         H = random_hamiltonian(rng, chart)
         alpha, beta = random_one_form(rng, chart), random_one_form(rng, chart)
-        Pi = MomentumOneForm(chart, alpha.components)
+        Pi = OneFormExpr(chart, alpha.components)
         calls.clear()
         X = make_field(FieldSpec(chart, Family.HAMILTONIAN,
                                  Gauge.ZERO if chart.has_time else None), H)

@@ -12,9 +12,16 @@ a binding the benchmark's tracer wraps) says so with the usual
 A name with a leading underscore is its module's own: a second module that
 needs it needs it under a public name, so the scan of `src/` refuses
 `from .<module> import _<name>`, relative or through `geokin`.
+
+A public function, class or method that nothing in `src/` references is
+test-only code: every public top-level function or class in `src/`, and
+every public method, must appear as a name or attribute somewhere in
+`src/`, or be named in README.md (its documented API) or in a
+`perfbench/*.py` file (which calls or traces it).
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,3 +90,40 @@ def test_no_src_module_imports_a_private_name_of_another():
     found = {str(path.relative_to(ROOT)): names for path in files
              if (names := private_imports(path.read_text()))}
     assert found == {}
+
+
+def unreferenced_public_names(sources: dict[str, str], mentions: str) -> list[str]:
+    """Each public top-level function or class of the `sources` (module
+    name -> source), and each public method, as `module.name` or
+    `module.Class.name`, that no source references as a name or attribute
+    and that no word of `mentions` names."""
+    defined, referenced = [], set(re.findall(r"\w+", mentions))
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+        referenced |= {node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(qualified for qualified, name in defined
+                  if not name.startswith("_") and name not in referenced)
+
+
+def test_the_scan_sees_an_unreferenced_public_name():
+    sources = {"a": "def used(): pass\ndef dead(): pass\ndef _own(): pass\n"
+                    "class K:\n    def m(self): pass\n    def called(self): pass\n"
+                    "    def __call__(self): pass\n",
+               "b": "from .a import used\nused()\nK().called()\n"}
+    assert unreferenced_public_names(sources, "") == ["a.K.m", "a.dead"]
+    assert unreferenced_public_names(sources, "see `dead` and K.m") == []
+
+
+def test_every_public_name_in_src_has_a_reader_outside_the_tests():
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert sources
+    mentions = "\n".join(path.read_text(encoding="utf-8") for path in
+                         [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))])
+    assert unreferenced_public_names(sources, mentions) == []

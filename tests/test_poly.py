@@ -145,7 +145,6 @@ def test_division_only_by_rationals():
 def test_eval_scalar_and_errors():
     p = P("x^2 + y/2")
     assert p.eval([2.0, 4.0]) == pytest.approx(6.0)
-    assert p([2.0, 4.0]) == pytest.approx(6.0)
     with pytest.raises(ValueError):
         p.eval([1.0])
     with pytest.raises(ValueError):
