@@ -155,9 +155,9 @@ def leibniz_defect(chart: Chart, kind: BracketKind, F: Poly, K: Poly, H: Poly) -
     )
 
 
-# Jacobiator witness pinned for the almost-Poisson kinds: found by the
-# randomized search below (seed 2024, degree <= 2 monomials) and frozen.
-# jacobiator(z, p1, q1) == -1 on both charts.
+# Jacobiator witness pinned for the almost-Poisson kinds, found once by a
+# randomized search over degree <= 2 monomials and frozen; no search runs
+# here.  jacobiator(z, p1, q1) == -1 on both charts.
 JACOBIATOR_WITNESS_NAMES: tuple[str, str, str] = ("z", "p1", "q1")
 
 

@@ -1,7 +1,7 @@
 """Run budgets: how much one run may cost, and the checks that refuse more.
 
 Every run budget is assigned here, once, with the comment that derives
-it; `flow`, `kinetics` and `cli` read it here when called.  The checks
+it; `flow`, `kinetics`, `poly` and `cli` read it here when called.  The checks
 the kinetic solvers and the CLI share live here too.  Each raises a
 ValueError with the message the user reads, and the caller picks the
 exit status.  `flow` keeps its own step arithmetic (RK4 rounds where the
@@ -51,6 +51,16 @@ MAX_TRIALS = 1_000
 # times; the dearest accepted suite, 294 trials at n=16, takes about 27 s.
 MAX_IDENTITY_WORK = 10_000
 MAX_CHART_N = 16  # the most (q, p) pairs a config or `identity --n` may ask for
+# The most terms one polynomial's generated evaluator (`codegen.evaluator`,
+# the scalar entry or the array kernel) may hold; `Poly` refuses to compile
+# more.  Compiling peaks at about 5 KB of RSS a term, and takes 30 to 110 us
+# a term by the terms' shape, on a 2-vCPU x86 host: 10^4 random terms of 1 to
+# 4 factors on 34 coordinates took 1.1 s and 51 MiB, and X(H) of 712 073
+# terms 23 s and 3.7 GB.  So the budget is about 50 MB and 1 s a kernel; the
+# largest kernel of any test has 56 terms, of any seed-0 benchmark run 25, so
+# it holds 178 times over.  A derived polynomial under `poly`'s product cap
+# can reach about 10^6 terms.
+MAX_KERNEL_TERMS = 10_000
 
 
 def step_count(t_final: float, dt: float) -> int:

@@ -42,7 +42,7 @@ from .kinetics import (
     write_particles,
 )
 from .corpus import random_hamiltonian, random_one_form
-from .poly import DegreeOverflowError, ParseError, Poly
+from .poly import DegreeOverflowError, KernelBudgetError, ParseError, Poly
 
 
 class ConfigError(Exception):
@@ -136,16 +136,19 @@ class Scenario:
                                              f"{self.field.row_name}")
             # the run's one build of its field (and diagnostics), handed to its solver
             self.dynamics = dyn = Dynamics(self.field, H)
-            # surface strictness, and degree or float overflow in what a solver
-            # evaluates, before any solver runs
+            # surface strictness, degree or float overflow, and a kernel past its
+            # term budget in what a solver evaluates, before any solver runs
             try:
-                evaluated = list(dyn.field.components)
+                evaluated = [(f"X^{name}", c)
+                             for name, c in zip(chart.coord_names, dyn.field.components)]
                 if task in _KINETIC_TASKS:  # self.field is their one row, checked above
-                    evaluated.append(weight_rate(dyn))
-                if task == "simulate":
-                    evaluated += [dyn.diagnostics.dH_along_flow, dyn.diagnostics.divergence]
-                for poly in evaluated:
+                    evaluated.append(("the weight rate", weight_rate(dyn)))
+                if task == "simulate":  # and its monitors
+                    evaluated += [("H", H), ("the energy rate X(H)", dyn.diagnostics.dH_along_flow),
+                                  ("the divergence", dyn.diagnostics.divergence)]
+                for name, poly in evaluated:
                     poly.float_coefficients()
+                    poly.check_kernel_budget(name)
             except (StrictnessError, DegreeOverflowError) as exc:
                 raise ConfigError("$.hamiltonian", str(exc)) from None
             except OverflowError:
@@ -155,6 +158,11 @@ class Scenario:
         initial = cfg["initial"]
         self.point = [float(v) for v in initial["point"]] if initial["point"] else None
         self.density = _parse_expr(chart, initial["density"], "$.initial.density")
+        if self.density is not None and reads("$.initial.density"):
+            try:
+                self.density.check_kernel_budget("the density")
+            except KernelBudgetError as exc:
+                raise ConfigError("$.initial.density", str(exc)) from None
         one_form = tuple(_parse_expr(chart, text, f"$.initial.one_form[{i}]")
                          for i, text in enumerate(initial["one_form"] or ()))
         self.one_form = (OneFormExpr(chart, one_form) if one_form and reads("$.initial.one_form")
@@ -178,6 +186,8 @@ class Scenario:
         if isinstance(self.output["grid"], str):
             self.output["grid"] = [self.output["grid"]]
         count = len(self.snapshots) if self.snapshots else 1
+        if task == "kinetic-particle" and count > 1:
+            raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
         if task in _KINETIC_TASKS and len(self.output["grid"]) != count:
             raise ConfigError("$.output.grid", f"expected {count} paths, one per snapshot")
         if task in _KINETIC_TASKS:  # a later file at an earlier one's path would replace it
@@ -189,8 +199,6 @@ class Scenario:
                 if (full := os.path.abspath(target)) in written:
                     raise ConfigError(where, f"{target!r} is already an output of this run")
                 written.add(full)
-        if task == "kinetic-particle" and count > 1:
-            raise ConfigError("$.time.snapshots", "the particle solver deposits once, at t_final")
         # the grid solver holds every snapshot until the run ends
         if task == "kinetic-grid" and count * cells > budgets.MAX_GRID_VALUES:
             raise ConfigError("$.time.snapshots", f"{count} snapshots of the grid exceed the "

@@ -17,20 +17,22 @@ through the same float operations in the same order.
 from __future__ import annotations
 
 import math
+from fractions import Fraction as F
 from functools import cache
 from typing import Iterable, Sequence
 
-# Fehlberg 4(5) coefficients, classic values.
+# Fehlberg 4(5) coefficients, classic values, exact: the step is emitted with
+# each weight's correctly rounded float.
 _RKF_A = (
     (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+    (F(1, 4),),
+    (F(3, 32), F(9, 32)),
+    (F(1932, 2197), F(-7200, 2197), F(7296, 2197)),
+    (F(439, 216), F(-8), F(3680, 513), F(-845, 4104)),
+    (F(-8, 27), F(2), F(-3544, 2565), F(1859, 4104), F(-11, 40)),
 )
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RKF_B5 = (F(16, 135), F(0), F(6656, 12825), F(28561, 56430), F(-9, 50), F(2, 55))
+_RKF_B4 = (F(25, 216), F(0), F(1408, 2565), F(2197, 4104), F(-1, 5), F(0))
 
 
 def define(lines: list[str], names: dict):
@@ -140,15 +142,15 @@ def rkf45_stepper(n: int):
     Each stage state, and each of the two solutions, is one sum per
     coordinate over the tables, x + c1*k1 + c2*k2 + ..., added left to
     right, with c_j = h times the table's weight of stage j, written as
-    its `repr` float literal, and the zero weights left out; the
+    the `repr` of its float, and the zero weights left out; the
     difference is x5 - x4 per coordinate.
     """
-    def weighted(row: Sequence[float]) -> tuple[str, list[str]]:
+    def weighted(row: Sequence[F]) -> tuple[str, list[str]]:
         """The line setting c_j for each nonzero weight of `row`, and the
         sum x + c_j*k_j + ... of each coordinate."""
         js = [j for j, a in enumerate(row, 1) if a]
         return (f"    {', '.join(f'c{j}' for j in js)} = "
-                f"{', '.join(f'h * {row[j - 1]!r}' for j in js)}",
+                f"{', '.join(f'h * {float(row[j - 1])!r}' for j in js)}",
                 [" + ".join([f"x{i}", *(f"c{j} * k{j}_{i}" for j in js)]) for i in range(n)])
 
     lines = ["def step(fs, x, h):", f"    {targets('f', n)}= fs",

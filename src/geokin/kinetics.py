@@ -153,12 +153,14 @@ def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray],
             yield rows, np.ravel_multi_index(idx, shape, mode="clip"), w, valid
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridDensity:
     """A density sampled at cell centers of a tensor-product grid.
 
     Axes cover every chart coordinate, in chart order; collapsed axes
-    (size 1) stand for directions the problem does not resolve.
+    (size 1) stand for directions the problem does not resolve.  Frozen:
+    the constructor converts and checks `values` once, and no field is
+    rebound after it; the array itself may be written in place.
     """
 
     chart: Chart
@@ -172,16 +174,13 @@ class GridDensity:
                 f"axes {names} must match chart coordinates {self.chart.coord_names}"
             )
         shape = tuple(a.size for a in self.axes)
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != shape:
             raise ValueError(f"values shape {self.values.shape} does not match grid {shape}")
 
     @property
     def cell_volume(self) -> float:
-        out = 1.0
-        for a in self.axes:
-            out *= a.dx
-        return out
+        return math.prod(a.dx for a in self.axes)
 
     def total_mass(self) -> float:
         return float(self.values.sum()) * self.cell_volume
@@ -189,10 +188,8 @@ class GridDensity:
     @classmethod
     def sample(cls, chart: Chart, axes: Sequence[GridAxis], func: Density) -> "GridDensity":
         axes = tuple(axes)
-        shape = tuple(a.size for a in axes)
-        grid = cls(chart, axes, np.zeros(shape))
-        grid.values = _evaluate(func, _cell_centers(axes)).reshape(shape)
-        return grid
+        values = _evaluate(func, _cell_centers(axes))
+        return cls(chart, axes, values.reshape([a.size for a in axes]))
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; zero outside zero-boundary axes.  No
@@ -207,15 +204,17 @@ class GridDensity:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParticleEnsemble:
+    """Weighted particles, frozen as `GridDensity` is."""
+
     chart: Chart
     columns: list[np.ndarray]  # one (N,) column per chart coordinate, chart order
     weights: np.ndarray  # (N,)
 
     def __post_init__(self) -> None:
-        self.columns = [np.asarray(c, dtype=float) for c in self.columns]
-        self.weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "columns", [np.asarray(c, dtype=float) for c in self.columns])
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.weights.ndim != 1:
             raise ValueError("weights must be one per particle")
         if len(self.columns) != self.chart.dim or any(
@@ -445,12 +444,11 @@ def seed_particles(
 def deposit(ensemble: ParticleEnsemble, axes: Sequence[GridAxis]) -> GridDensity:
     """Cloud-in-cell deposition onto a grid (density = mass / volume)."""
     axes = tuple(axes)
-    grid = GridDensity(ensemble.chart, axes, np.zeros(tuple(a.size for a in axes)))
-    acc = np.zeros(grid.values.shape)
+    mass = np.zeros(tuple(a.size for a in axes))
     for _, flat, weight, valid in _cic_corners(axes, ensemble.columns, ensemble.weights):
-        np.add.at(acc.ravel(), flat, np.where(valid, weight, 0.0))
-    grid.values = acc / grid.cell_volume
-    return grid
+        np.add.at(mass.ravel(), flat, np.where(valid, weight, 0.0))
+    mass /= math.prod(a.dx for a in axes)
+    return GridDensity(ensemble.chart, axes, mass)
 
 
 def _push_chunk(

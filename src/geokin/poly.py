@@ -45,7 +45,9 @@ array kernel on `dim` equal-length columns (an (N, dim) array's `.T`, or
 the columns a solver keeps), bit-identical to it row by row.
 `partial` is memoised the same way, per instance and coordinate, in the
 `_partials` slot: the symbolic layers take the same partials of the
-same polynomial many times.
+same polynomial many times.  No entry or kernel is built for a
+polynomial of more than `budgets.MAX_KERNEL_TERMS` terms:
+`KernelBudgetError`, a subclass of the degree-cap error, comes first.
 
 Iterated symbolic work (nested brackets, Lie derivatives) can blow up.
 Two caps turn runaway growth into an explicit error instead of a hang or
@@ -63,7 +65,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import codegen
+from . import budgets, codegen
 
 Exponents = tuple[int, ...]
 Rational = Fraction | int
@@ -82,6 +84,11 @@ class DegreeOverflowError(ArithmeticError):
 
 class ProductBudgetError(DegreeOverflowError):
     """Raised when a product would visit more term pairs than `MAX_PRODUCT_PAIRS`."""
+
+
+class KernelBudgetError(DegreeOverflowError):
+    """Raised when a polynomial has more terms than a generated evaluator may
+    hold, `budgets.MAX_KERNEL_TERMS`."""
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -469,11 +476,21 @@ class Poly:
         total = (self._kernel or self._compile("array"))(*cols)
         return total if isinstance(total, np.ndarray) else np.full(shape, total)
 
+    def check_kernel_budget(self, name: str = "the polynomial") -> None:
+        """KernelBudgetError, naming `name` and its term count, if the
+        polynomial has more terms than `budgets.MAX_KERNEL_TERMS`."""
+        if len(self._num) > budgets.MAX_KERNEL_TERMS:
+            raise KernelBudgetError(f"{name} has {len(self._num)} terms, past the kernel "
+                                    f"budget of {budgets.MAX_KERNEL_TERMS}")
+
     def _compile(self, kind: str):
         """Build, cache and return `codegen.evaluator`'s "entry" for `eval`
         (`_entry`) or "array" kernel for `eval_array` (`_kernel`).  A
-        coefficient past float range raises OverflowError there and nothing
-        is cached; racing threads build the same function."""
+        polynomial past the kernel budget raises KernelBudgetError before any
+        source is emitted, and a coefficient past float range OverflowError in
+        `codegen`; either way nothing is cached.  Racing threads build the
+        same function."""
+        self.check_kernel_budget()
         evaluate = codegen.evaluator(self.dim, self.sorted_terms(), kind)
         setattr(self, "_kernel" if kind == "array" else "_entry", evaluate)
         return evaluate

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -548,6 +550,20 @@ def _kinetic_config(tmp_path, task, hamiltonian, t_final, dt):
         "time": {"t_final": t_final, "dt": dt},
         "output": {"grid": str(tmp_path / "g.grid")},
     }
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("paths", [1, 2])
+def test_particle_snapshots_are_refused_at_the_snapshots_whatever_the_grid_paths(
+        tmp_path, capsys, command, paths):
+    # one path per snapshot is no way out: the particle solver deposits once
+    cfg = _kinetic_config(tmp_path, "kinetic-particle", "p1^2/2", 0.2, 0.01)
+    cfg["time"]["snapshots"] = [0.1, 0.2]
+    cfg["output"]["grid"] = [str(tmp_path / f"g{k}.grid") for k in range(paths)]
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == ("config error at $.time.snapshots: the particle solver "
+                                       "deposits once, at t_final\n")
+    assert not list(tmp_path.rglob("*.grid"))
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -1116,6 +1132,66 @@ def test_a_thousand_identity_trials_on_the_widest_chart_exit_2_at_once():
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error at --trials: 1000 trials x 34 coordinates")
     assert elapsed < 1.0
+
+
+def _first_monomials(chart, count):
+    """The first `count` monomials of 1 to 4 factors on `chart`, in
+    coordinate order, as text: `count` distinct terms."""
+    products = (c for k in range(1, 5)
+                for c in itertools.combinations_with_replacement(chart.coord_names, k))
+    return " + ".join("*".join(c) for c in itertools.islice(products, count))
+
+
+def _random_monomials(chart, count, rng):
+    """`count` products of 1 to 4 random coordinates of `chart`, each to a
+    random power 1 to 3, as text (two may multiply out to one term)."""
+    names = chart.coord_names
+    terms = set()
+    while len(terms) < count:
+        factors = {(rng.randrange(len(names)), rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 4))}
+        terms.add(tuple(sorted(factors)))
+    return " + ".join("*".join(f"{names[i]}^{e}" for i, e in t) for t in sorted(terms))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_hamiltonian_whose_energy_rate_passes_the_kernel_budget_exits_2_at_once(
+        tmp_path, command):
+    # 3000 random monomials on cocontact n=16 (53 KB of text): X(H) has
+    # 751 738 terms, whose kernel once took about 23 s and 3.7 GB to compile
+    chart = Chart(ChartKind.COCONTACT, 16)
+    cfg = simulate_config(tmp_path, chart={"kind": "cocontact", "n": 16},
+                          hamiltonian=_random_monomials(chart, 3000, random.Random(0)),
+                          initial={"point": [0.1] * chart.dim},
+                          time={"t_final": 0.001, "dt": 0.001})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "geokin.cli", command,
+                           write_config(tmp_path, cfg)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"config error at $.hamiltonian: the energy rate X(H) has 751738 "
+                           f"terms, past the kernel budget of {budgets.MAX_KERNEL_TERMS}\n")
+    assert elapsed < 2.0
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_density_at_the_kernel_budget_is_accepted_and_one_term_past_it_refused(
+        tmp_path, capsys, command):
+    chart = Chart(ChartKind.SYMPLECTIC, 16)  # nothing moves on a grid of one cell
+    cfg = {"chart": {"kind": "symplectic", "n": 16}, "task": "kinetic-grid", "hamiltonian": "0",
+           "initial": {"grid": {"axes": [{"lo": 0.0, "hi": 1.0, "size": 1}] * chart.dim}},
+           "time": {"t_final": 0.1}, "output": {"grid": str(tmp_path / "g.grid")}}
+    most = budgets.MAX_KERNEL_TERMS
+    cfg["initial"]["density"] = _first_monomials(chart, most)
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "g.grid").exists() == (command == "run")
+    cfg["initial"]["density"] += " + q1^5"
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (f"config error at $.initial.density: the density has "
+                                       f"{most + 1} terms, past the kernel budget of {most}\n")
 
 
 @pytest.mark.parametrize("task, builds, diagnoses", [

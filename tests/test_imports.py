@@ -16,8 +16,8 @@ needs it needs it under a public name, so the scan of `src/` refuses
 A public function, class or method that nothing in `src/` references is
 test-only code: every public top-level function or class in `src/`, and
 every public method, must appear as a name or attribute somewhere in
-`src/`, or be named in README.md (its documented API) or in a
-`perfbench/*.py` file (which calls or traces it).
+`src/`, or be named in a code span of README.md (its documented API) or
+in a `perfbench/*.py` file (which calls or traces it).
 """
 
 import ast
@@ -92,12 +92,15 @@ def test_no_src_module_imports_a_private_name_of_another():
     assert found == {}
 
 
-def unreferenced_public_names(sources: dict[str, str], mentions: str) -> list[str]:
+def unreferenced_public_names(sources: dict[str, str], readme: str, scripts: str = "") -> list[str]:
     """Each public top-level function or class of the `sources` (module
     name -> source), and each public method, as `module.name` or
-    `module.Class.name`, that no source references as a name or attribute
-    and that no word of `mentions` names."""
-    defined, referenced = [], set(re.findall(r"\w+", mentions))
+    `module.Class.name`, that no source references as a name or attribute,
+    that no word of a code span of the Markdown `readme` names (prose does
+    not count: a dead name may be an English word), and that no word of
+    `scripts` names."""
+    spans = "\n".join(span for _, span in re.findall(r"(`+)(.+?)\1", readme, re.DOTALL))
+    defined, referenced = [], set(re.findall(r"\w+", spans + "\n" + scripts))
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -118,12 +121,15 @@ def test_the_scan_sees_an_unreferenced_public_name():
                     "    def __call__(self): pass\n",
                "b": "from .a import used\nused()\nK().called()\n"}
     assert unreferenced_public_names(sources, "") == ["a.K.m", "a.dead"]
-    assert unreferenced_public_names(sources, "see `dead` and K.m") == []
+    assert unreferenced_public_names(sources, "see `dead` and\n```\nK().m()\n```\n") == []
+    assert unreferenced_public_names(sources, "a dead end, and K.m in prose") == [
+        "a.K.m", "a.dead"]
+    assert unreferenced_public_names(sources, "", "dead = K.m  # a script") == []
 
 
 def test_every_public_name_in_src_has_a_reader_outside_the_tests():
     sources = {path.stem: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
     assert sources
-    mentions = "\n".join(path.read_text(encoding="utf-8") for path in
-                         [ROOT / "README.md", *sorted((ROOT / "perfbench").glob("*.py"))])
-    assert unreferenced_public_names(sources, mentions) == []
+    scripts = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unreferenced_public_names(sources, readme, scripts) == []

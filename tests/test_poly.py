@@ -20,12 +20,14 @@ from geokin.chart import (
     reeb_tau,
     two_form_omega,
 )
+from geokin import budgets, codegen
 from geokin.fields import Family, FieldSpec, Gauge, make_field
 from geokin.musical import flat, sharp
 from geokin.poly import (
     MAX_NESTING,
     MAX_TOTAL_DEGREE,
     DegreeOverflowError,
+    KernelBudgetError,
     ParseError,
     Poly,
     ProductBudgetError,
@@ -524,6 +526,24 @@ def test_coefficients_outside_float_range_raise_on_first_evaluation():
     with pytest.raises(OverflowError):
         p.eval_array([np.ones(2)])
     assert p._entry is p._kernel is None
+
+
+def test_a_polynomial_past_the_kernel_budget_is_refused_before_any_source(monkeypatch):
+    monkeypatch.setattr(budgets, "MAX_KERNEL_TERMS", 3)
+    emitted = []
+    evaluator = codegen.evaluator
+    monkeypatch.setattr(codegen, "evaluator",
+                        lambda *args: emitted.append(args[2]) or evaluator(*args))
+    at, past = P("x^2 + x*y + 1"), P("x^2 + x*y + y + 1")
+    assert at.eval([1.0, 2.0]) == 4.0
+    assert at.eval_array([np.ones(2), np.ones(2)]).tolist() == [3.0, 3.0]
+    assert emitted == ["entry", "array"]
+    for evaluate in (lambda: past.eval([1.0, 2.0]), lambda: past.eval_array([np.ones(2)] * 2)):
+        with pytest.raises(KernelBudgetError, match="^the polynomial has 4 terms, past the "
+                                                    "kernel budget of 3$"):
+            evaluate()
+    assert emitted == ["entry", "array"] and past._entry is past._kernel is None
+    assert issubclass(KernelBudgetError, DegreeOverflowError)  # every degree-cap handler covers it
 
 
 def test_print_parse_roundtrip_is_identity():
