@@ -35,7 +35,7 @@ MAX_WORK = 1_000_000_000
 # test input (64 000 cells of 3 coordinates, 230 400 particles of 2 plus a
 # weight, 25 trials); `cli` refuses more.  The grid and particle budgets
 # count float64 values, so a chart with more coordinates gets fewer of each.
-MAX_GRID_VALUES = 2_000_000  # cells x dim: the cell centers, or the velocity grids
+MAX_GRID_VALUES = 2_000_000  # cells x dim: the velocity grids
 # particles x (dim + 1): the push state, the one copy of the ensemble a
 # particle run holds from seeding to its written files, beside one block of
 # `flow.BLOCK_ROWS` rows of working memory

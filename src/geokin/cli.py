@@ -171,7 +171,7 @@ class Scenario:
             self._axis(i, name, entry)
             for i, (name, entry) in enumerate(zip(chart.coord_names, initial["grid"]["axes"])))
         cells = math.prod(a.size for a in self.axes) if self.axes else 0
-        most = budgets.MAX_GRID_VALUES // chart.dim  # cells x dim values: points, velocities
+        most = budgets.MAX_GRID_VALUES // chart.dim  # cells x dim values: the velocities
         if cells > most:
             raise ConfigError("$.initial.grid.axes", f"the axis sizes multiply to more than "
                                                      f"{most} cells")

@@ -81,7 +81,7 @@ class IntegratorConfig:
             raise ValueError("need abs_tol > 0 and rel_tol >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     spec: FieldSpec
     times: np.ndarray

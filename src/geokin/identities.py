@@ -337,7 +337,8 @@ def _field_laws(run: _Runner) -> None:
                     expected = expected + tau.scaled(-H.partial(chart.t_slot))
                 if spec.family is Family.ENERGY:
                     expected = expected + differential(H, chart)
-                if lie_derivative_oneform(X, eta) != expected:
+                lie_eta = lie_derivative_oneform(X, eta)
+                if lie_eta != expected:
                     return f"L_X eta law fails at H = {_fmt(chart, H)}"
                 got2 = lie_derivative_twoform(X, d_eta)
                 h = H.partial(chart.z_slot)
@@ -347,7 +348,7 @@ def _field_laws(run: _Runner) -> None:
                     exp2 = exp2 + wedge(differential(-g, chart), tau)
                 if got2 != exp2:
                     return f"L_X d(eta) law fails at H = {_fmt(chart, H)}"
-                if got2 != exterior_derivative_oneform(lie_derivative_oneform(X, eta)):
+                if got2 != exterior_derivative_oneform(lie_eta):
                     return "L_X d(eta) != d(L_X eta)"
             if chart.has_time:
                 got_tau = lie_derivative_oneform(X, tau)

@@ -6,15 +6,16 @@ The law they carry, and what they read off it (the row, the weight rate
 R_eta(H) and the grid's growth factor), lives in `density`.  Both solvers
 take a `fields.Dynamics` of that row, built once by the caller, and start
 from one setup per call, `_transport`: it checks the chart, the row, the
-times and the CFL number, evaluates the field the `Dynamics` holds at the
-cell centers of the grid axes, refuses a velocity that is not finite
+times and the CFL number, evaluates the field the `Dynamics` holds on the
+grid by `Poly.eval_grid` on the axis centers, so each velocity spans only
+the axes its component depends on, refuses a velocity that is not finite
 there, a collapsed axis with transport across it and an active axis
-under 32 cells, and returns the weight rate, the cell centers (the grid solver's
-source is evaluated on them), the CFL limit and the steps of each span.
-Both refuse a run past `budgets.MAX_STEPS` steps, or past
+under 32 cells, and returns the weight rate, the velocity of each active
+axis, the CFL limit and the steps of each span; it builds and returns no
+cell centers.  Both refuse a run past `budgets.MAX_STEPS` steps, or past
 `budgets.MAX_WORK` cells (or seeded particles) x steps, before the first
 step (`budgets.step_counts`, once a call); with a given dt, before the
-setup builds any point grid.  Both refuse a state that loses finiteness
+setup evaluates any velocity.  Both refuse a state that loses finiteness
 with a `StabilityError`.  Past that setup they share no numerics.
 
 The particle solver takes the initial density in closed form (a `Poly`
@@ -42,14 +43,18 @@ goes through `flow.write_csv`, as the trajectory CSV does.
 
 The grid solver is the independent oracle: from a sampled `GridDensity`,
 method of lines with first-order upwind transport per advecting axis
-(one difference per cell face, with -v and the wind direction v > 0
-taken once per solve), the pointwise source (n+2) R_eta(H) f (the factor
-is `density.growth_factor`), and SSP-RK3 in time under an explicit CFL
-guard, through every snapshot time in one call.  It steps in a workspace
-allocated once per call, after every up-front refusal: five flat grid
-arrays (the state and the spare it alternates with, the right-hand side,
-the second stage and one face scratch shared by the axes) and a
-finiteness mask, which every step writes in place.  Along an axis, one
+(one difference per cell face), the pointwise source (n+2) R_eta(H) f
+(the factor is `density.growth_factor`), and SSP-RK3 in time under an
+explicit CFL guard, through every snapshot time in one call.  The source
+comes from `eval_grid` too; it, and -v and the wind direction v > 0 of
+each active axis, are materialized full and flat once per solve
+(`_grid_terms`), as the steps read them.  A `Poly` density is sampled
+the same way, materialized once as the grid's values; `_cell_centers`
+builds point columns only to seed particles and for a callable density.
+It steps in a workspace allocated once per call, after every up-front
+refusal: five flat grid arrays (the state and the spare it alternates
+with, the right-hand side, the second stage and one face scratch shared
+by the axes) and a finiteness mask, which every step writes in place.  Along an axis, one
 contiguous subtraction over the flat grid forms every face difference,
 and a multiplication by -v of the forward faces, then one masked by
 v > 0 of the backward ones, picks the upwind face.  Each snapshot owns
@@ -120,8 +125,16 @@ def _evaluate(density: Density, cols: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _cell_centers(axes: Sequence[GridAxis]) -> list[np.ndarray]:
-    """Cell centers of a tensor-product grid, one column per axis, C order."""
+    """Cell centers of a tensor-product grid, one column per axis, C order:
+    the seeding lattice, and the points a callable density takes."""
     return [g.ravel() for g in np.meshgrid(*[a.centers() for a in axes], indexing="ij")]
+
+
+def _full(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """An `eval_grid` result on the whole grid, C-contiguous and writable:
+    the array itself when it spans every axis already, else a copy of its
+    broadcast."""
+    return values if values.shape == shape else np.broadcast_to(values, shape).copy()
 
 
 def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray],
@@ -153,14 +166,17 @@ def _cic_corners(axes: Sequence[GridAxis], cols: Sequence[np.ndarray],
             yield rows, np.ravel_multi_index(idx, shape, mode="clip"), w, valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
     """A density sampled at cell centers of a tensor-product grid.
 
     Axes cover every chart coordinate, in chart order; collapsed axes
     (size 1) stand for directions the problem does not resolve.  Frozen:
     the constructor converts and checks `values` once, and no field is
-    rebound after it; the array itself may be written in place.
+    rebound after it; the array itself may be written in place.  Compared
+    and hashed by identity, as are `ParticleEnsemble`,
+    `ParticleKineticResult` and `flow.Trajectory`: `==` field by field
+    would compare arrays, which have no truth value and no hash.
     """
 
     chart: Chart
@@ -188,8 +204,10 @@ class GridDensity:
     @classmethod
     def sample(cls, chart: Chart, axes: Sequence[GridAxis], func: Density) -> "GridDensity":
         axes = tuple(axes)
-        values = _evaluate(func, _cell_centers(axes))
-        return cls(chart, axes, values.reshape([a.size for a in axes]))
+        shape = tuple(a.size for a in axes)
+        if isinstance(func, Poly):
+            return cls(chart, axes, _full(func.eval_grid([a.centers() for a in axes]), shape))
+        return cls(chart, axes, _evaluate(func, _cell_centers(axes)).reshape(shape))
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; zero outside zero-boundary axes.  No
@@ -204,7 +222,7 @@ class GridDensity:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
     """Weighted particles, frozen as `GridDensity` is."""
 
@@ -225,7 +243,7 @@ class ParticleEnsemble:
         return float(self.weights.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class ParticleKineticResult:
     ensemble: ParticleEnsemble
     deposited: GridDensity
@@ -242,11 +260,12 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     run), the CFL number, with a given `dt` the step and work budgets of a
     run over `size` cells or particles (`budgets.step_counts`), then each
     axis against the field's velocity at the cell centers, then, without a
-    `dt`, the budgets at the CFL limit.
+    `dt`, the budgets at the CFL limit.  Each velocity is the component's
+    `Poly.eval_grid` on the axis centers, so it spans only the axes the
+    component depends on; no cell centers are built or returned.
 
-    Returns (rate, pts, vel, active, limit, counts): the weight rate, the
-    cell centers (`_cell_centers`), each component's velocity grid, the
-    active axes, the CFL limit
+    Returns (rate, moving, limit, counts): the weight rate, (k, velocity)
+    for each active axis k, in axis order, the CFL limit
     cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves), and the
     steps of each span at `dt`, or at the limit when `dt` is None.
     """
@@ -260,14 +279,13 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
         raise ValueError("need dt > 0 and t_final >= 0, with times in order")
     if not cfl > 0:
         raise ValueError(f"need cfl > 0, not {cfl!r}")
-    if dt is not None:  # refused before any point grid is built
+    if dt is not None:  # refused before any velocity is evaluated
         counts = budgets.step_counts(spans, dt, size, what)
-    shape = tuple(a.size for a in axes)
-    pts = _cell_centers(axes)
-    vel, active, rate = [], [], 0.0
+    centers = [a.centers() for a in axes]
+    moving, rate = [], 0.0
     for k, (axis, component) in enumerate(zip(axes, dyn.field.components)):
-        vel.append(component.eval_array(pts).reshape(shape))
-        speed = float(np.max(np.abs(vel[k])))
+        vel = component.eval_grid(centers)
+        speed = float(np.max(np.abs(vel)))
         if not math.isfinite(speed):
             raise ValueError(f"axis {axis.name}: the advection velocity is not finite on the grid")
         if axis.size == 1:
@@ -278,12 +296,29 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
         elif axis.size < 32:
             raise ValueError(f"axis {axis.name}: active axes need at least 32 cells")
         else:
-            active.append(k)
+            moving.append((k, vel))
             rate += speed / axis.dx
     limit = cfl / rate if rate else math.inf
     if dt is None:  # dt is the CFL limit; with nothing moving it is inf, one step a span
         counts = budgets.step_counts(spans, limit, size, what)
-    return weight_rate(dyn), pts, vel, active, limit, counts
+    return weight_rate(dyn), moving, limit, counts
+
+
+def _grid_terms(chart: Chart, rate: Poly, moving, axes: tuple[GridAxis, ...]):
+    """What the grid steps read, full and flat, from `_transport`'s rate and
+    velocities: the wind (-v, v > 0, the axis, its stride) of each moving
+    axis, -v negated in place over the velocity it consumes, and the source
+    (n+2) R_eta(H) on the cell centers, or None where the rate is zero."""
+    shape = tuple(a.size for a in axes)
+    wind = []
+    for k, vel in moving:
+        v = _full(vel, shape).ravel()
+        pos = v > 0.0
+        wind.append((np.negative(v, out=v), pos, axes[k], math.prod(shape[k + 1:])))
+    if rate.is_zero():
+        return wind, None
+    src = growth_factor(chart) * rate.eval_grid([a.centers() for a in axes])
+    return wind, _full(src, shape).ravel()
 
 
 def _upwind_term(values: np.ndarray, negv: np.ndarray, pos: np.ndarray, axis: GridAxis,
@@ -367,16 +402,13 @@ def solve_density_grid(
     """
     chart = dyn.spec.chart
     spans = budgets.snapshot_spans(times)
-    rate, pts, vel, active, limit, counts = _transport(dyn, f0.axes, spans, dt, cfl,
-                                                       f0.values.size, "cells")
+    rate, moving, limit, counts = _transport(dyn, f0.axes, spans, dt, cfl, f0.values.size,
+                                             "cells")
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
-    src = None if rate.is_zero() else growth_factor(chart) * rate.eval_array(pts)
-    del pts  # the source is all that reads the cell centers
+    wind, src = _grid_terms(chart, rate, moving, f0.axes)
+    del moving  # -v and v > 0 are all the steps read
     shape = f0.values.shape
-    wind = [(-vel[k].ravel(), vel[k].ravel() > 0.0, f0.axes[k], math.prod(shape[k + 1:]))
-            for k in active]
-    del vel  # -v and v > 0 are all the steps read
     # the workspace: the state, its spare, the right-hand side, the second
     # stage and the face scratch, flat, plus the finiteness mask
     v = f0.values.flatten()
@@ -543,8 +575,9 @@ def solve_density_particle(
     axes = tuple(axes)
     # particles tolerate larger steps than the grid; guard at 4x CFL
     seeded_count = math.prod(budgets.seed_lattice([a.size for a in axes], particle_count))
-    rate, _, _, _, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0,
-                                                  seeded_count, "seeded particles")
+    rate, moving, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0, seeded_count,
+                                                 "seeded particles")
+    del moving  # the push evaluates the field on the particles
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")
     h = t_final / n_steps if n_steps else 0.0

@@ -43,6 +43,9 @@ per polynomial, each compiled on its first use: `Poly.eval` runs a
 checked scalar entry, two Python frames a call, and `Poly.eval_array` an
 array kernel on `dim` equal-length columns (an (N, dim) array's `.T`, or
 the columns a solver keeps), bit-identical to it row by row.
+`Poly.eval_grid` runs that kernel on a tensor-product grid given by its
+1-D axes, as broadcast views that span only the axes the polynomial
+depends on, so no full grid of points is built.
 `partial` is memoised the same way, per instance and coordinate, in the
 `_partials` slot: the symbolic layers take the same partials of the
 same polynomial many times.  No entry or kernel is built for a
@@ -475,6 +478,29 @@ class Poly:
             raise ValueError(f"points must have shape ({self.dim}, N): one column per coordinate")
         total = (self._kernel or self._compile("array"))(*cols)
         return total if isinstance(total, np.ndarray) else np.full(shape, total)
+
+    def eval_grid(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """Evaluate on the tensor-product grid of `dim` 1-D coordinate
+        arrays, one per coordinate, in C order.  `eval_array`'s kernel runs
+        on read-only `np.broadcast_to` views spanning only the coordinates
+        the polynomial depends on (size 1 on the rest), so the result has
+        size 1 along every other axis.  Broadcast to the grid, it is
+        bit-identical to `eval_array` on the meshgrid columns: every cell
+        goes through the same float operations in the same order."""
+        import numpy as np
+
+        axes = [np.asarray(c, dtype=float) for c in coords]
+        if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
+            raise ValueError(f"need {self.dim} one-dimensional coordinate arrays, one per "
+                             f"coordinate")
+        grid = tuple(len(a) for a in axes)
+        span = tuple(slice(None) if self.depends_on(k) else slice(0, 1) for k in range(self.dim))
+        views = [np.broadcast_to(a.reshape([-1 if j == k else 1 for j in range(self.dim)]),
+                                 grid)[span] for k, a in enumerate(axes)]
+        total = (self._kernel or self._compile("array"))(*views)
+        if isinstance(total, np.ndarray):
+            return total
+        return np.full(views[0].shape if views else (), total)
 
     def check_kernel_budget(self, name: str = "the polynomial") -> None:
         """KernelBudgetError, naming `name` and its term count, if the

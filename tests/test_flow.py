@@ -347,9 +347,9 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     The benchmark's `--trace 1` run bounds `poly.eval.calls` below by 4 x
     steps (`perfbench/run.py::coverage_problems`).  The monitors already
     evaluate past `Poly.eval`; a change that evaluates the field past it
-    too (ROADMAP item 4's fused step) fails here first.  ROADMAP item 1b
-    must move that bench bound to an exact right-hand-side count before
-    such a change lands."""
+    too (ROADMAP item 3's fused step) fails here first.  Item 3's
+    benchmark half must move that bench bound to an exact right-hand-side
+    count before such a change lands."""
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
     calls = array_calls = attempts = 0

@@ -445,6 +445,29 @@ def test_grids_and_ensembles_are_built_once_and_never_rebound():
     assert ensemble.columns[0].tolist() == [0.0, 5.0, 0.0] and ensemble.total_weight() == 2.5
 
 
+def test_grids_ensembles_results_and_trajectories_compare_and_hash_by_identity():
+    # field-wise `==` over their arrays has no truth value, and arrays no hash
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    axes = (GridAxis("q1", -1, 1, 4), GridAxis("p1", -1, 1, 4))
+
+    def grid():
+        return GridDensity(s, axes, np.ones((4, 4)))
+
+    def ensemble():
+        return ParticleEnsemble(s, [np.zeros(3), np.ones(3)], np.ones(3))
+
+    def result():
+        return kinetics.ParticleKineticResult(ensemble(), grid(), 3.0, 3.0, 0.0, 0)
+
+    def trajectory():
+        return flow.Trajectory(kinetic_spec(s), np.zeros(2), np.zeros((2, 2)),
+                               {"hamiltonian": np.zeros(2)})
+
+    for build in (grid, ensemble, result, trajectory):
+        a, b = build(), build()
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 # A 1000^2 grid and 200 000 particles, numpy's buffers traced, each bound in
 # units of one float64 grid array
 _WIDE = (GridAxis("q1", -2.0, 2.0, 1000), GridAxis("p1", -2.0, 2.0, 1000))
@@ -452,14 +475,43 @@ _WIDE_GRID = 1000 * 1000 * 8
 
 
 def test_sampling_a_grid_holds_its_points_and_kernel_and_no_placeholder():
-    # the two cell-center columns, the kernel's powers and sums, and the
-    # samples: 5.0 measured; a placeholder grid beside them reaches 6.0
+    # the kernel's two powers and its product, which becomes the samples,
+    # on broadcast views of the axis centers: 3.0 measured; the two
+    # cell-center columns of a meshgrid beside them reach 5.0
     s = Chart(ChartKind.SYMPLECTIC, 1)
     f0 = s.parse("1 + q1^2*p1^2/10")
     f0.eval_array([np.zeros(1), np.zeros(1)])  # compile the kernel
     grid, peak = traced_peak(lambda: GridDensity.sample(s, _WIDE, f0))
     assert grid.values.shape == (1000, 1000)
-    assert peak < 5.5 * _WIDE_GRID
+    assert peak < 3.5 * _WIDE_GRID
+
+
+@pytest.mark.parametrize("kind, sizes, H, bound", [
+    # -v and v > 0 of both axes, each velocity spanning one axis: 2.25
+    # measured; velocities and source on meshgrid cell centers reach 6.25
+    (ChartKind.SYMPLECTIC, (1000, 1000), "p1^2/2 + q1^2/2", 2.5),
+    # the same, plus two full velocities and the kernel's sums: 4.01
+    # measured; on meshgrid cell centers, 6.25
+    (ChartKind.SYMPLECTIC, (1000, 1000), "p1^2/2 + q1^2/2 + q1^2*p1^2/10", 4.5),
+    # three winds and the flat source: 4.39 measured; on meshgrid cell
+    # centers, 10.38
+    (ChartKind.CONTACT, (100, 100, 100), "p1^2/2 + q1^2/2 + z/5", 5.0),
+])
+def test_the_grid_setup_holds_what_the_steps_read(kind, sizes, H, bound):
+    # `_transport` plus the wind and the source, on 10^6 cells, in units of
+    # one float64 grid array
+    chart = Chart(kind, 1)
+    axes = tuple(GridAxis(name, -2.0, 2.0, size) for name, size in zip(chart.coord_names, sizes))
+    dyn = _dyn(chart, chart.parse(H))
+
+    def setup():
+        rate, moving, _, _ = kinetics._transport(dyn, axes, (0.1,), None, 0.9, 10 ** 6, "cells")
+        return kinetics._grid_terms(chart, rate, moving, axes)
+
+    setup()  # compile the kernels
+    (wind, src), peak = traced_peak(setup)
+    assert len(wind) == len(sizes) and (src is None) == (kind is ChartKind.SYMPLECTIC)
+    assert peak < bound * _WIDE_GRID
 
 
 def test_depositing_holds_one_grid_array():
@@ -1278,18 +1330,22 @@ def test_the_grid_step_is_bit_identical_at_every_stride(active, boundaries):
 
 
 @pytest.mark.parametrize("kind", [ChartKind.CONTACT, ChartKind.COCONTACT])
-def test_a_grid_solve_builds_its_cell_centers_once(monkeypatch, kind):
-    # the setup's velocities and the source share one build of the cell centers
+def test_a_grid_solve_builds_no_point_grid(monkeypatch, kind):
+    # the sample, the setup's velocities and the source all evaluate on
+    # broadcast views of the axis centers
     chart = Chart(kind, 1)
     axes = tuple(GridAxis(name, -2.0, 2.0, 1 if name == "t" else 32) for name in chart.coord_names)
-    f0 = GridDensity.sample(chart, axes, chart.parse("1 + q1^2*p1^2/10"))
     dyn = _dyn(chart, chart.parse("p1^2/2 + q1^2/2 + z/5"))
-    assert not weight_rate(dyn).is_zero()  # a source, evaluated on the cell centers
-    calls = []
-    build = kinetics._cell_centers
-    monkeypatch.setattr(kinetics, "_cell_centers", lambda axes: calls.append(axes) or build(axes))
-    solve_density_grid(dyn, f0, [0.004], 0.002)
-    assert calls == [axes]
+    assert not weight_rate(dyn).is_zero()  # a source, evaluated on the grid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point grid was built")
+
+    monkeypatch.setattr(kinetics, "_cell_centers", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    f0 = GridDensity.sample(chart, axes, chart.parse("1 + q1^2*p1^2/10"))
+    (grid,) = solve_density_grid(dyn, f0, [0.004], 0.002)
+    assert np.isfinite(grid.values).all()
 
 
 def test_the_grid_solve_holds_a_fixed_number_of_grid_arrays():

@@ -252,6 +252,61 @@ def test_kernel_is_bit_identical_to_the_reference_walk(data):
     assert p.eval_array(pts.T).tobytes() == np.array([p.eval(row) for row in pts]).tobytes()
 
 
+@st.composite
+def grid_polys(draw, chart):
+    """A polynomial on `chart`'s coordinates: random terms, the same with
+    some coordinates dropped, a Hamiltonian field component, a constant
+    or zero."""
+    shape = draw(st.sampled_from(["terms", "partial", "field", "constant", "zero"]))
+    if shape == "constant":
+        return Poly.const(chart.dim, draw(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)))
+    if shape == "zero":
+        return Poly.zero(chart.dim)
+    p = draw(terms_of_degree_8(chart.dim))
+    if shape == "field":
+        spec = FieldSpec(chart, Family.HAMILTONIAN, Gauge.ZERO if chart.has_time else None)
+        return draw(st.sampled_from(make_field(spec, p).components))
+    if shape == "partial":
+        kept = draw(st.sets(st.integers(0, chart.dim - 1), max_size=chart.dim - 1))
+        terms = {}
+        for exps, coeff in p.terms.items():
+            exps = tuple(e if i in kept else 0 for i, e in enumerate(exps))
+            terms[exps] = terms.get(exps, 0) + coeff
+        p = Poly(chart.dim, terms)
+    return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eval_grid_broadcasts_to_eval_array_on_the_meshgrid_bit_for_bit(data):
+    chart = Chart(data.draw(st.sampled_from(list(ChartKind))), data.draw(st.integers(1, 2)))
+    p = data.draw(grid_polys(chart))
+    largest = 5 if chart.n == 1 else 3
+    # collapsed (one value) and active axes; values past 1e30 overflow to inf at degree 8
+    values = st.one_of(COORDINATES, st.sampled_from([1e200, -1e250, 1e308, -1.7e308]))
+    coords = [np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+              for size in (data.draw(st.sampled_from([1, *range(2, largest + 1)]))
+                           for _ in range(chart.dim))]
+    shape = tuple(len(c) for c in coords)
+    with np.errstate(all="ignore"):
+        got = p.eval_grid(coords)
+        want = p.eval_array([g.ravel() for g in np.meshgrid(*coords, indexing="ij")])
+    assert got.shape == tuple(n if p.depends_on(k) else 1 for k, n in enumerate(shape))
+    assert np.broadcast_to(got, shape).tobytes() == want.tobytes()
+
+
+def test_eval_grid_runs_the_array_kernel_and_refuses_bad_axes():
+    p = P("x^3*y - 2*y^2 + 1/3")
+    p.eval_array([np.ones(2), np.ones(2)])
+    kernel = p._kernel
+    x, y = np.array([0.5, 2.0, -1.0]), np.array([-1.5, 3.0])
+    assert p.eval_grid([x, y]).tolist() == [[p.eval([a, b]) for b in y] for a in x]
+    assert P("y^2").eval_grid([x, y]).shape == (1, 2) and p._kernel is kernel
+    for bad in ([x], [x, y, y], [x, np.ones((2, 1))], [x, 2.0]):
+        with pytest.raises(ValueError, match="^need 2 one-dimensional coordinate arrays"):
+            p.eval_grid(bad)
+
+
 def reference_eval(p, point):
     """`Poly.eval` as the generic wrapper it was before the checked scalar
     entry: the length check, the float map, the finiteness check and the
