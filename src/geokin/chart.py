@@ -124,10 +124,6 @@ class Chart:
     def zero(self) -> Poly:
         return Poly.zero(self.dim)
 
-    def partial(self, f: Poly, slot: int) -> Poly:
-        """df/dx^slot; the cached zero, with no derivative taken, when f is zero."""
-        return f.partial(slot) if f else self.zero()
-
     def const(self, value: Rational) -> Poly:
         return Poly.const(self.dim, value)
 

@@ -51,10 +51,10 @@ def momentum_map(Pi: OneFormExpr) -> Poly:
     f = divergence(sharp(Pi, SharpVariant.FULL))
     if chart.has_z:
         pi_z = Pi.components[chart.z_slot]
-        f = f - chart.partial(pi_z, chart.z_slot) - pi_z
+        f = f - pi_z.partial(chart.z_slot) - pi_z
     if chart.has_time:
         pi_t = Pi.components[chart.t_slot]
-        f = f - chart.partial(pi_t, chart.t_slot)
+        f = f - pi_t.partial(chart.t_slot)
     return f
 
 

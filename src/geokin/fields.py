@@ -120,7 +120,7 @@ def _gauge_value(spec: FieldSpec, H: Poly) -> Poly:
         return Poly.zero(H.dim)
     if spec.gauge is Gauge.ONE:
         return Poly.const(H.dim, 1)
-    return chart.partial(H, chart.t_slot)
+    return H.partial(chart.t_slot)
 
 
 def make_field(spec: FieldSpec, H: Poly) -> VectorFieldExpr:
@@ -134,11 +134,11 @@ def make_field(spec: FieldSpec, H: Poly) -> VectorFieldExpr:
     if chart.has_time:
         t = chart.t_slot
         comps[t] = Poly.sum_of_products(chart.dim, [
-            (1, comps[t], None), (1, _gauge_value(spec, H), None), (-1, chart.partial(H, t), None)])
+            (1, comps[t], None), (1, _gauge_value(spec, H), None), (-1, H.partial(t), None)])
     if chart.has_z:
         z = chart.z_slot
         comps[z] = Poly.sum_of_products(chart.dim, [
-            (1, comps[z], None), (1, _eta_value(spec, H), None), (-1, chart.partial(H, z), None)])
+            (1, comps[z], None), (1, _eta_value(spec, H), None), (-1, H.partial(z), None)])
     return VectorFieldExpr._of(chart, tuple(comps))
 
 
@@ -167,7 +167,7 @@ def diagnostics(spec: FieldSpec, H: Poly) -> FieldDiagnostics:
     div = zero
     rate = zero
     if chart.has_z:
-        Hz = chart.partial(H, chart.z_slot)
+        Hz = H.partial(chart.z_slot)
         if spec.family is Family.HAMILTONIAN:
             div = div - (chart.n + 1) * Hz
             rate = rate - Hz * H
@@ -175,16 +175,16 @@ def diagnostics(spec: FieldSpec, H: Poly) -> FieldDiagnostics:
             div = div - chart.n * Hz
         # strict rows contribute nothing: Hz vanishes identically
     if chart.has_time:
-        Ht = chart.partial(H, chart.t_slot)
+        Ht = H.partial(chart.t_slot)
         if spec.gauge is Gauge.ONE:
             rate = rate + Ht
         elif spec.gauge is Gauge.GRAD_H:
-            div = div + chart.partial(Ht, chart.t_slot)
+            div = div + Ht.partial(chart.t_slot)
             rate = rate + Ht * Ht
 
-    conformal_eta = -chart.partial(H, chart.z_slot) if chart.has_z else None
+    conformal_eta = -H.partial(chart.z_slot) if chart.has_z else None
     conformal_tau = (
-        -chart.partial(H, chart.t_slot) if (chart.has_z and chart.has_time) else None
+        -H.partial(chart.t_slot) if (chart.has_z and chart.has_time) else None
     )
     return FieldDiagnostics(div, rate, conformal_eta, conformal_tau)
 

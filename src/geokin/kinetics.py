@@ -41,10 +41,11 @@ which keeps the deposit's additions in the order of one whole-column
 pass, and the file writers format one block at a time; the particle CSV
 goes through `flow.write_csv`, as the trajectory CSV does.
 
-The grid solver is the independent oracle: from a sampled `GridDensity`,
-method of lines with first-order upwind transport per advecting axis
-(one difference per cell face), the pointwise source (n+2) R_eta(H) f
-(the factor is `density.growth_factor`), and SSP-RK3 in time under an
+The grid solver is the independent oracle: from f0 as the particle solver
+takes it, sampled once after every up-front refusal, method of lines with
+first-order upwind transport per advecting axis (one difference per cell
+face), the pointwise source (n+2) R_eta(H) f (the factor is
+`density.growth_factor`), and SSP-RK3 in time under an
 explicit CFL guard, through every snapshot time in one call.  The source
 comes from `eval_grid` too; it, and -v and the wind direction v > 0 of
 each active axis, are materialized full and flat once per solve
@@ -86,7 +87,7 @@ class StabilityError(RuntimeError):
     """A solver was asked to run outside its stability envelope."""
 
 
-_BOUNDARIES = ("zero", "periodic")
+BOUNDARIES = ("zero", "periodic")
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ class GridAxis:
             raise ValueError("axis size must be at least 1")
         if not 0.0 < self.dx < math.inf:  # (hi - lo) / size may underflow or overflow
             raise ValueError(f"axis {self.name}: hi must exceed lo by a finite nonzero cell width")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"axis {self.name}: boundary must be one of {_BOUNDARIES}")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"axis {self.name}: boundary must be one of {BOUNDARIES}")
 
     @property
     def dx(self) -> float:
@@ -211,9 +212,9 @@ class GridDensity:
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; zero outside zero-boundary axes.  No
-        CLI path calls it; it stays as the deposit's adjoint, as the way to
-        seed a density known only on a grid, and because perfbench's tracer
-        wraps it by name."""
+        CLI path calls it; it stays as the deposit's adjoint, as the f0 by
+        which a density known only on a grid enters either solver, and
+        because perfbench's tracer wraps it by name."""
         pts = np.asarray(points, dtype=float)
         out = np.zeros(pts.shape[0])
         values = self.values.ravel()
@@ -379,39 +380,40 @@ def _ssp_rk3_step(rhs, v: np.ndarray, h: float, out: np.ndarray, r: np.ndarray,
 
 def solve_density_grid(
     dyn: Dynamics,
-    f0: GridDensity,
+    f0: Density,
     times: Sequence[float],
     dt: float | None = None,
     cfl: float = 0.9,
+    *,
+    axes: Sequence[GridAxis],
 ) -> list[GridDensity]:
     """Method-of-lines oracle for the density equation.
 
-    First-order upwind transport along each active axis, pointwise
-    source (n+2) R_eta(H) f on z-charts, SSP-RK3 in time.  Returns the
-    density at each of `times` (nondecreasing, from s = 0), one grid per
-    time, all held until the call returns.  The setup runs once; each span
-    between consecutive times is its own segment of ceil(span/dt) equal
-    steps.  Raises ValueError where `_transport` refuses the setup, any
-    segment needs more than `budgets.MAX_STEPS` steps or cells x steps over
-    all segments exceed `budgets.MAX_WORK`, all before the first step, and
-    StabilityError if the requested dt violates the CFL bound or a step
-    loses finiteness.  Past those refusals the steps run in a fixed
+    f0 and `axes` as for `solve_density_particle`.  First-order upwind
+    transport along each active axis, pointwise source (n+2) R_eta(H) f on
+    z-charts, SSP-RK3 in time.  Returns the density at each of `times`
+    (nondecreasing, from s = 0), one grid per time, all held until the call
+    returns.  The setup runs once; each span between consecutive times is
+    its own segment of ceil(span/dt) equal steps.  Raises ValueError where
+    `_transport` refuses the setup, any segment needs more than
+    `budgets.MAX_STEPS` steps or cells x steps over all segments exceed
+    `budgets.MAX_WORK`, and StabilityError if the requested dt violates the
+    CFL bound, all before f0 is sampled (`GridDensity.sample`, once), and
+    StabilityError if a step loses finiteness.  The steps run in a fixed
     workspace of five grid arrays and a mask, besides -v, v > 0 and the
-    source; each returned grid owns its array, none is written again, and
-    none is f0's.
+    source; each returned grid owns its array, and none is written again.
     """
-    chart = dyn.spec.chart
-    spans = budgets.snapshot_spans(times)
-    rate, moving, limit, counts = _transport(dyn, f0.axes, spans, dt, cfl, f0.values.size,
-                                             "cells")
+    chart, axes = dyn.spec.chart, tuple(axes)
+    shape, spans = tuple(a.size for a in axes), budgets.snapshot_spans(times)
+    rate, moving, limit, counts = _transport(dyn, axes, spans, dt, cfl, math.prod(shape), "cells")
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
-    wind, src = _grid_terms(chart, rate, moving, f0.axes)
+    wind, src = _grid_terms(chart, rate, moving, axes)
     del moving  # -v and v > 0 are all the steps read
-    shape = f0.values.shape
     # the workspace: the state, its spare, the right-hand side, the second
-    # stage and the face scratch, flat, plus the finiteness mask
-    v = f0.values.flatten()
+    # stage and the face scratch, flat, plus the finiteness mask; the state
+    # is a copy, for a callable f0 may return an array its caller holds
+    v = GridDensity.sample(chart, axes, f0).values.flatten()
     spare, r, stage, face = (np.empty_like(v) for _ in range(4))
     finite = np.empty(v.size, dtype=bool)
 
@@ -433,7 +435,7 @@ def solve_density_grid(
             v, spare = spare, v
             if not np.isfinite(v, out=finite).all():
                 raise StabilityError("grid solution lost finiteness; reduce dt")
-        grids.append(GridDensity(chart, f0.axes, v.reshape(shape)))
+        grids.append(GridDensity(chart, axes, v.reshape(shape)))
         if len(grids) < len(spans):
             v = v.copy()  # the snapshot owns its array; the steps go on in a copy
     return grids

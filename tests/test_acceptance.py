@@ -471,9 +471,7 @@ def test_criterion_8_kinetic_solvers():
         _dyn(contact, H), f0, t_final=0.5, dt=0.01,
         particle_count=100_000, seed=5, axes=contact_axes,
     )
-    [grid] = solve_density_grid(
-        _dyn(contact, H), GridDensity.sample(contact, contact_axes, f0), [0.5]
-    )
+    [grid] = solve_density_grid(_dyn(contact, H), f0, [0.5], axes=contact_axes)
 
     def dilated(pts):
         scaled = pts.copy()
@@ -502,7 +500,7 @@ def test_criterion_8_kinetic_solvers():
     if drift > 1e-10:
         failures.append(f"particle mass drift {drift:.2e} > 1e-10")
     g0 = GridDensity.sample(contact, cons_axes, f0)
-    [gout] = solve_density_grid(_dyn(contact, H), g0, [1.0])
+    [gout] = solve_density_grid(_dyn(contact, H), f0, [1.0], axes=cons_axes)
     drift = abs(gout.total_mass() - g0.total_mass()) / g0.total_mass()
     if drift > 1e-10:
         failures.append(f"grid mass drift {drift:.2e} > 1e-10")

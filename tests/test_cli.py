@@ -711,6 +711,57 @@ def test_a_grid_run_past_the_work_budget_is_refused_before_stepping(tmp_path, ca
     assert not (tmp_path / "g.grid").exists()
 
 
+def _coupled_grid_config(tmp_path, size, t_final, dt):
+    """A symplectic `kinetic-grid` run on [-2, 2]^2 whose density couples q1
+    and p1, so that its samples span the whole grid."""
+    cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2 + q1^2/2", t_final, dt)
+    cfg["initial"]["grid"]["axes"] = [{"lo": -2.0, "hi": 2.0, "size": size}] * 2
+    cfg["initial"]["density"] = "1 + q1^2*p1^2/10"
+    return cfg
+
+
+def test_a_grid_run_past_the_work_budget_at_the_cfl_limit_samples_nothing(tmp_path, capsys):
+    # no dt: at the CFL limit 1000^2 cells need 2220 steps to s = 2.  The
+    # solver refuses the run before it samples f0; each velocity spans one
+    # axis, so the setup holds no grid of 1000^2 values (0.01 grid measured;
+    # a run that samples f0 before the refusal reaches 3.0)
+    cfg = _coupled_grid_config(tmp_path, 1000, 2.0, None)
+    del cfg["time"]["dt"]
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["validate", path]) == 0
+    capsys.readouterr()
+    rc, peak = traced_peak(lambda: cli.main(["run", path]))
+    assert rc == 1
+    assert peak < 8 * 1000 ** 2
+    assert capsys.readouterr().err == (
+        "error: 1000000 cells x 2220 steps exceed the work budget of 1000000000\n")
+    assert not (tmp_path / "g.grid").exists()
+
+
+def test_a_grid_run_holds_no_sample_beside_its_workspace(tmp_path, capsys):
+    # 500^2 cells, 10 steps: the solver's own sample of f0 is gone before its
+    # workspace is allocated (7.4 grid arrays measured); a sample the CLI
+    # holds through the solve reaches 8.4
+    path = write_config(tmp_path, _coupled_grid_config(tmp_path, 500, 0.01, 0.001))
+    assert cli.main(["run", path]) == 0  # compile the kernels
+    capsys.readouterr()
+    rc, peak = traced_peak(lambda: cli.main(["run", path]))
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("kinetic-grid: s=0.01 mass=")
+    assert peak < 8 * 500 ** 2 * 8
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_bad_axis_boundary_is_a_config_error_at_its_key(tmp_path, capsys, command):
+    cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2", 0.02, 0.01)
+    cfg["initial"]["grid"]["axes"][1]["boundary"] = "reflect"
+    assert cli.main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error at $.initial.grid.axes[1].boundary: unknown value 'reflect'; "
+        "choose from zero, periodic\n")
+    assert not (tmp_path / "g.grid").exists()
+
+
 def test_grid_snapshots_past_the_value_budget_are_refused_without_allocating(tmp_path, capsys):
     # 1000^2 cells x 2 coordinates fit the grid budget; three snapshots of them do not
     cfg = _kinetic_config(tmp_path, "kinetic-grid", "p1^2/2", None, 0.01)
@@ -761,10 +812,11 @@ def task_config(tmp_path, task, **overrides):
 
 
 def set_path(cfg, path, value):
-    """Set the config key at JSON `path`, making its sections on the way."""
+    """Set the config key at JSON `path`, making its sections on the way; a
+    `*` section is the first entry of the list there."""
     *sections, key = path.split(".")[1:]
     for name in sections:
-        cfg = cfg.setdefault(name, {})
+        cfg = cfg[0] if name == "*" else cfg.setdefault(name, {})
     cfg[key] = value
 
 
@@ -779,6 +831,7 @@ _PAST_THEIR_RULES = [
     ("$.initial.one_form", ["q1"], ("momentum-check",)),
     ("$.initial.grid.axes", [{"lo": 0.0, "hi": 1.0, "size": 1}],
      ("kinetic-grid", "kinetic-particle")),
+    ("$.initial.grid.axes.*.boundary", "reflect", ("kinetic-grid", "kinetic-particle")),
     ("$.time.t_final", -1.0, _FIELD_READERS),
     ("$.time.dt", 0.0, _FIELD_READERS),
     ("$.time.cfl", -0.5, ("kinetic-grid",)),
@@ -801,11 +854,15 @@ def test_a_rule_applies_to_the_tasks_that_read_its_key(tmp_path, capsys, task):
     assert scoped <= {path for path, _, _ in _PAST_THEIR_RULES}
     for path, value, readers in _PAST_THEIR_RULES:
         cfg = task_config(tmp_path, task)
+        if ".*." in path:  # a key of each axis: every task gets the kinetic grid
+            cfg.setdefault("initial", {})["grid"] = task_config(tmp_path, "kinetic-grid")[
+                "initial"]["grid"]
         set_path(cfg, path, value)
         code = cli.main(["validate", write_config(tmp_path, cfg)])
         out, err = capsys.readouterr()
         if task in readers:
-            assert (code, err.partition(": ")[0]) == (2, f"config error at {path}"), path
+            where = path.replace(".*", "[0]")
+            assert (code, err.partition(": ")[0]) == (2, f"config error at {where}"), path
         else:
             assert (code, out.partition("\n")[0], err) == (0, "ok", ""), path
 

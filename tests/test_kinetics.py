@@ -631,8 +631,9 @@ def test_particles_are_written_as_before(monkeypatch, tmp_path, kind, rows):
 def test_grid_zero_field_is_identity():
     s = Chart(ChartKind.SYMPLECTIC, 1)
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
-    g0 = GridDensity.sample(s, axes, _gauss((0, 0), (0.5, 0.5)))
-    [out] = solve_density_grid(_dyn(s, s.zero()), g0, [1.0])
+    f0 = _gauss((0, 0), (0.5, 0.5))
+    g0 = GridDensity.sample(s, axes, f0)
+    [out] = solve_density_grid(_dyn(s, s.zero()), f0, [1.0], axes=axes)
     # stage recombination rounds at 1 ulp; nothing else may move
     assert np.max(np.abs(out.values - g0.values)) <= 1e-14 * np.max(g0.values)
 
@@ -641,8 +642,9 @@ def test_grid_rigid_rotation_moves_center_one_quarter_turn():
     s = Chart(ChartKind.SYMPLECTIC, 1)
     H = s.parse("(q1^2 + p1^2)/2")
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
-    g0 = GridDensity.sample(s, axes, _gauss((1.0, 0.0), (0.25, 0.25)))
-    [out] = solve_density_grid(_dyn(s, H), g0, [math.pi / 2])
+    f0 = _gauss((1.0, 0.0), (0.25, 0.25))
+    g0 = GridDensity.sample(s, axes, f0)
+    [out] = solve_density_grid(_dyn(s, H), f0, [math.pi / 2], axes=axes)
     pts = grid_points(out)
     mass = out.values.ravel()
     q_bar = float((pts[:, 0] * mass).sum() / mass.sum())
@@ -658,9 +660,8 @@ def test_grid_guards():
     s = Chart(ChartKind.SYMPLECTIC, 1)
     H = s.parse("(q1^2 + p1^2)/2")
     axes = (GridAxis("q1", -2, 2, 64), GridAxis("p1", -2, 2, 64))
-    g0 = GridDensity.sample(s, axes, _gauss((1, 0), (0.3, 0.3)))
     with pytest.raises(StabilityError):
-        solve_density_grid(_dyn(s, H), g0, [0.5], dt=0.5)
+        solve_density_grid(_dyn(s, H), _gauss((1, 0), (0.3, 0.3)), [0.5], dt=0.5, axes=axes)
     # the axis and chart checks are shared: test_both_solvers_refuse_the_same_bad_grids
 
 
@@ -760,7 +761,7 @@ def test_particle_vs_grid_cross_oracle_contact_decay():
     f0 = _gauss((None, 0.0, 0.0), (None, 0.9, 0.9))
     t = 0.5
     particle = solve_density_particle(_dyn(c, H), f0, t_final=t, dt=0.01, particle_count=100_000, seed=5, axes=_CONTACT_AXES)
-    [grid] = solve_density_grid(_dyn(c, H), GridDensity.sample(c, _CONTACT_AXES, f0), [t])
+    [grid] = solve_density_grid(_dyn(c, H), f0, [t], axes=_CONTACT_AXES)
     ref = GridDensity.sample(c, _CONTACT_AXES, _contact_exact(f0, t))
     assert l1_distance(particle.deposited, grid) <= 0.05 * l1_norm(ref)
 
@@ -790,7 +791,7 @@ def test_grid_contact_decay_converges_first_order():
             GridAxis("z", -2.0, 2.0, cells),
         )
         f0 = _gauss((None, 0.5, 0.4), (None, 0.5, 0.5))
-        [grid] = solve_density_grid(_dyn(c, H), GridDensity.sample(c, axes, f0), [t])
+        [grid] = solve_density_grid(_dyn(c, H), f0, [t], axes=axes)
         ref = GridDensity.sample(c, axes, _contact_exact(f0, t))
         errs.append(l1_distance(grid, ref) / l1_norm(ref))
     assert errs[0] <= 0.10  # upwind diffusion level at 64^2
@@ -936,8 +937,7 @@ def test_the_particle_push_starts_no_thread(monkeypatch):
 
 def _solve(solver, dyn, axes, f0, t_final=0.1, dt=None):
     if solver == "grid":
-        f0 = GridDensity.sample(dyn.spec.chart, axes, f0)
-        return solve_density_grid(dyn, f0, [t_final], dt)
+        return solve_density_grid(dyn, f0, [t_final], dt, axes=axes)
     return solve_density_particle(dyn, f0, t_final, 0.01 if dt is None else dt, 1_000, axes=axes)
 
 
@@ -974,6 +974,24 @@ def test_both_solvers_refuse_any_row_but_hamiltonian_gauge_zero(solver, chart, s
         _solve(solver, dyn, axes, lambda pts: np.ones(len(pts)))
 
 
+def test_both_solvers_take_the_density_in_closed_form_and_the_axes_by_keyword():
+    import inspect
+
+    for solver in (solve_density_grid, solve_density_particle):
+        params = inspect.signature(solver).parameters
+        assert list(params)[:2] == ["dyn", "f0"] and params["f0"].annotation == "Density"
+        axes = params["axes"]
+        assert axes.kind is inspect.Parameter.KEYWORD_ONLY
+        assert axes.default is inspect.Parameter.empty
+    # a `Poly` is sampled on the axis centers, a callable on the cell
+    # centers; both give the grid solver the same bytes
+    axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32, "periodic"))
+    dyn, f0 = _dyn(_SYM, _SYM.parse("p1^2/2 + q1^2/2")), _SYM.parse("1 + q1^2*p1^2/10")
+    by_poly, by_callable = (solve_density_grid(dyn, f, [0.02, 0.05], 0.01, axes=axes)
+                            for f in (f0, lambda pts: f0.eval_array(pts.T)))
+    assert [g.values.tobytes() for g in by_poly] == [g.values.tobytes() for g in by_callable]
+
+
 @pytest.mark.parametrize("solver", ["grid", "particle"])
 @pytest.mark.parametrize("t_final, dt", [(-0.1, 0.01), (0.1, 0.0), (0.1, -0.01)])
 def test_both_solvers_refuse_bad_times(solver, t_final, dt):
@@ -988,9 +1006,9 @@ def test_the_grid_solver_refuses_a_cfl_that_is_not_positive(monkeypatch, cfl):
     # before any grid is built: a negative CFL number would give one step over the whole span
     monkeypatch.setattr(kinetics, "_cell_centers", None)
     axes = (GridAxis("q1", -2, 2, 32), GridAxis("p1", -2, 2, 32))
-    f0 = GridDensity(_SYM, axes, np.ones((32, 32)))
     with pytest.raises(ValueError, match=r"need cfl > 0, not"):
-        solve_density_grid(_dyn(_SYM, _SYM.parse("p1^2/2")), f0, [1.0], cfl=cfl)
+        solve_density_grid(_dyn(_SYM, _SYM.parse("p1^2/2")), lambda pts: np.ones(len(pts)),
+                           [1.0], cfl=cfl, axes=axes)
 
 
 @pytest.mark.parametrize("run", ["grid", "particle", "grid-3-snapshots"])
@@ -1244,7 +1262,8 @@ def test_grid_solver_is_bit_identical_to_the_padded_upwind_solver(kind, data):
             return grids
 
         want = _outcome(reference)
-        got = _outcome(lambda: solve_density_grid(_dyn(chart, H), f0, times, dt, cfl))
+        got = _outcome(lambda: solve_density_grid(_dyn(chart, H), lambda pts: values.ravel(),
+                                                  times, dt, cfl, axes=axes))
     if isinstance(want, str):
         assert got == want
         return
@@ -1285,13 +1304,15 @@ def test_every_snapshot_keeps_its_bytes_to_the_end_of_the_solve(kind, times):
                     else "q1*p1/2 + q1^2*p1/3 + z/4")
     axes = tuple(GridAxis(name, -1.0, 1.0, 1 if name in ("t", "z") else 33, "zero")
                  for name in chart.coord_names)
-    f0 = GridDensity(chart, axes, _random_values(tuple(a.size for a in axes), 7))
+    values = _random_values(tuple(a.size for a in axes), 7)
     with np.errstate(all="ignore"):
-        got = solve_density_grid(_dyn(chart, H), f0, times, 0.002)
-        want = reference_snapshots(chart, H, f0, times, 0.002)
+        # f0 hands back the caller's own array, as a view in C order
+        got = solve_density_grid(_dyn(chart, H), lambda pts: values.ravel(), times, 0.002,
+                                 axes=axes)
+        want = reference_snapshots(chart, H, GridDensity(chart, axes, values), times, 0.002)
     assert [g.values.tobytes() for g in got] == [w.values.tobytes() for w in want]
     # each snapshot owns its array, and none is the caller's
-    arrays = [f0.values, *(g.values for g in got)]
+    arrays = [values, *(g.values for g in got)]
     assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
@@ -1321,18 +1342,18 @@ def test_the_grid_step_is_bit_identical_at_every_stride(active, boundaries):
     kinds = dict(zip(active, boundaries))
     axes = tuple(GridAxis(name, -1.0, 1.0, 33 if k in kinds else 1, kinds.get(k, "zero"))
                  for k, name in enumerate(chart.coord_names))
-    f0 = GridDensity(chart, axes, _random_values(tuple(a.size for a in axes), len(active)))
+    values = _random_values(tuple(a.size for a in axes), len(active))
     times = [0.004, 0.01]
     with np.errstate(all="ignore"):
-        got = solve_density_grid(_dyn(chart, H), f0, times)
-        want = reference_snapshots(chart, H, f0, times, None)
+        got = solve_density_grid(_dyn(chart, H), lambda pts: values.ravel(), times, axes=axes)
+        want = reference_snapshots(chart, H, GridDensity(chart, axes, values), times, None)
     assert [g.values.tobytes() for g in got] == [w.values.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("kind", [ChartKind.CONTACT, ChartKind.COCONTACT])
 def test_a_grid_solve_builds_no_point_grid(monkeypatch, kind):
-    # the sample, the setup's velocities and the source all evaluate on
-    # broadcast views of the axis centers
+    # the solve's own sample of a `Poly` density, the setup's velocities and
+    # the source all evaluate on broadcast views of the axis centers
     chart = Chart(kind, 1)
     axes = tuple(GridAxis(name, -2.0, 2.0, 1 if name == "t" else 32) for name in chart.coord_names)
     dyn = _dyn(chart, chart.parse("p1^2/2 + q1^2/2 + z/5"))
@@ -1343,23 +1364,26 @@ def test_a_grid_solve_builds_no_point_grid(monkeypatch, kind):
 
     monkeypatch.setattr(kinetics, "_cell_centers", refuse)
     monkeypatch.setattr(np, "meshgrid", refuse)
-    f0 = GridDensity.sample(chart, axes, chart.parse("1 + q1^2*p1^2/10"))
-    (grid,) = solve_density_grid(dyn, f0, [0.004], 0.002)
+    (grid,) = solve_density_grid(dyn, chart.parse("1 + q1^2*p1^2/10"), [0.004], 0.002,
+                                 axes=axes)
     assert np.isfinite(grid.values).all()
 
 
 def test_the_grid_solve_holds_a_fixed_number_of_grid_arrays():
-    """The traced peak of a solve does not grow with its step count, and
-    stays under 10 grid arrays (32^3 contact cells, three active axes and a
-    source: 9.6 measured; a step that allocates its stages reaches 11.9)."""
+    """The traced peak of a solve, its own sample of f0 included, does not
+    grow with its step count, and stays under 10 grid arrays (32^3 contact
+    cells, three active axes and a source: 9.6 measured, since the sample
+    is gone before the workspace is allocated; a step that allocates its
+    stages reaches 11.9)."""
     chart = Chart(ChartKind.CONTACT, 1)
     axes = tuple(GridAxis(name, -2.0, 2.0, 32) for name in chart.coord_names)
-    f0 = GridDensity.sample(chart, axes, chart.parse("1 + q1^2*p1^2/10"))
+    f0 = chart.parse("1 + q1^2*p1^2/10")
     dyn = _dyn(chart, chart.parse("p1^2/2 + q1^2/2 + z/5"))
-    grid = f0.values.nbytes
+    grid = 32 ** 3 * 8
     peaks = {}
     for steps in (10, 40):
-        _, peaks[steps] = traced_peak(lambda: solve_density_grid(dyn, f0, [steps * 0.002], 0.002))
+        _, peaks[steps] = traced_peak(
+            lambda: solve_density_grid(dyn, f0, [steps * 0.002], 0.002, axes=axes))
     assert abs(peaks[40] - peaks[10]) < grid / 2
     assert peaks[40] < 10 * grid
 
