@@ -28,7 +28,7 @@ from functools import partial, reduce
 
 from . import budgets
 from .chart import Chart, ChartKind, OneFormExpr
-from .density import intertwine_residual, kinetic_spec, weight_rate
+from .density import intertwine_residual, kinetic_spec, kinetic_terms
 from .fields import Dynamics, Family, FieldSpec, Gauge, StrictnessError
 from .flow import METHODS, IntegrationError, IntegratorConfig, integrate, write_trajectory_csv
 from .identities import run_identity_suite, suite_passed
@@ -84,9 +84,7 @@ def _at(cfg: dict, path: str):
 class Scenario:
     """A validated config, with everything parsed onto the chart."""
 
-    def __init__(self, raw: dict, task_override: str | None = None):
-        if task_override is not None and isinstance(raw, dict):
-            raw = {**raw, "task": task_override}
+    def __init__(self, raw: dict):
         cfg = _check(raw, "$", "$", raw.get("task") if isinstance(raw, dict) else None)
         self.task = task = cfg["task"]
         reads = partial(_reads, task)  # the value checks below apply to a key's readers
@@ -119,30 +117,30 @@ class Scenario:
                                         f"({', '.join(chart.coord_names)}); got {len(entries)}")
 
         self.hamiltonian = H = _parse_expr(chart, cfg["hamiltonian"], "$.hamiltonian")
-        self.field = self.dynamics = None
+        self.dynamics = None
         if reads("$.field"):  # each task that reads it requires the hamiltonian
             gauge = cfg["field"]["gauge"]
             if gauge is not None and not chart.has_time:
                 raise ConfigError("$.field.gauge",
                                   f"{chart.kind.value} charts carry no time gauge")
             try:
-                self.field = FieldSpec(chart, Family(cfg["field"]["family"]),
-                                       Gauge(gauge or "zero") if chart.has_time else None)
+                spec = FieldSpec(chart, Family(cfg["field"]["family"]),
+                                 Gauge(gauge or "zero") if chart.has_time else None)
             except ValueError as exc:
                 raise ConfigError("$.field", str(exc)) from None
-            if task in _KINETIC_TASKS and self.field != kinetic_spec(chart):
+            if task in _KINETIC_TASKS and spec != kinetic_spec(chart):
                 raise ConfigError("$.field", f"the kinetic tasks carry densities along the "
                                              f"hamiltonian field with gauge zero only, not "
-                                             f"{self.field.row_name}")
+                                             f"{spec.row_name}")
             # the run's one build of its field (and diagnostics), handed to its solver
-            self.dynamics = dyn = Dynamics(self.field, H)
+            self.dynamics = dyn = Dynamics(spec, H)
             # surface strictness, degree or float overflow, and a kernel past its
             # term budget in what a solver evaluates, before any solver runs
             try:
                 evaluated = [(f"X^{name}", c)
                              for name, c in zip(chart.coord_names, dyn.field.components)]
-                if task in _KINETIC_TASKS:  # self.field is their one row, checked above
-                    evaluated.append(("the weight rate", weight_rate(dyn)))
+                if task in _KINETIC_TASKS:  # their one row, checked above
+                    evaluated.append(("the weight rate", kinetic_terms(dyn)[0]))
                 if task == "simulate":  # and its monitors
                     evaluated += [("H", H), ("the energy rate X(H)", dyn.diagnostics.dH_along_flow),
                                   ("the divergence", dyn.diagnostics.divergence)]
@@ -225,13 +223,13 @@ class Scenario:
         if self.hamiltonian is not None:
             lines.append(f"hamiltonian: {self.hamiltonian.to_text(self.chart.coord_names)}")
         if self.task == "simulate":  # the kinetic tasks have one field
-            lines.append(f"field: {self.field.row_name}")
+            lines.append(f"field: {self.dynamics.spec.row_name}")
         if self.density is not None:
             lines.append(f"density: {self.density.to_text(self.chart.coord_names)}")
         return lines
 
 
-def load_scenario(path: str, task_override: str | None = None) -> Scenario:
+def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -241,7 +239,7 @@ def load_scenario(path: str, task_override: str | None = None) -> Scenario:
         raise ConfigError("$", f"config is not UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:  # nested too deep, or an int past 4300 digits
         raise ConfigError("$", f"invalid JSON: {exc}") from None
-    return Scenario(raw, task_override)
+    return Scenario(raw)
 
 
 def _prepare(path: str) -> str:
@@ -259,7 +257,7 @@ def _run_simulate(s: Scenario) -> int:
         method=s.method, step=s.dt if s.dt is not None else 1e-3,
         rel_tol=float(s.rel_tol), abs_tol=float(s.abs_tol),
     )
-    traj = integrate(s.dynamics, s.point, (0.0, float(s.t_final)), cfg)
+    traj = integrate(s.dynamics, s.point, float(s.t_final), cfg)
     out = _prepare(s.output["trajectory"])
     write_trajectory_csv(traj, out)
     final = ", ".join(
@@ -521,7 +519,6 @@ def main(argv: list[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config", help="path to the JSON scenario")
-    run_p.add_argument("--task", choices=TASKS, help="override the task in the config")
     run_p.add_argument("-v", "--verbose", action="store_true")
 
     val_p = sub.add_parser("validate", help="check a scenario config without running it")
@@ -549,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in scenario.summary_lines():
                 print(line)
             return 0
-        scenario = load_scenario(args.config, args.task)
+        scenario = load_scenario(args.config)
         return run_scenario(scenario, args.verbose)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)

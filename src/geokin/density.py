@@ -26,9 +26,9 @@ i.e. df/ds = {H,f} + (n+3) f R_eta(H) on contact and cocontact charts
 and the plain bracket equation elsewhere.
 
 What the solvers in `kinetics` read off the law: `kinetic_spec`, the one
-catalog row they carry densities along; `weight_rate`, R_eta(H), the
-rate of a particle's weight; and `growth_factor`, the multiple of that
-rate in the grid's pointwise source.
+catalog row they carry densities along, and `kinetic_terms`, the rate of
+a particle's weight (the law's f-coefficient plus the volume change) and
+its multiple in the grid's pointwise source.
 """
 
 from __future__ import annotations
@@ -119,19 +119,14 @@ def dual_pairing_residual(chart: Chart, H: Poly, Pi: OneFormExpr) -> Poly:
     return lhs - rhs
 
 
-def weight_rate(dyn: Dynamics) -> Poly:
-    """R_eta(H) = dH/dz, the rate of the particle weights (zero off z-charts)."""
+def kinetic_terms(dyn: Dynamics) -> tuple[Poly, int]:
+    """(rate, growth) of the solvers: the particle weight rate, the law's
+    f-coefficient density_vlasov_rhs(chart, H, 1) plus div X of the field
+    (not its diagnostics, which also build X(H)), and b - a, the int
+    multiple of the rate that is the grid source, an exact multiple."""
     chart = dyn.spec.chart
-    return dyn.H.partial(chart.z_slot) if chart.has_z else chart.zero()
-
-
-def growth_factor(chart: Chart) -> int:
-    """The grid source's multiple of the weight rate.  The law's
-    f-coefficient is density_vlasov_rhs(chart, H, 1) = a {H, 1} + b R_eta(H)
-    with {H, 1} = -R_eta(H), so b - a = n + 2 on z-charts (the rate is zero
-    elsewhere).  An int, so that the source grid is an exact multiple."""
     a, b, _ = density_coefficients(chart)
-    return int(b - a)
+    return density_vlasov_rhs(chart, dyn.H, chart.const(1)) + divergence(dyn.field), int(b - a)
 
 
 def _solve_exact(rows: list[list[Fraction]], unknowns: int) -> list[Fraction] | None:

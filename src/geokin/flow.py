@@ -113,10 +113,10 @@ class StepBudgetError(IntegrationError):
 def integrate(
     dyn: Dynamics,
     x0: Sequence[float],
-    t_span: tuple[float, float],
+    t_final: float,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate the catalog field of `dyn` from x0 over t_span.
+    """Integrate the catalog field of `dyn` from x0 over s in [0, t_final].
 
     The flow parameter s is the integration variable; on charts with a
     time coordinate, t is part of the state and moves only as the gauge
@@ -129,9 +129,9 @@ def integrate(
         raise ValueError(f"initial state must have shape ({chart.dim},)")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    s0, s1 = float(t_span[0]), float(t_span[1])
-    if s1 < s0:
-        raise ValueError("backward integration is not supported; swap the span")
+    t_final = float(t_final)
+    if not t_final >= 0:  # NaN too
+        raise ValueError(f"need t_final >= 0, not {t_final!r}")
     comps, diag = dyn.field.components, dyn.diagnostics
     monitors = {"hamiltonian": dyn.H, "predicted_dH": diag.dH_along_flow,
                 "divergence": diag.divergence}
@@ -142,7 +142,7 @@ def integrate(
     x = x0.tolist()
     # s and the state at every accepted node, as growing arrays of doubles,
     # 8 bytes a value; states holds one row after another
-    times = array("d", [s0])
+    times = array("d", [0.0])
     states = array("d", x)
 
     def partial_trajectory() -> Trajectory:
@@ -155,55 +155,50 @@ def integrate(
             channels = _evaluate_monitors(monitors, rows)
         return Trajectory(spec, np.frombuffer(times), rows, channels)
 
+    def abort(error: type[IntegrationError], message: str, s: float) -> IntegrationError:
+        """`error` at the last good time `s`, with the run so far."""
+        return error(message, s, partial_trajectory())
+
     if config.method == "rk4":
-        total = s1 - s0
-        steps = total / config.step  # inf when a long span meets a tiny step
+        steps = t_final / config.step  # inf when a long span meets a tiny step
         if not steps <= budgets.MAX_STEPS:
-            raise StepBudgetError(
-                f"{steps:.6g} RK4 steps exceed the step budget of {budgets.MAX_STEPS}", s0,
-                partial_trajectory(),
-            )
-        n_steps = max(1, round(steps)) if total > 0 else 0
-        h = total / n_steps if n_steps else 0.0
+            raise abort(StepBudgetError, f"{steps:.6g} RK4 steps exceed the step budget of "
+                                         f"{budgets.MAX_STEPS}", 0.0)
+        n_steps = max(1, round(steps)) if t_final > 0 else 0
+        h = t_final / n_steps if n_steps else 0.0
         step = rk4_stepper(chart.dim)
         for k in range(n_steps):
             try:
                 x = step(fs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
-                raise BlowUpError(
-                    "state left the representable range mid-step", times[-1],
-                    partial_trajectory(),
-                ) from None
+                raise abort(BlowUpError, "state left the representable range mid-step",
+                            times[-1]) from None
             if not all(map(math.isfinite, x)):
-                raise BlowUpError("non-finite state", times[-1], partial_trajectory())
-            times.append(s0 + (k + 1) * h)
+                raise abort(BlowUpError, "non-finite state", times[-1])
+            times.append((k + 1) * h)
             states.extend(x)
     else:
-        fewest = (s1 - s0) / budgets.MAX_RK45_STEP
+        fewest = t_final / budgets.MAX_RK45_STEP
         if not fewest <= budgets.MAX_STEPS:
-            raise StepBudgetError(
-                f"{fewest:.6g} RKF45 steps of at most {budgets.MAX_RK45_STEP} exceed the step "
-                f"budget of {budgets.MAX_STEPS}", s0, partial_trajectory(),
-            )
-        s = s0
-        h = min(config.step, s1 - s0) if s1 > s0 else 0.0
+            raise abort(StepBudgetError, f"{fewest:.6g} RKF45 steps of at most "
+                                         f"{budgets.MAX_RK45_STEP} exceed the step budget of "
+                                         f"{budgets.MAX_STEPS}", 0.0)
+        s = 0.0
+        h = min(config.step, t_final) if t_final > 0 else 0.0
         steps = 0
         step, norm = rkf45_stepper(chart.dim), error_norm(chart.dim)
-        while s < s1:
+        while s < t_final:
             if steps >= budgets.MAX_STEPS:
-                raise StepBudgetError(
-                    f"step budget {budgets.MAX_STEPS} exhausted", s, partial_trajectory()
-                )
+                raise abort(StepBudgetError, f"step budget {budgets.MAX_STEPS} exhausted", s)
             steps += 1
-            h = min(h, budgets.MAX_RK45_STEP, s1 - s)
+            h = min(h, budgets.MAX_RK45_STEP, t_final - s)
             try:
                 x_new, err = step(fs, x, h)
             except (ValueError, OverflowError, FloatingPointError):
-                raise BlowUpError(
-                    "state left the representable range mid-step", s, partial_trajectory()
-                ) from None
+                raise abort(BlowUpError, "state left the representable range mid-step",
+                            s) from None
             if not all(map(math.isfinite, x_new)):
-                raise BlowUpError("non-finite state", s, partial_trajectory())
+                raise abort(BlowUpError, "non-finite state", s)
             err_norm = norm(err, x, x_new, config.abs_tol, config.rel_tol)
             if err_norm <= 1.0:
                 s = s + h
@@ -213,7 +208,7 @@ def integrate(
             factor = 0.9 * (err_norm ** -0.2) if err_norm > 0 else 5.0
             h = h * min(5.0, max(0.2, factor))
             if h <= 0 or not math.isfinite(h):
-                raise BlowUpError("step size collapsed", s, partial_trajectory())
+                raise abort(BlowUpError, "step size collapsed", s)
 
     return partial_trajectory()
 

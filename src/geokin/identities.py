@@ -320,9 +320,9 @@ def _field_laws(run: _Runner) -> None:
             def conformal(rng):
                 H = random_hamiltonian(rng, chart, z_free=z_free)
                 d = diagnostics(spec, H)
-                if d.conformal_eta != -H.partial(chart.z_slot):
+                if d.conformal_eta != -reeb_eta(chart).apply_to(H):
                     return f"conformal eta coefficient wrong at H = {_fmt(chart, H)}"
-                if chart.has_time and d.conformal_tau != -H.partial(chart.t_slot):
+                if chart.has_time and d.conformal_tau != -reeb_tau(chart).apply_to(H):
                     return f"conformal tau coefficient wrong at H = {_fmt(chart, H)}"
                 return None
 
@@ -332,9 +332,10 @@ def _field_laws(run: _Runner) -> None:
             H = random_hamiltonian(rng, chart, z_free=z_free)
             X = make_field(spec, H)
             if chart.has_z:
-                expected = eta.scaled(-H.partial(chart.z_slot))
+                d = diagnostics(spec, H)
+                expected = eta.scaled(d.conformal_eta)
                 if chart.has_time:
-                    expected = expected + tau.scaled(-H.partial(chart.t_slot))
+                    expected = expected + tau.scaled(d.conformal_tau)
                 if spec.family is Family.ENERGY:
                     expected = expected + differential(H, chart)
                 lie_eta = lie_derivative_oneform(X, eta)

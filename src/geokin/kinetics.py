@@ -2,15 +2,15 @@
 flow, by particles and on a grid, and the writers of their grid and
 particle files (nothing in geokin reads those files back).
 
-The law they carry, and what they read off it (the row, the weight rate
-R_eta(H) and the grid's growth factor), lives in `density`.  Both solvers
+The law they carry, and what they read off it (the row, and the weight
+rate and growth of `kinetic_terms`), lives in `density`.  Both solvers
 take a `fields.Dynamics` of that row, built once by the caller, and start
 from one setup per call, `_transport`: it checks the chart, the row, the
 times and the CFL number, evaluates the field the `Dynamics` holds on the
 grid by `Poly.eval_grid` on the axis centers, so each velocity spans only
 the axes its component depends on, refuses a velocity that is not finite
 there, a collapsed axis with transport across it and an active axis
-under 32 cells, and returns the weight rate, the velocity of each active
+under 32 cells, and returns those terms, the velocity of each active
 axis, the CFL limit and the steps of each span; it builds and returns no
 cell centers.  Both refuse a run past `budgets.MAX_STEPS` steps, or past
 `budgets.MAX_WORK` cells (or seeded particles) x steps, before the first
@@ -44,14 +44,14 @@ goes through `flow.write_csv`, as the trajectory CSV does.
 The grid solver is the independent oracle: from f0 as the particle solver
 takes it, sampled once after every up-front refusal, method of lines with
 first-order upwind transport per advecting axis (one difference per cell
-face), the pointwise source (n+2) R_eta(H) f (the factor is
-`density.growth_factor`), and SSP-RK3 in time under an
+face), the pointwise source (n+2) R_eta(H) f (growth times rate, from
+`density.kinetic_terms`), and SSP-RK3 in time under an
 explicit CFL guard, through every snapshot time in one call.  The source
 comes from `eval_grid` too; it, and -v and the wind direction v > 0 of
 each active axis, are materialized full and flat once per solve
 (`_grid_terms`), as the steps read them.  A `Poly` density is sampled
-the same way, materialized once as the grid's values; `_cell_centers`
-builds point columns only to seed particles and for a callable density.
+the same way, a callable on one stack of broadcast axis centers;
+`_cell_centers` builds point columns only to seed particles.
 It steps in a workspace allocated once per call, after every up-front
 refusal: five flat grid arrays (the state and the spare it alternates
 with, the right-hand side, the second stage and one face scratch shared
@@ -73,7 +73,7 @@ import numpy as np
 from . import budgets
 from .chart import Chart, VectorFieldExpr
 from .codegen import rk4_stepper
-from .density import growth_factor, kinetic_spec, weight_rate
+from .density import kinetic_spec, kinetic_terms
 from .density import intertwine_residual  # noqa: F401  perfbench/layers.py traces it here
 from .fields import Dynamics
 from .flow import row_blocks, write_csv
@@ -127,7 +127,7 @@ def _evaluate(density: Density, cols: Sequence[np.ndarray]) -> np.ndarray:
 
 def _cell_centers(axes: Sequence[GridAxis]) -> list[np.ndarray]:
     """Cell centers of a tensor-product grid, one column per axis, C order:
-    the seeding lattice, and the points a callable density takes."""
+    the seeding lattice."""
     return [g.ravel() for g in np.meshgrid(*[a.centers() for a in axes], indexing="ij")]
 
 
@@ -205,10 +205,11 @@ class GridDensity:
     @classmethod
     def sample(cls, chart: Chart, axes: Sequence[GridAxis], func: Density) -> "GridDensity":
         axes = tuple(axes)
-        shape = tuple(a.size for a in axes)
+        shape, centers = tuple(a.size for a in axes), [a.centers() for a in axes]
         if isinstance(func, Poly):
-            return cls(chart, axes, _full(func.eval_grid([a.centers() for a in axes]), shape))
-        return cls(chart, axes, _evaluate(func, _cell_centers(axes)).reshape(shape))
+            return cls(chart, axes, _full(func.eval_grid(centers), shape))
+        points = np.stack(np.broadcast_arrays(*np.ix_(*centers)), axis=-1).reshape(-1, len(axes))
+        return cls(chart, axes, np.asarray(func(points), dtype=float).reshape(shape))
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; zero outside zero-boundary axes.  No
@@ -265,8 +266,8 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     `Poly.eval_grid` on the axis centers, so it spans only the axes the
     component depends on; no cell centers are built or returned.
 
-    Returns (rate, moving, limit, counts): the weight rate, (k, velocity)
-    for each active axis k, in axis order, the CFL limit
+    Returns (terms, moving, limit, counts): `density.kinetic_terms(dyn)`,
+    (k, velocity) for each active axis k, in axis order, the CFL limit
     cfl / sum(max|v_k| / dx_k) over them (inf when nothing moves), and the
     steps of each span at `dt`, or at the limit when `dt` is None.
     """
@@ -302,15 +303,15 @@ def _transport(dyn: Dynamics, axes: tuple[GridAxis, ...], spans: Sequence[float]
     limit = cfl / rate if rate else math.inf
     if dt is None:  # dt is the CFL limit; with nothing moving it is inf, one step a span
         counts = budgets.step_counts(spans, limit, size, what)
-    return weight_rate(dyn), moving, limit, counts
+    return kinetic_terms(dyn), moving, limit, counts
 
 
-def _grid_terms(chart: Chart, rate: Poly, moving, axes: tuple[GridAxis, ...]):
-    """What the grid steps read, full and flat, from `_transport`'s rate and
+def _grid_terms(terms: tuple[Poly, int], moving, axes: tuple[GridAxis, ...]):
+    """What the grid steps read, full and flat, from `_transport`'s terms and
     velocities: the wind (-v, v > 0, the axis, its stride) of each moving
     axis, -v negated in place over the velocity it consumes, and the source
-    (n+2) R_eta(H) on the cell centers, or None where the rate is zero."""
-    shape = tuple(a.size for a in axes)
+    growth * rate on the cell centers, or None where the rate is zero."""
+    (rate, growth), shape = terms, tuple(a.size for a in axes)
     wind = []
     for k, vel in moving:
         v = _full(vel, shape).ravel()
@@ -318,7 +319,7 @@ def _grid_terms(chart: Chart, rate: Poly, moving, axes: tuple[GridAxis, ...]):
         wind.append((np.negative(v, out=v), pos, axes[k], math.prod(shape[k + 1:])))
     if rate.is_zero():
         return wind, None
-    src = growth_factor(chart) * rate.eval_grid([a.centers() for a in axes])
+    src = growth * rate.eval_grid([a.centers() for a in axes])
     return wind, _full(src, shape).ravel()
 
 
@@ -405,10 +406,10 @@ def solve_density_grid(
     """
     chart, axes = dyn.spec.chart, tuple(axes)
     shape, spans = tuple(a.size for a in axes), budgets.snapshot_spans(times)
-    rate, moving, limit, counts = _transport(dyn, axes, spans, dt, cfl, math.prod(shape), "cells")
+    terms, moving, limit, counts = _transport(dyn, axes, spans, dt, cfl, math.prod(shape), "cells")
     if dt is not None and dt > limit:
         raise StabilityError(f"dt={dt!r} exceeds the CFL bound {limit!r}")
-    wind, src = _grid_terms(chart, rate, moving, axes)
+    wind, src = _grid_terms(terms, moving, axes)
     del moving  # -v and v > 0 are all the steps read
     # the workspace: the state, its spare, the right-hand side, the second
     # stage and the face scratch, flat, plus the finiteness mask; the state
@@ -577,8 +578,8 @@ def solve_density_particle(
     axes = tuple(axes)
     # particles tolerate larger steps than the grid; guard at 4x CFL
     seeded_count = math.prod(budgets.seed_lattice([a.size for a in axes], particle_count))
-    rate, moving, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0, seeded_count,
-                                                 "seeded particles")
+    (rate, _), moving, guard, (n_steps,) = _transport(dyn, axes, (t_final,), dt, 4.0,
+                                                      seeded_count, "seeded particles")
     del moving  # the push evaluates the field on the particles
     if dt > guard:
         raise StabilityError(f"dt={dt!r} exceeds the particle guard {guard!r}")

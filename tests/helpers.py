@@ -69,7 +69,7 @@ def numeric_divergence(dyn: Dynamics, x: Sequence[float], h: float = 1e-4) -> fl
 def flow_map_logdet(
     dyn: Dynamics,
     x0: Sequence[float],
-    t_span: tuple[float, float],
+    t_final: float,
     config: IntegratorConfig = IntegratorConfig(),
     h: float = 1e-6,
 ) -> float:
@@ -85,8 +85,8 @@ def flow_map_logdet(
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = h
-        plus = integrate(dyn, x0 + e, t_span, config).states[-1]
-        minus = integrate(dyn, x0 - e, t_span, config).states[-1]
+        plus = integrate(dyn, x0 + e, t_final, config).states[-1]
+        minus = integrate(dyn, x0 - e, t_final, config).states[-1]
         jac[:, i] = (plus - minus) / (2.0 * h)
     sign, logdet = np.linalg.slogdet(jac)
     if sign <= 0:

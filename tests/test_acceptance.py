@@ -320,7 +320,7 @@ def test_criterion_6_flow_physics():
     spec = _hamiltonian_row(sym)
     oscillator = sym.parse("(q1^2 + p1^2)/2")
     x0 = [1.0, 0.0]
-    span = (0.0, 2.0 * math.pi)
+    span = 2.0 * math.pi
 
     # period return within 1e-8 at step 1e-3
     traj = integrate(Dynamics(spec, oscillator), x0, span, IntegratorConfig(step=1e-3))
@@ -344,7 +344,7 @@ def test_criterion_6_flow_physics():
     contact = Chart(ChartKind.CONTACT, 1)
     traj = integrate(
         _dyn(contact, contact.parse("z")), [0.0, 1.0, 1.0],
-        (0.0, 1.0), IntegratorConfig(step=1e-3),
+        1.0, IntegratorConfig(step=1e-3),
     )
     for slot in (1, 2):
         err = abs(traj.states[-1][slot] - math.exp(-1.0))
@@ -356,7 +356,7 @@ def test_criterion_6_flow_physics():
     traj = integrate(
         Dynamics(FieldSpec(cosym, Family.HAMILTONIAN, Gauge.ONE), cosym.parse("p1^2/2 + t*q1")),
         [0.25, 0.5, -0.3],
-        (0.0, 1.5), IntegratorConfig(step=1e-3),
+        1.5, IntegratorConfig(step=1e-3),
     )
     drift = float(np.max(np.abs(traj.states[:, cosym.t_slot] - (0.25 + traj.times))))
     if drift >= 1e-10:
@@ -379,7 +379,7 @@ def test_criterion_6_flow_physics():
                 use = text.replace(" + z/2", "")
             traj = integrate(
                 Dynamics(spec, chart.parse(use)), [0.2] * chart.dim,
-                (0.0, 0.2), IntegratorConfig(step=1e-3),
+                0.2, IntegratorConfig(step=1e-3),
             )
             rate = monitored_energy_rate(traj)
             if rate >= 1e-5:

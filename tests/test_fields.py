@@ -268,17 +268,26 @@ def test_symplectic_flow_preserves_omega():
 
 
 def test_conformal_diagnostics_match_lie_eta_coefficients():
+    # L_X eta = a dH + c_eta eta + c_tau tau, with a = 1 on energy rows and 0
+    # elsewhere: the Reeb fields read c_eta and c_tau off L_X eta - a dH
     for kind in (ChartKind.CONTACT, ChartKind.COCONTACT):
         chart = Chart(kind, 1)
+        eta = canonical_eta(chart)
         rng = random.Random(190)
         for spec in catalog(chart):
             for H in hamiltonians_for(chart, spec, rng, 4):
                 d = diagnostics(spec, H)
-                assert d.conformal_eta == -H.partial(chart.z_slot)
+                rest = lie_derivative_oneform(make_field(spec, H), eta)
+                if spec.family is Family.ENERGY:
+                    rest = rest - differential(H, chart)
+                assert pairing(rest, reeb_eta(chart)) == d.conformal_eta, spec.row_name
+                decomposed = eta.scaled(d.conformal_eta)
                 if chart.has_time:
-                    assert d.conformal_tau == -H.partial(chart.t_slot)
+                    assert pairing(rest, reeb_tau(chart)) == d.conformal_tau, spec.row_name
+                    decomposed = decomposed + canonical_tau(chart).scaled(d.conformal_tau)
                 else:
                     assert d.conformal_tau is None
+                assert rest == decomposed, spec.row_name
     s = Chart(ChartKind.SYMPLECTIC, 1)
     d = diagnostics(FieldSpec(s), s.parse("p1^2"))
     assert d.conformal_eta is None and d.conformal_tau is None

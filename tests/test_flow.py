@@ -55,7 +55,7 @@ def test_harmonic_oscillator_period_return():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     x0 = [1.0, 0.0]
-    traj = integrate(Dynamics(spec, H), x0, (0.0, 2.0 * math.pi), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), x0, 2.0 * math.pi, IntegratorConfig(step=1e-3))
     assert np.max(np.abs(traj.states[-1] - np.array(x0))) < 1e-8
 
 
@@ -63,7 +63,7 @@ def test_rk4_order_on_oscillator():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     x0 = [1.0, 0.0]
-    span = (0.0, 2.0 * math.pi)
+    span = 2.0 * math.pi
     errs = []
     for h in (0.02, 0.01):
         traj = integrate(Dynamics(spec, H), x0, span, IntegratorConfig(step=h))
@@ -174,7 +174,7 @@ def test_contact_linear_decay_pinned():
     # H = z: qdot = 0, pdot = -p, zdot = -z
     chart, spec = _spec(ChartKind.CONTACT)
     H = chart.parse("z")
-    traj = integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], 1.0, IntegratorConfig(step=1e-3))
     expected = math.exp(-1.0)
     assert abs(traj.states[-1][1] - expected) < 1e-6
     assert abs(traj.states[-1][2] - expected) < 1e-6
@@ -184,7 +184,7 @@ def test_contact_linear_decay_pinned():
 def test_gauge_one_time_channel_is_affine():
     chart, spec = _spec(ChartKind.COSYMPLECTIC, gauge=Gauge.ONE)
     H = chart.parse("p1^2/2 + t*q1")
-    traj = integrate(Dynamics(spec, H), [0.25, 0.5, -0.3], (0.0, 1.5), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.25, 0.5, -0.3], 1.5, IntegratorConfig(step=1e-3))
     t_slot = chart.t_slot
     drift = np.abs(traj.states[:, t_slot] - (0.25 + traj.times))
     assert np.max(drift) < 1e-10
@@ -193,7 +193,7 @@ def test_gauge_one_time_channel_is_affine():
 def test_gauge_zero_freezes_time_channel():
     chart, spec = _spec(ChartKind.COCONTACT, gauge=Gauge.ZERO)
     H = chart.parse("p1^2/2 + t*q1 + z")
-    traj = integrate(Dynamics(spec, H), [0.7, 0.2, 0.1, 0.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.7, 0.2, 0.1, 0.0], 1.0, IntegratorConfig(step=1e-3))
     assert np.max(np.abs(traj.states[:, chart.t_slot] - 0.7)) == 0.0
 
 
@@ -219,14 +219,14 @@ def test_energy_rate_monitor_all_rows(kind, text):
             use_H = H
             if family is Family.STRICT and chart.has_z:
                 use_H = chart.parse(text.replace(" + z/2", ""))
-            traj = integrate(Dynamics(spec, use_H), x0, (0.0, 0.2), IntegratorConfig(step=1e-3))
+            traj = integrate(Dynamics(spec, use_H), x0, 0.2, IntegratorConfig(step=1e-3))
             assert monitored_energy_rate(traj) < 1e-5, spec.row_name
 
 
 def test_monitor_channels_match_closed_forms():
     chart, spec = _spec(ChartKind.CONTACT)
     H = chart.parse("z")
-    traj = integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], (0.0, 1.0), IntegratorConfig(step=1e-3))
+    traj = integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], 1.0, IntegratorConfig(step=1e-3))
     z = traj.states[:, chart.z_slot]
     assert np.max(np.abs(traj.monitors["hamiltonian"] - z)) < 1e-12
     # X(H) = -H*H_z = -z along the flow
@@ -261,7 +261,7 @@ def test_flow_map_logdet_matches_divergence_integral():
     chart, spec = _spec(ChartKind.CONTACT)
     H = chart.parse("z + p1^2/2")
     window = 0.3
-    logdet = flow_map_logdet(Dynamics(spec, H), [0.1, 0.4, 0.2], (0.0, window))
+    logdet = flow_map_logdet(Dynamics(spec, H), [0.1, 0.4, 0.2], window)
     expected = -2.0 * window
     assert abs(logdet - expected) <= 0.05 * abs(expected)
 
@@ -270,7 +270,7 @@ def test_rk45_adaptive_matches_exact_solution():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     cfg = IntegratorConfig(method="rk45", rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 2.0 * math.pi), cfg)
+    traj = integrate(Dynamics(spec, H), [1.0, 0.0], 2.0 * math.pi, cfg)
     assert np.max(np.abs(traj.states[-1] - np.array([1.0, 0.0]))) < 1e-6
     steps = np.diff(traj.times)
     assert steps.min() > 0
@@ -282,7 +282,7 @@ def test_blow_up_reports_last_good_state():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("q1^3 * p1")
     with pytest.raises(BlowUpError) as err:
-        integrate(Dynamics(spec, H), [1.0, 0.2], (0.0, 1.0), IntegratorConfig(step=1e-3))
+        integrate(Dynamics(spec, H), [1.0, 0.2], 1.0, IntegratorConfig(step=1e-3))
     assert isinstance(err.value, IntegrationError)
     assert 0.0 < err.value.last_good_time < 0.6
     assert err.value.partial is not None
@@ -295,7 +295,7 @@ def test_step_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(budgets, "MAX_STEPS", 10)
     for method in flow.METHODS:
         with pytest.raises(StepBudgetError) as err:
-            integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1.0),
+            integrate(Dynamics(spec, H), [1.0, 0.0], 1.0,
                       IntegratorConfig(method=method, step=1e-3))
         assert err.value.partial is not None
 
@@ -304,7 +304,7 @@ def test_a_step_count_past_float_range_is_refused():
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     H = chart.parse("(q1^2 + p1^2)/2")
     with pytest.raises(StepBudgetError, match="inf RK4 steps exceed the step budget"):
-        integrate(Dynamics(spec, H), [1.0, 0.0], (0.0, 1e300), IntegratorConfig(step=1e-300))
+        integrate(Dynamics(spec, H), [1.0, 0.0], 1e300, IntegratorConfig(step=1e-300))
 
 
 @pytest.mark.parametrize("kind, hamiltonian, x0, t_final", [
@@ -321,7 +321,7 @@ def test_an_rk45_span_past_the_step_budget_is_refused_before_the_first_step(
     fewest = t_final / budgets.MAX_RK45_STEP
     message = f"{fewest:.6g} RKF45 steps of at most {budgets.MAX_RK45_STEP} exceed the step budget"
     with pytest.raises(StepBudgetError, match=re.escape(message)):
-        integrate(Dynamics(spec, chart.parse(hamiltonian)), x0, (0.0, t_final),
+        integrate(Dynamics(spec, chart.parse(hamiltonian)), x0, t_final,
                   IntegratorConfig(method="rk45"))
 
 
@@ -329,7 +329,7 @@ def test_rk45_steps_are_capped_at_the_largest_step(monkeypatch):
     # a linear drift has no error to control: the step grows to the cap and stays
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     monkeypatch.setattr(budgets, "MAX_RK45_STEP", 0.25)
-    traj = integrate(Dynamics(spec, chart.parse("p1")), [0.0, 0.0], (0.0, 3.0),
+    traj = integrate(Dynamics(spec, chart.parse("p1")), [0.0, 0.0], 3.0,
                      IntegratorConfig(method="rk45", step=0.1))
     steps = np.diff(traj.times)  # 0.1, eleven of 0.25, then the 0.15 left
     assert len(steps) == 13 and np.allclose(steps[1:-1], 0.25)
@@ -379,13 +379,13 @@ def test_integrate_evaluates_through_poly_eval_alone(monkeypatch):
     monkeypatch.setattr(flow, "rkf45_stepper", counted_stepper)
     monkeypatch.setattr(flow, "BLOCK_ROWS", 16)
     x0 = [0.0, 0.3, 0.4, 0.1]
-    traj = integrate(dyn, x0, (0.0, 0.25), IntegratorConfig(step=5e-3))
+    traj = integrate(dyn, x0, 0.25, IntegratorConfig(step=5e-3))
     assert len(traj.times) == 51  # four blocks of 16 nodes, the last one short
     assert calls == 4 * chart.dim * 50
     assert array_calls == 3 * 4
     calls = array_calls = 0
     # a first step far past the tolerance: the controller rejects and shrinks it
-    traj = integrate(dyn, x0, (0.0, 2.0), IntegratorConfig(method="rk45", step=1.0))
+    traj = integrate(dyn, x0, 2.0, IntegratorConfig(method="rk45", step=1.0))
     assert attempts > len(traj.times) - 1
     assert calls == 6 * chart.dim * attempts
     assert array_calls == 3 * -(-len(traj.times) // 16)
@@ -398,8 +398,8 @@ def test_a_trajectory_holds_about_eight_bytes_per_sample_per_channel():
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + z/3 + t/5"))
     x0, config = [0.0, 0.3, 0.4, 0.1], IntegratorConfig(step=1e-4)
-    integrate(dyn, x0, (0.0, 1e-3), config)  # compile the kernels outside the trace
-    traj, peak = traced_peak(lambda: integrate(dyn, x0, (0.0, 1.0), config))
+    integrate(dyn, x0, 1e-3, config)  # compile the kernels outside the trace
+    traj, peak = traced_peak(lambda: integrate(dyn, x0, 1.0, config))
     samples = len(traj.times)
     assert samples == 10_001
     assert sum(a.nbytes for a in [traj.times, traj.states, *traj.monitors.values()]) \
@@ -410,7 +410,7 @@ def test_a_trajectory_holds_about_eight_bytes_per_sample_per_channel():
 def test_csv_export_is_written_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + z/3 + t/5"))
-    traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0), IntegratorConfig(step=1e-4))
+    traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], 1.0, IntegratorConfig(step=1e-4))
     monkeypatch.setattr(flow, "BLOCK_ROWS", 100)
     path = tmp_path / "traj.csv"
     _, peak = traced_peak(lambda: write_trajectory_csv(traj, path))
@@ -421,16 +421,21 @@ def test_csv_export_is_written_one_block_of_rows_at_a_time(tmp_path, monkeypatch
 
 
 def test_backward_time_is_rejected():
+    # a run goes from s = 0 to t_final; a negative or NaN t_final is refused, -0.0 is no step
     chart, spec = _spec(ChartKind.SYMPLECTIC)
-    H = chart.parse("(q1^2 + p1^2)/2")
-    with pytest.raises(ValueError):
-        integrate(Dynamics(spec, H), [1.0, 0.0], (0.5, 0.0), IntegratorConfig())
+    dyn = Dynamics(spec, chart.parse("(q1^2 + p1^2)/2"))
+    for method in flow.METHODS:
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError, match=f"^need t_final >= 0, not {re.escape(repr(bad))}$"):
+                integrate(dyn, [1.0, 0.0], bad, IntegratorConfig(method=method))
+        traj = integrate(dyn, [1.0, 0.0], -0.0, IntegratorConfig(method=method))
+        assert traj.times.tolist() == [0.0] and traj.states.tolist() == [[1.0, 0.0]]
 
 
 def test_csv_export_layout_and_determinism(tmp_path):
     chart, spec = _spec(ChartKind.COCONTACT)
     H = chart.parse("p1^2/2 + z/3 + t/5")
-    traj = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
+    traj = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], 0.25, IntegratorConfig(step=5e-3))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     write_trajectory_csv(traj, p1)
@@ -440,7 +445,7 @@ def test_csv_export_layout_and_determinism(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == 0.0 and float(first[4]) == 0.1
-    traj2 = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], (0.0, 0.25), IntegratorConfig(step=5e-3))
+    traj2 = integrate(Dynamics(spec, H), [0.0, 0.3, 0.4, 0.1], 0.25, IntegratorConfig(step=5e-3))
     write_trajectory_csv(traj2, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -452,7 +457,7 @@ def test_strictness_violation_surfaces_before_integration():
     from geokin.fields import StrictnessError
 
     with pytest.raises(StrictnessError):
-        integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], (0.0, 0.1), IntegratorConfig())
+        integrate(Dynamics(spec, H), [0.0, 1.0, 1.0], 0.1, IntegratorConfig())
 
 
 def test_integrator_config_refuses_a_tolerance_the_error_scale_cannot_divide_by():
@@ -635,10 +640,10 @@ def test_integrate_is_bit_identical_to_the_array_loop(tmp_path_factory, kind, me
     want = reference_integrate(spec, H, x0, s1, config)
     if want is None:
         with pytest.raises(BlowUpError):
-            integrate(Dynamics(spec, H), x0, (0.0, s1), config)
+            integrate(Dynamics(spec, H), x0, s1, config)
         reject()
     ref, ref_lines = want
-    traj = integrate(Dynamics(spec, H), x0, (0.0, s1), config)
+    traj = integrate(Dynamics(spec, H), x0, s1, config)
     assert traj.times.dtype == traj.states.dtype == np.float64
     assert traj.times.tobytes() == ref.times.tobytes()
     assert traj.states.shape == ref.states.shape
@@ -886,7 +891,7 @@ def test_monitors_are_per_sample_evaluations_on_every_row(tmp_path, kind, method
     for spec in catalog(chart):
         dyn = Dynamics(spec, random_hamiltonian(rng, chart, z_free=spec.family is Family.STRICT))
         try:
-            traj = integrate(dyn, [0.1] * chart.dim, (0.0, 0.2),
+            traj = integrate(dyn, [0.1] * chart.dim, 0.2,
                              IntegratorConfig(method=method, step=1e-2))
         except BlowUpError as err:
             traj = err.partial
@@ -899,7 +904,7 @@ def test_monitors_of_a_run_longer_than_a_block_are_per_sample_evaluations(monkey
     chart, spec = _spec(ChartKind.COCONTACT)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
     monkeypatch.setattr(flow, "BLOCK_ROWS", 4_096)
-    traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0), IntegratorConfig(step=1e-4))
+    traj = integrate(dyn, [0.0, 0.3, 0.4, 0.1], 1.0, IntegratorConfig(step=1e-4))
     assert len(traj.times) > 2 * flow.BLOCK_ROWS  # two whole blocks and a short one
     assert_monitors_are_per_sample_evals(dyn, traj)
 
@@ -909,7 +914,7 @@ def test_a_run_of_several_blocks_is_written_as_before(monkeypatch, tmp_path, met
     chart, spec = _spec(ChartKind.COCONTACT, n=2)
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q2^2/2 + z/3 + t*q1/5"))
     monkeypatch.setattr(flow, "BLOCK_ROWS", 16)
-    traj = integrate(dyn, [0.0, 0.3, -0.2, 0.4, -0.0, 0.1], (0.0, 2.0),
+    traj = integrate(dyn, [0.0, 0.3, -0.2, 0.4, -0.0, 0.1], 2.0,
                      IntegratorConfig(method=method, step=2e-2, rel_tol=1e-12, abs_tol=1e-14))
     assert len(traj.times) > 4 * flow.BLOCK_ROWS  # whole blocks and a short one
     assert_written_as_before(traj, tmp_path)
@@ -920,7 +925,7 @@ def test_monitors_of_a_blown_up_run_are_per_sample_evaluations(tmp_path, method)
     chart, spec = _spec(ChartKind.SYMPLECTIC)
     dyn = Dynamics(spec, chart.parse("q1^3 * p1"))
     with pytest.raises(BlowUpError) as err:
-        integrate(dyn, [1.0, 0.2], (0.0, 1.0), IntegratorConfig(method=method, step=1e-3))
+        integrate(dyn, [1.0, 0.2], 1.0, IntegratorConfig(method=method, step=1e-3))
     assert len(err.value.partial.times) > 1
     assert_monitors_are_per_sample_evals(dyn, err.value.partial)
     assert_written_as_before(err.value.partial, tmp_path)
@@ -934,7 +939,7 @@ def test_monitors_of_a_run_past_the_step_budget_are_per_sample_evaluations(monke
     dyn = Dynamics(spec, chart.parse("p1^2/2 + q1^2/2 + z/3 + t*q1/5"))
     monkeypatch.setattr(budgets, "MAX_STEPS", 10)
     with pytest.raises(StepBudgetError) as err:
-        integrate(dyn, [0.0, 0.3, 0.4, 0.1], (0.0, 1.0),
+        integrate(dyn, [0.0, 0.3, 0.4, 0.1], 1.0,
                   IntegratorConfig(method=method, step=1e-3, rel_tol=1e-12, abs_tol=1e-14))
     samples = len(err.value.partial.times)
     assert samples == 1 if method == "rk4" else 1 < samples <= 11
@@ -954,7 +959,7 @@ def test_an_out_of_range_monitor_coefficient_raises_before_the_first_step(monkey
     dyn = Dynamics(spec, chart.parse("2^600*z"))
     assert all(c.eval([0.0, 0.1, 0.1]) for c in dyn.field.components[1:])
     with pytest.raises(OverflowError):
-        integrate(dyn, [0.0, 0.1, 0.1], (0.0, 1.0), IntegratorConfig(method=method))
+        integrate(dyn, [0.0, 0.1, 0.1], 1.0, IntegratorConfig(method=method))
 
 
 def test_a_monitor_past_float_range_is_inf_and_prints_nothing(capfd):
@@ -963,7 +968,7 @@ def test_a_monitor_past_float_range_is_inf_and_prints_nothing(capfd):
     dyn = Dynamics(spec, chart.parse("q1^2/10^10"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = integrate(dyn, [1e200, 0.0], (0.0, 0.01), IntegratorConfig(step=1e-3))
+        traj = integrate(dyn, [1e200, 0.0], 0.01, IntegratorConfig(step=1e-3))
         rate = monitored_energy_rate(traj)  # central differences of inf are NaN
     assert np.all(traj.monitors["hamiltonian"] == math.inf)
     assert math.isnan(rate)

@@ -34,12 +34,11 @@ from geokin.density import (
     density_coefficients,
     density_vlasov_rhs,
     dual_pairing_residual,
-    growth_factor,
     intertwine_residual,
     kinetic_spec,
+    kinetic_terms,
     momentum_map,
     momentum_vlasov_rhs,
-    weight_rate,
 )
 from geokin.kinetics import (
     GridAxis,
@@ -486,6 +485,18 @@ def test_sampling_a_grid_holds_its_points_and_kernel_and_no_placeholder():
     assert peak < 3.5 * _WIDE_GRID
 
 
+def test_sampling_a_callable_builds_no_meshgrid_columns():
+    # the (N, 2) points, stacked once from broadcast views of the axis
+    # centers, and the Gaussian's temporaries: 5.00 measured; the two
+    # meshgrid columns of the cell centers beside their stack reach 7.00
+    s = Chart(ChartKind.SYMPLECTIC, 1)
+    f0 = _gauss((0.0, 0.0), (0.5, 0.5))
+    grid, peak = traced_peak(lambda: GridDensity.sample(s, _WIDE, f0))
+    assert peak < 5.5 * _WIDE_GRID
+    columns = np.meshgrid(*[a.centers() for a in _WIDE], indexing="ij")
+    assert grid.values.tobytes() == f0(np.stack([c.ravel() for c in columns], axis=1)).tobytes()
+
+
 @pytest.mark.parametrize("kind, sizes, H, bound", [
     # -v and v > 0 of both axes, each velocity spanning one axis: 2.25
     # measured; velocities and source on meshgrid cell centers reach 6.25
@@ -505,8 +516,8 @@ def test_the_grid_setup_holds_what_the_steps_read(kind, sizes, H, bound):
     dyn = _dyn(chart, chart.parse(H))
 
     def setup():
-        rate, moving, _, _ = kinetics._transport(dyn, axes, (0.1,), None, 0.9, 10 ** 6, "cells")
-        return kinetics._grid_terms(chart, rate, moving, axes)
+        terms, moving, _, _ = kinetics._transport(dyn, axes, (0.1,), None, 0.9, 10 ** 6, "cells")
+        return kinetics._grid_terms(terms, moving, axes)
 
     setup()  # compile the kernels
     (wind, src), peak = traced_peak(setup)
@@ -1044,27 +1055,30 @@ def test_each_solver_call_counts_its_steps_once(monkeypatch, run, dt):
 
 
 def test_solver_terms_are_the_density_law():
-    """The solvers' hand-coded terms against the exact law, on random (H, f).
+    """The terms the solvers read off the law against its closed form, on
+    random (H, f).
 
     With X the transport field and s = density_vlasov_rhs(chart, H, 1) the
     law's f-coefficient: the law is transport plus growth, -X(f) + s f; the
-    particle weight rate is the growth net of the volume change, s + div X;
-    and the grid source s is `growth_factor` times that rate.
+    particle weight rate of `kinetic_terms` is R_eta(H) = dH/dz (zero off
+    z-charts), exactly, so every kernel compiled from it is the one the
+    closed form gives; and the grid source s is its int growth times it.
     """
     for chart in ALL_CHARTS:
         rng = random.Random(f"density-law/{chart.kind.value}/{chart.n}")
-        factor = growth_factor(chart)
-        assert type(factor) is int  # an exact multiple keeps the source grid's bytes
         for _ in range(15):
             H = random_hamiltonian(rng, chart, degree=3, terms=4)
             f = random_poly(rng, chart.dim, degree=2, terms=3)
             dyn = _dyn(chart, H)
             X = dyn.field
             s = density_vlasov_rhs(chart, H, chart.const(1))
-            rate = weight_rate(dyn)
+            rate, growth = kinetic_terms(dyn)
+            closed_form = H.partial(chart.z_slot) if chart.has_z else chart.zero()
+            assert rate == closed_form
+            assert type(growth) is int  # an exact multiple keeps the source grid's bytes
+            assert growth == (chart.n + 2 if chart.has_z else -1)
             assert density_vlasov_rhs(chart, H, f) == -X.apply_to(f) + s * f
-            assert s + divergence(X) == rate
-            assert s == factor * rate
+            assert s == growth * rate
 
 
 # -- bit-identity oracle: the (N, dim+1) array push the column push replaced --
@@ -1357,7 +1371,7 @@ def test_a_grid_solve_builds_no_point_grid(monkeypatch, kind):
     chart = Chart(kind, 1)
     axes = tuple(GridAxis(name, -2.0, 2.0, 1 if name == "t" else 32) for name in chart.coord_names)
     dyn = _dyn(chart, chart.parse("p1^2/2 + q1^2/2 + z/5"))
-    assert not weight_rate(dyn).is_zero()  # a source, evaluated on the grid
+    assert not kinetic_terms(dyn)[0].is_zero()  # a source, evaluated on the grid
 
     def refuse(*args, **kwargs):
         raise AssertionError("a point grid was built")
